@@ -16,7 +16,7 @@ Beyond the timing axes the gate asserts three kinds of floors:
   forever.  (The reverse -- a baseline from before an axis existed --
   is fine; only baseline metrics are enumerated.)
 * **Adaptive speedup floors.**  The quiescence-skipping stepper must
-  stay at least ``2.0x`` faster than the reference stepper on the
+  stay at least ``1.5x`` faster than the reference stepper on the
   traffic and burst convoy axes.  These are single-process ratios
   measured in the same run, so they are asserted on every runner,
   including single-core CI.
@@ -67,11 +67,18 @@ SPEEDUP_FLOORS: Sequence[Tuple[Tuple[str, ...], float]] = (
 
 #: Adaptive-stepper speedups and the floor each must clear on every
 #: runner.  Both sides of the ratio are serial runs from the same
-#: process, so core count is irrelevant; the 2.0x floor is the
-#: headline claim of the fast simulation core and is asserted as such.
+#: process, so core count is irrelevant.  The adaptive stepper saves
+#: the sensor reads and firmware updates of fused ticks, so the ratio
+#: shrinks whenever those layers get cheaper: with the compiled fault
+#: table and flat sensor readings both steppers got faster and the
+#: ratio fell from 2.2-2.4x to 1.9-2.2x, and one run before that
+#: change already read 1.6x on ``burst``.  The floor therefore only
+#: catches "fusing stopped paying" (which reads ~1.0x); the adaptive
+#: stepper's own speed is gated in absolute terms through
+#: ``seconds_per_simulation_adaptive``.
 ADAPTIVE_FLOORS: Sequence[Tuple[Tuple[str, ...], float]] = (
-    (("traffic", "adaptive_speedup"), 2.0),
-    (("burst", "adaptive_speedup"), 2.0),
+    (("traffic", "adaptive_speedup"), 1.5),
+    (("burst", "adaptive_speedup"), 1.5),
 )
 
 

@@ -21,7 +21,7 @@ trace and campaign is bit-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import RunConfiguration, VehicleSpec
@@ -260,11 +260,7 @@ class _VehicleUnit:
         if self.vehicle == 0:
             return records
         return [
-            InjectionRecord(
-                sensor_id=record.sensor_id.for_vehicle(self.vehicle),
-                scheduled_time=record.scheduled_time,
-                injected_time=record.injected_time,
-            )
+            replace(record, sensor_id=record.sensor_id.for_vehicle(self.vehicle))
             for record in records
         ]
 

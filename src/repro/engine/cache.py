@@ -20,6 +20,7 @@ III/IV/V numbers; the cache only removes wall-clock work.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import hashlib
 import os
 import pickle
@@ -210,6 +211,23 @@ def scenario_key(
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+def _canonical_repr(value) -> str:
+    """``repr`` with set-valued fields rendered sorted.
+
+    A frozenset's ``repr`` follows the interpreter's hash seed, so the
+    plain ``repr`` of a descriptor differs between processes.
+    """
+    if isinstance(value, (set, frozenset)):
+        return "{" + ", ".join(sorted(_canonical_repr(item) for item in value)) + "}"
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        fields = ", ".join(
+            f"{field.name}={_canonical_repr(getattr(value, field.name))}"
+            for field in dataclasses.fields(value)
+        )
+        return f"{type(value).__name__}({fields})"
+    return repr(value)
+
+
 def bug_registry_stamp() -> str:
     """A version stamp over the shipped firmware bug registries.
 
@@ -222,7 +240,8 @@ def bug_registry_stamp() -> str:
 
     The stamp also folds in :data:`CACHE_SCHEMA_VERSION`: schema-shape
     changes (per-vehicle specs, traffic faults) invalidate pre-refactor
-    directories even when the bug registries are untouched.
+    directories even when the bug registries are untouched.  It does not
+    depend on ``PYTHONHASHSEED``, so every process agrees on it.
     """
     from repro.firmware.bugs import ardupilot_bug_registry, px4_bug_registry
 
@@ -232,7 +251,7 @@ def bug_registry_stamp() -> str:
         ("px4", px4_bug_registry()),
     ):
         for descriptor in registry.descriptors:
-            parts.append(f"{flavour}:{descriptor!r}")
+            parts.append(f"{flavour}:{_canonical_repr(descriptor)}")
     return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.firmware.arming import ArmingController, ArmingDecision
 from repro.firmware.bugs import BugRegistry
@@ -43,8 +43,8 @@ from repro.firmware.telemetry import FirmwareMavlinkHandler
 from repro.hinj.instrumentation import HinjInterface
 from repro.mavlink.link import MavLink
 from repro.mavlink.mission import MissionPlan
-from repro.sensors.base import SensorId, SensorReading, SensorType
-from repro.sensors.suite import SensorSuite
+from repro.sensors.base import SensorType
+from repro.sensors.suite import SensorReadings, SensorSuite
 from repro.sim.environment import Environment, GeoLocation, default_environment
 from repro.sim.physics import ActuatorCommand
 from repro.sim.vehicle import IRIS_QUADCOPTER, AirframeParameters
@@ -95,6 +95,7 @@ class ControlFirmware:
         self.dt = dt
 
         self._estimator = StateEstimator(suite, self.params)
+        self._battery_positions = suite.positions(SensorType.BATTERY)
         self._navigation = NavigationStack(self.params, airframe)
         self._failsafe = FailsafeManager(self.params)
         self._arming = ArmingController(self.params)
@@ -335,12 +336,14 @@ class ControlFirmware:
     # ------------------------------------------------------------------
     def update(
         self,
-        readings: Mapping[SensorId, SensorReading],
+        readings: SensorReadings,
         time: float,
         elapsed_steps: int = 1,
     ) -> ActuatorCommand:
         """Run one control period and return the actuator command.
 
+        ``readings`` is this period's read pass over the suite
+        (:meth:`SensorSuite.read_all`).
         ``elapsed_steps`` is the number of simulation micro-steps since
         the previous control period (1 under the reference stepper).
         The adaptive stepper fuses quiescent windows -- one control
@@ -444,11 +447,15 @@ class ControlFirmware:
         )
         self._apply_failsafe(decision)
 
-    def _check_battery(self, readings: Mapping[SensorId, SensorReading], time: float) -> None:
-        battery = self.suite.read_active(readings, SensorType.BATTERY)
-        remaining = battery.value("remaining") if battery is not None else None
-        if remaining is None:
+    def _check_battery(self, readings: SensorReadings, time: float) -> None:
+        samples = readings.samples
+        for position in self._battery_positions:
+            battery = samples[position]
+            if battery is not None:
+                break
+        else:
             return
+        remaining = battery["remaining"]
         decision = self._failsafe.check_battery(remaining, self._estimator.status, time)
         if decision is not None:
             self._apply_failsafe(decision)

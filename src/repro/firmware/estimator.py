@@ -24,12 +24,12 @@ Fail-over rules (mirroring the stock firmware behaviour):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, Mapping, Optional, Set
+from dataclasses import dataclass, field
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.firmware.params import FirmwareParameters
-from repro.sensors.base import SensorId, SensorReading, SensorRole, SensorType
-from repro.sensors.suite import SensorSuite
+from repro.sensors.base import SensorId, SensorRole, SensorType
+from repro.sensors.suite import SensorReadings, SensorSuite
 from repro.sim.physics import GRAVITY
 from repro.sim.state import wrap_angle
 
@@ -75,8 +75,11 @@ class StateEstimate:
         return math.hypot(self.north - north, self.east - east)
 
     def copy(self) -> "StateEstimate":
-        """Return an independent copy of the estimate."""
-        return replace(self, status=self.status)
+        """Return an independent copy of the estimate (the frozen status
+        is shared)."""
+        clone = object.__new__(StateEstimate)
+        clone.__dict__.update(self.__dict__)
+        return clone
 
 
 @dataclass(frozen=True)
@@ -92,8 +95,28 @@ class SensorFailureEvent:
     type_exhausted: bool
 
 
+#: Channel values of one instance's reading (see ``SensorReadings``).
+Channels = Dict[str, float]
+
+#: The sensor types the filters fuse, in selection order; the estimator
+#: tracks which instance of each it is actively using.
+_FUSED_TYPES = (
+    SensorType.GYROSCOPE,
+    SensorType.ACCELEROMETER,
+    SensorType.COMPASS,
+    SensorType.GPS,
+    SensorType.BAROMETER,
+)
+
+
 class StateEstimator:
-    """Complementary-filter state estimator with explicit fail-over."""
+    """Complementary-filter state estimator with explicit fail-over.
+
+    Readings arrive as one :class:`SensorReadings` pass in the suite's
+    canonical order; every per-type lookup is a precomputed tuple of
+    positions (primary first), so the per-tick path neither sorts nor
+    hashes sensor ids.
+    """
 
     # Correction gains per update (tuned for 50 Hz; scale with dt).
     ALTITUDE_GAIN = 3.0          # 1/s pull of altitude toward measurement
@@ -107,10 +130,21 @@ class StateEstimator:
         self._suite = suite
         self._params = params
         self._estimate = StateEstimate()
-        self._active_instance: Dict[SensorType, Optional[SensorId]] = {}
-        self._known_failed: Set[SensorId] = set()
         self._gps_last_seen = 0.0
         self._initialised = False
+
+        self._sensor_ids: List[SensorId] = suite.sensor_ids
+        # Primary-first positions of each fused type.
+        self._fused: Tuple[Tuple[int, ...], ...] = tuple(
+            suite.positions(sensor_type) for sensor_type in _FUSED_TYPES
+        )
+        self._gps_positions = suite.positions(SensorType.GPS)
+        # Position of the instance in use per fused type (None once the
+        # type is exhausted, and before the first update).
+        self._active: List[Optional[int]] = [None] * len(_FUSED_TYPES)
+        self._known_failed: List[bool] = [False] * len(self._sensor_ids)
+        # Which instances failed at the last status computation.
+        self._failed: Optional[List[bool]] = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -127,37 +161,42 @@ class StateEstimator:
 
     def active_instance(self, sensor_type: SensorType) -> Optional[SensorId]:
         """The instance currently trusted for ``sensor_type`` (if any)."""
-        return self._active_instance.get(sensor_type)
+        if sensor_type not in _FUSED_TYPES:
+            return None
+        position = self._active[_FUSED_TYPES.index(sensor_type)]
+        return None if position is None else self._sensor_ids[position]
 
     # ------------------------------------------------------------------
     # Update
     # ------------------------------------------------------------------
-    def update(
-        self,
-        readings: Mapping[SensorId, SensorReading],
-        dt: float,
-        time: float,
-    ) -> tuple:
-        """Fuse one set of readings.
+    def update(self, readings: SensorReadings, dt: float, time: float) -> tuple:
+        """Fuse one read pass of the suite (:meth:`SensorSuite.read_all`).
 
         Returns ``(estimate, failure_events)`` where ``failure_events``
         lists the instance failures newly observed during this update --
         the firmware's fail-safe manager (and through it the bug registry)
         consumes them.
         """
-        failure_events = self._detect_failures(readings, time)
+        samples = readings.samples
+        failure_events = self._detect_failures(samples, time) if None in samples else []
 
-        gyro = self._select(readings, SensorType.GYROSCOPE)
-        accel = self._select(readings, SensorType.ACCELEROMETER)
-        compass = self._select(readings, SensorType.COMPASS)
-        gps = self._select(readings, SensorType.GPS)
-        baro = self._select(readings, SensorType.BAROMETER)
+        active = self._active
+        selected: List[Optional[Channels]] = []
+        for slot, positions in enumerate(self._fused):
+            chosen = None
+            for position in positions:
+                if samples[position] is not None:
+                    chosen = position
+                    break
+            active[slot] = chosen
+            selected.append(None if chosen is None else samples[chosen])
+        gyro, accel, compass, gps, baro = selected
 
         self._update_attitude(gyro, accel, dt)
         self._update_heading(gyro, compass, dt)
         self._update_vertical(accel, baro, gps, dt)
         self._update_horizontal(accel, gps, dt, time)
-        self._update_status(time)
+        self._update_status(samples, time)
         self._estimate.time = time
 
         if not self._initialised:
@@ -165,31 +204,28 @@ class StateEstimator:
         return self._estimate, failure_events
 
     # ------------------------------------------------------------------
-    # Source selection and failure detection
+    # Failure detection
     # ------------------------------------------------------------------
-    def _select(
-        self, readings: Mapping[SensorId, SensorReading], sensor_type: SensorType
-    ) -> Optional[SensorReading]:
-        """Pick the reading from the highest-priority healthy instance."""
-        reading = self._suite.read_active(readings, sensor_type)
-        self._active_instance[sensor_type] = reading.sensor_id if reading else None
-        return reading
-
-    def _detect_failures(
-        self, readings: Mapping[SensorId, SensorReading], time: float
-    ) -> list:
-        """Find instance failures that appeared in this batch of readings."""
+    def _detect_failures(self, samples: List[Optional[Channels]], time: float) -> list:
+        """Find instance failures that appeared in this batch of readings,
+        in canonical order."""
         events = []
-        for sensor_id, reading in sorted(readings.items()):
-            if not reading.failed or sensor_id in self._known_failed:
+        for position, values in enumerate(samples):
+            if values is not None or self._known_failed[position]:
                 continue
-            self._known_failed.add(sensor_id)
-            previously_active = self._active_instance.get(sensor_id.sensor_type)
-            was_active = previously_active is None or previously_active == sensor_id
+            self._known_failed[position] = True
+            sensor_id = self._sensor_ids[position]
+            previously_active = self.active_instance(sensor_id.sensor_type)
             if previously_active is None:
-                # First update: the primary is by definition the active one.
+                # First update (or an unfused type): the primary is by
+                # definition the active one.
                 was_active = self._suite.role_of(sensor_id) == SensorRole.PRIMARY
-            type_exhausted = self._suite.all_failed(sensor_id.sensor_type)
+            else:
+                was_active = previously_active == sensor_id
+            type_exhausted = all(
+                samples[other] is None
+                for other in self._suite.positions(sensor_id.sensor_type)
+            )
             events.append(
                 SensorFailureEvent(
                     sensor_id=sensor_id,
@@ -205,22 +241,22 @@ class StateEstimator:
     # ------------------------------------------------------------------
     def _update_attitude(
         self,
-        gyro: Optional[SensorReading],
-        accel: Optional[SensorReading],
+        gyro: Optional[Channels],
+        accel: Optional[Channels],
         dt: float,
     ) -> None:
         est = self._estimate
         if gyro is not None:
-            est.roll += gyro.value("roll_rate") * dt
-            est.pitch += gyro.value("pitch_rate") * dt
+            est.roll += gyro["roll_rate"] * dt
+            est.pitch += gyro["pitch_rate"] * dt
         # Without an accelerometer the tilt estimate slowly decays to level,
         # which is what a gyro-only estimate with leak does.
         decay = self.ATTITUDE_DECAY * dt
         if accel is not None:
             # Gravity direction gives an absolute tilt reference.
-            ax = accel.value("accel_x")
-            ay = accel.value("accel_y")
-            az = max(accel.value("accel_z"), 1.0)
+            ax = accel["accel_x"]
+            ay = accel["accel_y"]
+            az = max(accel["accel_z"], 1.0)
             pitch_meas = math.atan2(-ax, az)
             roll_meas = math.atan2(ay, az)
             est.roll += (roll_meas - est.roll) * decay
@@ -231,34 +267,34 @@ class StateEstimator:
 
     def _update_heading(
         self,
-        gyro: Optional[SensorReading],
-        compass: Optional[SensorReading],
+        gyro: Optional[Channels],
+        compass: Optional[Channels],
         dt: float,
     ) -> None:
         est = self._estimate
         if gyro is not None:
-            est.yaw = wrap_angle(est.yaw + gyro.value("yaw_rate") * dt)
+            est.yaw = wrap_angle(est.yaw + gyro["yaw_rate"] * dt)
         if compass is not None:
-            error = wrap_angle(compass.value("heading") - est.yaw)
+            error = wrap_angle(compass["heading"] - est.yaw)
             est.yaw = wrap_angle(est.yaw + error * self.HEADING_GAIN * dt)
 
-    def _vertical_acceleration(self, accel: Optional[SensorReading]) -> float:
+    def _vertical_acceleration(self, accel: Optional[Channels]) -> float:
         """World-frame vertical acceleration derived from the accelerometer."""
         if accel is None:
             return 0.0
         est = self._estimate
         specific_up = (
-            accel.value("accel_z") * math.cos(est.roll) * math.cos(est.pitch)
-            + accel.value("accel_x") * math.sin(est.pitch)
-            - accel.value("accel_y") * math.sin(est.roll)
+            accel["accel_z"] * math.cos(est.roll) * math.cos(est.pitch)
+            + accel["accel_x"] * math.sin(est.pitch)
+            - accel["accel_y"] * math.sin(est.roll)
         )
         return specific_up - GRAVITY
 
     def _update_vertical(
         self,
-        accel: Optional[SensorReading],
-        baro: Optional[SensorReading],
-        gps: Optional[SensorReading],
+        accel: Optional[Channels],
+        baro: Optional[Channels],
+        gps: Optional[Channels],
         dt: float,
     ) -> None:
         est = self._estimate
@@ -266,9 +302,9 @@ class StateEstimator:
         est.altitude += est.climb_rate * dt
 
         if baro is not None:
-            measurement: Optional[float] = baro.value("altitude")
+            measurement: Optional[float] = baro["altitude"]
         elif gps is not None:
-            measurement = gps.value("altitude")
+            measurement = gps["altitude"]
         else:
             measurement = None
 
@@ -279,8 +315,8 @@ class StateEstimator:
 
     def _update_horizontal(
         self,
-        accel: Optional[SensorReading],
-        gps: Optional[SensorReading],
+        accel: Optional[Channels],
+        gps: Optional[Channels],
         dt: float,
         time: float,
     ) -> None:
@@ -302,20 +338,33 @@ class StateEstimator:
             self._gps_last_seen = time
             pos_gain = self.POSITION_GAIN * dt
             vel_gain = self.VELOCITY_GAIN * dt
-            est.north += (gps.value("north") - est.north) * pos_gain
-            est.east += (gps.value("east") - est.east) * pos_gain
-            est.vel_north += (gps.value("vel_north") - est.vel_north) * vel_gain
-            est.vel_east += (gps.value("vel_east") - est.vel_east) * vel_gain
+            est.north += (gps["north"] - est.north) * pos_gain
+            est.east += (gps["east"] - est.east) * pos_gain
+            est.vel_north += (gps["vel_north"] - est.vel_north) * vel_gain
+            est.vel_east += (gps["vel_east"] - est.vel_east) * vel_gain
 
-    def _update_status(self, time: float) -> None:
-        healthy = frozenset(
-            sensor_type
-            for sensor_type in self._suite.sensor_types
-            if not self._suite.all_failed(sensor_type)
+    def _update_status(self, samples: List[Optional[Channels]], time: float) -> None:
+        """Recompute the status when the set of failed instances changed,
+        or while GPS is out (``position_valid`` depends on the time)."""
+        failed = [values is None for values in samples]
+        gps_failed = bool(self._gps_positions) and all(
+            failed[position] for position in self._gps_positions
         )
-        failed = frozenset(set(self._suite.sensor_types) - set(healthy))
-        gps_failed = SensorType.GPS in failed
-        baro_failed = SensorType.BAROMETER in failed
+        if failed == self._failed and not gps_failed:
+            return
+        status = self._estimate.status
+        if failed != self._failed:
+            self._failed = failed
+            types = self._suite.sensor_types
+            healthy = frozenset(
+                sensor_type
+                for sensor_type in types
+                if not all(failed[position] for position in self._suite.positions(sensor_type))
+            )
+            failed_types = frozenset(set(types) - set(healthy))
+        else:
+            healthy, failed_types = status.healthy_types, status.failed_types
+        baro_failed = SensorType.BAROMETER in failed_types
         altitude_source = "barometer"
         if baro_failed:
             altitude_source = "gps" if not gps_failed else "inertial"
@@ -325,7 +374,7 @@ class StateEstimator:
         heading_valid = SensorType.COMPASS in healthy or SensorType.GYROSCOPE in healthy
         self._estimate.status = EstimatorStatus(
             healthy_types=healthy,
-            failed_types=failed,
+            failed_types=failed_types,
             altitude_source=altitude_source,
             position_valid=position_valid,
             heading_valid=heading_valid,

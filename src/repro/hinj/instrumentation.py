@@ -60,16 +60,17 @@ class HinjInterface:
         return self._scheduler
 
     def install(self, suite: SensorSuite) -> None:
-        """Instrument every sensor driver in ``suite``.
+        """Instrument the sensor drivers in ``suite``.
 
         Equivalent to linking the firmware against ``libhinj`` and adding
-        the API call to each driver's ``read()``.
+        the API call to each driver's ``read()``; only the instances the
+        scheduler's scenario can fail are actually hooked.
         """
-        suite.instrument(self._scheduler.should_fail)
+        self._scheduler.instrument(suite)
 
     def uninstall(self, suite: SensorSuite) -> None:
         """Remove the instrumentation from ``suite``."""
-        suite.remove_instrumentation()
+        self._scheduler.release(suite)
 
     def add_mode_listener(self, listener: Callable[[ModeTransition], None]) -> None:
         """Register a callback invoked on every mode transition."""

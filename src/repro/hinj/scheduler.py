@@ -4,9 +4,15 @@ This is the Python analogue of the paper's scheduler process.  The real
 scheduler answers RPCs issued from ``libhinj`` calls embedded in the
 driver ``read()`` procedures; here the scheduler object is handed to the
 sensor suite as the fail-decision hook, so the query happens in-process
-with identical semantics: the scheduler is consulted on every read, and
-when the current scenario schedules a failure for that instance at or
-before the current time, the read fails and the instance stays failed.
+with identical semantics: when the current scenario schedules a failure
+for an instance at or before the current time, the read fails and the
+instance stays failed (until an intermittent fault's window closes).
+
+The scheduler compiles its scenario's sensor faults once, into a table
+of fault windows per instance, and hooks only the instances that table
+names: a read of any other instance would be answered "no" and is not
+queried at all.  The answers for faulted instances are exactly those of
+:meth:`FaultScenario.active_fault_for`.
 
 The scheduler also keeps the record of injections it actually performed
 (the first read at which each fault took effect), which is what bug
@@ -15,11 +21,13 @@ replay uses to line injections up with mode transitions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Set
+import math
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.hinj.faults import EMPTY_SCENARIO, FaultScenario, FaultSpec
 from repro.sensors.base import SensorId
+from repro.sensors.suite import SensorSuite
 
 
 @dataclass(frozen=True)
@@ -79,14 +87,10 @@ class FaultScheduler:
     """Executes one :class:`FaultScenario` during a simulated run."""
 
     def __init__(self, scenario: FaultScenario = EMPTY_SCENARIO) -> None:
-        self._scenario = scenario
-        # Keyed by fault spec (not sensor id): a scenario can schedule
-        # several disjoint recovery windows on one instance, and each
-        # applied window gets its own record -- mirroring the traffic
-        # channel's per-fault injection log, and keeping replay plans
-        # complete for multi-window scenarios.
-        self._injected: Dict[FaultSpec, InjectionRecord] = {}
-        self._query_count = 0
+        # Suites whose faulted instances are hooked to this scheduler;
+        # ``load_scenario`` re-hooks them for the new scenario.
+        self._suites: List[SensorSuite] = []
+        self.load_scenario(scenario)
 
     # ------------------------------------------------------------------
     # Configuration
@@ -104,8 +108,44 @@ class FaultScheduler:
         exists for tests and for replay, which reuses one scheduler.
         """
         self._scenario = scenario
-        self._injected = {}
+        # The sensor faults in scenario order, and per instance the
+        # (start, end, index) window of each, in that order: the first
+        # window containing a read's time is the earliest-starting active
+        # fault (ties go to the shorter window), as ``active_fault_for``
+        # decides.  Latched faults end at infinity.
+        self._faults: Tuple[FaultSpec, ...] = tuple(scenario.sensor_faults)
+        windows: Dict[SensorId, List[Tuple[float, float, int]]] = {}
+        for index, fault in enumerate(self._faults):
+            end = fault.end_time
+            windows.setdefault(fault.sensor_id, []).append(
+                (fault.start_time, math.inf if end is None else end, index)
+            )
+        self._windows: Dict[SensorId, Tuple[Tuple[float, float, int], ...]] = {
+            sensor_id: tuple(entries) for sensor_id, entries in windows.items()
+        }
+        # One record per applied fault (by index), not per sensor id: a
+        # scenario can schedule several disjoint recovery windows on one
+        # instance, and each applied window gets its own record --
+        # mirroring the traffic channel's per-fault injection log, and
+        # keeping replay plans complete for multi-window scenarios.
+        self._records: List[Optional[InjectionRecord]] = [None] * len(self._faults)
+        self._injection_order: List[int] = []
         self._query_count = 0
+        for suite in self._suites:
+            suite.instrument(self.should_fail, self._windows)
+
+    def instrument(self, suite: SensorSuite) -> None:
+        """Hook the read path of ``suite``'s faulted instances to
+        :meth:`should_fail` (again after every :meth:`load_scenario`)."""
+        if suite not in self._suites:
+            self._suites.append(suite)
+        suite.instrument(self.should_fail, self._windows)
+
+    def release(self, suite: SensorSuite) -> None:
+        """Remove the hooks :meth:`instrument` installed on ``suite``."""
+        if suite in self._suites:
+            self._suites.remove(suite)
+        suite.remove_instrumentation()
 
     # ------------------------------------------------------------------
     # The libhinj query (Step 4 of Figure 7)
@@ -121,29 +161,30 @@ class FaultScheduler:
         never recovers, so its record never gains a recovery stamp).
         """
         self._query_count += 1
-        self._stamp_recoveries(sensor_id, time)
-        fault = self._scenario.active_fault_for(sensor_id, time)
-        if fault is None:
+        windows = self._windows.get(sensor_id)
+        if windows is None:
             return False
-        if fault not in self._injected:
-            self._injected[fault] = InjectionRecord(
+        records = self._records
+        active = None
+        for start, end, index in windows:
+            if time >= end:
+                record = records[index]
+                if record is not None and record.recovered_time is None:
+                    records[index] = replace(record, recovered_time=time)
+            elif active is None and time >= start:
+                active = index
+        if active is None:
+            return False
+        if records[active] is None:
+            fault = self._faults[active]
+            records[active] = InjectionRecord(
                 sensor_id=sensor_id,
                 scheduled_time=fault.start_time,
                 injected_time=time,
                 duration_s=fault.duration_s,
             )
+            self._injection_order.append(active)
         return True
-
-    def _stamp_recoveries(self, sensor_id: SensorId, time: float) -> None:
-        """Stamp applied faults of ``sensor_id`` whose window has closed."""
-        for fault, record in list(self._injected.items()):
-            if (
-                record.sensor_id == sensor_id
-                and record.recovered_time is None
-                and fault.end_time is not None
-                and time >= fault.end_time
-            ):
-                self._injected[fault] = replace(record, recovered_time=time)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -162,20 +203,20 @@ class FaultScheduler:
         that fired.
         """
         return sorted(
-            self._injected.values(),
+            (self._records[index] for index in self._injection_order),
             key=lambda record: (record.injected_time, record.sensor_id),
         )
 
     @property
     def injected_sensor_ids(self) -> Set[SensorId]:
         """The sensor instances failed so far."""
-        return {record.sensor_id for record in self._injected.values()}
+        return {self._records[index].sensor_id for index in self._injection_order}
 
     def pending_faults(self, time: float) -> List[SensorId]:
         """Sensor instances with scheduled faults not yet applied at ``time``."""
         pending = []
-        for fault in self._scenario:
-            if fault not in self._injected and fault.start_time > time:
+        for fault, record in zip(self._faults, self._records):
+            if record is None and fault.start_time > time:
                 if fault.sensor_id not in pending:
                     pending.append(fault.sensor_id)
         return pending

@@ -225,13 +225,13 @@ class SensorDriver:
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
-    def read(self, state: VehicleState, time: float) -> SensorReading:
-        """Produce a reading for the firmware.
+    def sample(self, state: VehicleState, time: float) -> Optional[Dict[str, float]]:
+        """One read's channel values, or ``None`` when the read fails.
 
-        The instrumentation hook is consulted on every read, mirroring
-        the per-read ``libhinj`` query of the paper.  A latched fault's
-        scheduler keeps answering yes once it has fired, so the failure
-        persists for the rest of the run exactly as before; when an
+        The instrumentation hook, when installed, is consulted on every
+        read, mirroring the per-read ``libhinj`` query of the paper.  A
+        latched fault's scheduler keeps answering yes once it has fired,
+        so the failure persists for the rest of the run; when an
         intermittent fault's recovery window closes the scheduler's
         answer reverts and the driver reports healthy readings again.
         A failure forced with :meth:`fail` (or left behind by a removed
@@ -241,8 +241,14 @@ class SensorDriver:
         if self._fail_hook is not None:
             self._hook_failed = self._fail_hook(self.sensor_id, time)
         if self._failed or self._hook_failed:
+            return None
+        return self._measure(state)
+
+    def read(self, state: VehicleState, time: float) -> SensorReading:
+        """Produce a reading for the firmware (see :meth:`sample`)."""
+        values = self.sample(state, time)
+        if values is None:
             return SensorReading.failure(self.sensor_id, time)
-        values = self._measure(state)
         return SensorReading(sensor_id=self.sensor_id, time=time, values=values)
 
     def _measure(self, state: VehicleState) -> Dict[str, float]:

@@ -7,7 +7,14 @@ primary role, and exposes the operations the rest of the stack needs:
   best healthy instance of each type;
 * the fault injection engine enumerates instances (with roles) to build
   the fault space and applies the sensor-instance-symmetry policy;
-* hinj instruments every driver's read path in one call.
+* hinj instruments the read path of every driver (or only of the
+  instances its scenario schedules faults for) in one call.
+
+Each control period the firmware gets one :class:`SensorReadings`: a
+flat list of per-instance channel values in the suite's canonical order,
+which the estimator indexes by position.  It is also a
+``Mapping[SensorId, SensorReading]``, materialising reading objects only
+for callers that look readings up by id.
 
 The default :func:`iris_sensor_suite` mirrors a stock 3DR Iris running
 ArduPilot/PX4 SITL: dual IMUs (gyroscope + accelerometer each), dual
@@ -16,7 +23,8 @@ compasses, one GPS, one barometer, and one battery monitor.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from collections.abc import Mapping
+from typing import Collection, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.sensors.barometer import Barometer
 from repro.sensors.base import (
@@ -65,6 +73,13 @@ class SensorSuite:
             self._by_type[sensor_type] = sorted(
                 instances, key=lambda d: (d.role != SensorRole.PRIMARY, d.sensor_id)
             )
+        self._position: Dict[SensorId, int] = {
+            sensor_id: position for position, sensor_id in enumerate(self._sorted_ids)
+        }
+        self._positions: Dict[SensorType, Tuple[int, ...]] = {
+            sensor_type: tuple(self._position[d.sensor_id] for d in instances)
+            for sensor_type, instances in self._by_type.items()
+        }
 
     # ------------------------------------------------------------------
     # Enumeration
@@ -95,6 +110,11 @@ class SensorSuite:
     def role_of(self, sensor_id: SensorId) -> SensorRole:
         """Return the redundancy role of ``sensor_id``."""
         return self._drivers[sensor_id].role
+
+    def positions(self, sensor_type: SensorType) -> Tuple[int, ...]:
+        """Canonical positions of ``sensor_type``'s instances, primary
+        first: the indexes of their entries in :attr:`SensorReadings.samples`."""
+        return self._positions.get(sensor_type, ())
 
     def instance_count(self, sensor_type: SensorType) -> int:
         """Number of instances of ``sensor_type`` in the suite."""
@@ -139,25 +159,30 @@ class SensorSuite:
     # ------------------------------------------------------------------
     # Instrumentation and reading
     # ------------------------------------------------------------------
-    def instrument(self, fail_hook: FailDecision) -> None:
-        """Install the fault-injection hook on every driver."""
-        for driver in self._drivers.values():
-            driver.instrument(fail_hook)
+    def instrument(
+        self, fail_hook: FailDecision, sensor_ids: Optional[Collection[SensorId]] = None
+    ) -> None:
+        """Install the fault-injection hook on every driver, or only on
+        the instances in ``sensor_ids`` (removing it from the others)."""
+        for sensor_id, driver in self._drivers.items():
+            if sensor_ids is None or sensor_id in sensor_ids:
+                driver.instrument(fail_hook)
+            else:
+                driver.remove_instrumentation()
 
     def remove_instrumentation(self) -> None:
         """Remove the fault-injection hook from every driver."""
         for driver in self._drivers.values():
             driver.remove_instrumentation()
 
-    def read_all(self, state: VehicleState, time: float) -> Dict[SensorId, SensorReading]:
-        """Read every instance once and return readings keyed by id."""
-        return {
-            driver.sensor_id: driver.read(state, time)
-            for driver in self._sorted_drivers
-        }
+    def read_all(self, state: VehicleState, time: float) -> "SensorReadings":
+        """Read every instance once, in canonical order."""
+        return SensorReadings(
+            self, time, [driver.sample(state, time) for driver in self._sorted_drivers]
+        )
 
     def read_active(
-        self, readings: Mapping[SensorId, SensorReading], sensor_type: SensorType
+        self, readings: "SensorReadings", sensor_type: SensorType
     ) -> Optional[SensorReading]:
         """From ``readings``, pick the one the firmware should use.
 
@@ -165,11 +190,56 @@ class SensorSuite:
         otherwise the first healthy backup; returns ``None`` when every
         instance of the type reported failure.
         """
-        for driver in self._by_type.get(sensor_type, ()):
-            reading = readings.get(driver.sensor_id)
-            if reading is not None and not reading.failed:
-                return reading
+        for position in self.positions(sensor_type):
+            if readings.samples[position] is not None:
+                return readings.reading_at(position)
         return None
+
+
+class SensorReadings(Mapping):
+    """One read pass over a suite.
+
+    ``samples[i]`` holds the channel values the suite's ``i``-th instance
+    (canonical order, see :meth:`SensorSuite.positions`) reported, or
+    ``None`` when its read failed.  As a ``Mapping[SensorId,
+    SensorReading]`` it builds each :class:`SensorReading` on first
+    lookup.
+    """
+
+    __slots__ = ("_suite", "time", "samples", "_readings")
+
+    def __init__(
+        self, suite: SensorSuite, time: float, samples: List[Optional[Dict[str, float]]]
+    ) -> None:
+        self._suite = suite
+        self.time = time
+        self.samples = samples
+        self._readings: List[Optional[SensorReading]] = [None] * len(samples)
+
+    def reading_at(self, position: int) -> SensorReading:
+        """The reading of the instance at canonical ``position``."""
+        reading = self._readings[position]
+        if reading is None:
+            sensor_id = self._suite._sorted_ids[position]
+            values = self.samples[position]
+            if values is None:
+                reading = SensorReading.failure(sensor_id, self.time)
+            else:
+                reading = SensorReading(sensor_id=sensor_id, time=self.time, values=values)
+            self._readings[position] = reading
+        return reading
+
+    def __getitem__(self, sensor_id: SensorId) -> SensorReading:
+        return self.reading_at(self._suite._position[sensor_id])
+
+    def __contains__(self, sensor_id: object) -> bool:
+        return sensor_id in self._suite._position
+
+    def __iter__(self) -> Iterator[SensorId]:
+        return iter(self._suite._sorted_ids)
+
+    def __len__(self) -> int:
+        return len(self.samples)
 
 
 def iris_sensor_suite(noise_seed: int = 0) -> SensorSuite:

@@ -1,6 +1,9 @@
 """Tests for the parallel campaign engine (backends, cache, grid)."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -160,6 +163,21 @@ class TestResultCache:
         assert restored is not None
         assert restored.triggered_bugs == ["APM-0001"]
         assert reader.hits == 1
+
+    def test_registry_stamp_ignores_the_hash_seed(self):
+        # Descriptors carry frozensets; a stamp that followed their repr
+        # would differ between interpreters and purge shared directories.
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        code = "from repro.engine.cache import bug_registry_stamp; print(bug_registry_stamp())"
+        stamps = {
+            subprocess.run(
+                [sys.executable, "-c", code],
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+                capture_output=True, text=True, check=True,
+            ).stdout.strip()
+            for seed in ("1", "2")
+        }
+        assert len(stamps) == 1
 
 
 class TestCacheGc:

@@ -1214,3 +1214,36 @@ class TestRecoveryToleranceWindows:
             condition.kind == UnsafeConditionKind.SEPARATION
             for condition in conditions
         )
+
+
+class TestFollowerFaultWindows:
+    """Vehicles >= 1 keep their fault windows through the injection log."""
+
+    def test_follower_burst_survives_into_results_and_replay(self):
+        from repro.hinj.scheduler import injection_flight_events
+        from repro.workloads.fleet import MultiPadTakeoffLandWorkload
+
+        config = RunConfiguration(
+            firmware_class=ArduPilotFirmware,
+            workload_factory=lambda: MultiPadTakeoffLandWorkload(
+                altitude=8.0, hover_ms=2000.0, init_wait_ms=1000.0, fleet_size=2
+            ),
+            fleet_size=2,
+            max_sim_time_s=40.0,
+        )
+        follower_gps = SensorId(SensorType.GPS, 0, vehicle=1)
+        scenario = FaultScenario([FaultSpec(follower_gps, 4.0, duration_s=1.5)])
+        runner = TestRunner(config)
+        result = runner.run(scenario)
+
+        (record,) = result.injections
+        assert record.sensor_id == follower_gps
+        assert record.duration_s == 1.5
+        assert record.recovered_time == pytest.approx(5.5, abs=0.05)
+        kinds = [event.kind for event in injection_flight_events(result.injections)]
+        assert kinds == ["fault.injected", "fault.recovered"]
+
+        replayed = resolve_plan(build_replay_plan(result), runner.run())
+        (fault,) = replayed.sensor_faults
+        assert fault.sensor_id == follower_gps
+        assert fault.duration_s == 1.5

@@ -1,0 +1,308 @@
+"""Pins for the sensor -> hinj -> estimator read path.
+
+* The scheduler's compiled fault-window table answers exactly as the
+  scenario-scanning semantics it replaced (a reference model kept here),
+  injection and recovery records included.
+* Only faulted instances are queried; the answers are unchanged.
+* Whole reference-stepper runs -- traces, injections, mode transitions,
+  verdicts, cache keys and every driver's RNG state after the run --
+  hash to digests recorded before the fast path existed.
+"""
+
+import hashlib
+import random
+from dataclasses import replace
+
+import pytest
+
+from repro.core.config import RunConfiguration
+from repro.core.monitor import InvariantMonitor
+from repro.core.runner import SimulationHarness
+from repro.engine.cache import scenario_key
+from repro.firmware.ardupilot import ArduPilotFirmware
+from repro.firmware.px4 import Px4Firmware
+from repro.hinj.faults import EMPTY_SCENARIO, FaultScenario, FaultSpec
+from repro.hinj.instrumentation import HinjInterface
+from repro.hinj.scheduler import FaultScheduler, InjectionRecord
+from repro.sensors.base import SensorId, SensorType
+from repro.sensors.suite import iris_sensor_suite
+from repro.sim.state import VehicleState
+from repro.workloads.builtin import AutoWorkload
+from repro.workloads.fleet import MultiPadTakeoffLandWorkload
+
+GPS = SensorId(SensorType.GPS, 0)
+BARO = SensorId(SensorType.BAROMETER, 0)
+COMPASS0 = SensorId(SensorType.COMPASS, 0)
+COMPASS1 = SensorId(SensorType.COMPASS, 1)
+GYRO0 = SensorId(SensorType.GYROSCOPE, 0)
+ACCEL1 = SensorId(SensorType.ACCELEROMETER, 1)
+
+
+class ReferenceScheduler:
+    """The per-read scan the window table replaced: every query scans the
+    scenario's sorted sensor faults and stamps recoveries by sensor id."""
+
+    def __init__(self, scenario):
+        self.scenario = scenario
+        self.injected = {}
+
+    def should_fail(self, sensor_id, time):
+        for fault, record in list(self.injected.items()):
+            if (
+                record.sensor_id == sensor_id
+                and record.recovered_time is None
+                and fault.end_time is not None
+                and time >= fault.end_time
+            ):
+                self.injected[fault] = replace(record, recovered_time=time)
+        fault = self.scenario.active_fault_for(sensor_id, time)
+        if fault is None:
+            return False
+        if fault not in self.injected:
+            self.injected[fault] = InjectionRecord(
+                sensor_id=sensor_id,
+                scheduled_time=fault.start_time,
+                injected_time=time,
+                duration_s=fault.duration_s,
+            )
+        return True
+
+    @property
+    def injections(self):
+        return sorted(
+            self.injected.values(),
+            key=lambda record: (record.injected_time, record.sensor_id),
+        )
+
+
+def random_scenario(rng, vehicles=1):
+    """Overlapping windows, equal start times, latched and burst faults."""
+    sensors = [GPS, BARO, COMPASS0, COMPASS1]
+    starts = [1.0, 2.0, 2.5, 4.0]
+    faults = []
+    for _ in range(rng.randint(1, 7)):
+        sensor = rng.choice(sensors).for_vehicle(rng.randrange(vehicles))
+        duration = rng.choice([None, 0.5, 1.0, 1.5, 3.0])
+        faults.append(FaultSpec(sensor, rng.choice(starts), duration))
+    return FaultScenario(faults)
+
+
+def query_times(scenario, rng):
+    """A sorted query grid hitting every window edge exactly."""
+    times = {0.0, 10.0}
+    for fault in scenario.sensor_faults:
+        times.add(fault.start_time)
+        if fault.end_time is not None:
+            times.add(fault.end_time)
+    times.update(round(rng.uniform(0.0, 8.0), 2) for _ in range(20))
+    return sorted(times)
+
+
+class TestCompiledWindowTable:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_answers_and_records_match_the_scanning_scheduler(self, seed):
+        rng = random.Random(seed)
+        scenario = random_scenario(rng)
+        compiled, reference = FaultScheduler(scenario), ReferenceScheduler(scenario)
+        for time in query_times(scenario, rng):
+            for sensor in (GPS, BARO, COMPASS0, COMPASS1, GYRO0):
+                expected = reference.should_fail(sensor, time)
+                assert compiled.should_fail(sensor, time) == expected
+                assert expected == (scenario.active_fault_for(sensor, time) is not None)
+            assert compiled.injections == reference.injections
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_fleet_vehicle_views_match(self, seed):
+        rng = random.Random(1000 + seed)
+        scenario = random_scenario(rng, vehicles=2)
+        for vehicle in (0, 1):
+            view = scenario.vehicle_view(vehicle)
+            compiled, reference = FaultScheduler(view), ReferenceScheduler(view)
+            for time in query_times(view, rng):
+                for sensor in (GPS, BARO, COMPASS0, COMPASS1):
+                    assert compiled.should_fail(sensor, time) == reference.should_fail(
+                        sensor, time
+                    )
+            assert compiled.injections == reference.injections
+
+    def test_equal_starts_pick_the_shorter_window(self):
+        scenario = FaultScenario([FaultSpec(GPS, 2.0), FaultSpec(GPS, 2.0, 1.0)])
+        scheduler = FaultScheduler(scenario)
+        assert scheduler.should_fail(GPS, 2.0)
+        assert scheduler.injections[0].duration_s == 1.0
+        # The latched twin takes over when the short window closes.
+        assert scheduler.should_fail(GPS, 3.0)
+        assert [record.duration_s for record in scheduler.injections] == [1.0, None]
+        assert scheduler.injections[0].recovered_time == 3.0
+
+    def test_pending_faults_follow_the_records(self):
+        scheduler = FaultScheduler(
+            FaultScenario([FaultSpec(GPS, 1.0, 1.0), FaultSpec(BARO, 5.0)])
+        )
+        assert scheduler.pending_faults(0.0) == [BARO, GPS]
+        scheduler.should_fail(GPS, 1.5)
+        assert scheduler.pending_faults(0.0) == [BARO]
+
+
+class TestHookSkip:
+    def test_only_faulted_instances_are_queried(self):
+        scheduler = FaultScheduler(FaultScenario([FaultSpec(GPS, 1.0, 1.0)]))
+        suite = iris_sensor_suite()
+        HinjInterface(scheduler).install(suite)
+        for step in range(200):
+            suite.read_all(VehicleState(), step * 0.02)
+        assert scheduler.query_count == 200
+        assert [record.recovered_time for record in scheduler.injections] == [
+            pytest.approx(2.0)
+        ]
+
+    def test_load_scenario_rehooks_installed_suites(self):
+        scheduler = FaultScheduler(FaultScenario([FaultSpec(GPS, 0.0)]))
+        suite = iris_sensor_suite()
+        hinj = HinjInterface(scheduler)
+        hinj.install(suite)
+        scheduler.load_scenario(FaultScenario([FaultSpec(BARO, 0.0)]))
+        readings = suite.read_all(VehicleState(), 1.0)
+        assert readings[BARO].failed and not readings[GPS].failed
+        hinj.uninstall(suite)
+        scheduler.load_scenario(FaultScenario([FaultSpec(COMPASS0, 0.0)]))
+        assert not suite.read_all(VehicleState(), 2.0)[COMPASS0].failed
+
+    def test_readings_materialise_on_lookup(self):
+        suite = iris_sensor_suite()
+        suite.driver(BARO).fail()
+        readings = suite.read_all(VehicleState(), 1.0)
+        assert list(readings) == suite.sensor_ids
+        assert readings[BARO].failed and readings[BARO].values == {}
+        assert readings[GPS] is readings[GPS]
+        assert readings[GPS].time == 1.0
+        assert set(readings[GPS].values) >= {"north", "east", "altitude"}
+        assert SensorId(SensorType.GPS, 3) not in readings
+        with pytest.raises(KeyError):
+            readings[SensorId(SensorType.GPS, 3)]
+
+
+# ----------------------------------------------------------------------
+# Whole-run digests (reference stepper)
+# ----------------------------------------------------------------------
+def _faults(name):
+    return {
+        "golden": [],
+        "latched": [FaultSpec(GYRO0, 3.0), FaultSpec(BARO, 6.0)],
+        "burst": [FaultSpec(GPS, 4.0, 2.0)],
+        "multi-window": [
+            FaultSpec(GPS, 3.0, 1.0),
+            FaultSpec(GPS, 6.0, 2.0),
+            FaultSpec(GPS, 6.0, 0.5),
+            FaultSpec(COMPASS0, 3.0, 1.5),
+            FaultSpec(ACCEL1, 5.0),
+        ],
+    }[name]
+
+
+def case_scenario(name, fleet_size):
+    faults = list(_faults(name))
+    if fleet_size > 1 and faults:
+        # Followers carry latched faults only: their burst windows are
+        # pinned separately (the injection log of vehicles >= 1).
+        faults.append(FaultSpec(SensorId(SensorType.COMPASS, 1, vehicle=1), 4.0))
+    return FaultScenario(faults) if faults else EMPTY_SCENARIO
+
+
+def case_config(firmware, fleet_size):
+    if fleet_size == 1:
+        factory = lambda: AutoWorkload(altitude=10.0, init_wait_ms=1000.0)
+    else:
+        factory = lambda: MultiPadTakeoffLandWorkload(
+            altitude=8.0, hover_ms=2000.0, init_wait_ms=1000.0, fleet_size=2
+        )
+    return RunConfiguration(
+        firmware_class=firmware,
+        workload_factory=factory,
+        fleet_size=fleet_size,
+        max_sim_time_s=40.0,
+    )
+
+
+def _fly(config, scenario):
+    harness = SimulationHarness(config, scenario)
+    workload = config.workload_factory()
+    workload.bind(harness)
+    result = harness.build_result(workload, workload.run())
+    rng_states = [
+        driver._rng.getstate() for unit in harness._units for driver in unit.suite.drivers
+    ]
+    return result, workload.display_name, rng_states
+
+
+def _sha(lines):
+    digest = hashlib.sha256()
+    for line in lines:
+        digest.update((repr(line) + "\n").encode("utf-8"))
+    return digest.hexdigest()[:20]
+
+
+def case_digests(firmware, fleet_size):
+    """{case: (run digest, RNG digest)} for the four scenario cases."""
+    config = case_config(firmware, fleet_size)
+    digests = {}
+    monitor = None
+    for name in ("golden", "latched", "burst", "multi-window"):
+        scenario = case_scenario(name, fleet_size)
+        result, workload_name, rng_states = _fly(config, scenario)
+        if monitor is None:
+            monitor = InvariantMonitor([result])
+        monitor.begin_run(scenario)
+        verdict = [condition.describe() for condition in monitor.evaluate(result)]
+        traces = result.vehicle_traces or {0: result.trace}
+        transitions = result.vehicle_mode_transitions or {0: result.mode_transitions}
+        lines = [scenario_key(config, workload_name, scenario)]
+        lines += [sample for vehicle in sorted(traces) for sample in traces[vehicle]]
+        lines += list(result.injections)
+        lines += [t for vehicle in sorted(transitions) for t in transitions[vehicle]]
+        lines += [verdict, result.triggered_bugs, result.failsafe_events, result.steps]
+        digests[name] = (_sha(lines), _sha(rng_states))
+    return digests
+
+
+#: Recorded with the per-read scanning scheduler and per-reading dicts.
+EXPECTED_DIGESTS = {
+    ('ardupilot', 1): {
+        'golden': ('227adc03ae597eaaef08', 'd0d97cac18f8dde9835f'),
+        'latched': ('be0956c2808f9d0216c3', 'e6de1104f1c4f4b46528'),
+        'burst': ('85097f6f83b29c538a5e', '10ad95d26a2acc1ac0bd'),
+        'multi-window': ('77ff510157c52713bc28', '023c6726e1fd20f34e5c'),
+    },
+    ('ardupilot', 2): {
+        'golden': ('b8c739b9d9cba5f07b3e', '907b683ce9d02af21813'),
+        'latched': ('f138ffc783cddbce93f7', 'fc59e85dd841d3cda635'),
+        'burst': ('93e0db4df06c1e8f2e26', 'd42c41e4451e29da88f3'),
+        'multi-window': ('67afa4730df52e4fc4b3', 'c138ec382b91f120788d'),
+    },
+    ('px4', 1): {
+        'golden': ('d50ae6c2b6aa02985537', 'd0d97cac18f8dde9835f'),
+        'latched': ('aaa4709b0e7fcaec5119', 'ad9745a5cd4711db6937'),
+        'burst': ('0c3df51bfbf570cc05c8', '580aeb88514c4c860f60'),
+        'multi-window': ('4fc62ba45fa1e56a30ef', '023c6726e1fd20f34e5c'),
+    },
+    ('px4', 2): {
+        'golden': ('368d83fff7cfb87334fc', '2090f83ab31b6574f9b4'),
+        'latched': ('10a53c3e3804378fcec1', 'b58d0d1714bbffa3648d'),
+        'burst': ('a4e181177080667e48c2', '67f27a447adda5067a0f'),
+        'multi-window': ('0640d5b0646f0eff5e39', 'c138ec382b91f120788d'),
+    },
+}
+
+
+@pytest.mark.parametrize("fleet_size", [1, 2])
+@pytest.mark.parametrize("firmware", [ArduPilotFirmware, Px4Firmware], ids=["apm", "px4"])
+def test_reference_runs_are_bit_identical(firmware, fleet_size):
+    expected = EXPECTED_DIGESTS[(firmware.name, fleet_size)]
+    found = case_digests(firmware, fleet_size)
+    assert {name: digest for name, (digest, _) in found.items()} == {
+        name: digest for name, (digest, _) in expected.items()
+    }
+    # Same draws in the same order: every driver's RNG ends where it did.
+    assert {name: rng for name, (_, rng) in found.items()} == {
+        name: rng for name, (_, rng) in expected.items()
+    }
