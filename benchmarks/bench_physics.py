@@ -1,4 +1,4 @@
-"""Raw core-loop throughput: reference vs SoA vs adaptive steppers.
+"""Raw core-loop throughput: reference vs adaptive steppers.
 
 The engine-scaling benchmark times whole campaigns; this one isolates
 the inner simulation loop.  For each fleet size it builds a bare
@@ -6,10 +6,9 @@ the inner simulation loop.  For each fleet size it builds a bare
 bound) and steps it a fixed number of micro-steps under each stepper,
 recording steps/sec:
 
-* ``reference`` -- the per-vehicle stepper every verdict is pinned to;
-* ``soa`` -- the structure-of-arrays batched physics core, which is
-  bit-identical to the reference by contract (tests/test_fast_core.py);
-* ``adaptive`` -- the quiescence-skipping planner on top of the SoA
+* ``reference`` -- one micro-step per control period, the stepper every
+  verdict is pinned to;
+* ``adaptive`` -- the quiescence-skipping planner over the same physics
   core.  With no fault windows or mode changes the plan is maximally
   quiescent, so this row shows the stepper's ceiling: sensor reads and
   firmware updates amortised over the full stride.
@@ -30,7 +29,7 @@ from repro.core.runner import SimulationHarness
 from repro.firmware.ardupilot import ArduPilotFirmware
 
 FLEET_SIZES = (1, 2, 3)
-STEPPERS = ("reference", "soa", "adaptive")
+STEPPERS = ("reference", "adaptive")
 WARMUP_STEPS = 50
 MEASURED_STEPS = 1500
 OUTPUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"

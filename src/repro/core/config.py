@@ -121,16 +121,16 @@ class RunConfiguration:
     traffic_latency_s:
         Nominal delivery latency of a traffic beacon, in seconds.
     stepper:
-        Simulation stepping mode.  ``reference`` (default) is the
-        original per-vehicle lock-step loop; ``soa`` advances the fleet
-        through the batched structure-of-arrays physics core
-        (bit-identical to ``reference``, including cache keys); and
-        ``adaptive`` additionally fuses micro-steps while no fault
-        window, workload checkpoint, mode transition or proximity
-        hazard is near (same safety verdicts, distinct cache keys).
+        Simulation stepping mode.  ``reference`` (default) runs the
+        lock-step loop one micro-step per control period; ``adaptive``
+        additionally fuses micro-steps while no fault window, workload
+        checkpoint, mode transition or proximity hazard is near (same
+        safety verdicts, distinct cache keys).  ``soa`` is accepted as
+        an alias of ``reference`` (the name of a physics core since
+        merged into it) and is stored as ``reference``.
     """
 
-    #: Stepping modes accepted by :attr:`stepper`.
+    #: Stepping modes accepted by :attr:`stepper` (``soa`` is an alias).
     STEPPERS = ("reference", "soa", "adaptive")
 
     firmware_class: Type[ControlFirmware] = ArduPilotFirmware
@@ -181,6 +181,8 @@ class RunConfiguration:
             raise ValueError(
                 f"unknown stepper {self.stepper!r}; expected one of {self.STEPPERS}"
             )
+        if self.stepper == "soa":
+            self.stepper = "reference"
 
     def with_noise_seed(self, noise_seed: int) -> "RunConfiguration":
         """Return a copy of the configuration with a different noise seed."""

@@ -399,9 +399,6 @@ class SimulationHarness:
             pad_spacing_m=config.fleet_pad_spacing_m,
             proximity_threshold_m=separation_threshold,
             airframes=[spec.airframe for spec in config.vehicle_specs],
-            # "adaptive" composes on top of the SoA physics core; the
-            # reference/SoA distinction is pinned bit-identical.
-            stepper="reference" if config.stepper == "reference" else "soa",
         )
 
         # The quiescence-skipping planner (adaptive stepper only): fused
@@ -588,26 +585,36 @@ class SimulationHarness:
                         return True
         return False
 
-    def _step_adaptive(self, count: int) -> None:
-        """Advance ``count`` steps through planner-fused macro-steps."""
+    def step(self, count: int = 1) -> None:
+        """Advance the lock-step loop by ``count`` time-steps (Figure 7).
+
+        The adaptive stepper's planner sizes each window (fused while
+        quiescent, one micro-step near a boundary); every other stepper
+        advances one micro-step per window.
+        """
+        planner = self._planner
         remaining = count
         while remaining > 0 and not self._abort:
-            stride = self._planner.plan(
-                self.time, remaining, refine=self._needs_refinement()
+            stride = (
+                planner.plan(self.time, remaining, refine=self._needs_refinement())
+                if planner is not None
+                else 1
             )
             self._step_window(stride)
             remaining -= stride
 
     def _step_window(self, stride: int) -> None:
-        """One macro-step: ``stride`` micro-steps, one control period.
+        """One control period: ``stride`` micro-steps of Figure 7's loop.
 
-        The window runs the exact reference loop except that sensors are
-        sampled and the firmware stepped only on the first micro-step,
-        the actuator commands held for the rest; the firmware is told
-        how long its command will be held (``elapsed_steps``).  MAVLink,
-        GCS polling, physics, traffic beacons, trace sampling and every
-        abort/safety check keep their per-micro-step cadence, so event
-        timestamps stay on the reference grid.
+        Every micro-step polls each vehicle's MAVLink link and ground
+        station, advances physics and traffic beacons, samples the trace
+        and runs every abort/safety check, so event timestamps stay on
+        the step grid.  Sensors are read and the firmware stepped only on
+        the first micro-step; the actuator commands are held for the rest
+        and the firmware is told how long (``elapsed_steps``).  The
+        reference stepper runs windows of one micro-step.  Links and
+        ground stations are per vehicle and share no state, so polling
+        all of them before the first sensor read is order-independent.
         """
         recorder = self._recorder
         clock = self._clock
@@ -641,69 +648,6 @@ class SimulationHarness:
                             readings, self.time, elapsed_steps=elapsed_steps
                         )
                     )
-            if recorder is not None:
-                now = clock()
-                recorder.add_phase("sensor_read", sensor_s)
-                recorder.add_phase("control", (now - mark) - sensor_s)
-                mark = now
-            self.simulator.step_fleet(commands)
-            if recorder is not None:
-                now = clock()
-                recorder.add_phase("physics", now - mark)
-                mark = now
-            if self.traffic is not None:
-                self.traffic.advance()
-                if self.traffic.beacon_due():
-                    for unit in self._units:
-                        state = self.simulator.state_of(unit.vehicle)
-                        self.traffic.broadcast(
-                            unit.vehicle,
-                            time=self.time,
-                            position=state.position,
-                            velocity=state.velocity,
-                        )
-                if recorder is not None:
-                    now = clock()
-                    recorder.add_phase("traffic", now - mark)
-                    mark = now
-            self._steps += 1
-            if self._steps % self._sample_interval == 0:
-                self._record_sample()
-            if self._steps >= self._max_steps:
-                self._abort = True
-            if self.simulator.has_crashed or not self._all_firmware_alive():
-                self._unsafe_found = True
-                if self._config.stop_on_unsafe:
-                    self._abort = True
-            self._check_proximity()
-            if recorder is not None:
-                recorder.add_phase("monitor", clock() - mark)
-
-    def step(self, count: int = 1) -> None:
-        """Advance the lock-step loop by ``count`` time-steps (Figure 7)."""
-        if self._planner is not None:
-            self._step_adaptive(count)
-            return
-        recorder = self._recorder
-        clock = self._clock
-        for _ in range(count):
-            if self._abort:
-                return
-            if recorder is not None:
-                mark = clock()
-                sensor_s = 0.0
-            commands = []
-            for unit in self._units:
-                unit.link.advance()
-                unit.gcs.poll(self.time)
-                if recorder is not None:
-                    sensor_start = clock()
-                readings = unit.suite.read_all(
-                    self.simulator.state_of(unit.vehicle), self.time
-                )
-                if recorder is not None:
-                    sensor_s += clock() - sensor_start
-                commands.append(unit.firmware.update(readings, self.time))
             if recorder is not None:
                 now = clock()
                 # Phases are disjoint: sensor reads are carved out of the

@@ -115,7 +115,8 @@ BURST_STRATEGIES = frozenset({"avis", "stratified-bfi", "bfi"})
 
 WORKLOADS = ("auto", "waypoint", "poshold", "convoy", "crossing", "multi-pad")
 
-STEPPERS = ("reference", "soa", "adaptive")
+#: Accepted ``--stepper`` spellings; owned by the run configuration.
+STEPPERS = RunConfiguration.STEPPERS
 
 
 def parse_vehicle_spec(text: str) -> VehicleSpec:
@@ -447,9 +448,10 @@ def build_cells(request: CampaignRequest) -> List[GridCell]:
                 if request.traffic_faults:
                     workload_id += "+traffic"
             if request.stepper != "reference":
-                # Non-default steppers mark the cell id so streams and
-                # resumes distinguish them at a glance ('soa' cells still
-                # *cache*-share with 'reference' -- they are bit-identical).
+                # Non-default spellings mark the cell id so streams and
+                # resumes distinguish them at a glance.  'soa' keeps its
+                # '+soa' cell ids (old streams still resume) while its
+                # configs, and so its cache keys, are 'reference'.
                 workload_id += f"+{request.stepper}"
             for strategy_name in request.strategies:
                 for budget in request.budgets:

@@ -94,12 +94,10 @@ def config_fingerprint(config: RunConfiguration, workload_name: str) -> str:
         if (interval, latency) != defaults:
             parts.append(f"traffic={interval!r}/{latency!r}")
     # The stepper term appears only for modes that can change what a run
-    # records.  "soa" deliberately shares keys with "reference": the two
-    # are pinned bit-identical (states, events, traces) by the fast-core
-    # suite, so a cache entry is equally valid under either -- and the
-    # term's absence keeps every pre-stepper key format unperturbed.
+    # records; its absence keeps every pre-stepper key format unperturbed
+    # (the "soa" alias is stored as "reference", so it shares those keys).
     stepper = getattr(config, "stepper", "reference")
-    if stepper not in ("reference", "soa"):
+    if stepper != "reference":
         parts.append(f"stepper={stepper}")
     # The environment shapes every trajectory (wind, obstacles, fences,
     # ground altitude), so a non-default environment must key its own

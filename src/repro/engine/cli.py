@@ -139,11 +139,11 @@ def add_matrix_arguments(parser: argparse.ArgumentParser) -> None:
         "--stepper", choices=list(STEPPERS),
         default="reference",
         help="simulation stepping mode for every cell: 'reference' is "
-        "the classic per-vehicle lock-step loop, 'soa' the batched "
-        "structure-of-arrays physics core (bit-identical, shares cache "
-        "entries with 'reference'), 'adaptive' additionally fuses "
-        "micro-steps while no fault window, checkpoint, mode transition "
-        "or proximity hazard is near (same verdicts, own cache keys)",
+        "the lock-step loop at one micro-step per control period, "
+        "'adaptive' additionally fuses micro-steps while no fault "
+        "window, checkpoint, mode transition or proximity hazard is near "
+        "(same verdicts, own cache keys); 'soa' is an alias of "
+        "'reference' kept for old streams (its cells keep '+soa' ids)",
     )
     parser.add_argument(
         "--strategy", nargs="+", choices=sorted(STRATEGIES),

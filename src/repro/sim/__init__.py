@@ -9,8 +9,13 @@ provides the Python equivalent of that loop:
 * :mod:`repro.sim.state` -- the vehicle's physical state (position,
   velocity, acceleration, attitude, rates) expressed in a local NED-like
   frame with *up-positive* altitude for readability.
-* :mod:`repro.sim.physics` -- quadcopter dynamics integrated with a fixed
-  step (default 10 ms), including ground contact and a simple drag model.
+* :mod:`repro.sim.physics` -- the actuator command the firmware emits and
+  the physical constants shared across the stack.
+* :mod:`repro.sim.fleet_physics` -- the quadcopter dynamics: one
+  integrator advancing every fleet member (a single vehicle is a fleet
+  of one) with a fixed step, including ground contact and a simple drag
+  model.
+* :mod:`repro.sim.planner` -- the adaptive stepper's quiescence planner.
 * :mod:`repro.sim.vehicle` -- airframe parameter sets; the default is the
   3DR Iris quadcopter used for every experiment in the paper.
 * :mod:`repro.sim.environment` -- the physical world: ground plane,
@@ -21,8 +26,7 @@ provides the Python equivalent of that loop:
 """
 
 from repro.sim.environment import Environment, FenceRegion, Obstacle, Wind
-from repro.sim.fleet_physics import FleetPhysics, Touchdown, numpy_available
-from repro.sim.physics import QuadrotorPhysics
+from repro.sim.fleet_physics import FleetPhysics, Touchdown
 from repro.sim.planner import StepPlanner
 from repro.sim.simulator import CollisionEvent, SimulationClock, Simulator
 from repro.sim.state import AttitudeState, VehicleState
@@ -37,12 +41,10 @@ __all__ = [
     "FleetPhysics",
     "IRIS_QUADCOPTER",
     "Obstacle",
-    "QuadrotorPhysics",
     "SimulationClock",
     "Simulator",
     "StepPlanner",
     "Touchdown",
     "VehicleState",
     "Wind",
-    "numpy_available",
 ]

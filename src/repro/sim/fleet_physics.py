@@ -1,36 +1,33 @@
-"""Structure-of-arrays batched physics: one step advances the whole fleet.
+"""Quadcopter dynamics for a whole fleet, integrated at a fixed time-step.
 
-:class:`repro.sim.physics.QuadrotorPhysics` integrates one vehicle per
-object; a fleet of N vehicles costs N python-object dispatches per
-time-step plus N separate traversals of the same environment queries.
-:class:`FleetPhysics` keeps the state of every fleet member in flat
-per-component arrays (``position_north[v]``, ``velocity_east[v]``, ...)
-and advances all of them in a single call.
+The model is a deliberately simple but honest multicopter:
 
-Two interchangeable kernels integrate the arrays:
+* Attitude follows commanded attitude through a first-order lag (the
+  real vehicle's attitude loop runs far faster than the position loop, so
+  from the perspective of the navigation code a rate-limited first-order
+  response is an adequate abstraction).
+* Thrust acts along the body z-axis; tilting the body produces
+  horizontal acceleration, exactly the mechanism the firmware's position
+  controller relies on.
+* Linear drag opposes velocity relative to the wind.
+* Ground contact clamps the vehicle at terrain height and records the
+  impact speed so the collision detector can distinguish a landing from
+  a crash.
 
-* ``python`` -- plain per-vehicle loops over the flat lists.  Always
-  available.
-* ``numpy`` -- the element-wise arithmetic is vectorised with numpy
-  (installed via the optional ``repro-avis[fast]`` extra).  Transcendental
-  functions (``sin``/``cos``/angle wrapping) are still evaluated with
-  :mod:`math` per element: numpy's SIMD trig may differ from libm in the
-  last ulp, and the contract of this module is that **both kernels
-  reproduce the reference integrator bit for bit** -- results never
-  depend on whether numpy is importable.
+What matters for the reproduction is that mishandled sensor failures
+produce the same *observable* consequences as in the paper: overshoot,
+fly-away, loss of position hold, and high-speed ground impact.
 
-Both kernels execute the exact arithmetic of
-:meth:`QuadrotorPhysics.step` in the exact same order per vehicle
-(first-order attitude lag, body-z thrust decomposition, linear drag,
-Euler integration, ground clamp), so a fleet stepped here produces
-bit-identical trajectories, impact speeds and timestamps to a list of
-``QuadrotorPhysics`` objects stepped one by one -- pinned by the
-bit-identity suite in ``tests/test_fast_core.py``.
-
-Air-to-ground transitions are additionally recorded as
-:class:`Touchdown` events so a caller fusing several micro-steps into
-one macro-step (:meth:`FleetPhysics.step_held`) can still attribute a
-hard impact to the exact micro-step it happened on.
+:class:`FleetPhysics` is the only integrator.  It keeps every fleet
+member's state in flat per-component arrays (``position_north[v]``,
+``velocity_east[v]``, ...) and advances all of them in one
+:meth:`~FleetPhysics.step_all` call; a single vehicle is a fleet of
+one.  Each vehicle's arithmetic runs in a fixed order (attitude lag,
+body-z thrust decomposition, linear drag, Euler integration, ground
+clamp), and trajectories, impact speeds and timestamps are pinned to
+recorded digests by ``tests/test_fast_core.py``.  Air-to-ground
+transitions of the latest step are exposed as :class:`Touchdown`
+records, from which the simulator derives ground-impact collisions.
 """
 
 from __future__ import annotations
@@ -44,29 +41,6 @@ from repro.sim.physics import GRAVITY, ActuatorCommand
 from repro.sim.state import AttitudeState, VehicleState, Vector3, wrap_angle
 from repro.sim.vehicle import AirframeParameters
 
-try:  # pragma: no cover - exercised by the numpy CI leg
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the plain CI legs
-    _np = None
-
-
-def numpy_available() -> bool:
-    """True when the optional numpy kernel can be used on this host."""
-    return _np is not None
-
-
-def default_backend() -> str:
-    """The kernel picked when the caller does not force one."""
-    return "numpy" if _np is not None else "python"
-
-
-#: Fleets smaller than this integrate through the python kernel even
-#: when numpy is importable: per-step ndarray construction costs more
-#: than it vectorises away until the fleet is this wide (measured ~3x
-#: slower than the plain loops at fleet size 2).  Both kernels are
-#: bit-identical, so the cutover is invisible to results.
-NUMPY_MIN_FLEET = 8
-
 
 @dataclass(frozen=True)
 class Touchdown:
@@ -75,8 +49,7 @@ class Touchdown:
     ``time`` is the post-step timestamp (the same value the state
     snapshot of that micro-step carries), ``speed`` the downward
     velocity at contact, and ``position`` the terrain-clamped contact
-    point -- exactly the fields the simulator's ground-impact detector
-    derives from a :class:`QuadrotorPhysics` step.
+    point -- the fields of a ground-impact collision event.
     """
 
     time: float
@@ -94,27 +67,14 @@ class FleetPhysics:
         environment: Environment,
         dt: float = 0.01,
         attitude_time_constant: float = 0.15,
-        backend: Optional[str] = None,
     ) -> None:
         if dt <= 0.0:
             raise ValueError("dt must be positive")
         if not airframes:
             raise ValueError("a fleet needs at least one airframe")
-        if backend is None:
-            backend = (
-                default_backend() if len(airframes) >= NUMPY_MIN_FLEET else "python"
-            )
-        if backend not in ("python", "numpy"):
-            raise ValueError(f"unknown physics backend {backend!r}")
-        if backend == "numpy" and _np is None:
-            raise ValueError(
-                "the numpy physics backend needs numpy installed "
-                "(pip install 'repro-avis[fast]')"
-            )
         self.environment = environment
         self.dt = dt
         self.attitude_time_constant = attitude_time_constant
-        self._backend = backend
         self._airframes: List[AirframeParameters] = list(airframes)
         n = len(self._airframes)
         self._n = n
@@ -146,19 +106,12 @@ class FleetPhysics:
         self._armed = [False] * n
         self._last_impact = [0.0] * n
 
-        #: Touchdowns of the most recent micro-step, one slot per vehicle.
+        #: Touchdowns of the most recent step, one slot per vehicle.
         self._step_touchdowns: List[Optional[Touchdown]] = [None] * n
-        #: Every touchdown since the last :meth:`drain_touchdowns`.
-        self._touchdown_log: List[Touchdown] = []
 
     # ------------------------------------------------------------------
     # Read-only views
     # ------------------------------------------------------------------
-    @property
-    def backend(self) -> str:
-        """The integration kernel in use (``python`` or ``numpy``)."""
-        return self._backend
-
     @property
     def fleet_size(self) -> int:
         """Number of vehicles advanced per step."""
@@ -194,14 +147,8 @@ class FleetPhysics:
         return [self.snapshot(vehicle) for vehicle in range(self._n)]
 
     def step_touchdown(self, vehicle: int) -> Optional[Touchdown]:
-        """The touchdown a vehicle made on the most recent micro-step."""
+        """The touchdown a vehicle made on the most recent step."""
         return self._step_touchdowns[vehicle]
-
-    def drain_touchdowns(self) -> List[Touchdown]:
-        """All touchdowns since the last drain (oldest first)."""
-        drained = self._touchdown_log
-        self._touchdown_log = []
-        return drained
 
     # ------------------------------------------------------------------
     # Stepping
@@ -214,27 +161,12 @@ class FleetPhysics:
             command.clamped(self._airframes[vehicle])
             for vehicle, command in enumerate(commands)
         ]
-        self._step_once(clamped)
-        return self.snapshots()
-
-    def step_held(
-        self, commands: Sequence[ActuatorCommand], count: int
-    ) -> List[VehicleState]:
-        """Advance ``count`` micro-steps holding ``commands`` throughout.
-
-        The fused form of :meth:`step_all`: commands are clamped once and
-        re-applied every micro-step.  Touchdowns are recorded per
-        micro-step with their exact timestamps, so a hard impact inside
-        the window is attributed to the step it happened on.
-        """
-        if len(commands) != self._n:
-            raise ValueError(f"expected {self._n} command(s), got {len(commands)}")
-        clamped = [
-            command.clamped(self._airframes[vehicle])
-            for vehicle, command in enumerate(commands)
-        ]
-        for _ in range(count):
-            self._step_once(clamped)
+        # The wind field is a pure function of time shared by the fleet:
+        # one evaluation serves every vehicle (all see the pre-step time).
+        wind_north, wind_east = self.environment.wind.velocity_at(self._time)
+        self._integrate(clamped, wind_north, wind_east)
+        self._ground_contact()
+        self._time += self.dt
         return self.snapshots()
 
     def teleport(
@@ -246,24 +178,12 @@ class FleetPhysics:
         self._on_ground[vehicle] = self.environment.is_below_ground(tuple(position))
 
     # ------------------------------------------------------------------
-    # Kernels
+    # Integration
     # ------------------------------------------------------------------
-    def _step_once(self, clamped: Sequence[ActuatorCommand]) -> None:
-        # The wind field is a pure function of time shared by the fleet:
-        # one evaluation replaces the per-vehicle calls of the reference
-        # integrator (which all see the same pre-step time).
-        wind_north, wind_east = self.environment.wind.velocity_at(self._time)
-        if self._backend == "numpy":
-            self._integrate_numpy(clamped, wind_north, wind_east)
-        else:
-            self._integrate_python(clamped, wind_north, wind_east)
-        self._ground_contact()
-        self._time += self.dt
-
-    def _integrate_python(
+    def _integrate(
         self, clamped: Sequence[ActuatorCommand], wind_north: float, wind_east: float
     ) -> None:
-        """Reference arithmetic over the flat arrays, per-vehicle loop."""
+        """Attitude lag, thrust, drag and Euler update, one vehicle at a time."""
         dt = self.dt
         alpha = min(dt / self.attitude_time_constant, 1.0)
         for v in range(self._n):
@@ -291,7 +211,10 @@ class FleetPhysics:
             self._rate_pitch[v] = (self._att_pitch[v] - prev_pitch) / dt
             self._rate_yaw[v] = (self._att_yaw[v] - prev_yaw) / dt
 
-            # Body-z thrust decomposed into the local frame.
+            # Body-z thrust decomposed into the local frame.  Positive
+            # pitch tilts the nose down producing +north acceleration;
+            # positive roll produces +east acceleration (after rotating
+            # through yaw).
             thrust = command.throttle * self._max_thrust[v] if armed else 0.0
             roll = self._att_roll[v]
             pitch = self._att_pitch[v]
@@ -329,106 +252,6 @@ class FleetPhysics:
             self._vel_u[v] += accel_up * dt
             self._pos_u[v] += self._vel_u[v] * dt
 
-    def _integrate_numpy(
-        self, clamped: Sequence[ActuatorCommand], wind_north: float, wind_east: float
-    ) -> None:
-        """Vectorised form of :meth:`_integrate_python`.
-
-        Element-wise arithmetic (lag, drag, Euler updates) runs on numpy
-        float64 arrays, whose ``+ - * /`` are IEEE-754 identical to
-        python floats.  Trig and angle wrapping stay per-element in
-        :mod:`math` so the results match libm (and the python kernel)
-        exactly.
-        """
-        np = _np
-        dt = self.dt
-        alpha = min(dt / self.attitude_time_constant, 1.0)
-        armed = np.array([command.armed for command in clamped], dtype=bool)
-        grounded = np.array(self._on_ground, dtype=bool)
-        target_roll = np.where(
-            armed, np.array([command.target_roll for command in clamped]), 0.0
-        )
-        target_pitch = np.where(
-            armed, np.array([command.target_pitch for command in clamped]), 0.0
-        )
-
-        att_roll = np.array(self._att_roll)
-        att_pitch = np.array(self._att_pitch)
-        prev_roll = att_roll.copy()
-        prev_pitch = att_pitch.copy()
-        prev_yaw = list(self._att_yaw)
-        att_roll += (target_roll - att_roll) * alpha
-        att_pitch += (target_pitch - att_pitch) * alpha
-        for v in range(self._n):
-            # Yaw wraps through math.fmod: keep it scalar, like the trig.
-            if armed[v] and not grounded[v]:
-                self._att_yaw[v] = wrap_angle(
-                    self._att_yaw[v] + clamped[v].target_yaw_rate * dt
-                )
-        att_yaw = np.array(self._att_yaw)
-        rate_roll = (att_roll - prev_roll) / dt
-        rate_pitch = (att_pitch - prev_pitch) / dt
-        rate_yaw = (att_yaw - np.array(prev_yaw)) / dt
-
-        thrust = np.where(
-            armed,
-            np.array([command.throttle for command in clamped])
-            * np.array(self._max_thrust),
-            0.0,
-        )
-        cos_roll = np.array([math.cos(value) for value in att_roll.tolist()])
-        sin_roll = np.array([math.sin(value) for value in att_roll.tolist()])
-        cos_pitch = np.array([math.cos(value) for value in att_pitch.tolist()])
-        sin_pitch = np.array([math.sin(value) for value in att_pitch.tolist()])
-        cos_yaw = np.array([math.cos(value) for value in att_yaw.tolist()])
-        sin_yaw = np.array([math.sin(value) for value in att_yaw.tolist()])
-        vertical_thrust = thrust * cos_roll * cos_pitch
-        forward = thrust * sin_pitch
-        right = thrust * sin_roll
-        thrust_north = forward * cos_yaw - right * sin_yaw
-        thrust_east = forward * sin_yaw + right * cos_yaw
-
-        vel_n = np.array(self._vel_n)
-        vel_e = np.array(self._vel_e)
-        vel_u = np.array(self._vel_u)
-        drag = np.array(self._drag)
-        mass = np.array(self._mass)
-        accel_north = (thrust_north - drag * (vel_n - wind_north)) / mass
-        accel_east = (thrust_east - drag * (vel_e - wind_east)) / mass
-        accel_up = (vertical_thrust - drag * vel_u) / mass - GRAVITY
-
-        resting = grounded & (accel_up <= 0.0)
-        accel_north = np.where(resting, 0.0, accel_north)
-        accel_east = np.where(resting, 0.0, accel_east)
-        accel_up = np.where(resting, 0.0, accel_up)
-        vel_n = np.where(resting, 0.0, vel_n)
-        vel_e = np.where(resting, 0.0, vel_e)
-        vel_u = np.where(resting, 0.0, vel_u)
-
-        vel_n += accel_north * dt
-        vel_e += accel_east * dt
-        vel_u += accel_up * dt
-        pos_n = np.array(self._pos_n) + vel_n * dt
-        pos_e = np.array(self._pos_e) + vel_e * dt
-        pos_u = np.array(self._pos_u) + vel_u * dt
-
-        self._armed = armed.tolist()
-        self._att_roll = att_roll.tolist()
-        self._att_pitch = att_pitch.tolist()
-        self._att_yaw = att_yaw.tolist()
-        self._rate_roll = rate_roll.tolist()
-        self._rate_pitch = rate_pitch.tolist()
-        self._rate_yaw = rate_yaw.tolist()
-        self._acc_n = accel_north.tolist()
-        self._acc_e = accel_east.tolist()
-        self._acc_u = accel_up.tolist()
-        self._vel_n = vel_n.tolist()
-        self._vel_e = vel_e.tolist()
-        self._vel_u = vel_u.tolist()
-        self._pos_n = pos_n.tolist()
-        self._pos_e = pos_e.tolist()
-        self._pos_u = pos_u.tolist()
-
     def _ground_contact(self) -> None:
         """Clamp each vehicle to terrain; record impacts and touchdowns."""
         time_after = self._time + self.dt
@@ -439,14 +262,12 @@ class FleetPhysics:
                 impact_speed = max(-self._vel_u[v], 0.0)
                 if not self._on_ground[v]:
                     self._last_impact[v] = impact_speed
-                    touchdown = Touchdown(
+                    self._step_touchdowns[v] = Touchdown(
                         time=time_after,
                         vehicle=v,
                         speed=impact_speed,
                         position=(self._pos_n[v], self._pos_e[v], terrain),
                     )
-                    self._step_touchdowns[v] = touchdown
-                    self._touchdown_log.append(touchdown)
                 self._pos_u[v] = terrain
                 self._vel_u[v] = 0.0
                 self._on_ground[v] = True

@@ -1,31 +1,15 @@
-"""Quadcopter dynamics integrated at a fixed time-step.
+"""The firmware/physics contract: actuator commands and physical constants.
 
-The model is a deliberately simple but honest multicopter:
-
-* Attitude follows commanded attitude through a first-order lag (the
-  real vehicle's attitude loop runs far faster than the position loop, so
-  from the perspective of the navigation code a rate-limited first-order
-  response is an adequate abstraction).
-* Thrust acts along the body z-axis; tilting the body produces
-  horizontal acceleration, exactly the mechanism the firmware's position
-  controller relies on.
-* Linear drag opposes velocity relative to the wind.
-* Ground contact clamps the vehicle at terrain height and records the
-  impact speed so the collision detector can distinguish a landing from
-  a crash.
-
-What matters for the reproduction is that mishandled sensor failures
-produce the same *observable* consequences as in the paper: overshoot,
-fly-away, loss of position hold, and high-speed ground impact.
+:class:`ActuatorCommand` is what a firmware hands the simulator each
+control period; :data:`GRAVITY` and :data:`HARD_IMPACT_SPEED` are shared
+by the integrator (:mod:`repro.sim.fleet_physics`), the collision
+detector, the sensor models and the firmware's estimator.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.sim.environment import Environment
-from repro.sim.state import AttitudeState, VehicleState, Vector3, wrap_angle
 from repro.sim.vehicle import AirframeParameters
 
 GRAVITY = 9.80665
@@ -66,153 +50,3 @@ class ActuatorCommand:
             ),
             armed=self.armed,
         )
-
-
-@dataclass
-class QuadrotorPhysics:
-    """Fixed-step integrator for the multicopter model."""
-
-    airframe: AirframeParameters
-    environment: Environment
-    dt: float = 0.01
-    attitude_time_constant: float = 0.15
-
-    # Internal mutable state.
-    _time: float = field(default=0.0, init=False)
-    _position: list = field(default_factory=lambda: [0.0, 0.0, 0.0], init=False)
-    _velocity: list = field(default_factory=lambda: [0.0, 0.0, 0.0], init=False)
-    _acceleration: list = field(default_factory=lambda: [0.0, 0.0, 0.0], init=False)
-    _attitude: list = field(default_factory=lambda: [0.0, 0.0, 0.0], init=False)
-    _angular_rate: list = field(default_factory=lambda: [0.0, 0.0, 0.0], init=False)
-    _on_ground: bool = field(default=True, init=False)
-    _armed: bool = field(default=False, init=False)
-    _last_impact_speed: float = field(default=0.0, init=False)
-
-    def __post_init__(self) -> None:
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
-        start_height = self.environment.terrain_height(0.0, 0.0)
-        self._position[2] = start_height
-
-    # ------------------------------------------------------------------
-    # Read-only views
-    # ------------------------------------------------------------------
-    @property
-    def time(self) -> float:
-        """Current simulation time in seconds."""
-        return self._time
-
-    @property
-    def last_impact_speed(self) -> float:
-        """Vertical speed (m/s, positive) recorded at the last ground contact."""
-        return self._last_impact_speed
-
-    def snapshot(self) -> VehicleState:
-        """Return an immutable snapshot of the current physical state."""
-        return VehicleState(
-            time=self._time,
-            position=tuple(self._position),
-            velocity=tuple(self._velocity),
-            acceleration=tuple(self._acceleration),
-            attitude=AttitudeState(*self._attitude),
-            angular_rate=tuple(self._angular_rate),
-            on_ground=self._on_ground,
-            armed=self._armed,
-        )
-
-    # ------------------------------------------------------------------
-    # Integration
-    # ------------------------------------------------------------------
-    def step(self, command: ActuatorCommand) -> VehicleState:
-        """Advance the dynamics by one time-step under ``command``."""
-        command = command.clamped(self.airframe)
-        self._armed = command.armed
-
-        self._update_attitude(command)
-        self._update_translation(command)
-        self._handle_ground_contact()
-
-        self._time += self.dt
-        return self.snapshot()
-
-    def _update_attitude(self, command: ActuatorCommand) -> None:
-        """First-order attitude response plus rate-commanded yaw."""
-        if not command.armed:
-            # Motors off: attitude relaxes toward level.
-            targets = (0.0, 0.0)
-        else:
-            targets = (command.target_roll, command.target_pitch)
-
-        alpha = min(self.dt / self.attitude_time_constant, 1.0)
-        previous = list(self._attitude)
-        self._attitude[0] += (targets[0] - self._attitude[0]) * alpha
-        self._attitude[1] += (targets[1] - self._attitude[1]) * alpha
-        if command.armed and not self._on_ground:
-            self._attitude[2] = wrap_angle(
-                self._attitude[2] + command.target_yaw_rate * self.dt
-            )
-        self._angular_rate = [
-            (self._attitude[i] - previous[i]) / self.dt for i in range(3)
-        ]
-
-    def _update_translation(self, command: ActuatorCommand) -> None:
-        """Integrate the translational dynamics for one step."""
-        thrust = command.throttle * self.airframe.max_thrust_n if command.armed else 0.0
-        roll, pitch, _yaw = self._attitude
-        yaw = self._attitude[2]
-
-        # Body-z thrust decomposed into the local frame.  Positive pitch
-        # tilts the nose down producing +north acceleration; positive roll
-        # produces +east acceleration (after rotating through yaw).
-        vertical_thrust = thrust * math.cos(roll) * math.cos(pitch)
-        forward = thrust * math.sin(pitch)
-        right = thrust * math.sin(roll)
-        thrust_north = forward * math.cos(yaw) - right * math.sin(yaw)
-        thrust_east = forward * math.sin(yaw) + right * math.cos(yaw)
-
-        wind_north, wind_east = self.environment.wind.velocity_at(self._time)
-        relative_velocity = (
-            self._velocity[0] - wind_north,
-            self._velocity[1] - wind_east,
-            self._velocity[2],
-        )
-        drag = self.airframe.drag_coefficient
-        accel_north = (thrust_north - drag * relative_velocity[0]) / self.airframe.mass_kg
-        accel_east = (thrust_east - drag * relative_velocity[1]) / self.airframe.mass_kg
-        accel_up = (
-            vertical_thrust - drag * relative_velocity[2]
-        ) / self.airframe.mass_kg - GRAVITY
-
-        if self._on_ground and accel_up <= 0.0:
-            # Resting on the ground: normal force cancels gravity.
-            accel_up = 0.0
-            accel_north = 0.0
-            accel_east = 0.0
-            self._velocity = [0.0, 0.0, 0.0]
-
-        self._acceleration = [accel_north, accel_east, accel_up]
-        for i in range(3):
-            self._velocity[i] += self._acceleration[i] * self.dt
-            self._position[i] += self._velocity[i] * self.dt
-
-    def _handle_ground_contact(self) -> None:
-        """Clamp the vehicle to the terrain and record impact speed."""
-        terrain = self.environment.terrain_height(self._position[0], self._position[1])
-        if self._position[2] <= terrain:
-            impact_speed = max(-self._velocity[2], 0.0)
-            if not self._on_ground:
-                self._last_impact_speed = impact_speed
-            self._position[2] = terrain
-            self._velocity[2] = 0.0
-            self._on_ground = True
-        elif self._position[2] > terrain + 0.02:
-            self._on_ground = False
-
-    # ------------------------------------------------------------------
-    # Test helpers
-    # ------------------------------------------------------------------
-    def teleport(self, position: Vector3, velocity: Vector3 = (0.0, 0.0, 0.0)) -> None:
-        """Place the vehicle at ``position`` (used by unit tests only)."""
-        self._position = list(position)
-        self._velocity = list(velocity)
-        self._on_ground = self.environment.is_below_ground(position)

@@ -25,20 +25,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.sim.environment import Environment, FenceRegion, Obstacle, default_environment
 from repro.sim.fleet_physics import FleetPhysics
-from repro.sim.physics import HARD_IMPACT_SPEED, ActuatorCommand, QuadrotorPhysics
+from repro.sim.physics import HARD_IMPACT_SPEED, ActuatorCommand
 from repro.sim.state import VehicleState
 from repro.sim.vehicle import IRIS_QUADCOPTER, AirframeParameters
 
 #: Default east spacing between fleet launch pads, in metres.
 DEFAULT_PAD_SPACING_M = 8.0
-
-#: Physics stepping modes the simulator supports.  ``reference`` is the
-#: original one-``QuadrotorPhysics``-object-per-vehicle loop, kept
-#: verbatim; ``soa`` advances the whole fleet through one
-#: :class:`~repro.sim.fleet_physics.FleetPhysics` step over flat arrays.
-#: The two are pinned bit-identical (states, event logs) by
-#: ``tests/test_fast_core.py``.
-SIMULATOR_STEPPERS = ("reference", "soa")
 
 
 @dataclass(frozen=True)
@@ -164,14 +156,9 @@ class Simulator:
         pad_spacing_m: float = DEFAULT_PAD_SPACING_M,
         proximity_threshold_m: float = 0.0,
         airframes: Optional[Sequence[AirframeParameters]] = None,
-        stepper: str = "reference",
     ) -> None:
         if fleet_size < 1:
             raise ValueError("a simulation needs at least one vehicle")
-        if stepper not in SIMULATOR_STEPPERS:
-            raise ValueError(
-                f"unknown stepper {stepper!r}; expected one of {SIMULATOR_STEPPERS}"
-            )
         if airframes is not None:
             airframes = list(airframes)
             if len(airframes) != fleet_size:
@@ -187,32 +174,15 @@ class Simulator:
         self.pad_spacing_m = pad_spacing_m
         self.proximity_threshold_m = proximity_threshold_m
 
-        self.stepper = stepper
-        self._fleet_physics: List[QuadrotorPhysics] = []
-        self._fleet: Optional[FleetPhysics] = None
-        self._states: List[VehicleState] = []
-        if stepper == "soa":
-            self._fleet = FleetPhysics(
-                airframes=airframes, environment=self.environment, dt=dt
+        self._fleet = FleetPhysics(
+            airframes=airframes, environment=self.environment, dt=dt
+        )
+        for vehicle in range(1, fleet_size):
+            north, east = self.pad_offset(vehicle)
+            self._fleet.teleport(
+                vehicle, (north, east, self.environment.terrain_height(north, east))
             )
-            for vehicle in range(1, fleet_size):
-                north, east = self.pad_offset(vehicle)
-                self._fleet.teleport(
-                    vehicle, (north, east, self.environment.terrain_height(north, east))
-                )
-            self._states = self._fleet.snapshots()
-        else:
-            for vehicle in range(fleet_size):
-                physics = QuadrotorPhysics(
-                    airframe=airframes[vehicle], environment=self.environment, dt=dt
-                )
-                if vehicle > 0:
-                    north, east = self.pad_offset(vehicle)
-                    physics.teleport(
-                        (north, east, self.environment.terrain_height(north, east))
-                    )
-                self._fleet_physics.append(physics)
-                self._states.append(physics.snapshot())
+        self._states: List[VehicleState] = self._fleet.snapshots()
 
         self._collisions: List[CollisionEvent] = []
         self._fence_breaches: List[FenceBreachEvent] = []
@@ -226,24 +196,8 @@ class Simulator:
     # Properties
     # ------------------------------------------------------------------
     @property
-    def physics(self) -> QuadrotorPhysics:
-        """Vehicle 0's physics engine (the classic single-vehicle view).
-
-        Only the reference stepper hosts per-vehicle physics objects;
-        the SoA stepper keeps the whole fleet in one
-        :class:`~repro.sim.fleet_physics.FleetPhysics` (see
-        :attr:`fleet`).
-        """
-        if self._fleet is not None:
-            raise AttributeError(
-                "the SoA stepper has no per-vehicle physics objects; "
-                "use Simulator.fleet"
-            )
-        return self._fleet_physics[0]
-
-    @property
-    def fleet(self) -> Optional[FleetPhysics]:
-        """The batched physics core (SoA stepper only, else ``None``)."""
+    def fleet(self) -> FleetPhysics:
+        """The physics core advancing every fleet member."""
         return self._fleet
 
     @property
@@ -367,33 +321,6 @@ class Simulator:
             raise ValueError(
                 f"expected {self.fleet_size} command(s), got {len(commands)}"
             )
-        if self._fleet is not None:
-            return self._step_fleet_soa(commands)
-        previously_airborne = [not state.on_ground for state in self._states]
-        for vehicle, command in enumerate(commands):
-            self._states[vehicle] = self._fleet_physics[vehicle].step(command)
-        self.clock.advance()
-
-        for vehicle in range(self.fleet_size):
-            self._detect_ground_impact(vehicle, previously_airborne[vehicle])
-            self._detect_obstacle_collision(vehicle)
-            self._detect_fence_breach(vehicle)
-        if self.fleet_size > 1:
-            self._track_separation()
-
-        for listener in self._step_listeners:
-            listener(self._states[0])
-        return list(self._states)
-
-    def _step_fleet_soa(self, commands: Sequence[ActuatorCommand]) -> List[VehicleState]:
-        """One time-step through the batched SoA physics core.
-
-        Identical detection pipeline to the reference path; the only
-        difference is that ground impacts are read off the fleet core's
-        per-step touchdown records instead of per-object impact state
-        (the records carry the same time/position/speed, so the emitted
-        events are bit-identical).
-        """
         self._states = self._fleet.step_all(commands)
         self.clock.advance()
 
@@ -424,30 +351,9 @@ class Simulator:
         position: Tuple[float, float, float],
         velocity: Tuple[float, float, float] = (0.0, 0.0, 0.0),
     ) -> None:
-        """Place one fleet member (works under either stepper)."""
-        if self._fleet is not None:
-            self._fleet.teleport(vehicle, position, velocity)
-            self._states[vehicle] = self._fleet.snapshot(vehicle)
-        else:
-            self._fleet_physics[vehicle].teleport(position, velocity)
-            self._states[vehicle] = self._fleet_physics[vehicle].snapshot()
-
-    def _detect_ground_impact(self, vehicle: int, previously_airborne: bool) -> None:
-        """Record a collision when a vehicle hits the ground hard."""
-        state = self._states[vehicle]
-        if not previously_airborne or not state.on_ground:
-            return
-        impact_speed = self._fleet_physics[vehicle].last_impact_speed
-        if impact_speed >= HARD_IMPACT_SPEED:
-            self._collisions.append(
-                CollisionEvent(
-                    time=state.time,
-                    position=state.position,
-                    impact_speed=impact_speed,
-                    obstacle=None,
-                    vehicle=vehicle,
-                )
-            )
+        """Place one fleet member (launch pads, unit tests)."""
+        self._fleet.teleport(vehicle, position, velocity)
+        self._states[vehicle] = self._fleet.snapshot(vehicle)
 
     def _detect_obstacle_collision(self, vehicle: int) -> None:
         """Record a collision when a vehicle penetrates an obstacle."""

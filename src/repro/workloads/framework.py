@@ -220,7 +220,7 @@ class Target:
         """
         timeout = timeout_s if timeout_s is not None else self.default_timeout_s
         deadline = self._harness.time + timeout
-        # Reference/SoA harnesses poll every step (stride 1, the classic
+        # Reference harnesses poll every step (stride 1, the classic
         # loop); an adaptive harness reports its fused-window stride so
         # waiting polls once per macro-step instead.
         stride = getattr(self._harness, "wait_stride", None)

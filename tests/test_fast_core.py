@@ -1,19 +1,20 @@
-"""The fast simulation core: SoA batched physics + adaptive stepping.
+"""The simulation core: one physics integrator, one lock-step loop.
 
-Pins the two contracts the ``stepper`` knob rests on:
+Pins the contracts the ``stepper`` knob rests on:
 
-* **Bit-identity** -- the SoA fleet core (`FleetPhysics`, either
-  kernel) reproduces the reference per-object integrator bit for bit:
-  states, event logs and cache keys are *equal*, not approximately
-  equal, across single-vehicle, fleet, traffic-fault and burst
-  scenarios, with and without numpy.
+* **Bit-identity** -- the integrator (`FleetPhysics`), the simulator's
+  event pipeline and whole harness runs hash to digests recorded before
+  the per-object integrator and the separate reference loop were folded
+  into them: states, event logs, traces and cache keys are *equal*, not
+  approximately equal, across single-vehicle, fleet, traffic-fault and
+  burst scenarios, on both steppers.
 * **Verdict equivalence** -- the quiescence-skipping adaptive stepper
   reaches the same safe/unsafe verdicts as the reference loop on the
   committed end-to-end scenarios (the convoy recovery-window hazard and
   the burst-vs-latched pair), while fusing most of its control periods.
 """
 
-import math
+import hashlib
 from dataclasses import replace
 
 import pytest
@@ -25,6 +26,7 @@ from repro.core.runner import TestRunner
 from repro.engine.cache import config_fingerprint, scenario_key
 from repro.firmware.ardupilot import ArduPilotFirmware
 from repro.hinj.faults import (
+    EMPTY_SCENARIO,
     FaultScenario,
     FaultSpec,
     TrafficFaultKind,
@@ -34,8 +36,8 @@ from repro.obs import runtime as obs_runtime
 from repro.obs.runtime import Observability, observed
 from repro.sensors.base import SensorId, SensorType
 from repro.sim.environment import default_environment
-from repro.sim.fleet_physics import FleetPhysics, numpy_available
-from repro.sim.physics import ActuatorCommand, QuadrotorPhysics
+from repro.sim.fleet_physics import FleetPhysics
+from repro.sim.physics import HARD_IMPACT_SPEED, ActuatorCommand
 from repro.sim.planner import StepPlanner
 from repro.sim.simulator import SimulationClock, Simulator
 from repro.sim.vehicle import IRIS_QUADCOPTER
@@ -47,8 +49,10 @@ GPS = SensorId(SensorType.GPS, 0)
 
 DT = 0.01
 
-#: Kernels to pin against the reference integrator on this host.
-BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
+BURST = FaultScenario([FaultSpec(GPS, 6.0, duration_s=4.0)])
+DROPOUT = FaultScenario(
+    [TrafficFaultSpec(0, TrafficFaultKind.DROPOUT, 10.0, duration_s=5.0)]
+)
 
 
 def scripted_command(step: int, phase_shift: int = 0) -> ActuatorCommand:
@@ -73,135 +77,106 @@ def scripted_command(step: int, phase_shift: int = 0) -> ActuatorCommand:
     return ActuatorCommand()
 
 
-def reference_states(steps: int, fleet_size: int = 1, dt: float = DT):
-    """Trajectories from one ``QuadrotorPhysics`` object per vehicle."""
-    environment = default_environment()
-    engines = []
-    for vehicle in range(fleet_size):
-        engine = QuadrotorPhysics(
-            airframe=IRIS_QUADCOPTER, environment=environment, dt=dt
-        )
-        if vehicle:
-            engine.teleport((0.0, vehicle * 8.0, 0.0))
-        engines.append(engine)
-    trajectory = []
-    for step in range(steps):
-        trajectory.append(
-            [
-                engines[v].step(scripted_command(step, phase_shift=17 * v))
-                for v in range(fleet_size)
-            ]
-        )
-    return trajectory, engines
+def _sha(lines):
+    digest = hashlib.sha256()
+    for line in lines:
+        digest.update((repr(line) + "\n").encode("utf-8"))
+    return digest.hexdigest()[:20]
 
 
-def fleet_states(steps: int, fleet_size: int = 1, backend: str = "python", dt: float = DT):
-    """The same trajectories from one batched ``FleetPhysics``."""
+def tape_digest(steps: int, fleet_size: int, dt: float) -> str:
+    """Every state of a fleet flying the scripted tape (vehicle ``v``
+    phase-shifted by 17 v steps from a pad 8 v m east), then each
+    vehicle's last impact speed and the final clock."""
     fleet = FleetPhysics(
         airframes=[IRIS_QUADCOPTER] * fleet_size,
         environment=default_environment(),
         dt=dt,
-        backend=backend,
     )
     for vehicle in range(1, fleet_size):
         fleet.teleport(vehicle, (0.0, vehicle * 8.0, 0.0))
-    trajectory = []
-    for step in range(steps):
-        trajectory.append(
-            fleet.step_all(
-                [
-                    scripted_command(step, phase_shift=17 * v)
-                    for v in range(fleet_size)
-                ]
-            )
+    lines = [
+        fleet.step_all(
+            [scripted_command(step, phase_shift=17 * v) for v in range(fleet_size)]
         )
-    return trajectory, fleet
+        for step in range(steps)
+    ]
+    lines.append([fleet.last_impact_speed(v) for v in range(fleet_size)])
+    lines.append(fleet.time)
+    return _sha(lines)
+
+
+def run_digest(config: RunConfiguration, scenario: FaultScenario) -> str:
+    """Every observable of one harness run: cache key, traces, mode
+    transitions, event logs, injections, verdict inputs and step count."""
+    result = TestRunner(config).run(scenario)
+    lines = [scenario_key(config, result.workload_name, scenario)]
+    lines += result.trace
+    lines += [
+        sample
+        for vehicle in sorted(result.vehicle_traces)
+        for sample in result.vehicle_traces[vehicle]
+    ]
+    lines += result.mode_transitions
+    lines += [
+        transition
+        for vehicle in sorted(result.vehicle_mode_transitions)
+        for transition in result.vehicle_mode_transitions[vehicle]
+    ]
+    lines += [
+        result.collisions,
+        result.fence_breaches,
+        result.injections,
+        result.failsafe_events,
+        result.triggered_bugs,
+        result.workload_result.outcome,
+        result.steps,
+        result.duration_s,
+        result.min_separation_m,
+        result.proximity_events,
+        result.traffic_injections,
+    ]
+    return _sha(lines)
+
+
+#: Recorded with one per-vehicle integrator object per fleet member.
+TAPE_DIGESTS = {
+    (900, 1, 0.01): "96d84e143609144b89e6",
+    (900, 3, 0.01): "1942bd4cc0bc8a01d1e9",
+    # dt 0.2 exceeds the attitude time constant: the lag's alpha clamps
+    # at 1 on every step.
+    (60, 2, 0.2): "5a6d1d390129456b2626",
+}
+
+#: Recorded with the per-object integrator behind the simulator.
+SIMULATOR_DROP_DIGEST = "527a82f76ab435322337"
+
+#: Recorded with the separate reference loop and per-object integrator
+#: (reference runs) and the SoA core (adaptive runs).
+RUN_DIGESTS = {
+    "reference mission": "f100454741b4b9eb8b90",
+    "reference burst": "6b4e3ec821ea119d7dfd",
+    "reference convoy dropout": "69891f402071d53c2619",
+    "adaptive burst": "462a2b3d0b62735e4915",
+    "adaptive convoy dropout": "24c0ab8114abeb7f604b",
+}
+
+#: ``scenario_key`` bytes for the GPS-at-2 s scenario on the default
+#: ArduPilot ``auto`` configuration.
+REFERENCE_KEY = "b2cc8c3d3d60cb70dd2109d06e5da85abac5ab150e67cfd9aef37e941c22eaf4"
+ADAPTIVE_KEY = "6df7ad0557530d20f1e00f97f8a861631bd408b2fff8b11a7eef7d056fd03c2a"
 
 
 class TestFleetPhysicsKernel:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_single_vehicle_matches_reference_bit_for_bit(self, backend):
-        reference, engines = reference_states(900)
-        batched, fleet = fleet_states(900, backend=backend)
-        assert batched == reference  # dataclass equality: exact floats
-        assert fleet.time == engines[0].time
-        assert fleet.last_impact_speed(0) == engines[0].last_impact_speed
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_fleet_matches_reference_objects(self, backend):
-        reference, engines = reference_states(900, fleet_size=3)
-        batched, fleet = fleet_states(900, fleet_size=3, backend=backend)
-        assert batched == reference
-        for vehicle, engine in enumerate(engines):
-            assert fleet.last_impact_speed(vehicle) == engine.last_impact_speed
-
-    @pytest.mark.skipif(not numpy_available(), reason="numpy kernel absent")
-    def test_python_and_numpy_kernels_bit_identical(self):
-        python_run, _ = fleet_states(900, fleet_size=3, backend="python")
-        numpy_run, _ = fleet_states(900, fleet_size=3, backend="numpy")
-        assert python_run == numpy_run
-
-    def test_step_held_equals_repeated_step_all(self):
-        one_by_one, _ = fleet_states(400, fleet_size=2)
-        fleet = FleetPhysics(
-            airframes=[IRIS_QUADCOPTER] * 2,
-            environment=default_environment(),
-            dt=DT,
-            backend="python",
-        )
-        fleet.teleport(1, (0.0, 8.0, 0.0))
-        # Re-drive the same tape, but fused: commands are constant within
-        # each scripted phase, so holding them is exactly re-sending them.
-        step = 0
-        held = []
-        while step < 400:
-            commands = [scripted_command(step, phase_shift=17 * v) for v in range(2)]
-            stride = 1
-            while (
-                step + stride < 400
-                and stride < 5
-                and all(
-                    scripted_command(step + stride, phase_shift=17 * v) == commands[v]
-                    for v in range(2)
-                )
-            ):
-                stride += 1
-            fleet.step_held(commands, stride)
-            held.append(fleet.snapshots())
-            step += stride
-        assert held[-1] == one_by_one[-1]
-        assert fleet.time == one_by_one[-1][0].time
-
-    def test_backend_selection_and_validation(self, monkeypatch):
-        with pytest.raises(ValueError):
-            FleetPhysics(
-                airframes=[IRIS_QUADCOPTER],
-                environment=default_environment(),
-                backend="fortran",
-            )
-        monkeypatch.setattr("repro.sim.fleet_physics._np", None)
-        with pytest.raises(ValueError):
-            FleetPhysics(
-                airframes=[IRIS_QUADCOPTER],
-                environment=default_environment(),
-                backend="numpy",
-            )
-        fallback = FleetPhysics(
-            airframes=[IRIS_QUADCOPTER], environment=default_environment()
-        )
-        assert fallback.backend == "python"
-
-    @pytest.mark.skipif(not numpy_available(), reason="numpy kernel absent")
-    def test_small_fleets_auto_pick_the_python_kernel(self, monkeypatch):
-        small = FleetPhysics(
-            airframes=[IRIS_QUADCOPTER] * 2, environment=default_environment()
-        )
-        assert small.backend == "python"
-        monkeypatch.setattr("repro.sim.fleet_physics.NUMPY_MIN_FLEET", 2)
-        wide = FleetPhysics(
-            airframes=[IRIS_QUADCOPTER] * 2, environment=default_environment()
-        )
-        assert wide.backend == "numpy"
+    @pytest.mark.parametrize(
+        "steps, fleet_size, dt",
+        list(TAPE_DIGESTS),
+        ids=[f"fleet{n}-dt{dt}" for _, n, dt in TAPE_DIGESTS],
+    )
+    def test_command_tape_matches_recorded_digest(self, steps, fleet_size, dt):
+        assert tape_digest(steps, fleet_size, dt) == TAPE_DIGESTS[
+            (steps, fleet_size, dt)
+        ]
 
     def test_command_count_validated(self):
         fleet = FleetPhysics(
@@ -209,22 +184,20 @@ class TestFleetPhysicsKernel:
         )
         with pytest.raises(ValueError):
             fleet.step_all([ActuatorCommand()])
-        with pytest.raises(ValueError):
-            fleet.step_held([ActuatorCommand()], 3)
 
 
 class TestTouchdownRecords:
-    def _fly_and_drop(self, fleet, steps=700):
-        for step in range(steps):
-            fleet.step_all([scripted_command(step)])
-
     def test_hard_impact_recorded_with_reference_speed_and_time(self):
         fleet = FleetPhysics(
             airframes=[IRIS_QUADCOPTER], environment=default_environment(), dt=DT
         )
-        self._fly_and_drop(fleet)
-        touchdowns = fleet.drain_touchdowns()
-        hard = [t for t in touchdowns if t.speed >= 2.0]
+        touchdowns = []
+        for step in range(700):
+            fleet.step_all([scripted_command(step)])
+            touchdown = fleet.step_touchdown(0)
+            if touchdown is not None:
+                touchdowns.append(touchdown)
+        hard = [t for t in touchdowns if t.speed >= HARD_IMPACT_SPEED]
         assert hard, "the scripted free fall must land hard"
         touchdown = hard[-1]
         assert touchdown.vehicle == 0
@@ -237,31 +210,9 @@ class TestTouchdownRecords:
         assert touchdown.position[2] == default_environment().terrain_height(
             touchdown.position[0], touchdown.position[1]
         )
-        assert fleet.drain_touchdowns() == []
-
-    def test_touchdown_inside_fused_macro_step_keeps_exact_timestamp(self):
-        """A hard impact mid-window is attributed to its exact micro-step."""
-        reference = FleetPhysics(
-            airframes=[IRIS_QUADCOPTER], environment=default_environment(), dt=DT
-        )
-        self._fly_and_drop(reference)
-        expected = reference.drain_touchdowns()
-
-        fused = FleetPhysics(
-            airframes=[IRIS_QUADCOPTER], environment=default_environment(), dt=DT
-        )
-        step = 0
-        while step < 700:
-            stride = min(5, 700 - step)
-            command = scripted_command(step)
-            if any(
-                scripted_command(step + k) != command for k in range(1, stride)
-            ):
-                stride = 1
-            fused.step_held([command], stride)
-            step += stride
-        assert fused.drain_touchdowns() == expected
-        assert fused.snapshots() == reference.snapshots()
+        # Resting on the ground is not a new touchdown.
+        fleet.step_all([ActuatorCommand()])
+        assert fleet.step_touchdown(0) is None
 
 
 class TestDtEdgeCases:
@@ -276,36 +227,27 @@ class TestDtEdgeCases:
         with pytest.raises(ValueError):
             SimulationClock(dt=0.0)
         with pytest.raises(ValueError):
-            QuadrotorPhysics(
-                airframe=IRIS_QUADCOPTER, environment=default_environment(), dt=-0.01
-            )
-        with pytest.raises(ValueError):
             FleetPhysics(
                 airframes=[IRIS_QUADCOPTER], environment=default_environment(), dt=0.0
             )
+        with pytest.raises(ValueError):
+            Simulator(dt=-0.01)
 
     @pytest.mark.parametrize("dt", [0.15, 0.2])
     def test_attitude_alpha_clamps_when_dt_exceeds_time_constant(self, dt):
         """At dt >= the attitude time constant the first-order lag clamps
         at alpha = 1: the attitude snaps to the commanded target instead
         of overshooting past it."""
-        engine = QuadrotorPhysics(
-            airframe=IRIS_QUADCOPTER, environment=default_environment(), dt=dt
+        fleet = FleetPhysics(
+            airframes=[IRIS_QUADCOPTER], environment=default_environment(), dt=dt
         )
-        engine.teleport((0.0, 0.0, 30.0))
+        fleet.teleport(0, (0.0, 0.0, 30.0))
         command = ActuatorCommand(
             throttle=0.6, target_roll=0.3, target_pitch=-0.2, armed=True
         )
-        state = engine.step(command)
+        state = fleet.step_all([command])[0]
         assert state.attitude.roll == command.target_roll
         assert state.attitude.pitch == command.target_pitch
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_fleet_physics_matches_reference_at_coarse_dt(self, backend):
-        dt = 0.2  # alpha clamp active in every step
-        reference, _ = reference_states(60, fleet_size=2, dt=dt)
-        batched, _ = fleet_states(60, fleet_size=2, backend=backend, dt=dt)
-        assert batched == reference
 
 
 class TestStepPlanner:
@@ -359,51 +301,34 @@ class TestStepPlanner:
             StepPlanner(dt=0.02, max_stride=0)
 
 
-class TestSimulatorSoA:
-    def _drive(self, simulator, steps=700):
-        for step in range(steps):
+class TestSimulatorCore:
+    def test_scripted_drop_matches_recorded_digest(self):
+        simulator = Simulator(dt=DT, fleet_size=2)
+        lines = [
             simulator.step_fleet(
-                [
-                    scripted_command(step, phase_shift=17 * v)
-                    for v in range(simulator.fleet_size)
-                ]
+                [scripted_command(step, phase_shift=17 * v) for v in range(2)]
             )
+            for step in range(700)
+        ]
+        assert simulator.collisions, "the scripted drop must record a collision"
+        lines += [
+            simulator.collisions,
+            simulator.fence_breaches,
+            simulator.proximity_events,
+            simulator.safety_events(),
+            simulator.min_separation_m,
+            simulator.time,
+        ]
+        assert _sha(lines) == SIMULATOR_DROP_DIGEST
 
-    def test_soa_simulator_is_bit_identical_to_reference(self):
-        reference = Simulator(dt=DT, fleet_size=2, stepper="reference")
-        batched = Simulator(dt=DT, fleet_size=2, stepper="soa")
-        self._drive(reference)
-        self._drive(batched)
-        assert batched.states == reference.states
-        assert batched.collisions == reference.collisions
-        assert batched.fence_breaches == reference.fence_breaches
-        assert batched.proximity_events == reference.proximity_events
-        assert batched.min_separation_m == reference.min_separation_m
-        assert batched.time == reference.time
-        assert batched.safety_events() == reference.safety_events()
-        assert reference.collisions, "the scripted drop must record a collision"
-
-    def test_physics_property_guarded_under_soa(self):
-        batched = Simulator(stepper="soa")
-        with pytest.raises(AttributeError):
-            _ = batched.physics
-        assert batched.fleet is not None
-        reference = Simulator(stepper="reference")
-        assert reference.fleet is None
-        assert reference.physics is not None
-
-    @pytest.mark.parametrize("stepper", ["reference", "soa"])
-    def test_teleport_vehicle_updates_snapshot(self, stepper):
-        simulator = Simulator(dt=DT, fleet_size=2, stepper=stepper)
+    def test_teleport_vehicle_updates_snapshot(self):
+        simulator = Simulator(dt=DT, fleet_size=2)
         simulator.teleport_vehicle(1, (3.0, 4.0, 25.0), velocity=(1.0, 0.0, 0.0))
         state = simulator.state_of(1)
         assert state.position == (3.0, 4.0, 25.0)
         assert state.velocity == (1.0, 0.0, 0.0)
         assert not state.on_ground
-
-    def test_unknown_stepper_rejected(self):
-        with pytest.raises(ValueError):
-            Simulator(stepper="warp")
+        assert simulator.fleet.snapshot(1) == state
 
 
 class TestRunConfigurationStepper:
@@ -417,6 +342,11 @@ class TestRunConfigurationStepper:
         config = RunConfiguration(firmware_class=ArduPilotFirmware, stepper="adaptive")
         assert config.with_noise_seed(7).stepper == "adaptive"
 
+    def test_soa_is_stored_as_reference(self):
+        config = RunConfiguration(firmware_class=ArduPilotFirmware, stepper="soa")
+        assert config.stepper == "reference"
+        assert replace(config, stepper="soa").stepper == "reference"
+
 
 class TestCacheKeys:
     def _config(self, stepper):
@@ -424,9 +354,10 @@ class TestCacheKeys:
 
     def test_soa_shares_cache_keys_with_reference(self):
         scenario = FaultScenario([FaultSpec(GPS, 2.0)])
-        assert scenario_key(self._config("soa"), "auto", scenario) == scenario_key(
-            self._config("reference"), "auto", scenario
-        )
+        for stepper in ("reference", "soa"):
+            assert scenario_key(self._config(stepper), "auto", scenario) == (
+                REFERENCE_KEY
+            )
         assert "stepper" not in config_fingerprint(self._config("soa"), "auto")
 
     def test_adaptive_gets_its_own_fingerprint_term(self):
@@ -434,8 +365,8 @@ class TestCacheKeys:
         assert "stepper=adaptive" in config_fingerprint(
             self._config("adaptive"), "auto"
         )
-        assert scenario_key(self._config("adaptive"), "auto", scenario) != scenario_key(
-            self._config("reference"), "auto", scenario
+        assert scenario_key(self._config("adaptive"), "auto", scenario) == (
+            ADAPTIVE_KEY
         )
 
 
@@ -460,57 +391,33 @@ def convoy_config(stepper="reference", **overrides):
     )
 
 
-def assert_identical_results(reference, batched):
-    """Every observable of the two runs is *equal*, not approximately."""
-    assert batched.trace == reference.trace
-    assert batched.mode_transitions == reference.mode_transitions
-    assert batched.collisions == reference.collisions
-    assert batched.fence_breaches == reference.fence_breaches
-    assert batched.injections == reference.injections
-    assert batched.failsafe_events == reference.failsafe_events
-    assert batched.triggered_bugs == reference.triggered_bugs
-    assert batched.workload_result.outcome == reference.workload_result.outcome
-    assert batched.steps == reference.steps
-    assert batched.duration_s == reference.duration_s
-    assert batched.min_separation_m == reference.min_separation_m
-    assert batched.vehicle_traces == reference.vehicle_traces
-    assert batched.traffic_injections == reference.traffic_injections
-
-
 class TestHarnessBitIdentity:
-    """Full runs: reference stepper vs the SoA core, equal in every field."""
+    """Whole runs hash to the digests recorded before the fold."""
 
     def test_single_vehicle_mission(self):
-        reference = TestRunner(auto_config("reference")).run()
-        batched = TestRunner(auto_config("soa")).run()
-        assert reference.workload_result.passed
-        assert_identical_results(reference, batched)
+        assert run_digest(auto_config("reference"), EMPTY_SCENARIO) == (
+            RUN_DIGESTS["reference mission"]
+        )
 
     def test_single_vehicle_burst_fault(self):
-        scenario = FaultScenario([FaultSpec(GPS, 6.0, duration_s=4.0)])
-        reference = TestRunner(auto_config("reference")).run(scenario)
-        batched = TestRunner(auto_config("soa")).run(scenario)
-        assert reference.injections, "the burst fault must inject"
-        assert_identical_results(reference, batched)
+        assert run_digest(auto_config("reference"), BURST) == (
+            RUN_DIGESTS["reference burst"]
+        )
 
     def test_convoy_with_traffic_fault(self):
-        scenario = FaultScenario(
-            [TrafficFaultSpec(0, TrafficFaultKind.DROPOUT, 10.0, duration_s=5.0)]
+        assert run_digest(convoy_config("reference"), DROPOUT) == (
+            RUN_DIGESTS["reference convoy dropout"]
         )
-        reference = TestRunner(convoy_config("reference")).run(scenario)
-        batched = TestRunner(convoy_config("soa")).run(scenario)
-        assert reference.traffic_injections, "the dropout must inject"
-        assert_identical_results(reference, batched)
 
-    @pytest.mark.skipif(not numpy_available(), reason="numpy kernel absent")
-    def test_python_backend_matches_numpy_backend_end_to_end(self, monkeypatch):
-        # Small fleets auto-pick the python kernel; drop the cutover to
-        # force the numpy kernel through a whole harness run.
-        monkeypatch.setattr("repro.sim.fleet_physics.NUMPY_MIN_FLEET", 1)
-        with_numpy = TestRunner(auto_config("soa")).run()
-        monkeypatch.setattr("repro.sim.fleet_physics._np", None)
-        without_numpy = TestRunner(auto_config("soa")).run()
-        assert_identical_results(with_numpy, without_numpy)
+    def test_adaptive_single_vehicle_burst_fault(self):
+        assert run_digest(auto_config("adaptive"), BURST) == (
+            RUN_DIGESTS["adaptive burst"]
+        )
+
+    def test_adaptive_convoy_with_traffic_fault(self):
+        assert run_digest(convoy_config("adaptive"), DROPOUT) == (
+            RUN_DIGESTS["adaptive convoy dropout"]
+        )
 
 
 class TestAdaptiveRun:

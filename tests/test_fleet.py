@@ -152,8 +152,8 @@ class TestFleetSimulator:
             dt=0.02, fleet_size=2, pad_spacing_m=4.0, proximity_threshold_m=5.0
         )
         # Teleport both vehicles airborne, 4 m apart, and hover them.
-        simulator._fleet_physics[0].teleport((0.0, 0.0, 10.0))
-        simulator._fleet_physics[1].teleport((0.0, 4.0, 10.0))
+        simulator.teleport_vehicle(0, (0.0, 0.0, 10.0))
+        simulator.teleport_vehicle(1, (0.0, 4.0, 10.0))
         hover = ActuatorCommand(throttle=0.49, armed=True)
         simulator.step_fleet([hover, hover])
         assert simulator.min_separation_m == pytest.approx(4.0, abs=0.2)

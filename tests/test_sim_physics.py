@@ -1,18 +1,25 @@
-"""Unit tests for the quadcopter physics model."""
+"""Unit tests for the quadcopter physics model (a fleet of one)."""
 
 import pytest
 
 from repro.sim.environment import Environment, Wind
-from repro.sim.physics import ActuatorCommand, GRAVITY, QuadrotorPhysics
+from repro.sim.fleet_physics import FleetPhysics
+from repro.sim.physics import ActuatorCommand
+from repro.sim.state import VehicleState
 from repro.sim.vehicle import IRIS_QUADCOPTER, AirframeParameters
 
 
-def make_physics(dt: float = 0.02, environment: Environment = None) -> QuadrotorPhysics:
-    return QuadrotorPhysics(
-        airframe=IRIS_QUADCOPTER,
+def make_physics(dt: float = 0.02, environment: Environment = None) -> FleetPhysics:
+    return FleetPhysics(
+        airframes=[IRIS_QUADCOPTER],
         environment=environment if environment is not None else Environment(),
         dt=dt,
     )
+
+
+def step(physics: FleetPhysics, command: ActuatorCommand) -> VehicleState:
+    """Advance the single vehicle one step and return its new state."""
+    return physics.step_all([command])[0]
 
 
 class TestAirframeParameters:
@@ -61,13 +68,13 @@ class TestGroundBehaviour:
     def test_disarmed_vehicle_stays_put(self):
         physics = make_physics()
         for _ in range(100):
-            state = physics.step(ActuatorCommand(armed=False))
+            state = step(physics, ActuatorCommand(armed=False))
         assert state.position == pytest.approx((0.0, 0.0, 0.0), abs=1e-6)
 
     def test_low_throttle_does_not_lift_off(self):
         physics = make_physics()
         for _ in range(200):
-            state = physics.step(ActuatorCommand(throttle=0.2, armed=True))
+            state = step(physics, ActuatorCommand(throttle=0.2, armed=True))
         assert state.on_ground is True
 
 
@@ -75,7 +82,7 @@ class TestFlightDynamics:
     def test_full_throttle_climbs(self):
         physics = make_physics()
         for _ in range(200):
-            state = physics.step(ActuatorCommand(throttle=1.0, armed=True))
+            state = step(physics, ActuatorCommand(throttle=1.0, armed=True))
         assert state.altitude > 5.0
         assert state.climb_rate > 0.0
 
@@ -84,20 +91,21 @@ class TestFlightDynamics:
         # Climb first, then hold hover throttle: the climb rate must decay
         # toward zero (drag is the only vertical damping at hover).
         for _ in range(150):
-            physics.step(ActuatorCommand(throttle=0.9, armed=True))
+            step(physics, ActuatorCommand(throttle=0.9, armed=True))
         climb_rate_after_climb = physics.snapshot().climb_rate
         hover = IRIS_QUADCOPTER.hover_throttle
         for _ in range(400):
-            state = physics.step(ActuatorCommand(throttle=hover, armed=True))
+            state = step(physics, ActuatorCommand(throttle=hover, armed=True))
         assert abs(state.climb_rate) < climb_rate_after_climb * 0.3
         assert not state.on_ground
 
     def test_pitch_produces_forward_motion(self):
         physics = make_physics()
         for _ in range(100):
-            physics.step(ActuatorCommand(throttle=0.9, armed=True))
+            step(physics, ActuatorCommand(throttle=0.9, armed=True))
         for _ in range(200):
-            state = physics.step(
+            state = step(
+                physics,
                 ActuatorCommand(throttle=0.6, target_pitch=0.2, armed=True)
             )
         assert state.position[0] > 2.0
@@ -105,21 +113,22 @@ class TestFlightDynamics:
     def test_throttle_cut_causes_freefall_and_impact(self):
         physics = make_physics()
         for _ in range(300):
-            physics.step(ActuatorCommand(throttle=1.0, armed=True))
+            step(physics, ActuatorCommand(throttle=1.0, armed=True))
         assert physics.snapshot().altitude > 10.0
         for _ in range(600):
-            state = physics.step(ActuatorCommand(throttle=0.0, armed=True))
+            state = step(physics, ActuatorCommand(throttle=0.0, armed=True))
             if state.on_ground:
                 break
         assert state.on_ground is True
-        assert physics.last_impact_speed > 2.0
+        assert physics.last_impact_speed(0) > 2.0
 
     def test_drag_limits_terminal_speed(self):
         physics = make_physics()
         for _ in range(100):
-            physics.step(ActuatorCommand(throttle=0.9, armed=True))
+            step(physics, ActuatorCommand(throttle=0.9, armed=True))
         for _ in range(1500):
-            state = physics.step(
+            state = step(
+                physics,
                 ActuatorCommand(throttle=0.8, target_pitch=0.4, armed=True)
             )
         # Drag must bound the speed to something finite and plausible.
@@ -145,9 +154,10 @@ class TestWindEffects:
         windy = Environment(wind=Wind(north_ms=6.0))
         physics = make_physics(environment=windy)
         for _ in range(150):
-            physics.step(ActuatorCommand(throttle=0.9, armed=True))
+            step(physics, ActuatorCommand(throttle=0.9, armed=True))
         for _ in range(400):
-            state = physics.step(
+            state = step(
+                physics,
                 ActuatorCommand(throttle=IRIS_QUADCOPTER.hover_throttle, armed=True)
             )
         assert state.position[0] > 1.0
