@@ -22,7 +22,7 @@ import pytest
 from repro.core.avis import Avis
 from repro.core.config import RunConfiguration
 from repro.core.monitor import UnsafeConditionKind
-from repro.core.runner import TestRunner
+from repro.core.runner import SimulationHarness, TestRunner
 from repro.engine.cache import config_fingerprint, scenario_key
 from repro.firmware.ardupilot import ArduPilotFirmware
 from repro.hinj.faults import (
@@ -37,10 +37,10 @@ from repro.obs.runtime import Observability, observed
 from repro.sensors.base import SensorId, SensorType
 from repro.sim.environment import default_environment
 from repro.sim.fleet_physics import FleetPhysics
-from repro.sim.physics import HARD_IMPACT_SPEED, ActuatorCommand
+from repro.sim.physics import GRAVITY, HARD_IMPACT_SPEED, ActuatorCommand
 from repro.sim.planner import StepPlanner
 from repro.sim.simulator import SimulationClock, Simulator
-from repro.sim.vehicle import IRIS_QUADCOPTER
+from repro.sim.vehicle import IRIS_QUADCOPTER, SOLO_QUADCOPTER
 from repro.workloads.builtin import AutoWorkload
 from repro.workloads.fleet import ConvoyFollowWorkload
 from repro.workloads.framework import Target, WorkloadOutcome
@@ -185,6 +185,88 @@ class TestFleetPhysicsKernel:
         with pytest.raises(ValueError):
             fleet.step_all([ActuatorCommand()])
 
+    def test_empty_fleet_rejected(self):
+        with pytest.raises(ValueError):
+            FleetPhysics(airframes=[], environment=default_environment())
+
+    @pytest.mark.parametrize(
+        "airframes",
+        [
+            [IRIS_QUADCOPTER] * 2,
+            [IRIS_QUADCOPTER] * 3,
+            [IRIS_QUADCOPTER, SOLO_QUADCOPTER],
+        ],
+        ids=["iris2", "iris3", "mixed"],
+    )
+    def test_each_member_flies_as_a_fleet_of_one(self, airframes):
+        """Fleet members share only the clock and the wind: every member's
+        trajectory equals a fleet of one flying its tape from its pad."""
+        size = len(airframes)
+        fleet = FleetPhysics(
+            airframes=airframes, environment=default_environment(), dt=DT
+        )
+        singles = [
+            FleetPhysics(
+                airframes=[frame], environment=default_environment(), dt=DT
+            )
+            for frame in airframes
+        ]
+        for vehicle in range(1, size):
+            fleet.teleport(vehicle, (0.0, vehicle * 8.0, 0.0))
+            singles[vehicle].teleport(0, (0.0, vehicle * 8.0, 0.0))
+        for step in range(700):
+            commands = [scripted_command(step, phase_shift=17 * v) for v in range(size)]
+            states = fleet.step_all(commands)
+            for vehicle, single in enumerate(singles):
+                assert single.step_all([commands[vehicle]])[0] == states[vehicle]
+        for vehicle, single in enumerate(singles):
+            assert fleet.last_impact_speed(vehicle) == single.last_impact_speed(0)
+
+    def test_teleport_sets_ground_contact_from_terrain(self):
+        fleet = FleetPhysics(
+            airframes=[IRIS_QUADCOPTER] * 2, environment=default_environment()
+        )
+        assert fleet.fleet_size == 2
+        assert all(state.on_ground for state in fleet.snapshots())
+        fleet.teleport(1, (2.0, 3.0, 15.0), velocity=(0.5, 0.0, -1.0))
+        state = fleet.snapshot(1)
+        assert state.position == (2.0, 3.0, 15.0)
+        assert state.velocity == (0.5, 0.0, -1.0)
+        assert not state.on_ground
+        assert fleet.snapshot(0).on_ground
+        fleet.teleport(1, (2.0, 3.0, 0.0))
+        assert fleet.snapshot(1).on_ground
+
+    def test_disarmed_vehicle_levels_out_and_falls(self):
+        """Disarming cuts thrust, relaxes roll/pitch towards level and
+        freezes yaw; the vehicle falls under gravity and drag alone."""
+        fleet = FleetPhysics(
+            airframes=[IRIS_QUADCOPTER], environment=default_environment(), dt=DT
+        )
+        fleet.teleport(0, (0.0, 0.0, 50.0))
+        banked = ActuatorCommand(
+            throttle=0.6,
+            target_roll=0.3,
+            target_pitch=-0.2,
+            target_yaw_rate=0.5,
+            armed=True,
+        )
+        for _ in range(50):
+            state = fleet.step_all([banked])[0]
+        assert state.attitude.yaw != 0.0
+        for _ in range(30):
+            previous = state
+            state = fleet.step_all([ActuatorCommand()])[0]
+            assert not state.armed
+            assert abs(state.attitude.roll) < abs(previous.attitude.roll)
+            assert abs(state.attitude.pitch) < abs(previous.attitude.pitch)
+            assert state.attitude.yaw == previous.attitude.yaw
+            drag = IRIS_QUADCOPTER.drag_coefficient * previous.velocity[2]
+            assert state.acceleration[2] == pytest.approx(
+                -drag / IRIS_QUADCOPTER.mass_kg - GRAVITY
+            )
+        assert not state.on_ground
+
 
 class TestTouchdownRecords:
     def test_hard_impact_recorded_with_reference_speed_and_time(self):
@@ -213,6 +295,36 @@ class TestTouchdownRecords:
         # Resting on the ground is not a new touchdown.
         fleet.step_all([ActuatorCommand()])
         assert fleet.step_touchdown(0) is None
+
+    def _drop(self, height, velocity=(0.0, 0.0, 0.0)):
+        """Drop a disarmed vehicle; return the simulator and its touchdown."""
+        simulator = Simulator(dt=DT)
+        simulator.teleport_vehicle(0, (0.0, 0.0, height), velocity=velocity)
+        for _ in range(500):
+            simulator.step(ActuatorCommand())
+            touchdown = simulator.fleet.step_touchdown(0)
+            if touchdown is not None:
+                return simulator, touchdown
+        raise AssertionError("the dropped vehicle never touched down")
+
+    def test_soft_touchdown_is_not_a_collision(self):
+        simulator, touchdown = self._drop(0.1, velocity=(0.0, 0.0, -0.5))
+        assert 0.0 < touchdown.speed < HARD_IMPACT_SPEED
+        assert simulator.state.on_ground
+        assert not simulator.has_crashed
+
+    def test_hard_touchdown_becomes_a_ground_collision(self):
+        simulator, touchdown = self._drop(5.0)
+        assert touchdown.speed >= HARD_IMPACT_SPEED
+        [collision] = simulator.collisions
+        assert collision.with_ground
+        assert collision.vehicle == 0
+        # The event carries the physics timestamp of the contact step,
+        # the same value as that step's state snapshot.
+        assert collision.time == touchdown.time == simulator.state.time
+        assert collision.position == touchdown.position
+        assert collision.impact_speed == touchdown.speed
+        assert collision.impact_speed == simulator.fleet.last_impact_speed(0)
 
 
 class TestDtEdgeCases:
@@ -330,6 +442,29 @@ class TestSimulatorCore:
         assert not state.on_ground
         assert simulator.fleet.snapshot(1) == state
 
+    def test_step_is_step_fleet_of_one(self):
+        stepped = Simulator(dt=DT)
+        fleet_stepped = Simulator(dt=DT)
+        heard = []
+        stepped.add_step_listener(heard.append)
+        for step in range(700):
+            command = scripted_command(step)
+            state = stepped.step(command)
+            assert [state] == fleet_stepped.step_fleet([command])
+            assert heard[-1] is state
+        assert len(heard) == 700
+        assert stepped.collisions == fleet_stepped.collisions
+        assert stepped.min_separation_m is None
+
+    def test_fleet_shape_validated(self):
+        with pytest.raises(ValueError):
+            Simulator(fleet_size=0)
+        with pytest.raises(ValueError):
+            Simulator(fleet_size=2, airframes=[IRIS_QUADCOPTER])
+        simulator = Simulator(fleet_size=2)
+        with pytest.raises(ValueError):
+            simulator.step_fleet([ActuatorCommand()])
+
 
 class TestRunConfigurationStepper:
     def test_default_and_validation(self):
@@ -418,6 +553,30 @@ class TestHarnessBitIdentity:
         assert run_digest(convoy_config("adaptive"), DROPOUT) == (
             RUN_DIGESTS["adaptive convoy dropout"]
         )
+
+    def test_reference_windows_are_chunking_independent(self, monkeypatch):
+        """``step(count)`` on the reference stepper is ``count`` windows
+        of one micro-step: splitting every call into single steps
+        reproduces the recorded run."""
+        step = SimulationHarness.step
+
+        def single_steps(harness, count=1):
+            for _ in range(count):
+                step(harness, 1)
+
+        monkeypatch.setattr(SimulationHarness, "step", single_steps)
+        assert run_digest(auto_config("reference"), BURST) == (
+            RUN_DIGESTS["reference burst"]
+        )
+
+    @pytest.mark.parametrize("stepper", ["reference", "adaptive"])
+    def test_step_advances_exactly_count_ticks(self, stepper):
+        harness = SimulationHarness(auto_config(stepper))
+        harness.step(0)
+        assert harness.simulator.clock.ticks == 0
+        for count, total in ((7, 7), (1, 8), (23, 31)):
+            harness.step(count)
+            assert harness.simulator.clock.ticks == total
 
 
 class TestAdaptiveRun:
