@@ -3,8 +3,9 @@
 
 Three stages, each building on the previous one:
 
-1. run one random-injection campaign serially, then again through a
-   4-worker process pool, and show the results are identical;
+1. run one random-injection campaign serially (backend ``"serial"``),
+   then again through a 4-worker process pool (``"pool:4"``), and show
+   the results are identical;
 2. re-run the campaign against the orchestrator's result cache and show
    the repeat costs (almost) no simulation time;
 3. shard a small (strategy x budget) campaign grid across workers --
@@ -22,7 +23,6 @@ import time
 
 from repro import Avis, RunConfiguration
 from repro.core.strategies import AvisStrategy, RandomInjection, StratifiedBFI
-from repro.engine import ProcessPoolBackend, SerialBackend
 from repro.engine.grid import CampaignGrid, GridCell
 from repro.firmware.ardupilot import ArduPilotFirmware
 from repro.workloads.builtin import AutoWorkload
@@ -36,7 +36,7 @@ def make_config() -> RunConfiguration:
     )
 
 
-def timed_campaign(backend, label: str):
+def timed_campaign(backend: str, label: str):
     avis = Avis(make_config(), profiling_runs=2, budget_units=12, backend=backend)
     avis.profile()
     started = time.perf_counter()
@@ -48,8 +48,8 @@ def timed_campaign(backend, label: str):
 
 def main() -> None:
     print("1. Serial vs. 4-worker process pool (identical results):")
-    _, serial_campaign = timed_campaign(SerialBackend(), "serial")
-    avis, pooled_campaign = timed_campaign(ProcessPoolBackend(max_workers=4), "4 workers")
+    _, serial_campaign = timed_campaign("serial", "serial")
+    avis, pooled_campaign = timed_campaign("pool:4", "4 workers")
     assert pooled_campaign.unsafe_scenario_count == serial_campaign.unsafe_scenario_count
     assert [r.scenario for r in pooled_campaign.results] == [
         r.scenario for r in serial_campaign.results
@@ -84,7 +84,7 @@ def main() -> None:
 
     print("\n4. Batched SABRE: the headline strategy, dequeue-parallel:")
 
-    def sabre_campaign(backend, label):
+    def sabre_campaign(backend: str, label: str):
         avis = Avis(make_config(), profiling_runs=2, budget_units=10, backend=backend)
         avis.profile()
         started = time.perf_counter()
@@ -95,8 +95,8 @@ def main() -> None:
               f"{stats['proposed']} scenarios in {stats['rounds']} rounds]")
         return campaign
 
-    serial_sabre = sabre_campaign(SerialBackend(), "serial")
-    pooled_sabre = sabre_campaign(ProcessPoolBackend(max_workers=4), "4 workers")
+    serial_sabre = sabre_campaign("serial", "serial")
+    pooled_sabre = sabre_campaign("pool:4", "4 workers")
     assert [r.scenario for r in pooled_sabre.results] == [
         r.scenario for r in serial_sabre.results
     ]

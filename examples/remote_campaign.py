@@ -6,8 +6,9 @@ Four stages, each building on the previous one:
 1. describe a campaign as a :class:`repro.CampaignRequest` and run it
    in-process through :class:`repro.CampaignClient` -- the declarative
    twin of the ``python -m repro.engine`` flags;
-2. run the same request over the remote execution backend (a loopback
-   fleet of forked TCP workers) and show the records are bit-identical;
+2. start two ``python -m repro.engine worker`` processes for the same
+   cell, run the request over the remote execution backend against
+   them, and show the records are bit-identical;
 3. share one content-addressed result cache between two campaigns
    through a :class:`CacheServer` -- the second campaign runs warm;
 4. start a campaign service daemon, submit two jobs from two clients,
@@ -18,6 +19,9 @@ Run with:  python examples/remote_campaign.py
 
 from __future__ import annotations
 
+import re
+import subprocess
+import sys
 import tempfile
 import threading
 
@@ -28,6 +32,20 @@ from repro.engine.cache_remote import CacheServer, RemoteCacheStore
 from repro.engine.service import CampaignService
 from repro.firmware.ardupilot import ArduPilotFirmware
 from repro.workloads.builtin import AutoWorkload
+
+
+def start_worker(*flags: str):
+    """Start one CLI worker on an ephemeral port; returns the process
+    and the ``host:port`` it announces once profiling is done."""
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro.engine", "worker", "--port", "0", *flags],
+        stdout=subprocess.PIPE, text=True,
+    )
+    for line in process.stdout:
+        match = re.search(r"worker serving \S+ on (\S+) ", line)
+        if match:
+            return process, match.group(1)
+    raise RuntimeError("worker exited before serving")
 
 
 def main() -> None:
@@ -41,12 +59,22 @@ def main() -> None:
         print(f"  {record['cell']}: {record['simulations']} simulations, "
               f"{record['unsafe_scenarios']} unsafe")
 
-    print("\n2. The same request on the remote backend (loopback fleet):")
-    remote_request = CampaignRequest(
-        strategies=("random",), budgets=(8.0,), workers=1,
-        backend="remote:2",  # self-spawned fleet of 2 forked TCP workers
-    )
-    remote_records = CampaignClient().run(remote_request)
+    print("\n2. The same request on two CLI-started remote workers:")
+    # Workers take the request's matrix flags, so they serve its one cell.
+    workers = [start_worker("--strategy", "random", "--budget", "8")
+               for _ in range(2)]
+    try:
+        addresses = ",".join(address for _, address in workers)
+        print(f"  workers on {addresses}")
+        remote_request = CampaignRequest(
+            strategies=("random",), budgets=(8.0,), workers=1,
+            backend=f"remote:{addresses}",
+        )
+        remote_records = CampaignClient().run(remote_request)
+    finally:
+        for process, _ in workers:
+            process.kill()
+            process.wait()
     same = all(
         (a["simulations"], a["unsafe_scenarios"], a["triggered_bugs"])
         == (b["simulations"], b["unsafe_scenarios"], b["triggered_bugs"])

@@ -17,14 +17,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Union
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.core.config import RunConfiguration
 from repro.core.monitor import InvariantMonitor, UnsafeCondition, mode_category_of
 from repro.core.runner import RunResult, TestRunner
 from repro.core.session import BudgetAccount, ExplorationSession
 from repro.core.strategies import AvisStrategy, SearchStrategy
-from repro.engine.backends import ExecutionBackend
+from repro.engine.backends import parse_backend_spec
 from repro.engine.cache import ResultCache
 from repro.engine.campaign import DEFAULT_BATCH_SIZE, CampaignEngine
 from repro.hinj.faults import default_traffic_failures, validate_burst_durations
@@ -115,7 +115,7 @@ class Avis:
         budget_units: float = 60.0,
         simulation_cost: float = 1.0,
         labelling_cost: float = 0.15,
-        backend: Union[str, ExecutionBackend, None] = None,
+        backend: str = "serial",
         cache: Optional[ResultCache] = None,
         batch_size=DEFAULT_BATCH_SIZE,
         traffic_faults: bool = False,
@@ -145,8 +145,15 @@ class Avis:
         # strategies over the same fault space, so overlapping scenarios
         # are only ever simulated once.
         self._cache = cache if cache is not None else ResultCache()
+        if not isinstance(backend, str):
+            raise TypeError(
+                "backend must be a spec string such as 'serial', 'pool:4' or "
+                f"'remote:host:port', got {type(backend).__name__}"
+            )
         self._engine = CampaignEngine(
-            backend=backend, cache=self._cache, batch_size=batch_size
+            backend=parse_backend_spec(backend),
+            cache=self._cache,
+            batch_size=batch_size,
         )
         self._profiles: Optional[List[RunResult]] = None
         self._monitor: Optional[InvariantMonitor] = None

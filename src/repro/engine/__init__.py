@@ -4,9 +4,10 @@ The engine is the execution layer under :class:`repro.core.avis.Avis`:
 
 * :mod:`repro.engine.backends` -- where batches of simulations run
   (:class:`SerialBackend` in-process, :class:`ProcessPoolBackend` across
-  a forked worker pool, :class:`RemoteBackend` across TCP worker
-  processes -- all bit-identical; pick one with a backend spec string
-  like ``"pool:8"`` or ``"remote:host:port"``).
+  a forked worker pool, :class:`RemoteBackend` across TCP workers
+  started with ``python -m repro.engine worker`` -- all bit-identical;
+  ``Avis`` takes one as a spec string: ``"serial"``, ``"pool:8"`` or
+  ``"remote:host:port[,...]"``).
 * :mod:`repro.engine.cache` -- the content-addressed
   :class:`ResultCache`, keyed on ``(firmware, workload, scenario,
   noise seed, params)``, so repeated campaigns skip already-simulated
@@ -34,7 +35,6 @@ from repro.engine.backends import (
     RemoteBackend,
     SerialBackend,
     parse_backend_spec,
-    resolve_backend,
 )
 from repro.engine.cache import (
     CacheStore,
@@ -71,7 +71,6 @@ __all__ = [
     "config_fingerprint",
     "load_completed_cells",
     "parse_backend_spec",
-    "resolve_backend",
     "run_campaign",
     "scenario_key",
     "summarize_campaign",

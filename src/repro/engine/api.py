@@ -43,6 +43,7 @@ from repro.core.strategies import (
     RandomInjection,
     StratifiedBFI,
 )
+from repro.engine.backends import parse_backend_spec
 from repro.engine.grid import (
     CampaignGrid,
     GridCell,
@@ -185,7 +186,7 @@ class CampaignRequest:
     altitude: float = 15.0
     box_side: float = 15.0
     #: Execution backend spec for every cell's campaign engine:
-    #: ``"serial"``, ``"pool[:N]"`` or ``"remote:..."`` (see
+    #: ``"serial"``, ``"pool[:N]"`` or ``"remote:host:port[,...]"`` (see
     #: :data:`repro.engine.backends.BACKEND_SPEC_HELP`).
     backend: str = "serial"
     #: Shared result cache: a directory path, or ``"remote:host:port"``
@@ -327,6 +328,17 @@ def build_cells(request: CampaignRequest) -> List[GridCell]:
             f"unknown stepper '{request.stepper}' "
             f"(choose from {', '.join(STEPPERS)})"
         )
+    # Fabric specs never enter a cell fingerprint, but a bad one must
+    # fail here -- not at a queued job's first cell.
+    try:
+        parse_backend_spec(request.backend)
+    except ValueError as error:
+        raise ValueError(f"--backend: {error}") from None
+    if request.cache is not None and request.cache.startswith("remote:"):
+        try:
+            parse_address(request.cache[len("remote:") :])
+        except ValueError as error:
+            raise ValueError(f"--cache: {error}") from None
     for firmware_name in request.firmwares:
         if firmware_name not in FIRMWARES:
             raise ValueError(

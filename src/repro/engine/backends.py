@@ -21,18 +21,18 @@ Three backends ship with the engine:
   inherit the parent's context and only the scenarios and results cross
   the process boundary.  On platforms without ``fork`` the backend
   degrades to serial execution instead of failing.
-* :class:`RemoteBackend` -- ships tasks to worker processes over TCP
-  (length-prefixed JSON frames, see :mod:`repro.engine.remote`), either
-  self-spawned loopback fork-workers or externally started endpoints.
+* :class:`RemoteBackend` -- ships tasks over TCP (length-prefixed JSON
+  frames, see :mod:`repro.engine.remote`) to worker processes started
+  with ``python -m repro.engine worker``, typically on other hosts.
   Worker loss mid-round requeues the lost tasks on the surviving
   workers, and results are reordered by submission index -- so a remote
   campaign is bit-identical to a serial one.
 
-Backend selection is spec-string-first: :func:`parse_backend_spec` turns
-``"serial"``, ``"pool:8"``, ``"remote:2"`` or ``"remote:host:port"``
-into a backend, and :func:`resolve_backend` is the single shim through
-which :class:`~repro.core.avis.Avis`, the campaign engine and the CLI
-accept either a spec or a (deprecated) ready-made instance.
+Backends are named by spec strings: :func:`parse_backend_spec` turns
+``"serial"``, ``"pool"``, ``"pool:8"`` or ``"remote:host:port[,...]"``
+into a backend.  :class:`~repro.core.avis.Avis` is the one place a
+campaign's spec becomes a backend; cell expansion
+(:func:`repro.engine.api.build_cells`) only validates it.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ import os
 import queue
 import threading
 import time
-import warnings
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.config import RunConfiguration
@@ -279,18 +278,12 @@ class ProcessPoolBackend(ExecutionBackend):
 class RemoteBackend(ExecutionBackend):
     """Fan a batch out to worker processes over TCP sockets.
 
-    Two deployment shapes share one wire protocol
-    (:mod:`repro.engine.remote`):
-
-    * ``RemoteBackend(workers=N)`` forks N loopback worker processes on
-      first use; the workers inherit the ``(config, monitor)`` context
-      (compared by identity, exactly like the pool backend) and are
-      respawned when the context changes.
-    * ``RemoteBackend(addresses=[(host, port), ...])`` connects to
-      externally started workers (``python -m repro.engine worker``).
-      Each connection is handshaken against the campaign's context
-      fingerprint; a worker serving a different context is rejected up
-      front rather than contributing wrong results.
+    ``RemoteBackend(addresses=[(host, port), ...])`` connects to workers
+    started with ``python -m repro.engine worker`` (see
+    :mod:`repro.engine.remote` for the wire protocol).  Each connection
+    is handshaken against the campaign's context fingerprint; a worker
+    serving a different context is rejected up front rather than
+    contributing wrong results.
 
     Scheduling: one controller thread per worker connection pulls
     ``(index, scenario)`` tasks off a shared queue and blocks on the
@@ -307,69 +300,23 @@ class RemoteBackend(ExecutionBackend):
 
     def __init__(
         self,
-        addresses: Optional[Sequence[Tuple[str, int]]] = None,
-        workers: Optional[int] = None,
+        addresses: Sequence[Tuple[str, int]],
         connect_timeout: float = 10.0,
         task_timeout: Optional[float] = 600.0,
         retries: int = 3,
     ) -> None:
-        if addresses is not None and workers is not None:
-            raise ValueError("pass either addresses or workers, not both")
-        if addresses is None and workers is None:
-            workers = max(1, min(4, os.cpu_count() or 1))
-        if workers is not None and workers < 1:
-            raise ValueError("workers must be at least 1")
-        self._addresses = [tuple(address) for address in addresses or []]
-        self._worker_count = workers
+        self._addresses = [tuple(address) for address in addresses]
         self._connect_timeout = connect_timeout
         self._task_timeout = task_timeout
         self._retries = max(1, retries)
         self._serial_fallback = SerialBackend()
-        # Loopback fleet state, keyed (by identity) to the run context
-        # the workers inherited at fork -- a new context respawns them.
-        self._loopback: List[object] = []
-        self._loopback_context: Optional[Tuple[RunConfiguration, object]] = None
         #: Tasks whose worker was lost and which ran elsewhere (stats).
         self.requeued = 0
 
     @property
     def max_workers(self) -> int:
         """Worker endpoints this backend fans out to."""
-        if self._worker_count is not None:
-            return self._worker_count
-        return max(1, len(self._addresses))
-
-    @property
-    def loopback_workers(self) -> List[object]:
-        """Live loopback worker handles (worker-loss tests kill these)."""
-        return list(self._loopback)
-
-    def _close_loopback(self) -> None:
-        for worker in self._loopback:
-            worker.close()
-        self._loopback = []
-        self._loopback_context = None
-
-    def _worker_addresses(self, config, monitor) -> List[Tuple[str, int]]:
-        """The endpoints to connect to, spawning loopback workers if
-        this backend owns its fleet."""
-        from repro.engine import remote
-
-        if self._worker_count is None:
-            return list(self._addresses)
-        context = (config, monitor)
-        if self._loopback and self._loopback_context is not None:
-            held_config, held_monitor = self._loopback_context
-            if held_config is config and held_monitor is monitor:
-                alive = [worker for worker in self._loopback if worker.alive]
-                if alive:
-                    return [worker.address for worker in alive]
-            self._close_loopback()
-        self._loopback = remote.spawn_loopback_workers(
-            config, monitor, self._worker_count
-        )
-        self._loopback_context = context
-        return [worker.address for worker in self._loopback]
+        return len(self._addresses)
 
     def run_scenarios(
         self,
@@ -382,34 +329,21 @@ class RemoteBackend(ExecutionBackend):
 
         if not scenarios:
             return []
-        if self._worker_count is not None and (
-            not _fork_available() or multiprocessing.current_process().daemon
-        ):
-            # A self-spawned fleet needs fork and a non-daemonic parent
-            # (grid shards are daemonic); degrade like the pool does.
-            return self._serial_fallback.run_scenarios(
-                config, monitor, scenarios, on_result
-            )
 
         fingerprint = remote.context_fingerprint(config, monitor)
-        addresses = self._worker_addresses(config, monitor)
         connections, failures = remote.connect_workers(
-            addresses,
+            self._addresses,
             fingerprint,
             connect_timeout=self._connect_timeout,
             task_timeout=self._task_timeout,
             retries=self._retries,
         )
-        if failures and not connections:
-            if self._addresses:
-                reasons = "; ".join(
-                    f"{remote.format_address(address)}: {reason}"
-                    for address, reason in failures
-                )
-                raise ConnectionError(f"no remote worker reachable ({reasons})")
-            return self._serial_fallback.run_scenarios(
-                config, monitor, scenarios, on_result
+        if not connections:
+            reasons = "; ".join(
+                f"{remote.format_address(address)}: {reason}"
+                for address, reason in failures
             )
+            raise ConnectionError(f"no remote worker reachable ({reasons})")
 
         obs = obs_runtime.current()
         tasks: "queue.Queue[Tuple[int, FaultScenario]]" = queue.Queue()
@@ -505,36 +439,25 @@ class RemoteBackend(ExecutionBackend):
         assert all(result is not None for result in slots)
         return slots  # type: ignore[return-value]
 
-    def close(self) -> None:
-        """Shut down self-spawned loopback workers (if any)."""
-        self._close_loopback()
-
-    def __del__(self):  # pragma: no cover - best-effort cleanup
-        try:
-            self.close()
-        except Exception:
-            pass
-
 
 # ----------------------------------------------------------------------
 # Backend specs
 # ----------------------------------------------------------------------
 #: The spec grammar, documented once for every error message.
 BACKEND_SPEC_HELP = (
-    "'serial', 'pool', 'pool:<workers>', 'remote:<workers>' "
-    "(self-spawned loopback fleet) or 'remote:host:port[,host:port...]' "
-    "(externally started workers)"
+    "'serial', 'pool', 'pool:<workers>' or "
+    "'remote:host:port[,host:port...]' (workers started with "
+    "'python -m repro.engine worker')"
 )
 
 
 def parse_backend_spec(spec: str) -> ExecutionBackend:
     """Build an execution backend from its string spec.
 
-    The spec grammar is the one surface shared by ``Avis(backend=...)``,
-    :class:`~repro.engine.campaign.CampaignEngine` and the CLI
-    ``--backend`` flag: ``"serial"``, ``"pool"``/``"pool:8"``,
-    ``"remote:2"`` (two self-spawned loopback workers) or
-    ``"remote:host:port[,host2:port2...]"`` (external workers).
+    The grammar is ``serial | pool | pool:N | remote:host:port[,...]``,
+    shared by ``Avis(backend=...)``, grid cells, campaign requests and
+    the CLI ``--backend`` flag.  Local parallelism is ``pool:N``; the
+    remote form names externally started workers.
     """
     from repro.engine import remote
 
@@ -554,19 +477,14 @@ def parse_backend_spec(spec: str) -> ExecutionBackend:
         if workers < 1:
             raise ValueError(f"invalid pool spec '{spec}': workers must be >= 1")
         return ProcessPoolBackend(max_workers=workers)
-    if text == "remote":
-        return RemoteBackend()
-    if text.startswith("remote:"):
-        argument = text[len("remote:") :]
-        if not argument:
-            raise ValueError(f"invalid remote spec '{spec}': {BACKEND_SPEC_HELP}")
-        if argument.isdigit():
-            workers = int(argument)
-            if workers < 1:
-                raise ValueError(
-                    f"invalid remote spec '{spec}': workers must be >= 1"
-                )
-            return RemoteBackend(workers=workers)
+    argument = text[len("remote:") :] if text.startswith("remote:") else None
+    if text == "remote" or (argument is not None and argument.isdigit()):
+        raise ValueError(
+            f"invalid remote spec '{spec}': remote specs name worker "
+            "addresses (remote:host:port[,host:port...]); for local "
+            "workers use pool:N"
+        )
+    if argument is not None:
         try:
             addresses = [
                 remote.parse_address(part)
@@ -577,32 +495,5 @@ def parse_backend_spec(spec: str) -> ExecutionBackend:
             raise ValueError(f"invalid remote spec '{spec}': {error}") from None
         if not addresses:
             raise ValueError(f"invalid remote spec '{spec}': {BACKEND_SPEC_HELP}")
-        return RemoteBackend(addresses=addresses)
+        return RemoteBackend(addresses)
     raise ValueError(f"unknown backend spec '{spec}': {BACKEND_SPEC_HELP}")
-
-
-def resolve_backend(backend) -> Optional[ExecutionBackend]:
-    """Normalise a backend argument: None, a spec string, or an instance.
-
-    Spec strings are the supported surface; passing a ready-made
-    :class:`ExecutionBackend` instance still works but is deprecated
-    (announced for removal in a future release -- see the README's
-    deprecation timeline) because instances cannot cross the submission
-    API's process and wire boundaries.
-    """
-    if backend is None:
-        return None
-    if isinstance(backend, str):
-        return parse_backend_spec(backend)
-    if isinstance(backend, ExecutionBackend):
-        warnings.warn(
-            "passing an ExecutionBackend instance is deprecated; pass a "
-            f"backend spec string instead ({BACKEND_SPEC_HELP})",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return backend
-    raise TypeError(
-        f"backend must be None, a spec string or an ExecutionBackend, "
-        f"got {type(backend).__name__}"
-    )

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.engine.backends import ExecutionBackend, SerialBackend, resolve_backend
+from repro.engine.backends import ExecutionBackend, SerialBackend
 from repro.engine.cache import (
     ResultCache,
     adapt_cached_result,
@@ -63,15 +63,11 @@ class CampaignEngine:
 
     def __init__(
         self,
-        backend=None,
+        backend: Optional[ExecutionBackend] = None,
         cache: Optional[ResultCache] = None,
         batch_size=DEFAULT_BATCH_SIZE,
     ) -> None:
-        # Backend specs ("serial", "pool:8", "remote:host:port") are the
-        # supported spelling; instances still work behind a deprecation
-        # warning.  This is the single resolution point -- Avis and the
-        # grid pass their backend argument through untouched.
-        backend = resolve_backend(backend)
+        # A ready backend: Avis parses the campaign's spec string.
         self._backend = backend if backend is not None else SerialBackend()
         self._cache = cache
         self._auto_batch = batch_size == "auto"

@@ -70,7 +70,7 @@ from repro.engine.api import (  # noqa: F401  (re-exports)
     parse_vehicle_spec,
 )
 from repro.engine.api import build_cells as _expand_request
-from repro.engine.backends import BACKEND_SPEC_HELP, parse_backend_spec
+from repro.engine.backends import BACKEND_SPEC_HELP
 from repro.engine.grid import (
     CampaignGrid,
     GridCell,
@@ -319,10 +319,6 @@ def _grid_main(argv: Optional[Sequence[str]]) -> int:
             parser.error(f"{flag}: directory does not exist: {directory}")
         if not os.access(directory, os.W_OK):
             parser.error(f"{flag}: directory is not writable: {directory}")
-    try:
-        parse_backend_spec(args.backend)
-    except ValueError as error:
-        parser.error(f"--backend: {error}")
     stream_path = args.stream
     completed = {}
     if args.resume:
@@ -612,7 +608,7 @@ def _worker_main(argv: Sequence[str]) -> int:
         )
     cell = cells[0]
     from repro.core.avis import Avis
-    from repro.engine.remote import WorkerServer
+    from repro.engine.remote import WorkerServer, context_label
 
     print(f"profiling {cell.cell_id} ...", file=sys.stderr, flush=True)
     avis = Avis(
@@ -626,7 +622,7 @@ def _worker_main(argv: Sequence[str]) -> int:
     print(
         f"worker serving {cell.cell_id} on "
         f"{server.address[0]}:{server.address[1]} "
-        f"(context {server.fingerprint[:16]})",
+        f"(context {context_label(server.fingerprint)})",
         flush=True,
     )
     try:

@@ -1,4 +1,4 @@
-"""The remote execution wire layer: frames, workers, loopback fleets.
+"""The remote execution wire layer: frames, handshakes, workers.
 
 The distributed campaign fabric ships ``(context fingerprint,
 serialized scenario)`` tasks from a campaign's controller to worker
@@ -23,25 +23,22 @@ This module owns everything below
   version stamps use.
 * **Worker server** -- :class:`WorkerServer` runs simulations for one
   ``(config, monitor)`` context, one controller connection at a time
-  (parallelism comes from running several workers).  Because a run's
-  outcome is a pure function of ``(config, scenario)``, a worker is
-  interchangeable with in-process execution -- which is what makes the
-  remote backend bit-identical to the serial one.
-* **Loopback fleets** -- :func:`spawn_loopback_workers` forks worker
-  processes on ephemeral loopback ports.  Fork (not spawn) matters for
-  the same reason it does for the pool backend: configurations carry
-  lambda workload factories that cannot be pickled, so workers inherit
-  the context and only frames cross the process boundary.  External
-  workers (other hosts, ``python -m repro.engine worker``) rebuild the
-  context from a declarative :class:`~repro.engine.api.CampaignRequest`
-  and profile themselves deterministically instead.
+  (parallelism comes from running several workers).  Workers are
+  started with ``python -m repro.engine worker``: each rebuilds its
+  grid cell from the same matrix flags as the controller and profiles
+  itself deterministically, so its fingerprint matches.  Because a
+  run's outcome is a pure function of ``(config, scenario)``, a worker
+  is interchangeable with in-process execution -- which is what makes
+  the remote backend bit-identical to the serial one.  Local
+  parallelism on one host is the process-pool backend's job
+  (``pool:N``).
 """
 
 from __future__ import annotations
 
 import base64
+import hashlib
 import json
-import multiprocessing
 import pickle
 import socket
 import struct
@@ -129,6 +126,16 @@ def context_fingerprint(config: RunConfiguration, monitor) -> str:
     return config_fingerprint(config, workload_term)
 
 
+def context_label(fingerprint: str) -> str:
+    """A short, log-friendly digest of a context fingerprint.
+
+    Fingerprints are readable renderings that share long prefixes
+    (``firmware=ardupilot...``), so a prefix would not tell two workers
+    apart; a sha256 digest does.
+    """
+    return hashlib.sha256(fingerprint.encode("utf-8")).hexdigest()[:16]
+
+
 def parse_address(text: str) -> Tuple[str, int]:
     """Parse one ``host:port`` endpoint (IPv4/hostname only)."""
     host, separator, port_text = text.rpartition(":")
@@ -157,9 +164,8 @@ class WorkerServer:
     One controller connection is served at a time: the backend opens a
     persistent connection per worker and pipelines tasks over it, so a
     worker process is busy exactly when its controller keeps it busy.
-    ``serve_forever`` returns when a controller sends ``shutdown`` (or
-    ``max_connections`` controllers have come and gone), which is how
-    loopback fleets wind down without signals.
+    ``serve_forever`` returns when a controller sends ``shutdown`` or
+    the listener is closed.
     """
 
     def __init__(
@@ -301,85 +307,6 @@ class WorkerServer:
             "index": index,
             "result": encode_payload(result),
         }
-
-
-def _serve_in_child(config, monitor, host, port_pipe) -> None:
-    """Fork target: bind, report the ephemeral port, serve until shutdown."""
-    server = WorkerServer(config, monitor, host=host, port=0)
-    try:
-        port_pipe.send(server.address[1])
-        port_pipe.close()
-        server.serve_forever()
-    finally:
-        server.close()
-
-
-class LoopbackWorker:
-    """One forked worker process serving a loopback TCP endpoint."""
-
-    def __init__(self, process, address: Tuple[str, int]) -> None:
-        self.process = process
-        self.address = address
-
-    @property
-    def alive(self) -> bool:
-        return self.process.is_alive()
-
-    def kill(self) -> None:
-        """Hard-kill the worker (the worker-loss tests use this)."""
-        if self.process.is_alive():
-            self.process.kill()
-        self.process.join(timeout=5.0)
-
-    def close(self) -> None:
-        if self.process.is_alive():
-            self.process.terminate()
-        self.process.join(timeout=5.0)
-        if self.process.is_alive():  # pragma: no cover - stuck worker
-            self.process.kill()
-            self.process.join(timeout=5.0)
-
-
-def fork_available() -> bool:
-    return "fork" in multiprocessing.get_all_start_methods()
-
-
-def spawn_loopback_workers(
-    config: RunConfiguration, monitor, count: int, host: str = "127.0.0.1"
-) -> List[LoopbackWorker]:
-    """Fork ``count`` worker processes serving ephemeral loopback ports.
-
-    The children inherit ``(config, monitor)`` at fork time (lambda
-    workload factories never cross a pickle boundary) and report their
-    bound port back over a pipe before entering the serve loop, so the
-    returned handles are immediately connectable.
-    """
-    if count < 1:
-        raise ValueError("need at least one worker")
-    if not fork_available():
-        raise RuntimeError("loopback workers need the fork start method")
-    context = multiprocessing.get_context("fork")
-    workers: List[LoopbackWorker] = []
-    try:
-        for _ in range(count):
-            receiver, sender = context.Pipe(duplex=False)
-            process = context.Process(
-                target=_serve_in_child,
-                args=(config, monitor, host, sender),
-                daemon=True,
-            )
-            process.start()
-            sender.close()
-            if not receiver.poll(timeout=30.0):
-                raise RuntimeError("loopback worker did not report its port")
-            port = receiver.recv()
-            receiver.close()
-            workers.append(LoopbackWorker(process, (host, port)))
-    except Exception:
-        for worker in workers:
-            worker.close()
-        raise
-    return workers
 
 
 # ----------------------------------------------------------------------

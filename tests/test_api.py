@@ -137,6 +137,9 @@ class TestCampaignRequest:
         dict(strategies=("random",), per_dequeue=4),
         dict(strategies=("random",), separation_aware=True),
         dict(stepper="rk4"),
+        dict(backend="turbo"),
+        dict(backend="remote:2"),  # local fleets are pool:N
+        dict(cache="remote:nohost"),
     ])
     def test_invalid_matrices_are_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -161,16 +164,15 @@ class TestPublicSurface:
         with pytest.raises(AttributeError):
             repro.NoSuchExport
 
-    def test_backend_instance_shim_warns_spec_does_not(self):
-        from repro.engine.backends import SerialBackend
+    def test_engine_takes_ready_backends_without_warnings(self):
+        from repro.engine.backends import ProcessPoolBackend, SerialBackend
         from repro.engine.campaign import CampaignEngine
 
-        with pytest.warns(DeprecationWarning, match="backend spec string"):
-            CampaignEngine(backend=SerialBackend())
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            CampaignEngine(backend="serial")
-            CampaignEngine()
+            backend = ProcessPoolBackend(max_workers=2)
+            assert CampaignEngine(backend=backend).backend is backend
+            assert isinstance(CampaignEngine().backend, SerialBackend)
 
 
 class TestInProcessClient:

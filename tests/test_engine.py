@@ -1,6 +1,7 @@
 """Tests for the parallel campaign engine (backends, cache, grid)."""
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from repro.core.strategies import (
     StratifiedBFI,
 )
 from repro.core.strategies.avis_strategy import AvisStrategy
+from repro.engine.backends import SerialBackend, parse_backend_spec
 from repro.engine.cache import ResultCache, config_fingerprint, scenario_key
 from repro.engine.grid import CampaignGrid, GridCell
 from repro.hinj.faults import FaultScenario, FaultSpec
@@ -359,6 +361,34 @@ class TestBackendDeterminism:
         ]
         assert [len(r.unsafe_conditions) for r in pooled.results] == [
             len(r.unsafe_conditions) for r in serial.results
+        ]
+
+    def test_daemonic_pool_degrades_to_serial(self, monkeypatch,
+                                              short_auto_config):
+        class FakeDaemon:
+            daemon = True
+
+        def no_fork(*args, **kwargs):
+            raise AssertionError("a daemonic pool must not spawn children")
+
+        scenarios = [
+            FaultScenario([FaultSpec(SensorId(SensorType.GPS, 0), start)])
+            for start in (2.0, 3.5)
+        ]
+        expected = SerialBackend().run_scenarios(
+            short_auto_config, None, scenarios
+        )
+        # Grid shards are daemonic pool workers, which cannot fork.
+        monkeypatch.setattr(multiprocessing, "current_process", FakeDaemon)
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        results = parse_backend_spec("pool:2").run_scenarios(
+            short_auto_config, None, scenarios
+        )
+        assert [r.scenario for r in results] == [
+            r.scenario for r in expected
+        ]
+        assert [r.summary() for r in results] == [
+            r.summary() for r in expected
         ]
 
     def test_cache_replays_identical_campaign(self, short_auto_config):

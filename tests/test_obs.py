@@ -309,7 +309,7 @@ def _campaign_digest(campaign):
     )
 
 
-def _run_campaign(config, strategy_factory, budget, backend=None):
+def _run_campaign(config, strategy_factory, budget, backend="serial"):
     avis = Avis(config, profiling_runs=1, budget_units=budget, backend=backend)
     try:
         return avis.check(strategy=strategy_factory())

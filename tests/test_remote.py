@@ -1,20 +1,30 @@
-"""Tests for the remote execution backend and the shared cache fabric."""
+"""Tests for the remote execution backend and the shared cache fabric.
 
+Remote workers are real ``python -m repro.engine worker`` subprocesses,
+the only supported remote deployment: each is started with the matrix
+flags of one grid cell and announces its endpoint on stdout.
+"""
+
+import os
+import re
 import socket
+import subprocess
+import sys
+import threading
 import warnings
 
 import pytest
 
+import repro
 from repro.core.avis import Avis
 from repro.core.strategies import RandomInjection
 from repro.core.strategies.avis_strategy import AvisStrategy
-from repro.engine import backends as backends_module
+from repro.engine.api import CampaignRequest, build_cells
 from repro.engine.backends import (
     ProcessPoolBackend,
     RemoteBackend,
     SerialBackend,
     parse_backend_spec,
-    resolve_backend,
 )
 from repro.engine.cache import CacheStore, ResultCache
 from repro.engine.cache_remote import CacheServer, RemoteCacheStore
@@ -23,16 +33,29 @@ from repro.engine.remote import (
     ProtocolError,
     connect_workers,
     context_fingerprint,
+    context_label,
     decode_payload,
     encode_payload,
     format_address,
     parse_address,
     recv_frame,
     send_frame,
-    spawn_loopback_workers,
 )
 from repro.hinj.faults import FaultScenario, FaultSpec
 from repro.sensors.base import SensorId, SensorType
+
+#: Matrix flags of the one cell every test worker serves (a short AUTO
+#: mission), and the same cell as a request for the controller side.
+WORKER_FLAGS = ("--workload", "auto", "--altitude", "8",
+                "--strategy", "random", "--budget", "4")
+WORKER_REQUEST = CampaignRequest(
+    workloads=("auto",), altitude=8.0, strategies=("random",), budgets=(4.0,)
+)
+
+_SERVING = re.compile(r"worker serving (\S+) on (\S+):(\d+) \(context ([^)]*)\)")
+
+#: Seconds a worker may take to profile and bind before it is killed.
+STARTUP_TIMEOUT_S = 120.0
 
 
 def _scenarios(count, start=2.0, step=1.5):
@@ -40,6 +63,101 @@ def _scenarios(count, start=2.0, step=1.5):
         FaultScenario([FaultSpec(SensorId(SensorType.GPS, 0), start + i * step)])
         for i in range(count)
     ]
+
+
+class CliWorker:
+    """One ``python -m repro.engine worker`` subprocess."""
+
+    def __init__(self, process, address, cell_id, label):
+        self.process = process
+        self.address = address
+        self.cell_id = cell_id
+        self.label = label
+
+    def kill(self):
+        self.process.kill()
+        self.process.wait(timeout=10.0)
+
+
+def start_workers(count, flags=WORKER_FLAGS):
+    """Start ``count`` workers on ephemeral ports and wait until each
+    prints its ``worker serving ... on HOST:PORT`` line."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    processes = [
+        subprocess.Popen(
+            [sys.executable, "-m", "repro.engine", "worker", "--port", "0",
+             *flags],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            env=env,
+        )
+        for _ in range(count)
+    ]
+    # A worker that never announces itself is killed, which ends its
+    # stdout and fails the start instead of hanging the test.
+    watchdogs = [
+        threading.Timer(STARTUP_TIMEOUT_S, process.kill)
+        for process in processes
+    ]
+    for watchdog in watchdogs:
+        watchdog.start()
+    workers = []
+    try:
+        for process in processes:
+            output = []
+            for line in process.stdout:
+                output.append(line)
+                match = _SERVING.search(line)
+                if match:
+                    cell_id, host, port, label = match.groups()
+                    workers.append(
+                        CliWorker(process, (host, int(port)), cell_id, label)
+                    )
+                    break
+            else:
+                raise RuntimeError("worker exited early:\n" + "".join(output))
+    except BaseException:
+        for process in processes:
+            process.kill()
+            process.wait(timeout=10.0)
+        raise
+    finally:
+        for watchdog in watchdogs:
+            watchdog.cancel()
+    return workers
+
+
+def stop_workers(workers):
+    for worker in workers:
+        worker.kill()
+        worker.process.stdout.close()
+
+
+@pytest.fixture(scope="module")
+def worker_cell():
+    (cell,) = build_cells(WORKER_REQUEST)
+    return cell
+
+
+@pytest.fixture(scope="module")
+def worker_monitor(worker_cell):
+    return Avis(worker_cell.config,
+                profiling_runs=worker_cell.profiling_runs).monitor
+
+
+@pytest.fixture(scope="module")
+def cli_workers():
+    """Two long-lived workers for the tests that do not kill them."""
+    workers = start_workers(2)
+    yield workers
+    stop_workers(workers)
+
+
+def _remote_spec(workers):
+    return "remote:" + ",".join(format_address(w.address) for w in workers)
 
 
 class TestFraming:
@@ -99,9 +217,6 @@ class TestBackendSpecs:
         assert isinstance(pool, ProcessPoolBackend)
         assert pool.max_workers == 3
         assert isinstance(parse_backend_spec("pool"), ProcessPoolBackend)
-        remote = parse_backend_spec("remote:2")
-        assert isinstance(remote, RemoteBackend)
-        assert remote.max_workers == 2
         addressed = parse_backend_spec("remote:127.0.0.1:7801,127.0.0.1:7802")
         assert isinstance(addressed, RemoteBackend)
         assert addressed.max_workers == 2
@@ -115,58 +230,61 @@ class TestBackendSpecs:
         with pytest.raises(ValueError):
             parse_backend_spec(spec)
 
-    def test_resolve_backend_passthrough(self):
-        assert resolve_backend(None) is None
-        assert isinstance(resolve_backend("serial"), SerialBackend)
-        with pytest.raises(TypeError):
-            resolve_backend(42)
+    @pytest.mark.parametrize("spec", ["remote", "remote:2"])
+    def test_local_remote_fleets_point_to_pool(self, spec):
+        with pytest.raises(ValueError, match="pool:N"):
+            parse_backend_spec(spec)
 
-    def test_instances_still_work_behind_deprecation(self, short_auto_config):
-        backend = SerialBackend()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert resolve_backend(backend) is backend
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
+    def test_avis_takes_only_spec_strings(self, short_auto_config):
+        for backend in (SerialBackend(), None, 4):
+            with pytest.raises(TypeError, match="spec string"):
+                Avis(short_auto_config, backend=backend)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            avis = Avis(short_auto_config, backend="pool:2")
+        assert isinstance(avis.engine.backend, ProcessPoolBackend)
+
+
+class TestWorkerLabel:
+    def test_cli_label_is_the_controller_context(
+        self, cli_workers, worker_cell, worker_monitor
+    ):
+        expected = context_label(
+            context_fingerprint(worker_cell.config, worker_monitor)
         )
-        # The spec spelling warns nowhere.
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            resolve_backend("pool:2")
-        assert not caught
-        # End to end: an instance passed to Avis still runs the campaign.
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            avis = Avis(short_auto_config, profiling_runs=2,
-                        budget_units=2.0, backend=SerialBackend())
-            avis.profile()
-            campaign = avis.check(strategy=RandomInjection(rng_seed=1))
-        assert campaign.simulations >= 1
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
+        assert [w.cell_id for w in cli_workers] == [worker_cell.cell_id] * 2
+        assert [w.label for w in cli_workers] == [expected] * 2
+
+    def test_different_cells_get_different_labels(self):
+        auto, waypoint = build_cells(CampaignRequest(
+            workloads=("auto", "waypoint"), strategies=("random",),
+            budgets=(4.0,),
+        ))
+        fingerprints = [
+            context_fingerprint(cell.config, None) for cell in (auto, waypoint)
+        ]
+        # The readable fingerprints share a long prefix, so a prefix
+        # label would print the same context for both cells.
+        assert fingerprints[0][:16] == fingerprints[1][:16]
+        assert context_label(fingerprints[0]) != context_label(fingerprints[1])
 
 
 class TestRemoteDeterminism:
     """The acceptance bar: remote == pool == serial, bit for bit."""
 
-    def _campaign(self, config, backend, strategy_factory, budget=5.0):
-        avis = Avis(config, profiling_runs=2, budget_units=budget,
-                    backend=backend)
+    def _campaign(self, cell, backend, strategy_factory, budget=5.0):
+        avis = Avis(cell.config, profiling_runs=cell.profiling_runs,
+                    budget_units=budget, backend=backend)
         avis.profile()
         campaign = avis.check(strategy=strategy_factory())
         return campaign, sorted(avis.cache.keys())
 
-    def test_remote_matches_pool_and_serial(self, short_auto_config):
+    def test_remote_matches_pool_and_serial(self, cli_workers, worker_cell):
         factory = lambda: RandomInjection(rng_seed=5)  # noqa: E731
-        serial, serial_keys = self._campaign(
-            short_auto_config, "serial", factory
-        )
-        pooled, pooled_keys = self._campaign(
-            short_auto_config, "pool:2", factory
-        )
+        serial, serial_keys = self._campaign(worker_cell, "serial", factory)
+        pooled, pooled_keys = self._campaign(worker_cell, "pool:2", factory)
         remote, remote_keys = self._campaign(
-            short_auto_config, "remote:2", factory
+            worker_cell, _remote_spec(cli_workers), factory
         )
         for other in (pooled, remote):
             assert other.simulations == serial.simulations
@@ -184,13 +302,13 @@ class TestRemoteDeterminism:
         assert pooled_keys == serial_keys
         assert remote_keys == serial_keys
 
-    def test_sabre_budgets_match_serial(self, short_auto_config):
+    def test_sabre_budgets_match_serial(self, cli_workers, worker_cell):
         factory = lambda: AvisStrategy()  # noqa: E731
         serial, serial_keys = self._campaign(
-            short_auto_config, "serial", factory, budget=4.0
+            worker_cell, "serial", factory, budget=4.0
         )
         remote, remote_keys = self._campaign(
-            short_auto_config, "remote:2", factory, budget=4.0
+            worker_cell, _remote_spec(cli_workers), factory, budget=4.0
         )
         assert remote.simulations == serial.simulations
         assert remote.labels == serial.labels
@@ -200,31 +318,31 @@ class TestRemoteDeterminism:
         ]
         assert remote_keys == serial_keys
 
-    def test_worker_loss_mid_round_converges(self, short_auto_config):
-        avis = Avis(short_auto_config, profiling_runs=2, budget_units=6.0)
-        monitor = avis.monitor
+    def test_worker_loss_mid_round_converges(self, worker_cell, worker_monitor):
         scenarios = _scenarios(6)
         expected = SerialBackend().run_scenarios(
-            short_auto_config, monitor, scenarios
+            worker_cell.config, worker_monitor, scenarios
         )
-        backend = RemoteBackend(workers=2)
+        workers = start_workers(2)
+        backend = RemoteBackend([w.address for w in workers])
         killed = []
 
         def assassinate(index, result):
             # Hard-kill one worker as soon as the first result lands;
             # its in-flight task must be requeued on the survivor.
-            if not killed and backend.loopback_workers:
-                backend.loopback_workers[0].kill()
+            if not killed:
+                workers[0].kill()
                 killed.append(index)
 
         try:
             results = backend.run_scenarios(
-                short_auto_config, monitor, scenarios, on_result=assassinate
+                worker_cell.config, worker_monitor, scenarios,
+                on_result=assassinate,
             )
         finally:
-            backend.close()
+            stop_workers(workers)
         assert killed, "kill hook never fired"
-        assert len(results) == len(expected)
+        assert backend.requeued >= 1
         assert [r.scenario for r in results] == [
             r.scenario for r in expected
         ]
@@ -232,63 +350,64 @@ class TestRemoteDeterminism:
             len(r.unsafe_conditions) for r in expected
         ]
 
-    def test_all_workers_dead_falls_back_to_serial(self, short_auto_config):
-        avis = Avis(short_auto_config, profiling_runs=2, budget_units=6.0)
-        monitor = avis.monitor
+    def test_all_workers_dead_falls_back_to_serial(
+        self, worker_cell, worker_monitor
+    ):
         scenarios = _scenarios(4)
         expected = SerialBackend().run_scenarios(
-            short_auto_config, monitor, scenarios
+            worker_cell.config, worker_monitor, scenarios
         )
-        backend = RemoteBackend(workers=2)
+        workers = start_workers(2)
+        backend = RemoteBackend([w.address for w in workers])
 
         def massacre(index, result):
-            for worker in backend.loopback_workers:
-                worker.kill()
+            for worker in workers:
+                if worker.process.poll() is None:
+                    worker.kill()
 
         try:
             results = backend.run_scenarios(
-                short_auto_config, monitor, scenarios, on_result=massacre
+                worker_cell.config, worker_monitor, scenarios,
+                on_result=massacre,
             )
         finally:
-            backend.close()
+            stop_workers(workers)
         assert [r.scenario for r in results] == [
             r.scenario for r in expected
         ]
+        assert [len(r.unsafe_conditions) for r in results] == [
+            len(r.unsafe_conditions) for r in expected
+        ]
 
-    def test_fingerprint_mismatch_rejects_worker(self, short_auto_config):
-        avis = Avis(short_auto_config, profiling_runs=2, budget_units=2.0)
-        monitor = avis.monitor
-        workers = spawn_loopback_workers(short_auto_config, monitor, 1)
-        try:
-            fingerprint = context_fingerprint(short_auto_config, monitor)
-            connections, failures = connect_workers(
-                [workers[0].address], "not-the-" + fingerprint,
-                retries=1,
-            )
-            assert not connections
-            assert len(failures) == 1
-            # The same worker still accepts the real fingerprint.
-            connections, failures = connect_workers(
-                [workers[0].address], fingerprint, retries=1
-            )
-            assert len(connections) == 1
-            for connection in connections:
-                connection.close()
-        finally:
-            for worker in workers:
-                worker.close()
+    def test_fingerprint_mismatch_rejects_worker(
+        self, cli_workers, worker_cell, worker_monitor
+    ):
+        address = cli_workers[0].address
+        fingerprint = context_fingerprint(worker_cell.config, worker_monitor)
+        connections, failures = connect_workers(
+            [address], "not-the-" + fingerprint, retries=1
+        )
+        assert not connections
+        assert len(failures) == 1
+        assert "fingerprint mismatch" in failures[0][1]
+        # The same worker still accepts the real fingerprint.
+        connections, failures = connect_workers(
+            [address], fingerprint, retries=1
+        )
+        assert len(connections) == 1
+        for connection in connections:
+            connection.close()
 
-    def test_explicit_unreachable_addresses_raise(self, short_auto_config):
-        avis = Avis(short_auto_config, profiling_runs=2, budget_units=2.0)
-        monitor = avis.monitor
+    def test_explicit_unreachable_addresses_raise(
+        self, worker_cell, worker_monitor
+    ):
         with socket.socket() as probe:
             probe.bind(("127.0.0.1", 0))
             dead_address = probe.getsockname()
-        backend = RemoteBackend(addresses=[dead_address],
-                                connect_timeout=0.5, retries=1)
+        backend = RemoteBackend([dead_address], connect_timeout=0.5, retries=1)
         with pytest.raises(ConnectionError):
             backend.run_scenarios(
-                short_auto_config, monitor, _scenarios(1)
+                worker_cell.config, worker_monitor, _scenarios(1)
             )
 
 
@@ -372,31 +491,3 @@ class TestCacheFabric:
             assert warm_store.hits >= warm.simulations
             store.close()
             warm_store.close()
-
-
-class TestRemoteBackendFallbacks:
-    def test_daemonic_process_degrades_to_serial(self, monkeypatch,
-                                                 short_auto_config):
-        avis = Avis(short_auto_config, profiling_runs=2, budget_units=2.0)
-        monitor = avis.monitor
-
-        class FakeDaemon:
-            daemon = True
-
-        monkeypatch.setattr(
-            backends_module.multiprocessing, "current_process",
-            lambda: FakeDaemon(),
-        )
-        backend = RemoteBackend(workers=2)
-        scenarios = _scenarios(2)
-        results = backend.run_scenarios(
-            short_auto_config, monitor, scenarios
-        )
-        expected = SerialBackend().run_scenarios(
-            short_auto_config, monitor, scenarios
-        )
-        assert [r.scenario for r in results] == [
-            r.scenario for r in expected
-        ]
-        assert not backend.loopback_workers
-        backend.close()

@@ -104,6 +104,8 @@ class TestCampaignService:
                 )
             with pytest.raises(ServiceError):
                 client.submit(CampaignRequest(traffic_faults=True))
+            with pytest.raises(ServiceError, match="pool:N"):
+                client.submit(CampaignRequest(backend="remote:2"))
             # The daemon survives rejections and still runs real work.
             records = client.run(_tiny_request())
             assert len(records) == 1
