@@ -9,8 +9,8 @@ Four stages, each building on the previous one:
 2. start two ``python -m repro.engine worker`` processes for the same
    cell, run the request over the remote execution backend against
    them, and show the records are bit-identical;
-3. share one content-addressed result cache between two campaigns
-   through a :class:`CacheServer` -- the second campaign runs warm;
+3. share one content-addressed result cache directory between two
+   campaigns -- the second campaign runs warm;
 4. start a campaign service daemon, submit two jobs from two clients,
    and follow their multiplexed record streams.
 
@@ -28,7 +28,6 @@ import threading
 from repro import Avis, CampaignClient, CampaignRequest, RunConfiguration
 from repro.core.strategies import RandomInjection
 from repro.engine.cache import ResultCache
-from repro.engine.cache_remote import CacheServer, RemoteCacheStore
 from repro.engine.service import CampaignService
 from repro.firmware.ardupilot import ArduPilotFirmware
 from repro.workloads.builtin import AutoWorkload
@@ -82,24 +81,23 @@ def main() -> None:
     )
     print(f"  bit-identical to in-process: {same}")
 
-    print("\n3. A shared cache server warming a second campaign:")
+    print("\n3. A shared cache directory warming a second campaign:")
     config = RunConfiguration(
         firmware_class=ArduPilotFirmware,
         workload_factory=lambda: AutoWorkload(altitude=10.0),
         max_sim_time_s=90.0,
     )
     with tempfile.TemporaryDirectory() as cache_dir:
-        with CacheServer(ResultCache(directory=cache_dir)) as server:
-            print(f"  cache server on {server.endpoint}")
-            for label in ("cold", "warm"):
-                store = RemoteCacheStore(server.address)
-                avis = Avis(config, profiling_runs=2, budget_units=6.0,
-                            cache=store)
-                avis.profile()
-                campaign = avis.check(strategy=RandomInjection(rng_seed=5))
-                print(f"  {label}: {campaign.simulations} simulations, "
-                      f"{store.hits} hits / {store.misses} misses")
-                store.close()
+        for label in ("cold", "warm"):
+            # Each orchestrator opens its own store over the directory,
+            # as separate processes or hosts on a shared mount would.
+            cache = ResultCache(directory=cache_dir)
+            avis = Avis(config, profiling_runs=2, budget_units=6.0,
+                        cache=cache)
+            avis.profile()
+            campaign = avis.check(strategy=RandomInjection(rng_seed=5))
+            print(f"  {label}: {campaign.simulations} simulations, "
+                  f"{cache.hits} hits / {cache.misses} misses")
 
     print("\n4. A campaign service, two clients, multiplexed streams:")
     with CampaignService() as service:

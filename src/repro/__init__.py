@@ -49,7 +49,7 @@ from repro.core.monitor import InvariantMonitor, UnsafeCondition
 from repro.core.runner import RunResult, TestRunner
 from repro.hinj.faults import FaultScenario, FaultSpec, TrafficFaultSpec
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "Avis",

@@ -11,7 +11,8 @@ The engine is the execution layer under :class:`repro.core.avis.Avis`:
 * :mod:`repro.engine.cache` -- the content-addressed
   :class:`ResultCache`, keyed on ``(firmware, workload, scenario,
   noise seed, params)``, so repeated campaigns skip already-simulated
-  scenarios; :mod:`repro.engine.cache_remote` serves one over TCP.
+  scenarios; campaigns share results by pointing at one cache
+  directory (local, or on a mount other hosts see too).
 * :mod:`repro.engine.campaign` -- :class:`CampaignEngine`, which drives
   a search strategy's batch proposals through the cache and a backend.
 * :mod:`repro.engine.grid` -- :class:`CampaignGrid`, sharding a
@@ -37,7 +38,6 @@ from repro.engine.backends import (
     parse_backend_spec,
 )
 from repro.engine.cache import (
-    CacheStore,
     ResultCache,
     adapt_cached_result,
     bug_registry_stamp,
@@ -49,7 +49,6 @@ from repro.engine.campaign import DEFAULT_BATCH_SIZE, CampaignEngine
 
 __all__ = [
     "BACKEND_SPEC_HELP",
-    "CacheStore",
     "CampaignClient",
     "CampaignEngine",
     "CampaignGrid",

@@ -189,9 +189,8 @@ class CampaignRequest:
     #: ``"serial"``, ``"pool[:N]"`` or ``"remote:host:port[,...]"`` (see
     #: :data:`repro.engine.backends.BACKEND_SPEC_HELP`).
     backend: str = "serial"
-    #: Shared result cache: a directory path, or ``"remote:host:port"``
-    #: for a :class:`~repro.engine.cache_remote.CacheServer`.  None runs
-    #: each cell on its private in-memory cache.
+    #: Shared result cache: a directory path (local, or on a mount every
+    #: host sees).  None runs each cell on its private in-memory cache.
     cache: Optional[str] = None
     #: Grid shard processes (None: CPU count, capped at 4).
     workers: Optional[int] = None
@@ -335,10 +334,13 @@ def build_cells(request: CampaignRequest) -> List[GridCell]:
     except ValueError as error:
         raise ValueError(f"--backend: {error}") from None
     if request.cache is not None and request.cache.startswith("remote:"):
-        try:
-            parse_address(request.cache[len("remote:") :])
-        except ValueError as error:
-            raise ValueError(f"--cache: {error}") from None
+        # Without this check the spec would quietly become a local
+        # directory named "remote:host:port".
+        raise ValueError(
+            f"--cache: '{request.cache}' is not a cache directory; share "
+            "results by pointing every campaign at one directory "
+            "(local, or on a shared mount)"
+        )
     for firmware_name in request.firmwares:
         if firmware_name not in FIRMWARES:
             raise ValueError(

@@ -25,7 +25,7 @@ import hashlib
 import os
 import pickle
 import tempfile
-from typing import Dict, List, Optional, Protocol, runtime_checkable
+from typing import Dict, List, Optional
 
 from repro.core.config import RunConfiguration
 from repro.core.runner import RunResult
@@ -269,34 +269,6 @@ def adapt_cached_result(result: RunResult, monitor=None) -> RunResult:
     return adapted
 
 
-@runtime_checkable
-class CacheStore(Protocol):
-    """The store contract behind the engine's result caching.
-
-    :class:`ResultCache` (in-process, optionally directory-backed) and
-    :class:`repro.engine.cache_remote.RemoteCacheStore` (a socket client
-    of a network-shared store) both satisfy it, so the campaign engine,
-    the exploration session and the orchestrator never care where a
-    result is actually held.  Keys are the content addresses produced by
-    :func:`scenario_key`; because the bug-registry/schema version stamps
-    are folded into every *directory* store, a shared store serves only
-    results the current engine could have produced itself.
-    """
-
-    def get(self, key: str) -> Optional[RunResult]:
-        """The stored result for ``key``, or None on a miss."""
-        ...
-
-    def put(self, key: str, result: RunResult) -> None:
-        """Store ``result`` under ``key`` (last write wins)."""
-        ...
-
-    @property
-    def stats(self) -> Dict[str, int]:
-        """Hit/miss (and store-specific) counters."""
-        ...
-
-
 class ResultCache:
     """In-memory (and optionally on-disk) store of simulated run results.
 
@@ -306,15 +278,10 @@ class ResultCache:
         When given, every stored result is also pickled to
         ``<directory>/<key>.pkl`` and lookups fall back to disk, so the
         cache survives across processes and across campaign-grid runs.
-    max_entries:
-        Cross-run GC: cap on the number of ``.pkl`` entries kept in the
-        directory.  When a put pushes the directory over the cap, the
-        least recently used entries (by file modification time, which
-        :meth:`get` refreshes on disk hits) are deleted.  ``None`` (the
-        default) keeps the directory unbounded, as before.
-    max_bytes:
-        Cross-run GC: cap on the total size of the directory's ``.pkl``
-        entries, enforced the same way.
+        A directory is also the one way to share results: pool
+        children, grid shards, service jobs and other hosts (through a
+        shared mount) all point at the same directory.  It is never
+        pruned; delete it to reclaim the space.
 
     A directory cache is stamped with the firmware bug registry version
     (see :func:`bug_registry_stamp`): opening a directory written under
@@ -325,43 +292,15 @@ class ResultCache:
     #: Name of the version-stamp file kept next to the ``.pkl`` entries.
     VERSION_FILENAME = "CACHE_VERSION"
 
-    #: Puts between directory rescans of the GC totals (bounds how far
-    #: concurrent writers sharing one directory can exceed the caps).
-    RESCAN_INTERVAL = 64
-
-    def __init__(
-        self,
-        directory: Optional[str] = None,
-        max_entries: Optional[int] = None,
-        max_bytes: Optional[int] = None,
-    ) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("max_entries must be at least 1")
-        if max_bytes is not None and max_bytes < 1:
-            raise ValueError("max_bytes must be at least 1")
+    def __init__(self, directory: Optional[str] = None) -> None:
         self._memory: Dict[str, RunResult] = {}
         self._directory = directory
-        self._max_entries = max_entries
-        self._max_bytes = max_bytes
-        self._gc_enabled = max_entries is not None or max_bytes is not None
-        # Running totals of the directory's .pkl entries, maintained so a
-        # put only rescans the directory when a cap is actually crossed.
-        # The totals are per-process, so concurrent grid shards sharing a
-        # directory could drift past the caps unnoticed; a periodic
-        # rescan (every RESCAN_INTERVAL puts) bounds that overshoot.
-        self._entry_count = 0
-        self._entry_bytes = 0
-        self._puts_since_rescan = 0
-        self.evictions = 0
         self.invalidated = 0
         self.corrupt = 0
         if directory is not None:
             os.makedirs(directory, exist_ok=True)
             self._sweep_orphan_tmp()
             self._check_version_stamp()
-            if self._gc_enabled:
-                self._rescan_totals()
-                self._enforce_limits()
         self.hits = 0
         self.misses = 0
 
@@ -447,70 +386,6 @@ class ResultCache:
             return []
 
     # ------------------------------------------------------------------
-    # Cross-run GC
-    # ------------------------------------------------------------------
-    def _rescan_totals(self) -> None:
-        """Re-seed the running entry/byte totals from the directory."""
-        count = 0
-        total = 0
-        for name in self._entry_names():
-            try:
-                total += os.stat(os.path.join(self._directory, name)).st_size
-            except OSError:
-                continue
-            count += 1
-        self._entry_count = count
-        self._entry_bytes = total
-
-    def _over_limits(self) -> bool:
-        if self._max_entries is not None and self._entry_count > self._max_entries:
-            return True
-        return self._max_bytes is not None and self._entry_bytes > self._max_bytes
-
-    def _enforce_limits(self) -> None:
-        """Evict least-recently-used disk entries beyond the limits.
-
-        The full directory is only walked when the running totals say a
-        cap has actually been crossed, so an in-budget put stays O(1).
-        """
-        if self._directory is None or not self._gc_enabled:
-            return
-        if not self._over_limits():
-            return
-        entries = []
-        total_bytes = 0
-        for name in self._entry_names():
-            path = os.path.join(self._directory, name)
-            try:
-                stat = os.stat(path)
-            except OSError:
-                continue
-            entries.append((stat.st_mtime, name, stat.st_size))
-            total_bytes += stat.st_size
-        entries.sort()  # oldest first
-        over_entries = (
-            len(entries) - self._max_entries if self._max_entries is not None else 0
-        )
-        while entries and (
-            over_entries > 0
-            or (self._max_bytes is not None and total_bytes > self._max_bytes)
-        ):
-            _, name, size = entries.pop(0)
-            try:
-                os.unlink(os.path.join(self._directory, name))
-            except OSError:
-                continue
-            self.evictions += 1
-            obs = obs_runtime.current()
-            if obs is not None:
-                obs.metrics.counter("cache.evictions").inc()
-            total_bytes -= size
-            over_entries -= 1
-            self._memory.pop(name[: -len(".pkl")], None)
-        self._entry_count = len(entries)
-        self._entry_bytes = total_bytes
-
-    # ------------------------------------------------------------------
     # Key construction
     # ------------------------------------------------------------------
     key_for = staticmethod(scenario_key)
@@ -570,13 +445,6 @@ class ResultCache:
             if obs is not None:
                 obs.metrics.counter("cache.misses").inc()
             return None
-        if self._directory is not None and self._gc_enabled:
-            try:
-                # Refresh the entry's mtime (memory hits included) so the
-                # cross-run GC evicts least-recently-used entries first.
-                os.utime(self._path(key))
-            except OSError:
-                pass
         self.hits += 1
         if obs is not None:
             obs.metrics.counter("cache.hits").inc()
@@ -588,51 +456,32 @@ class ResultCache:
         if obs is not None:
             obs.metrics.counter("cache.puts").inc()
         self._memory[key] = result
-        if self._directory is not None:
-            path = self._path(key)
-            old_size = None
-            if self._gc_enabled:
-                try:
-                    old_size = os.stat(path).st_size
-                except OSError:
-                    old_size = None
-            # Write-then-rename so concurrent grid shards never observe a
-            # partially written pickle.
+        if self._directory is None:
+            return
+        # Write-then-rename so concurrent grid shards never observe a
+        # partially written pickle.  A failed write (a full disk, or a
+        # directory removed under a running campaign) leaves the entry
+        # memory-only: the cache is an optimisation, never a dependency.
+        tmp_path = None
+        try:
             fd, tmp_path = tempfile.mkstemp(dir=self._directory, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    pickle.dump(result, handle)
-                os.replace(tmp_path, path)
-            except OSError:
+            with os.fdopen(fd, "wb") as handle:
+                pickle.dump(result, handle)
+            os.replace(tmp_path, self._path(key))
+        except OSError:
+            if tmp_path is not None:
                 try:
                     os.unlink(tmp_path)
                 except OSError:
                     pass
-            else:
-                if self._gc_enabled:
-                    try:
-                        new_size = os.stat(path).st_size
-                    except OSError:
-                        new_size = 0
-                    if old_size is None:
-                        self._entry_count += 1
-                        self._entry_bytes += new_size
-                    else:
-                        self._entry_bytes += new_size - old_size
-                    self._puts_since_rescan += 1
-                    if self._puts_since_rescan >= self.RESCAN_INTERVAL:
-                        self._puts_since_rescan = 0
-                        self._rescan_totals()
-                    self._enforce_limits()
 
     @property
     def stats(self) -> Dict[str, int]:
-        """Hit/miss/GC counters plus the in-memory entry count."""
+        """Hit/miss/invalidation counters plus the in-memory entry count."""
         return {
             "hits": self.hits,
             "misses": self.misses,
             "entries": len(self._memory),
-            "evictions": self.evictions,
             "invalidated": self.invalidated,
             "corrupt": self.corrupt,
         }

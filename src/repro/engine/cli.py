@@ -176,11 +176,9 @@ def add_fabric_arguments(parser: argparse.ArgumentParser) -> None:
         + BACKEND_SPEC_HELP,
     )
     fabric.add_argument(
-        "--cache", metavar="SPEC", default=None,
-        help="shared result cache: a directory path, or "
-        "'remote:HOST:PORT' naming a cache server "
-        "(python -c 'from repro.engine.cache_remote import ...'); "
-        "default: a private in-memory cache per cell",
+        "--cache", metavar="DIR", default=None,
+        help="shared result cache directory (local, or on a mount "
+        "every host sees); default: a private in-memory cache per cell",
     )
 
 
@@ -295,9 +293,8 @@ def _stats_line(outcome: GridOutcome) -> Optional[str]:
     cache = outcome.cache_totals()
     if cache:
         parts.append(
-            "cache: hits={} misses={} evictions={}".format(
-                *(fmt(cache.get(key)) for key in
-                  ("hits", "misses", "evictions"))
+            "cache: hits={} misses={}".format(
+                *(fmt(cache.get(key)) for key in ("hits", "misses"))
             )
         )
     return " | ".join(parts) if parts else None
@@ -588,7 +585,7 @@ def _worker_main(argv: Sequence[str]) -> int:
         "exactly one cell; the worker profiles the workload itself "
         "(deterministically, so its context fingerprint matches every "
         "controller running the same cell) and then serves tasks until "
-        "a controller sends shutdown.",
+        "killed.",
     )
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument(

@@ -80,9 +80,9 @@ class GridCell:
     #: :func:`cell_fingerprint`: backends are bit-identical by contract,
     #: so where a cell ran must not invalidate its stream record.
     backend_spec: str = "serial"
-    #: Result-cache spec: None (private in-memory cache), a directory
-    #: path, or ``"remote:host:port"`` naming a shared cache server.
-    #: Never part of the fingerprint -- caching cannot change outcomes.
+    #: Result-cache spec: None (private in-memory cache) or a cache
+    #: directory, shared by every cell and shard that names it.  Never
+    #: part of the fingerprint -- caching cannot change outcomes.
     cache_spec: Optional[str] = None
 
 
@@ -284,20 +284,14 @@ def load_completed_cells(path: str) -> Dict[str, dict]:
 _GRID_CELLS: Optional[Sequence[GridCell]] = None
 
 
-def _cell_cache(spec: Optional[str]):
-    """The result-cache store a cell's spec names (None: engine default).
+def _cell_cache(spec: Optional[str]) -> Optional[ResultCache]:
+    """The result cache over a cell's cache directory (None: engine default).
 
-    ``"remote:host:port"`` dials a shared
-    :class:`~repro.engine.cache_remote.CacheServer`; anything else is a
-    cache directory.  Built inside the (possibly forked) worker so each
-    shard holds its own connection/handles.
+    Built inside the (possibly forked) worker so each shard holds its
+    own memory tier over the shared directory.
     """
     if spec is None:
         return None
-    if spec.startswith("remote:"):
-        from repro.engine.cache_remote import RemoteCacheStore
-
-        return RemoteCacheStore(spec[len("remote:"):])
     return ResultCache(directory=spec)
 
 

@@ -164,8 +164,8 @@ class WorkerServer:
     One controller connection is served at a time: the backend opens a
     persistent connection per worker and pipelines tasks over it, so a
     worker process is busy exactly when its controller keeps it busy.
-    ``serve_forever`` returns when a controller sends ``shutdown`` or
-    the listener is closed.
+    ``serve_forever`` runs until the process is killed or the listener
+    is closed.
     """
 
     def __init__(
@@ -195,7 +195,7 @@ class WorkerServer:
         self._listener.close()
 
     def serve_forever(self) -> None:
-        """Accept controllers until one asks for ``shutdown``."""
+        """Accept controllers until the listener closes."""
         try:
             while True:
                 try:
@@ -203,8 +203,7 @@ class WorkerServer:
                 except OSError:
                     return
                 try:
-                    if not self._serve_connection(connection):
-                        return
+                    self._serve_connection(connection)
                 finally:
                     try:
                         connection.close()
@@ -213,12 +212,12 @@ class WorkerServer:
         finally:
             self.close()
 
-    def _serve_connection(self, connection: socket.socket) -> bool:
-        """Serve one controller; False means shutdown was requested."""
+    def _serve_connection(self, connection: socket.socket) -> None:
+        """Serve one controller until it disconnects."""
         try:
             hello = recv_frame(connection)
         except (ConnectionError, OSError):
-            return True
+            return
         if (
             hello.get("type") != "hello"
             or hello.get("protocol") != PROTOCOL_VERSION
@@ -230,7 +229,7 @@ class WorkerServer:
                 )
             except OSError:
                 pass
-            return True
+            return
         if hello.get("fingerprint") != self._fingerprint:
             try:
                 send_frame(
@@ -243,7 +242,7 @@ class WorkerServer:
                 )
             except OSError:
                 pass
-            return True
+            return
         try:
             send_frame(
                 connection,
@@ -254,15 +253,13 @@ class WorkerServer:
                 },
             )
         except OSError:
-            return True
+            return
         while True:
             try:
                 frame = recv_frame(connection)
             except (ConnectionError, OSError):
-                return True  # controller went away; await the next one
+                return  # controller went away; await the next one
             kind = frame.get("type")
-            if kind == "shutdown":
-                return False
             if kind != "task":
                 try:
                     send_frame(
@@ -270,13 +267,13 @@ class WorkerServer:
                         {"type": "error", "reason": f"unknown frame '{kind}'"},
                     )
                 except OSError:
-                    return True
+                    return
                 continue
             reply = self._run_task(frame)
             try:
                 send_frame(connection, reply)
             except OSError:
-                return True
+                return
 
     def _run_task(self, frame: dict) -> dict:
         index = frame.get("index")
@@ -363,13 +360,6 @@ class WorkerConnection:
         if kind == "error":
             raise RemoteTaskError(reply.get("reason", "unknown worker error"))
         raise ProtocolError(f"unexpected reply frame '{kind}'")
-
-    def shutdown(self) -> None:
-        """Politely ask the worker process to exit."""
-        try:
-            send_frame(self._sock, {"type": "shutdown"})
-        except OSError:
-            pass
 
     def close(self) -> None:
         try:

@@ -65,7 +65,6 @@ def cache_utilization(metrics: Dict[str, object]) -> Optional[Dict[str, object]]
     return {
         "hits": hits,
         "misses": misses,
-        "evictions": _counter(metrics, "cache.evictions"),
         "hit_rate": hits / (hits + misses),
     }
 
@@ -160,8 +159,7 @@ def render_text(report: Dict[str, object]) -> str:
         if isinstance(cache, dict):
             lines.append(
                 f"  cache: {cache['hits']:.0f} hits / {cache['misses']:.0f} misses "
-                f"({cache['hit_rate']:.1%} hit rate, "
-                f"{cache['evictions']:.0f} evictions)"
+                f"({cache['hit_rate']:.1%} hit rate)"
             )
         workers = metrics.get("workers")
         if isinstance(workers, list) and workers:

@@ -103,7 +103,7 @@ class TestCampaignRequest:
         request = CampaignRequest(
             strategies=("random",), budgets=(5.0, 10.0),
             vehicles=("firmware=px4,airframe=solo",),
-            backend="remote:127.0.0.1:7800", cache="remote:127.0.0.1:7801",
+            backend="remote:127.0.0.1:7800", cache="/shared/avis-cache",
             workers=2,
         )
         clone = CampaignRequest.from_json(request.to_json())
@@ -122,7 +122,7 @@ class TestCampaignRequest:
         plain = CampaignRequest(strategies=("random",), budgets=(5.0,))
         fabricked = CampaignRequest(
             strategies=("random",), budgets=(5.0,),
-            backend="pool:4", cache="remote:127.0.0.1:7801", workers=3,
+            backend="pool:4", cache="/shared/avis-cache", workers=3,
         )
         assert [cell_fingerprint(c) for c in plain.cells()] == [
             cell_fingerprint(c) for c in fabricked.cells()
@@ -140,6 +140,7 @@ class TestCampaignRequest:
         dict(backend="turbo"),
         dict(backend="remote:2"),  # local fleets are pool:N
         dict(cache="remote:nohost"),
+        dict(cache="remote:127.0.0.1:7801"),  # share a directory instead
     ])
     def test_invalid_matrices_are_rejected(self, bad):
         with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""Tests for the remote execution backend and the shared cache fabric.
+"""Tests for the remote execution backend and the shared cache directory.
 
 Remote workers are real ``python -m repro.engine worker`` subprocesses,
 the only supported remote deployment: each is started with the matrix
@@ -26,9 +26,7 @@ from repro.engine.backends import (
     SerialBackend,
     parse_backend_spec,
 )
-from repro.engine.cache import CacheStore, ResultCache
-from repro.engine.cache_remote import CacheServer, RemoteCacheStore
-from repro.engine import cache_remote as cache_remote_module
+from repro.engine.cache import ResultCache
 from repro.engine.remote import (
     ProtocolError,
     connect_workers,
@@ -412,82 +410,21 @@ class TestRemoteDeterminism:
 
 
 class TestCacheFabric:
-    def _result(self, short_auto_config):
-        from repro.core.runner import TestRunner
-
-        return TestRunner(short_auto_config).run(FaultScenario([]))
-
-    def test_stores_satisfy_the_protocol(self, tmp_path):
-        assert isinstance(ResultCache(), CacheStore)
-        assert isinstance(ResultCache(directory=str(tmp_path)), CacheStore)
-
-    def test_two_clients_share_one_store(self, short_auto_config, tmp_path):
-        result = self._result(short_auto_config)
-        backing = ResultCache(directory=str(tmp_path))
-        with CacheServer(backing) as server:
-            first = RemoteCacheStore(server.endpoint)
-            second = RemoteCacheStore(server.endpoint)
-            assert isinstance(first, CacheStore)
-            assert first.get("key-1") is None
-            first.put("key-1", result)
-            fetched = second.get("key-1")
-            assert fetched is not None
-            assert fetched.summary() == result.summary()
-            assert "key-1" in second
-            assert first.stats["puts"] == 1
-            assert second.stats["hits"] == 1
-            stats = first.server_stats()
-            assert stats["served_puts"] == 1
-            assert stats["entries"] == 1
-            first.close()
-            second.close()
-        # The backing store persisted the entry for later servers.
-        assert "key-1" in ResultCache(directory=str(tmp_path))
-
-    def test_stamp_mismatch_refuses_the_store(self, monkeypatch, tmp_path):
-        with CacheServer(ResultCache(directory=str(tmp_path))) as server:
-            monkeypatch.setattr(
-                cache_remote_module, "bug_registry_stamp",
-                lambda: "a-different-registry",
-            )
-            with pytest.raises(ConnectionError):
-                RemoteCacheStore(server.endpoint)
-
-    def test_lost_server_degrades_to_misses(self, short_auto_config, tmp_path):
-        result = self._result(short_auto_config)
-        server = CacheServer(ResultCache(directory=str(tmp_path))).start()
-        store = RemoteCacheStore(server.endpoint, connect_timeout=1.0,
-                                 op_timeout=1.0)
-        store.put("key-1", result)
-        server.stop()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            # Memoised entries keep hitting; unknown keys become misses
-            # instead of errors, and puts are dropped, not raised.
-            assert store.get("key-1") is not None
-            assert store.get("key-2") is None
-            store.put("key-3", result)
-        assert store.dropped >= 1
-        assert any(issubclass(w.category, RuntimeWarning) for w in caught)
-        store.close()
-
     def test_campaign_runs_through_shared_cache(self, short_auto_config, tmp_path):
-        with CacheServer(ResultCache(directory=str(tmp_path))) as server:
-            store = RemoteCacheStore(server.endpoint)
+        # Two orchestrators, each on its own store over one directory:
+        # the second campaign is served entirely from the first's puts.
+        def campaign():
+            cache = ResultCache(directory=str(tmp_path))
             avis = Avis(short_auto_config, profiling_runs=2,
-                        budget_units=3.0, cache=store)
+                        budget_units=3.0, cache=cache)
             avis.profile()
-            cold = avis.check(strategy=RandomInjection(rng_seed=3))
-            # A second orchestrator sharing the server gets warm hits.
-            warm_store = RemoteCacheStore(server.endpoint)
-            avis_warm = Avis(short_auto_config, profiling_runs=2,
-                             budget_units=3.0, cache=warm_store)
-            avis_warm.profile()
-            warm = avis_warm.check(strategy=RandomInjection(rng_seed=3))
-            assert warm.simulations == cold.simulations
-            assert [r.scenario for r in warm.results] == [
-                r.scenario for r in cold.results
-            ]
-            assert warm_store.hits >= warm.simulations
-            store.close()
-            warm_store.close()
+            return avis.check(strategy=RandomInjection(rng_seed=3)), cache
+
+        cold, _ = campaign()
+        warm, warm_cache = campaign()
+        assert warm.simulations == cold.simulations
+        assert [r.scenario for r in warm.results] == [
+            r.scenario for r in cold.results
+        ]
+        assert warm_cache.hits >= warm.simulations
+        assert warm_cache.misses == 0
