@@ -146,6 +146,10 @@ class TestCampaignRequest:
         with pytest.raises(ValueError):
             build_cells(CampaignRequest(**bad))
 
+    def test_remote_cache_spec_points_to_a_directory(self):
+        with pytest.raises(ValueError, match="directory"):
+            build_cells(CampaignRequest(cache="remote:127.0.0.1:7801"))
+
 
 class TestPublicSurface:
     def test_package_all_resolves(self):

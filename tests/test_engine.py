@@ -156,6 +156,14 @@ class TestResultCache:
         assert cache.get(key) is result
         assert (cache.stats["hits"], cache.stats["misses"], cache.stats["entries"]) == (1, 1, 1)
 
+    def test_memory_only_cache_writes_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cache = ResultCache()
+        cache.put("key-a", make_run_result())
+        assert cache.get("key-a") is not None
+        assert "key-a" in cache
+        assert list(tmp_path.iterdir()) == []
+
     def test_disk_round_trip(self, tmp_path, short_auto_config):
         key = scenario_key(short_auto_config, "auto", self._scenario())
         writer = ResultCache(directory=str(tmp_path))
@@ -196,6 +204,34 @@ class TestCacheGc:
         cache = ResultCache(directory=str(tmp_path))
         self._fill(cache, 5)
         assert len(self._disk_entries(tmp_path)) == 5
+
+    def test_size_limit_options_are_gone(self, tmp_path):
+        with pytest.raises(TypeError):
+            ResultCache(directory=str(tmp_path), max_entries=3)
+        with pytest.raises(TypeError):
+            ResultCache(directory=str(tmp_path), max_bytes=1 << 20)
+
+    def test_stats_carry_no_eviction_counter(self, tmp_path):
+        cache = ResultCache(directory=str(tmp_path))
+        self._fill(cache, 2)
+        assert cache.get("key00") is not None
+        assert cache.stats == {
+            "hits": 1, "misses": 0, "entries": 2,
+            "invalidated": 0, "corrupt": 0,
+        }
+
+    def test_hits_leave_entries_untouched(self, tmp_path):
+        # Nothing orders entries by use any more: a hit only reads.
+        writer = ResultCache(directory=str(tmp_path))
+        self._fill(writer, 1)
+        entry = tmp_path / "key00.pkl"
+        os.utime(entry, (1_000_000, 1_000_000))
+        before = entry.stat()
+        reader = ResultCache(directory=str(tmp_path))
+        assert reader.get("key00") is not None
+        assert reader.get("key00") is not None
+        after = entry.stat()
+        assert (after.st_mtime, after.st_size) == (before.st_mtime, before.st_size)
 
     def test_version_stamp_invalidates_stale_entries(self, tmp_path):
         from repro.engine.cache import bug_registry_stamp

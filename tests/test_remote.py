@@ -15,6 +15,8 @@ import warnings
 
 import pytest
 
+from conftest import make_run_result
+
 import repro
 from repro.core.avis import Avis
 from repro.core.strategies import RandomInjection
@@ -28,7 +30,9 @@ from repro.engine.backends import (
 )
 from repro.engine.cache import ResultCache
 from repro.engine.remote import (
+    PROTOCOL_VERSION,
     ProtocolError,
+    WorkerServer,
     connect_workers,
     context_fingerprint,
     context_label,
@@ -409,7 +413,105 @@ class TestRemoteDeterminism:
             )
 
 
+class TestWorkerServer:
+    """An in-process worker: it serves until its listener closes."""
+
+    def _serve(self, worker_cell, worker_monitor):
+        server = WorkerServer(worker_cell.config, worker_monitor, port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        return server, thread
+
+    def _stop(self, server, thread):
+        # Shutting the listener down wakes the blocked accept; closing it
+        # is what ends serve_forever.
+        try:
+            server._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        server.close()
+        thread.join(timeout=10.0)
+        return not thread.is_alive()
+
+    def test_closed_listener_ends_serve_forever(
+        self, worker_cell, worker_monitor
+    ):
+        server = WorkerServer(worker_cell.config, worker_monitor, port=0)
+        server.close()
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+
+    def test_shutdown_frame_is_unknown_and_worker_keeps_serving(
+        self, worker_cell, worker_monitor
+    ):
+        server, thread = self._serve(worker_cell, worker_monitor)
+        try:
+            with socket.create_connection(server.address, timeout=10.0) as sock:
+                send_frame(sock, {"type": "hello", "protocol": PROTOCOL_VERSION,
+                                  "fingerprint": server.fingerprint})
+                assert recv_frame(sock)["type"] == "welcome"
+                send_frame(sock, {"type": "shutdown"})
+                reply = recv_frame(sock)
+                assert reply == {"type": "error",
+                                 "reason": "unknown frame 'shutdown'"}
+            # The controller hung up; the worker awaits the next one.
+            connections, failures = connect_workers(
+                [server.address], server.fingerprint, retries=1
+            )
+            assert failures == []
+            assert len(connections) == 1
+            for connection in connections:
+                connection.close()
+        finally:
+            assert self._stop(server, thread)
+
+
 class TestCacheFabric:
+    def test_two_clients_share_one_store(self, tmp_path):
+        # Two stores over one directory: each serves the other's puts
+        # from disk.
+        first = ResultCache(directory=str(tmp_path))
+        second = ResultCache(directory=str(tmp_path))
+        first.put("key-a", make_run_result(triggered_bugs=["APM-0001"]))
+        restored = second.get("key-a")
+        assert restored is not None
+        assert restored.triggered_bugs == ["APM-0001"]
+        second.put("key-b", make_run_result())
+        assert first.get("key-b") is not None
+        assert (first.hits, first.misses) == (1, 0)
+        assert (second.hits, second.misses) == (1, 0)
+
+    def test_stamp_mismatch_refuses_the_store(self, tmp_path):
+        writer = ResultCache(directory=str(tmp_path))
+        writer.put("key-a", make_run_result())
+        # Entries written under another bug registry are never served.
+        (tmp_path / ResultCache.VERSION_FILENAME).write_text("0" * 64 + "\n")
+        reader = ResultCache(directory=str(tmp_path))
+        assert reader.invalidated == 1
+        assert reader.get("key-a") is None
+        assert reader.misses == 1
+        # The directory is re-stamped and shared again from here on.
+        reader.put("key-b", make_run_result())
+        assert ResultCache(directory=str(tmp_path)).get("key-b") is not None
+
+    def test_lost_server_degrades_to_misses(self, tmp_path):
+        import shutil
+
+        directory = tmp_path / "shared"
+        writer = ResultCache(directory=str(directory))
+        reader = ResultCache(directory=str(directory))
+        writer.put("key-a", make_run_result())
+        shutil.rmtree(directory)
+        # A lost shared directory is a miss, never an error; what a store
+        # already holds in memory still hits.
+        assert reader.get("key-a") is None
+        assert reader.misses == 1
+        assert writer.get("key-a") is not None
+        reader.put("key-b", make_run_result())
+        assert reader.get("key-b") is not None
+
     def test_campaign_runs_through_shared_cache(self, short_auto_config, tmp_path):
         # Two orchestrators, each on its own store over one directory:
         # the second campaign is served entirely from the first's puts.
