@@ -1,18 +1,16 @@
 #!/usr/bin/env python3
 """The distributed campaign fabric, end to end on one machine.
 
-Four stages, each building on the previous one:
+Three stages, each building on the previous one:
 
 1. describe a campaign as a :class:`repro.CampaignRequest` and run it
-   in-process through :class:`repro.CampaignClient` -- the declarative
+   in-process through :func:`repro.run_campaign` -- the declarative
    twin of the ``python -m repro.engine`` flags;
 2. start two ``python -m repro.engine worker`` processes for the same
    cell, run the request over the remote execution backend against
    them, and show the records are bit-identical;
 3. share one content-addressed result cache directory between two
-   campaigns -- the second campaign runs warm;
-4. start a campaign service daemon, submit two jobs from two clients,
-   and follow their multiplexed record streams.
+   campaigns -- the second campaign runs warm.
 
 Run with:  python examples/remote_campaign.py
 """
@@ -23,12 +21,10 @@ import re
 import subprocess
 import sys
 import tempfile
-import threading
 
-from repro import Avis, CampaignClient, CampaignRequest, RunConfiguration
+from repro import Avis, CampaignRequest, RunConfiguration, run_campaign
 from repro.core.strategies import RandomInjection
 from repro.engine.cache import ResultCache
-from repro.engine.service import CampaignService
 from repro.firmware.ardupilot import ArduPilotFirmware
 from repro.workloads.builtin import AutoWorkload
 
@@ -53,7 +49,7 @@ def main() -> None:
     )
 
     print("1. One declarative request, run in-process:")
-    records = CampaignClient().run(request)
+    records = list(run_campaign(request).cell_summaries.values())
     for record in records:
         print(f"  {record['cell']}: {record['simulations']} simulations, "
               f"{record['unsafe_scenarios']} unsafe")
@@ -69,7 +65,9 @@ def main() -> None:
             strategies=("random",), budgets=(8.0,), workers=1,
             backend=f"remote:{addresses}",
         )
-        remote_records = CampaignClient().run(remote_request)
+        remote_records = list(
+            run_campaign(remote_request).cell_summaries.values()
+        )
     finally:
         for process, _ in workers:
             process.kill()
@@ -98,33 +96,6 @@ def main() -> None:
             campaign = avis.check(strategy=RandomInjection(rng_seed=5))
             print(f"  {label}: {campaign.simulations} simulations, "
                   f"{cache.hits} hits / {cache.misses} misses")
-
-    print("\n4. A campaign service, two clients, multiplexed streams:")
-    with CampaignService() as service:
-        print(f"  service on {service.endpoint}")
-        first = CampaignClient(service.endpoint)
-        second = CampaignClient(service.endpoint)
-        job_a = first.submit(CampaignRequest(strategies=("random",),
-                                             budgets=(6.0,), workers=1))
-        job_b = second.submit(CampaignRequest(strategies=("random",),
-                                              budgets=(7.0,), workers=1))
-
-        def follow(client: CampaignClient, job_id: str) -> None:
-            for record in client.watch(job_id, timeout=600.0):
-                print(f"  {job_id} streamed {record['cell']}: "
-                      f"{record['simulations']} simulations")
-
-        threads = [
-            threading.Thread(target=follow, args=(first, job_a)),
-            threading.Thread(target=follow, args=(second, job_b)),
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        for row in first.status()["jobs"]:
-            print(f"  {row['job']}: {row['state']} "
-                  f"({row['records']} record(s))")
 
 
 if __name__ == "__main__":

@@ -31,16 +31,15 @@ Quickstart::
     for run in campaign.unsafe_results:
         print(run.summary())
 
-Campaign matrices are submitted through the request API -- in-process
-or to a ``python -m repro.engine serve`` daemon, same records either
-way::
+Campaign matrices run through the request API, which streams the same
+records as ``python -m repro.engine --stream`` and resumes from them::
 
-    from repro import CampaignClient, CampaignRequest
+    from repro import CampaignRequest, run_campaign
 
     request = CampaignRequest(strategies=("avis", "random"),
                               budgets=(30.0,), backend="pool:4")
-    records = CampaignClient().run(request)           # in-process
-    records = CampaignClient("127.0.0.1:7800").run(request)  # service
+    outcome = run_campaign(request, stream_path="runs.jsonl")
+    records = list(outcome.cell_summaries.values())
 """
 
 from repro.core.avis import Avis, CampaignResult
@@ -49,11 +48,10 @@ from repro.core.monitor import InvariantMonitor, UnsafeCondition
 from repro.core.runner import RunResult, TestRunner
 from repro.hinj.faults import FaultScenario, FaultSpec, TrafficFaultSpec
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "Avis",
-    "CampaignClient",
     "CampaignRequest",
     "CampaignResult",
     "FaultScenario",
@@ -63,7 +61,6 @@ __all__ = [
     "ResultCache",
     "RunConfiguration",
     "RunResult",
-    "ServiceError",
     "TestRunner",
     "TrafficFaultSpec",
     "UnsafeCondition",
@@ -76,11 +73,9 @@ __all__ = [
 #: Campaign-fabric symbols, re-exported lazily: the engine modules
 #: import the orchestrator above, so an eager import here would cycle.
 _ENGINE_EXPORTS = {
-    "CampaignClient",
     "CampaignRequest",
     "RemoteBackend",
     "ResultCache",
-    "ServiceError",
     "parse_backend_spec",
     "run_campaign",
 }

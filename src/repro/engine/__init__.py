@@ -18,15 +18,12 @@ The engine is the execution layer under :class:`repro.core.avis.Avis`:
 * :mod:`repro.engine.grid` -- :class:`CampaignGrid`, sharding a
   (firmware x workload x strategy x budget) matrix across workers;
   exposed on the command line as ``python -m repro.engine``.
-* :mod:`repro.engine.api` -- the submission API:
-  :class:`CampaignRequest` (one declarative matrix value),
-  :func:`run_campaign` (the in-process path) and
-  :class:`CampaignClient` (in-process or service submission).
-* :mod:`repro.engine.service` -- ``python -m repro.engine serve``, the
-  campaign daemon behind :class:`CampaignClient`.
+* :mod:`repro.engine.api` -- the request API:
+  :class:`CampaignRequest` (one declarative matrix value) and
+  :func:`run_campaign` (expand, shard, stream, resume).
 
-Grid/api/service symbols are re-exported lazily because those modules
-import the orchestrator (which itself imports this package).
+Grid/api symbols are re-exported lazily because those modules import
+the orchestrator (which itself imports this package).
 """
 
 from repro.engine.backends import (
@@ -49,11 +46,9 @@ from repro.engine.campaign import DEFAULT_BATCH_SIZE, CampaignEngine
 
 __all__ = [
     "BACKEND_SPEC_HELP",
-    "CampaignClient",
     "CampaignEngine",
     "CampaignGrid",
     "CampaignRequest",
-    "CampaignService",
     "DEFAULT_BATCH_SIZE",
     "ExecutionBackend",
     "GridCell",
@@ -63,7 +58,6 @@ __all__ = [
     "ResultCache",
     "STREAM_SCHEMA_VERSION",
     "SerialBackend",
-    "ServiceError",
     "adapt_cached_result",
     "build_cells",
     "bug_registry_stamp",
@@ -87,12 +81,9 @@ _LAZY = {
     "load_completed_cells": "repro.engine.grid",
     "summarize_campaign": "repro.engine.grid",
     "validate_stream_record": "repro.engine.grid",
-    "CampaignClient": "repro.engine.api",
     "CampaignRequest": "repro.engine.api",
-    "ServiceError": "repro.engine.api",
     "build_cells": "repro.engine.api",
     "run_campaign": "repro.engine.api",
-    "CampaignService": "repro.engine.service",
 }
 
 

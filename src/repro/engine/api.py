@@ -1,4 +1,4 @@
-"""The campaign submission API: one request type, two execution paths.
+"""The campaign request API: one declarative matrix, one execution path.
 
 Historically a campaign matrix could only be described as CLI flags
 (``python -m repro.engine --firmware ... --strategy ...``) or by
@@ -8,31 +8,22 @@ redesigns that surface around a single declarative value:
 * :class:`CampaignRequest` -- a plain dataclass naming the matrix
   (firmwares x workloads x strategies x budgets), the fleet, the fault
   families, and the execution fabric (backend spec, shared cache,
-  worker count).  It round-trips through JSON (:meth:`to_dict` /
-  :meth:`from_dict`), which is exactly what the campaign service
-  transports over the wire.
+  worker count).
 * :func:`build_cells` -- the canonical request -> grid-cell expansion.
-  The CLI's ``build_cells(args)`` is now a thin wrapper over this, so a
-  request submitted to the service produces byte-identical cell ids and
-  fingerprints to the same matrix typed as flags.
+  The CLI's ``build_cells(args)`` is a thin wrapper over this, so a
+  request produces byte-identical cell ids and fingerprints to the same
+  matrix typed as flags.
 * :func:`run_campaign` -- the in-process path: expand, shard, stream.
-* :class:`CampaignClient` -- one client for both paths.  Without an
-  address it runs the request in-process; with ``address="host:port"``
-  it submits to a :mod:`repro.engine.service` daemon and follows the
-  job's record stream.
 
-Every record produced by either path is the same JSONL schema the grid
-CLI streams (``--stream``/``--resume``), so resuming, validating
+Every record a campaign produces is the JSONL schema the grid CLI
+streams (``--stream``/``--resume``), so resuming, validating
 (``repro.obs report --validate``) and summarising work unchanged.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import json
-import socket
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.config import RunConfiguration, VehicleSpec
 from repro.core.strategies import (
@@ -48,14 +39,7 @@ from repro.engine.grid import (
     CampaignGrid,
     GridCell,
     GridOutcome,
-    filter_completed,
     load_completed_cells,
-)
-from repro.engine.remote import (
-    PROTOCOL_VERSION,
-    parse_address,
-    recv_frame,
-    send_frame,
 )
 from repro.firmware.ardupilot import ArduPilotFirmware
 from repro.firmware.px4 import Px4Firmware
@@ -163,9 +147,6 @@ class CampaignRequest:
     ``python -m repro.engine`` with no flags.  ``backend``, ``cache``
     and ``workers`` describe *where* the work runs and never enter cell
     fingerprints -- the same request is bit-identical on every fabric.
-
-    Requests round-trip through plain dicts (and therefore JSON): this
-    is the submission payload the campaign service accepts.
     """
 
     firmwares: Tuple[str, ...] = ("ardupilot",)
@@ -174,8 +155,8 @@ class CampaignRequest:
     budgets: Tuple[float, ...] = (30.0,)
     fleet_size: int = 1
     #: Per-vehicle fleet specs, one string per fleet member in vehicle
-    #: order (``"firmware=px4,airframe=solo"``).  Kept textual so the
-    #: request stays JSON-serialisable; parsed by :func:`build_cells`.
+    #: order (``"firmware=px4,airframe=solo"``); parsed by
+    #: :func:`build_cells`.
     vehicles: Tuple[str, ...] = ()
     traffic_faults: bool = False
     separation_aware: bool = False
@@ -196,41 +177,12 @@ class CampaignRequest:
     workers: Optional[int] = None
 
     def __post_init__(self) -> None:
-        # Tolerate lists (the JSON spelling) everywhere a tuple is due.
+        # Tolerate lists everywhere a tuple is due.
         for name in (
             "firmwares", "workloads", "strategies", "budgets", "vehicles",
             "burst_durations",
         ):
             object.__setattr__(self, name, tuple(getattr(self, name)))
-
-    def to_dict(self) -> dict:
-        """The JSON-serialisable form (tuples become lists)."""
-        payload = dataclasses.asdict(self)
-        for name, value in payload.items():
-            if isinstance(value, tuple):
-                payload[name] = list(value)
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "CampaignRequest":
-        """Rebuild a request from :meth:`to_dict` output.
-
-        Unknown keys are ignored, so payloads written by a newer client
-        still submit to an older service (the cells the older code can
-        build are the cells it builds).
-        """
-        names = {f.name for f in dataclasses.fields(cls)}
-        kwargs = {
-            key: value for key, value in payload.items() if key in names
-        }
-        return cls(**kwargs)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CampaignRequest":
-        return cls.from_dict(json.loads(text))
 
     def cells(self) -> List[GridCell]:
         """The expanded grid cells (validates the request)."""
@@ -317,9 +269,9 @@ def build_cells(request: CampaignRequest) -> List[GridCell]:
     """Expand a request into its grid cells, validating every axis.
 
     This is the single matrix expansion in the codebase: the grid CLI,
-    the in-process :func:`run_campaign` path and the campaign service
-    all call it, so a given request yields identical cell ids and
-    fingerprints no matter how it was submitted.  (Error messages use
+    the worker CLI and :func:`run_campaign` all call it, so a given
+    request yields identical cell ids and fingerprints no matter how it
+    was described.  (Error messages use
     the CLI flag spellings -- the request fields map one-to-one.)
     """
     if request.stepper not in STEPPERS:
@@ -328,7 +280,7 @@ def build_cells(request: CampaignRequest) -> List[GridCell]:
             f"(choose from {', '.join(STEPPERS)})"
         )
     # Fabric specs never enter a cell fingerprint, but a bad one must
-    # fail here -- not at a queued job's first cell.
+    # fail here -- not at the first cell of a running grid.
     try:
         parse_backend_spec(request.backend)
     except ValueError as error:
@@ -501,178 +453,19 @@ def run_campaign(
     stream_path: Optional[str] = None,
     resume_path: Optional[str] = None,
     on_progress: Optional[Callable[[str, object], None]] = None,
-    on_record: Optional[Callable[[dict], None]] = None,
 ) -> GridOutcome:
     """Run a request in-process: expand, shard, stream, summarise.
 
-    The in-process twin of submitting to the campaign service --
-    identical cells, identical records.  ``on_record`` fires with each
-    finished cell's JSONL record (the streamed schema), which is how
-    the service multiplexes live progress to its clients.
+    ``stream_path`` appends each finished cell's record as one JSON
+    line; ``resume_path`` skips the cells a previous stream recorded
+    (the grid decides which records to trust, see
+    :func:`~repro.engine.grid.filter_completed`).  The records of every
+    cell, resumed or run, are in the outcome's ``cell_summaries``.
     """
-    cells = build_cells(request)
-    grid = CampaignGrid(cells, max_workers=request.workers)
-    fingerprints = grid.fingerprints()
-    completed: Dict[str, dict] = {}
-    if resume_path:
-        completed = filter_completed(
-            cells, load_completed_cells(resume_path), fingerprints
-        )
+    grid = CampaignGrid(build_cells(request), max_workers=request.workers)
+    completed = load_completed_cells(resume_path) if resume_path else None
     return grid.run(
         on_progress=on_progress,
         stream_path=stream_path,
         completed=completed,
-        fingerprints=fingerprints,
-        on_record=on_record,
     )
-
-
-class ServiceError(RuntimeError):
-    """The campaign service refused or failed a request."""
-
-
-class CampaignClient:
-    """Submit campaign requests -- in-process or to a service daemon.
-
-    ``CampaignClient()`` runs requests in the calling process (no
-    daemon involved); ``CampaignClient("host:port")`` submits them to a
-    ``python -m repro.engine serve`` daemon and follows the job's
-    record stream.  Either way :meth:`run` returns the same list of
-    JSONL-schema records, so callers are fabric-agnostic::
-
-        records = CampaignClient().run(CampaignRequest(strategies=("random",),
-                                                       budgets=(5.0,)))
-    """
-
-    def __init__(
-        self,
-        address: Optional[Union[str, Tuple[str, int]]] = None,
-        connect_timeout: float = 10.0,
-    ) -> None:
-        if isinstance(address, str):
-            address = parse_address(address)
-        self._address = tuple(address) if address is not None else None
-        self._connect_timeout = connect_timeout
-
-    @property
-    def remote(self) -> bool:
-        """Whether requests go to a service daemon (vs in-process)."""
-        return self._address is not None
-
-    # ------------------------------------------------------------------
-    def _connect(self) -> socket.socket:
-        assert self._address is not None
-        sock = socket.create_connection(
-            self._address, timeout=self._connect_timeout
-        )
-        try:
-            send_frame(sock, {"op": "hello", "protocol": PROTOCOL_VERSION})
-            reply = recv_frame(sock)
-            if not reply.get("ok"):
-                raise ServiceError(
-                    reply.get("error", "service rejected the connection")
-                )
-        except BaseException:
-            sock.close()
-            raise
-        return sock
-
-    def _call(self, frame: dict) -> dict:
-        with self._connect() as sock:
-            send_frame(sock, frame)
-            reply = recv_frame(sock)
-        if not reply.get("ok"):
-            raise ServiceError(reply.get("error", "service call failed"))
-        return reply
-
-    # ------------------------------------------------------------------
-    def submit(self, request: CampaignRequest) -> str:
-        """Queue a request on the service; returns the job id."""
-        if not self.remote:
-            raise ServiceError(
-                "submit() needs a service address; use run() in-process"
-            )
-        reply = self._call({"op": "submit", "request": request.to_dict()})
-        return reply["job"]
-
-    def status(self, job_id: Optional[str] = None) -> dict:
-        """The service's job table, or one job's entry."""
-        frame: dict = {"op": "status"}
-        if job_id is not None:
-            frame["job"] = job_id
-        return self._call(frame)
-
-    def shutdown(self) -> None:
-        """Ask the service to stop accepting work and exit."""
-        self._call({"op": "shutdown"})
-
-    def watch(self, job_id: str, timeout: Optional[float] = None) -> Iterator[dict]:
-        """Yield a job's record stream; raises on job failure.
-
-        Records already finished when the watch starts are replayed
-        first, so watching is race-free against the scheduler.  The
-        final frame (``event: "done"``) carries the job summary and is
-        not yielded; a failed job raises :class:`ServiceError`.
-        """
-        sock = self._connect()
-        try:
-            if timeout is not None:
-                sock.settimeout(timeout)
-            send_frame(sock, {"op": "watch", "job": job_id})
-            while True:
-                frame = recv_frame(sock)
-                if not frame.get("ok"):
-                    raise ServiceError(frame.get("error", "watch failed"))
-                event = frame.get("event")
-                if event == "record":
-                    yield frame["record"]
-                elif event == "done":
-                    return
-                elif event == "failed":
-                    raise ServiceError(
-                        frame.get("error", f"job {job_id} failed")
-                    )
-        finally:
-            sock.close()
-
-    def run(
-        self,
-        request: CampaignRequest,
-        stream_path: Optional[str] = None,
-        on_record: Optional[Callable[[dict], None]] = None,
-        timeout: Optional[float] = None,
-    ) -> List[dict]:
-        """Run a request to completion; returns its JSONL records.
-
-        In-process mode executes the campaign right here; remote mode
-        submits it and follows the record stream.  ``stream_path``
-        appends each record as one JSON line (the ``--stream`` format)
-        in both modes.
-        """
-        if not self.remote:
-            records: List[dict] = []
-
-            def collect(record: dict) -> None:
-                records.append(record)
-                if on_record is not None:
-                    on_record(record)
-
-            run_campaign(
-                request, stream_path=stream_path, on_record=collect
-            )
-            return records
-        job_id = self.submit(request)
-        records = []
-        stream = open(stream_path, "a", encoding="utf-8") if stream_path else None
-        try:
-            for record in self.watch(job_id, timeout=timeout):
-                records.append(record)
-                if stream is not None:
-                    stream.write(json.dumps(record, sort_keys=True) + "\n")
-                    stream.flush()
-                if on_record is not None:
-                    on_record(record)
-        finally:
-            if stream is not None:
-                stream.close()
-        return records

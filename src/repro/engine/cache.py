@@ -279,8 +279,8 @@ class ResultCache:
         ``<directory>/<key>.pkl`` and lookups fall back to disk, so the
         cache survives across processes and across campaign-grid runs.
         A directory is also the one way to share results: pool
-        children, grid shards, service jobs and other hosts (through a
-        shared mount) all point at the same directory.  It is never
+        children, grid shards and other hosts (through a shared mount)
+        all point at the same directory.  It is never
         pruned; delete it to reclaim the space.
 
     A directory cache is stamped with the firmware bug registry version

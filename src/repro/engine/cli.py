@@ -1,18 +1,11 @@
-"""``python -m repro.engine``: campaign grids, service mode, workers.
+"""``python -m repro.engine``: campaign grids and remote workers.
 
 The default invocation runs a campaign grid in-process: build the
 (firmware x workload x strategy x budget) matrix from the flags, shard
 it across worker processes, stream one progress line per finished
-campaign, and print (or write) a JSON summary.  Subcommands run the
-same matrices through the distributed fabric:
+campaign, and print (or write) a JSON summary.  One subcommand serves
+the same matrices to the distributed fabric:
 
-``serve``
-    Start the campaign service daemon (FIFO job queue, JSONL record
-    streaming to any number of clients).
-``submit``
-    Submit a matrix to a running service and follow its record stream.
-``status``
-    Print a running service's job table.
 ``worker``
     Serve simulations of one grid cell's context to remote-backend
     controllers (``--backend remote:host:port``).
@@ -36,12 +29,10 @@ faults, with the separation-aware SABRE dequeue::
         --vehicle firmware=ardupilot --vehicle firmware=px4,airframe=solo \
         --traffic-faults --separation-aware --strategy avis --budget 20
 
-Service mode (daemon, then two submissions from other shells)::
+Stream every finished campaign, and resume the grid after a kill::
 
-    python -m repro.engine serve --port 7800 --stream service.jsonl
-    python -m repro.engine submit --address 127.0.0.1:7800 \
-        --strategy random --budget 6
-    python -m repro.engine status --address 127.0.0.1:7800
+    python -m repro.engine --strategy random --budget 6 --stream runs.jsonl
+    python -m repro.engine --strategy random --budget 6 --resume runs.jsonl
 """
 
 from __future__ import annotations
@@ -50,7 +41,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 # Matrix vocabulary and expansion live in repro.engine.api; re-exported
 # here because this module was their historical home.
@@ -64,9 +55,7 @@ from repro.engine.api import (  # noqa: F401  (re-exports)
     STRATEGIES,
     TRAFFIC_STRATEGIES,
     WORKLOADS,
-    CampaignClient,
     CampaignRequest,
-    ServiceError,
     parse_vehicle_spec,
 )
 from repro.engine.api import build_cells as _expand_request
@@ -81,12 +70,10 @@ from repro.engine.grid import (
 from repro.obs.metrics import merge_snapshots
 from repro.obs.runtime import Observability, observed
 
-SUBCOMMANDS = ("serve", "submit", "status", "worker")
-
 
 def add_matrix_arguments(parser: argparse.ArgumentParser) -> None:
-    """The campaign-matrix flags, shared by the grid path, ``submit``
-    and ``worker`` -- one flag vocabulary, one expansion
+    """The campaign-matrix flags, shared by the grid path and
+    ``worker`` -- one flag vocabulary, one expansion
     (:func:`repro.engine.api.build_cells`)."""
     parser.add_argument(
         "--firmware", nargs="+", choices=sorted(FIRMWARES), default=["ardupilot"],
@@ -167,8 +154,15 @@ def add_matrix_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--box-side", type=float, default=15.0)
 
 
-def add_fabric_arguments(parser: argparse.ArgumentParser) -> None:
-    """The execution-fabric flags: where cells run and cache."""
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.engine",
+        description="Shard a (firmware x workload x strategy x budget) "
+        "campaign matrix across worker processes.  The 'worker' "
+        "subcommand serves one cell of the same matrix to remote-backend "
+        "controllers.",
+    )
+    add_matrix_arguments(parser)
     fabric = parser.add_argument_group("execution fabric")
     fabric.add_argument(
         "--backend", metavar="SPEC", default="serial",
@@ -180,18 +174,6 @@ def add_fabric_arguments(parser: argparse.ArgumentParser) -> None:
         help="shared result cache directory (local, or on a mount "
         "every host sees); default: a private in-memory cache per cell",
     )
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.engine",
-        description="Shard a (firmware x workload x strategy x budget) "
-        "campaign matrix across worker processes.  Subcommands "
-        f"({', '.join(SUBCOMMANDS)}) run the same matrices through the "
-        "campaign service and remote workers.",
-    )
-    add_matrix_arguments(parser)
-    add_fabric_arguments(parser)
     parser.add_argument(
         "--workers", type=int, default=None,
         help="worker processes (default: CPU count, capped at 4)",
@@ -241,8 +223,9 @@ def request_from_args(args: argparse.Namespace) -> CampaignRequest:
     """The :class:`CampaignRequest` a flag namespace describes.
 
     This is the flags -> API bridge: everything downstream (expansion,
-    validation, execution) happens on the request, so CLI and service
-    submissions are literally the same code path.
+    validation, execution) happens on the request, so the CLI and
+    :func:`repro.engine.api.run_campaign` expand and validate a matrix
+    identically.
     """
     return CampaignRequest(
         firmwares=tuple(args.firmware),
@@ -452,131 +435,8 @@ def _grid_main(argv: Optional[Sequence[str]]) -> int:
 
 
 # ----------------------------------------------------------------------
-# Subcommands: serve / submit / status / worker
+# Subcommand: worker
 # ----------------------------------------------------------------------
-def _serve_main(argv: Sequence[str]) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.engine serve",
-        description="Run the campaign service daemon: accept campaign "
-        "requests over TCP, run them one at a time in FIFO order, and "
-        "stream each finished cell's record to watching clients.",
-    )
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument(
-        "--port", type=int, default=0,
-        help="listening port (default: an ephemeral port, printed on start)",
-    )
-    parser.add_argument(
-        "--max-jobs", type=int, default=None, metavar="N",
-        help="exit after N jobs have finished (CI smoke runs use this "
-        "to run a real daemon without having to kill it)",
-    )
-    parser.add_argument(
-        "--stream", metavar="PATH", default=None,
-        help="also append every job's records to this JSONL file "
-        "(the --stream/--resume grid format)",
-    )
-    args = parser.parse_args(argv)
-    from repro.engine.service import CampaignService
-
-    service = CampaignService(
-        host=args.host, port=args.port,
-        max_jobs=args.max_jobs, stream_path=args.stream,
-    )
-    print(f"campaign service listening on {service.endpoint}", flush=True)
-    try:
-        service.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        service.close()
-    return 0
-
-
-def _submit_main(argv: Sequence[str]) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.engine submit",
-        description="Submit a campaign matrix to a running service.",
-    )
-    parser.add_argument(
-        "--address", required=True, metavar="HOST:PORT",
-        help="the service endpoint (printed by 'serve' on start)",
-    )
-    add_matrix_arguments(parser)
-    add_fabric_arguments(parser)
-    parser.add_argument(
-        "--workers", type=int, default=None,
-        help="grid shard processes on the service side",
-    )
-    parser.add_argument(
-        "--stream", metavar="PATH", default=None,
-        help="append each streamed record to this JSONL file locally",
-    )
-    parser.add_argument(
-        "--no-wait", action="store_true",
-        help="submit and print the job id without following the stream",
-    )
-    parser.add_argument(
-        "--quiet", action="store_true", help="suppress per-record progress lines"
-    )
-    args = parser.parse_args(argv)
-    try:
-        request = request_from_args(args)
-        client = CampaignClient(args.address)
-        job_id = client.submit(request)
-    except (ServiceError, ValueError, OSError) as error:
-        print(f"submit failed: {error}", file=sys.stderr)
-        return 1
-    print(f"submitted {job_id}", file=sys.stderr)
-    if args.no_wait:
-        print(job_id)
-        return 0
-    records = []
-    stream = open(args.stream, "a", encoding="utf-8") if args.stream else None
-    try:
-        for record in client.watch(job_id):
-            records.append(record)
-            if stream is not None:
-                stream.write(json.dumps(record, sort_keys=True) + "\n")
-                stream.flush()
-            if not args.quiet:
-                print(
-                    f"  done {record['cell']}: {record['simulations']} "
-                    f"simulations, {record['unsafe_scenarios']} unsafe",
-                    file=sys.stderr,
-                )
-    except (ServiceError, OSError) as error:
-        print(f"{job_id} failed: {error}", file=sys.stderr)
-        return 1
-    finally:
-        if stream is not None:
-            stream.close()
-    print(json.dumps({"job": job_id, "records": records},
-                     indent=2, sort_keys=True))
-    return 0
-
-
-def _status_main(argv: Sequence[str]) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.engine status",
-        description="Print a running campaign service's job table.",
-    )
-    parser.add_argument("--address", required=True, metavar="HOST:PORT")
-    parser.add_argument(
-        "--job", default=None, metavar="JOB-ID",
-        help="one job's entry (with its summary once finished)",
-    )
-    args = parser.parse_args(argv)
-    try:
-        reply = CampaignClient(args.address).status(args.job)
-    except (ServiceError, ValueError, OSError) as error:
-        print(f"status failed: {error}", file=sys.stderr)
-        return 1
-    reply.pop("ok", None)
-    print(json.dumps(reply, indent=2, sort_keys=True))
-    return 0
-
-
 def _worker_main(argv: Sequence[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.engine worker",
@@ -633,14 +493,8 @@ def _worker_main(argv: Sequence[str]) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] in SUBCOMMANDS:
-        handler: Dict[str, object] = {
-            "serve": _serve_main,
-            "submit": _submit_main,
-            "status": _status_main,
-            "worker": _worker_main,
-        }[argv[0]]
-        return handler(argv[1:])
+    if argv and argv[0] == "worker":
+        return _worker_main(argv[1:])
     return _grid_main(argv)
 
 

@@ -280,6 +280,21 @@ def load_completed_cells(path: str) -> Dict[str, dict]:
     return completed
 
 
+def _open_stream(path: str):
+    """Open a stream file for appending, ending a torn last line first.
+
+    A run killed mid-write can leave a partial last line without its
+    newline; a record appended straight after it would be glued onto
+    the fragment and lost to every later resume.
+    """
+    with open(path, "a+b") as handle:
+        if handle.tell():
+            handle.seek(-1, os.SEEK_END)
+            if handle.read(1) != b"\n":
+                handle.write(b"\n")
+    return open(path, "a", encoding="utf-8")
+
+
 #: Cells inherited by forked grid workers (set before the pool forks).
 _GRID_CELLS: Optional[Sequence[GridCell]] = None
 
@@ -441,7 +456,6 @@ class CampaignGrid:
         stream_path: Optional[str] = None,
         completed: Optional[Dict[str, dict]] = None,
         fingerprints: Optional[Dict[str, str]] = None,
-        on_record: Optional[Callable[[dict], None]] = None,
     ) -> GridOutcome:
         """Execute every cell; ``on_progress`` fires as campaigns finish.
 
@@ -453,9 +467,7 @@ class CampaignGrid:
         are skipped and their streamed summaries reused.  Pass
         ``fingerprints`` (from :meth:`fingerprints`) when the caller has
         already computed them, e.g. to display the resumed count before
-        running.  ``on_record`` fires with each finished cell's streamed
-        record (the JSONL schema) -- the campaign service uses it to
-        multiplex live progress to watching clients.
+        running.
         """
         started = time.perf_counter()
         if fingerprints is None:
@@ -473,11 +485,11 @@ class CampaignGrid:
 
         stream = None
         if stream_path is not None:
-            stream = open(stream_path, "a", encoding="utf-8")
+            stream = _open_stream(stream_path)
         try:
             collect = lambda outcome: self._collect(  # noqa: E731
                 outcome, results, cell_seconds, summaries, stream, on_progress,
-                fingerprints, on_record,
+                fingerprints,
             )
             if workers <= 1 or not _fork_available():
                 workers = 1
@@ -530,7 +542,6 @@ class CampaignGrid:
         stream,
         on_progress: Optional[Callable[[str, CampaignResult], None]],
         fingerprints: Dict[str, str],
-        on_record: Optional[Callable[[dict], None]] = None,
     ) -> None:
         index, campaign, seconds, stats, payload = outcome
         cell = self._cells[index]
@@ -561,8 +572,6 @@ class CampaignGrid:
         if stream is not None:
             stream.write(json.dumps(summaries[cell_id], sort_keys=True) + "\n")
             stream.flush()
-        if on_record is not None:
-            on_record(summaries[cell_id])
         if on_progress is not None:
             on_progress(cell_id, campaign)
 

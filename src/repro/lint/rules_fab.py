@@ -12,7 +12,7 @@ checkable:
 ``FAB002``
     No blocking socket operation while a lock is held: a peer that
     stalls mid-frame would then stall every thread contending for the
-    lock (the campaign service deliberately sends *outside* its lock).
+    lock.
 ``FAB003``
     Worker-imported modules do not rebind module-global state
     (``global X``): fork-started workers inherit a copy that silently

@@ -224,8 +224,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     report_parser.add_argument(
         "--validate", action="store_true",
         help="schema-check the input file -- a trace (Chrome JSON or "
-        "JSONL) or a streamed campaign JSONL file (--stream/service "
-        "records) -- and exit non-zero on problems",
+        "JSONL) or a streamed campaign JSONL file (--stream records) "
+        "-- and exit non-zero on problems",
     )
     options = parser.parse_args(argv)
 
@@ -238,7 +238,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         with open(options.trace, "r", encoding="utf-8") as handle:
             text = handle.read()
         if _is_campaign_stream(text):
-            # Campaign record streams (grid --stream / service mode)
+            # Campaign record streams (grid --stream)
             # validate against the versioned record schema instead of
             # the Chrome trace schema.
             from repro.engine.grid import validate_campaign_stream

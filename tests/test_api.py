@@ -1,17 +1,20 @@
-"""Tests for the campaign submission API and the public surface."""
+"""Tests for the campaign request API and the public surface."""
 
 import json
+import os
+import re
 import warnings
 
 import pytest
 
 import repro
-from repro.engine.api import CampaignClient, CampaignRequest, build_cells
+from repro.engine.api import CampaignRequest, build_cells, run_campaign
 from repro.engine.grid import (
     STREAM_SCHEMA_VERSION,
     cell_fingerprint,
     filter_completed,
     load_completed_cells,
+    validate_campaign_stream,
     validate_stream_record,
 )
 
@@ -99,25 +102,6 @@ class TestCampaignRequest:
         resumed = filter_completed(cells, load_completed_cells(str(stream)))
         assert sorted(resumed) == sorted(streamed)
 
-    def test_round_trips_through_json(self):
-        request = CampaignRequest(
-            strategies=("random",), budgets=(5.0, 10.0),
-            vehicles=("firmware=px4,airframe=solo",),
-            backend="remote:127.0.0.1:7800", cache="/shared/avis-cache",
-            workers=2,
-        )
-        clone = CampaignRequest.from_json(request.to_json())
-        assert clone == request
-        # JSON spells tuples as lists; __post_init__ restores tuples.
-        assert isinstance(clone.budgets, tuple)
-
-    def test_from_dict_ignores_unknown_keys(self):
-        payload = CampaignRequest(strategies=("random",)).to_dict()
-        payload["from_the_future"] = {"anything": 1}
-        request = CampaignRequest.from_dict(payload)
-        assert request.strategies == ("random",)
-        assert not hasattr(request, "from_the_future")
-
     def test_fabric_fields_never_enter_fingerprints(self):
         plain = CampaignRequest(strategies=("random",), budgets=(5.0,))
         fabricked = CampaignRequest(
@@ -152,6 +136,16 @@ class TestCampaignRequest:
 
 
 class TestPublicSurface:
+    def test_version_matches_pyproject(self):
+        pyproject = os.path.join(
+            os.path.dirname(__file__), os.pardir, "pyproject.toml"
+        )
+        with open(pyproject, encoding="utf-8") as handle:
+            declared = re.search(
+                r'^version = "([^"]+)"', handle.read(), re.MULTILINE
+            ).group(1)
+        assert repro.__version__ == declared
+
     def test_package_all_resolves(self):
         for name in repro.__all__:
             assert getattr(repro, name) is not None, name
@@ -180,28 +174,62 @@ class TestPublicSurface:
             assert isinstance(CampaignEngine().backend, SerialBackend)
 
 
-class TestInProcessClient:
+class TestRunCampaign:
     def test_run_returns_schema_stamped_records(self, tmp_path):
         stream_path = tmp_path / "run.jsonl"
-        seen = []
-        records = CampaignClient().run(
+        outcome = run_campaign(
             CampaignRequest(strategies=("random",), budgets=(3.0,), workers=1),
             stream_path=str(stream_path),
-            on_record=seen.append,
         )
-        assert len(records) == 1 and seen == records
+        records = list(outcome.cell_summaries.values())
+        assert len(records) == 1
         record = records[0]
         assert record["schema"] == STREAM_SCHEMA_VERSION
         assert record["simulations"] == 3
         assert validate_stream_record(record) == []
         streamed = json.loads(stream_path.read_text())
-        assert streamed["fingerprint"] == record["fingerprint"]
+        assert streamed == record
 
-    def test_submit_in_process_is_an_error(self):
-        from repro.engine.api import ServiceError
+    def test_streamed_records_validate_through_obs_report(
+        self, tmp_path, capsys
+    ):
+        from repro.obs.report import main as obs_main
 
-        with pytest.raises(ServiceError):
-            CampaignClient().submit(CampaignRequest())
+        stream_path = tmp_path / "run.jsonl"
+        run_campaign(
+            CampaignRequest(strategies=("random",), budgets=(2.0, 3.0),
+                            workers=1),
+            stream_path=str(stream_path),
+        )
+        assert validate_campaign_stream(str(stream_path)) == []
+        assert obs_main(["report", "--validate", str(stream_path)]) == 0
+        assert "valid" in capsys.readouterr().out
+
+    def test_resume_from_a_missing_stream_runs_everything(self, tmp_path):
+        outcome = run_campaign(
+            CampaignRequest(strategies=("random",), budgets=(2.0,), workers=1),
+            resume_path=str(tmp_path / "not-yet-written.jsonl"),
+        )
+        assert outcome.resumed_cells == 0
+        assert list(outcome.results) == ["ardupilot/waypoint/random/2"]
+
+    def test_resume_path_skips_only_matching_records(self, tmp_path):
+        request = CampaignRequest(
+            strategies=("random",), budgets=(2.0, 3.0), workers=1
+        )
+        stream_path = tmp_path / "run.jsonl"
+        first = run_campaign(request, stream_path=str(stream_path))
+        # Keep one record as streamed; re-fingerprint the other so it
+        # no longer matches its cell's configuration.
+        kept, stale = first.cell_summaries.values()
+        stream_path.write_text(
+            json.dumps(kept) + "\n"
+            + json.dumps(dict(stale, fingerprint="0" * 16)) + "\n"
+        )
+        outcome = run_campaign(request, resume_path=str(stream_path))
+        assert outcome.resumed_cells == 1
+        assert list(outcome.results) == [stale["cell"]]
+        assert outcome.cell_summaries[kept["cell"]] == kept
 
 
 class TestStreamSchema:
@@ -222,17 +250,11 @@ class TestStreamSchema:
 
     def test_resume_accepts_pre_schema_records(self, tmp_path):
         """--resume keeps working against PR-6-era (schema-less) streams."""
-        from repro.engine.grid import (
-            CampaignGrid,
-            filter_completed,
-            load_completed_cells,
-        )
-
         request = CampaignRequest(
             strategies=("random",), budgets=(3.0,), workers=1
         )
-        records = CampaignClient().run(request)
-        legacy = dict(records[0])
+        (record,) = run_campaign(request).cell_summaries.values()
+        legacy = dict(record)
         legacy.pop("schema")
         stream_path = tmp_path / "legacy.jsonl"
         stream_path.write_text(json.dumps(legacy) + "\n")
@@ -242,5 +264,5 @@ class TestStreamSchema:
             cells, load_completed_cells(str(stream_path))
         )
         assert set(completed) == {cells[0].cell_id}
-        outcome = CampaignGrid(cells, max_workers=1).run(completed=completed)
+        outcome = run_campaign(request, resume_path=str(stream_path))
         assert outcome.resumed_cells == 1 and not outcome.results

@@ -3,8 +3,10 @@
 import json
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -20,7 +22,7 @@ from repro.core.strategies import (
 from repro.core.strategies.avis_strategy import AvisStrategy
 from repro.engine.backends import SerialBackend, parse_backend_spec
 from repro.engine.cache import ResultCache, config_fingerprint, scenario_key
-from repro.engine.grid import CampaignGrid, GridCell
+from repro.engine.grid import CampaignGrid, GridCell, cell_fingerprint
 from repro.hinj.faults import FaultScenario, FaultSpec
 from repro.sensors.base import SensorId, SensorType
 
@@ -505,6 +507,133 @@ class TestGridResume:
         completed = load_completed_cells(str(stream))
         assert sorted(completed) == ["good"]
 
+    def test_resume_after_torn_line_keeps_new_records(
+        self, short_auto_config, tmp_path
+    ):
+        from repro.engine.grid import load_completed_cells
+
+        stream = tmp_path / "grid.jsonl"
+        CampaignGrid(self._cells(short_auto_config, (1,)), max_workers=1).run(
+            stream_path=str(stream)
+        )
+        # A kill mid-write leaves the next cell's record without its
+        # newline; the resumed record must not be glued onto it.
+        with open(stream, "a", encoding="utf-8") as handle:
+            handle.write('{"cell": "ardupilot/auto/random-2", "simula')
+        cells = self._cells(short_auto_config, (1, 2))
+        outcome = CampaignGrid(cells, max_workers=1).run(
+            stream_path=str(stream),
+            completed=load_completed_cells(str(stream)),
+        )
+        assert list(outcome.results) == ["ardupilot/auto/random-2"]
+        assert sorted(load_completed_cells(str(stream))) == sorted(
+            cell.cell_id for cell in cells
+        )
+
+    @pytest.mark.parametrize("before, after", [
+        ("", ""),
+        ('{"cell": "a"}\n', '{"cell": "a"}\n'),
+        ('{"cell": "a", "simula', '{"cell": "a", "simula\n'),
+    ])
+    def test_open_stream_ends_a_torn_last_line(self, tmp_path, before, after):
+        from repro.engine.grid import _open_stream
+
+        path = tmp_path / "grid.jsonl"
+        path.write_text(before)
+        _open_stream(str(path)).close()
+        assert path.read_text() == after
+
+    def test_cli_reports_resumed_cells(self, tmp_path, capsys):
+        from repro.engine.cli import build_cells, build_parser, main
+
+        argv = ["--strategy", "random", "--workload", "auto",
+                "--budget", "2", "3", "--workers", "1"]
+        first = build_cells(build_parser().parse_args(argv))[0]
+        stream = tmp_path / "stream.jsonl"
+        stream.write_text(json.dumps({
+            "cell": first.cell_id, "fingerprint": cell_fingerprint(first),
+            "simulations": 2, "unsafe_scenarios": 0,
+        }) + "\n")
+        out = tmp_path / "grid.json"
+        assert main(argv + ["--resume", str(stream), "--json", str(out)]) == 0
+        assert f"1 campaigns across 1 worker(s) (1 resumed from {stream})" in (
+            capsys.readouterr().err
+        )
+        assert json.loads(out.read_text())["totals"]["resumed"] == 1
+
+    def test_sigkilled_grid_resumes_to_the_uninterrupted_stream(self, tmp_path):
+        """A grid killed with SIGKILL resumes without rerunning a cell,
+        and its stream ends up record-for-record the uninterrupted one."""
+        from repro.engine.grid import load_completed_cells
+
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        flags = [
+            sys.executable, "-m", "repro.engine",
+            "--workload", "auto", "--strategy", "random",
+            "--budget", "2", "3", "4", "--workers", "1", "--quiet",
+        ]
+        cell_ids = [f"ardupilot/auto/random/{budget}" for budget in (2, 3, 4)]
+
+        def records(path):
+            parsed = []
+            for line in path.read_text().splitlines():
+                try:
+                    parsed.append(json.loads(line))
+                except json.JSONDecodeError:
+                    continue  # the fragment the kill tore
+            return parsed
+
+        def comparable(record):
+            return {
+                key: value for key, value in record.items()
+                if key not in ("wall_seconds", "wall_s")
+            }
+
+        stream = tmp_path / "killed.jsonl"
+        process = subprocess.Popen(
+            flags + ["--stream", str(stream)], env=env,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        try:
+            deadline = time.monotonic() + 300.0
+            while not stream.exists() or "\n" not in stream.read_text():
+                assert process.poll() is None, "grid exited before streaming"
+                assert time.monotonic() < deadline, "no cell streamed in time"
+                time.sleep(0.01)
+            process.send_signal(signal.SIGKILL)
+        finally:
+            process.kill()
+            process.wait(timeout=30.0)
+        assert process.returncode == -signal.SIGKILL
+        before = list(load_completed_cells(str(stream)))
+        assert 1 <= len(before) < len(cell_ids)
+
+        summary_path = tmp_path / "resumed.json"
+        subprocess.run(
+            flags + ["--stream", str(stream), "--resume", str(stream),
+                     "--json", str(summary_path)],
+            env=env, check=True, timeout=600.0,
+        )
+        summary = json.loads(summary_path.read_text())
+        assert summary["totals"]["resumed"] == len(before)
+        resumed = records(stream)
+        # Exactly the missing cells were appended, each once.
+        assert [record["cell"] for record in resumed[:len(before)]] == before
+        assert sorted(record["cell"] for record in resumed) == cell_ids
+
+        reference = tmp_path / "uninterrupted.jsonl"
+        subprocess.run(
+            flags + ["--stream", str(reference)],
+            env=env, check=True, timeout=600.0,
+            stdout=subprocess.DEVNULL,
+        )
+        expected = {record["cell"]: comparable(record)
+                    for record in records(reference)}
+        assert sorted(expected) == cell_ids
+        for record in resumed:
+            assert comparable(record) == expected[record["cell"]]
+
     def test_cli_resume_round_trip(self, tmp_path):
         from repro.engine.cli import main
 
@@ -538,6 +667,15 @@ class TestGridResume:
 
 
 class TestEngineCli:
+    @pytest.mark.parametrize("subcommand", ["serve", "submit", "status"])
+    def test_removed_subcommands_are_unknown_arguments(self, subcommand, capsys):
+        from repro.engine.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main([subcommand])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {subcommand}" in capsys.readouterr().err
+
     def test_mixed_classic_and_fleet_grids_build(self):
         from repro.engine.cli import build_cells, build_parser
 
