@@ -31,6 +31,10 @@ from repro.hinj.faults import default_traffic_failures, validate_burst_durations
 from repro.obs import runtime as obs_runtime
 from repro.sensors.suite import iris_sensor_suite
 
+#: Default budget units per simulation and per labelled candidate.
+DEFAULT_SIMULATION_COST = 1.0
+DEFAULT_LABELLING_COST = 0.15
+
 
 class ProfilingError(RuntimeError):
     """Raised when the fault-free profiling run does not pass the workload."""
@@ -113,8 +117,8 @@ class Avis:
         config: RunConfiguration,
         profiling_runs: int = 2,
         budget_units: float = 60.0,
-        simulation_cost: float = 1.0,
-        labelling_cost: float = 0.15,
+        simulation_cost: float = DEFAULT_SIMULATION_COST,
+        labelling_cost: float = DEFAULT_LABELLING_COST,
         backend: str = "serial",
         cache: Optional[ResultCache] = None,
         batch_size=DEFAULT_BATCH_SIZE,

@@ -9,8 +9,9 @@ redesigns that surface around a single declarative value:
   (firmwares x workloads x strategies x budgets), the fleet, the fault
   families, and the execution fabric (backend spec, shared cache,
   worker count).
-* :func:`build_cells` -- the canonical request -> grid-cell expansion.
-  The CLI's ``build_cells(args)`` is a thin wrapper over this, so a
+* :func:`build_cells` -- the one request -> grid-cell expansion.  The
+  CLI turns its flags into a request
+  (:func:`repro.engine.cli.request_from_args`) and expands that, so a
   request produces byte-identical cell ids and fingerprints to the same
   matrix typed as flags.
 * :func:`run_campaign` -- the in-process path: expand, shard, stream.
@@ -184,10 +185,6 @@ class CampaignRequest:
         ):
             object.__setattr__(self, name, tuple(getattr(self, name)))
 
-    def cells(self) -> List[GridCell]:
-        """The expanded grid cells (validates the request)."""
-        return build_cells(self)
-
 
 def _workload_factory(name: str, altitude: float, box_side: float, fleet_size: int):
     if name == "auto":
@@ -360,9 +357,13 @@ def build_cells(request: CampaignRequest) -> List[GridCell]:
             raise ValueError("--per-dequeue applies only to the 'avis' strategy")
     if request.separation_aware and "avis" not in request.strategies:
         raise ValueError("--separation-aware applies only to the 'avis' strategy")
+    if request.profiling_runs < 1:
+        # Avis always profiles at least once; accepting 0 or less would
+        # fly that one profile under a fingerprint claiming otherwise.
+        raise ValueError("--profiling-runs must be >= 1")
     cells: List[GridCell] = []
-    fleet_cell_ids = set()
-    for firmware_name in request.firmwares:
+    cell_ids = set()
+    for firmware_index, firmware_name in enumerate(request.firmwares):
         for workload_name in request.workloads:
             required_fleet = FLEET_WORKLOADS.get(workload_name, 1)
             if required_fleet > 1 and fleet_size < required_fleet:
@@ -386,7 +387,10 @@ def build_cells(request: CampaignRequest) -> List[GridCell]:
             cell_firmware_id = firmware_name
             if is_fleet_cell and vehicles is not None:
                 # A per-vehicle fleet fully determines the cell's firmware
-                # mix; emit it once rather than once per firmware.
+                # mix; emit it once (with the first firmware) rather than
+                # once per firmware.
+                if firmware_index:
+                    continue
                 cell_firmware_id = "+".join(
                     spec.firmware_name for spec in vehicles
                 )
@@ -425,10 +429,14 @@ def build_cells(request: CampaignRequest) -> List[GridCell]:
                         f"{cell_firmware_id}/{workload_id}/"
                         f"{_strategy_id(strategy_name, request)}/{budget:g}"
                     )
-                    if is_fleet_cell and vehicles is not None:
-                        if cell_id in fleet_cell_ids:
-                            continue
-                        fleet_cell_ids.add(cell_id)
+                    if cell_id in cell_ids:
+                        # Ids render budgets with :g, so 1 and 1.0000001
+                        # collide too; two campaigns cannot share one.
+                        raise ValueError(
+                            f"cell '{cell_id}' appears twice: a matrix "
+                            "axis repeats a value"
+                        )
+                    cell_ids.add(cell_id)
                     cells.append(
                         GridCell(
                             cell_id=cell_id,

@@ -38,31 +38,27 @@ Stream every finished campaign, and resume the grid after a kill::
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import json
 import os
 import sys
-from typing import List, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-# Matrix vocabulary and expansion live in repro.engine.api; re-exported
-# here because this module was their historical home.
-from repro.engine.api import (  # noqa: F401  (re-exports)
+from repro.engine.api import (
     AIRFRAMES,
     BURST_STRATEGIES,
     FIRMWARES,
-    FIXED_FLEET_WORKLOADS,
-    FLEET_WORKLOADS,
     STEPPERS,
     STRATEGIES,
     TRAFFIC_STRATEGIES,
     WORKLOADS,
     CampaignRequest,
-    parse_vehicle_spec,
+    build_cells,
 )
-from repro.engine.api import build_cells as _expand_request
 from repro.engine.backends import BACKEND_SPEC_HELP
 from repro.engine.grid import (
     CampaignGrid,
-    GridCell,
     GridOutcome,
     filter_completed,
     load_completed_cells,
@@ -74,13 +70,14 @@ from repro.obs.runtime import Observability, observed
 def add_matrix_arguments(parser: argparse.ArgumentParser) -> None:
     """The campaign-matrix flags, shared by the grid path and
     ``worker`` -- one flag vocabulary, one expansion
-    (:func:`repro.engine.api.build_cells`)."""
+    (:func:`repro.engine.api.build_cells`).  Every ``dest`` is the
+    :class:`CampaignRequest` field the flag sets."""
     parser.add_argument(
-        "--firmware", nargs="+", choices=sorted(FIRMWARES), default=["ardupilot"],
-        help="firmware flavours to check",
+        "--firmware", dest="firmwares", nargs="+", choices=sorted(FIRMWARES),
+        default=["ardupilot"], help="firmware flavours to check",
     )
     parser.add_argument(
-        "--workload", nargs="+",
+        "--workload", dest="workloads", nargs="+",
         choices=list(WORKLOADS),
         default=["waypoint"],
         help="workloads to fly (convoy/crossing/multi-pad need --fleet-size >= 2)",
@@ -91,7 +88,8 @@ def add_matrix_arguments(parser: argparse.ArgumentParser) -> None:
         "multi-pad; classic workloads in the same grid always fly solo)",
     )
     parser.add_argument(
-        "--vehicle", action="append", default=None, metavar="SPEC",
+        "--vehicle", dest="vehicles", action="append", default=[],
+        metavar="SPEC",
         help="per-vehicle spec for fleet workloads, one flag per fleet "
         "member in vehicle order: comma-separated key=value pairs with "
         f"keys 'firmware' ({'/'.join(sorted(FIRMWARES))}) and 'airframe' "
@@ -114,8 +112,8 @@ def add_matrix_arguments(parser: argparse.ArgumentParser) -> None:
         "strategy)",
     )
     parser.add_argument(
-        "--burst-duration", nargs="+", type=float, default=None,
-        metavar="SECONDS",
+        "--burst-duration", dest="burst_durations", nargs="+", type=float,
+        default=[], metavar="SECONDS",
         help="explore intermittent faults: besides the latched faults, "
         "sweep recovering variants whose fault window closes after the "
         "given duration(s).  The default fault model (latched, never "
@@ -133,12 +131,13 @@ def add_matrix_arguments(parser: argparse.ArgumentParser) -> None:
         "'reference' kept for old streams (its cells keep '+soa' ids)",
     )
     parser.add_argument(
-        "--strategy", nargs="+", choices=sorted(STRATEGIES),
+        "--strategy", dest="strategies", nargs="+", choices=sorted(STRATEGIES),
         default=["avis", "stratified-bfi", "bfi", "random"],
         help="search strategies to compare",
     )
     parser.add_argument(
-        "--budget", nargs="+", type=float, default=[30.0],
+        "--budget", dest="budgets", metavar="BUDGET", nargs="+", type=float,
+        default=[30.0],
         help="budget(s) in simulation-cost units; one grid axis per value",
     )
     parser.add_argument(
@@ -222,39 +221,18 @@ def build_parser() -> argparse.ArgumentParser:
 def request_from_args(args: argparse.Namespace) -> CampaignRequest:
     """The :class:`CampaignRequest` a flag namespace describes.
 
-    This is the flags -> API bridge: everything downstream (expansion,
+    This is the flags -> API bridge: every flag's ``dest`` is a request
+    field, and fields without a flag (the worker has no fabric flags)
+    keep the request defaults.  Everything downstream (expansion,
     validation, execution) happens on the request, so the CLI and
     :func:`repro.engine.api.run_campaign` expand and validate a matrix
     identically.
     """
-    return CampaignRequest(
-        firmwares=tuple(args.firmware),
-        workloads=tuple(args.workload),
-        strategies=tuple(args.strategy),
-        budgets=tuple(args.budget),
-        fleet_size=args.fleet_size,
-        vehicles=tuple(args.vehicle) if args.vehicle else (),
-        traffic_faults=args.traffic_faults,
-        separation_aware=args.separation_aware,
-        burst_durations=(
-            tuple(args.burst_duration) if args.burst_duration else ()
-        ),
-        per_dequeue=args.per_dequeue,
-        stepper=args.stepper,
-        profiling_runs=args.profiling_runs,
-        altitude=args.altitude,
-        box_side=args.box_side,
-        backend=getattr(args, "backend", "serial"),
-        cache=getattr(args, "cache", None),
-        workers=getattr(args, "workers", None),
-    )
-
-
-def build_cells(args: argparse.Namespace) -> List[GridCell]:
-    """Expand a flag namespace into grid cells (kept for callers that
-    grew up with the CLI; new code should build a
-    :class:`CampaignRequest` and call :func:`repro.engine.api.build_cells`)."""
-    return _expand_request(request_from_args(args))
+    return CampaignRequest(**{
+        field.name: getattr(args, field.name)
+        for field in dataclasses.fields(CampaignRequest)
+        if hasattr(args, field.name)
+    })
 
 
 def _stats_line(outcome: GridOutcome) -> Optional[str]:
@@ -283,6 +261,32 @@ def _stats_line(outcome: GridOutcome) -> Optional[str]:
     return " | ".join(parts) if parts else None
 
 
+def _json_writer(document: object) -> Callable[[str], None]:
+    """A path writer for ``document`` as indented, key-sorted JSON."""
+
+    def write(path: str) -> None:
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(document, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+
+    return write
+
+
+def _write_output(
+    path: str, label: str, write: Callable[[str], None], quiet: bool
+) -> bool:
+    """Write one output file, reporting on stderr; False when it failed
+    (never raises: the campaigns behind an output are already finished)."""
+    try:
+        write(path)
+    except OSError as error:
+        print(f"could not write {path}: {error}", file=sys.stderr)
+        return False
+    if not quiet:
+        print(f"{label} written to {path}", file=sys.stderr)
+    return True
+
+
 def _grid_main(argv: Optional[Sequence[str]]) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -308,19 +312,18 @@ def _grid_main(argv: Optional[Sequence[str]]) -> int:
         except OSError as error:
             parser.error(f"--resume: cannot read {args.resume}: {error}")
     try:
-        cells = build_cells(args)
+        cells = build_cells(request_from_args(args))
     except ValueError as error:
         parser.error(str(error))
-    observing = bool(args.trace or args.metrics_json)
-    if observing:
-        # Observed cells run under fresh per-cell runtimes and return
-        # their metrics/trace with the summary; 'observe' is never part
-        # of the cell fingerprint, so --resume semantics are unchanged.
-        for cell in cells:
-            cell.observe = True
+    # Observed cells run under fresh per-cell runtimes and return their
+    # metrics/trace with the summary; 'observe' is never part of the
+    # cell fingerprint, so --resume semantics are unchanged.
+    obs = Observability() if args.trace or args.metrics_json else None
+    for cell in cells:
+        cell.observe = obs is not None
     grid = CampaignGrid(cells, max_workers=args.workers)
-    fingerprints = grid.fingerprints()
-    completed = filter_completed(cells, completed, fingerprints)
+    # Only for the header: grid.run makes the same resume decision.
+    completed = filter_completed(cells, completed)
     pending = [cell for cell in cells if cell.cell_id not in completed]
     if not args.quiet:
         skipped = len(cells) - len(pending)
@@ -335,58 +338,37 @@ def _grid_main(argv: Optional[Sequence[str]]) -> int:
         if not args.quiet:
             print(f"  done {cell_id}: {campaign.summary().strip()}", file=sys.stderr)
 
-    if observing:
-        # A grid-level runtime adopts each observed cell's trace events
-        # as they are collected, so one --trace file covers every cell.
-        with observed(Observability()) as obs:
-            with obs.tracer.span("grid.run", cells=len(pending)):
-                outcome = grid.run(
-                    on_progress=progress,
-                    stream_path=stream_path,
-                    completed=completed,
-                    fingerprints=fingerprints,
-                )
-            grid_tracer = obs.tracer
-            grid_snapshot = obs.metrics.snapshot()
-    else:
+    with contextlib.ExitStack() as stack:
+        if obs is not None:
+            # A grid-level runtime adopts each observed cell's trace
+            # events as they are collected, so one --trace file covers
+            # every cell.
+            stack.enter_context(observed(obs))
+            stack.enter_context(obs.tracer.span("grid.run", cells=len(pending)))
         outcome = grid.run(
             on_progress=progress,
             stream_path=stream_path,
             completed=completed,
-            fingerprints=fingerprints,
         )
-        grid_tracer = None
-        grid_snapshot = None
 
     failures = 0
     if args.trace:
-        assert grid_tracer is not None
-        try:
-            if args.trace.endswith(".jsonl"):
-                grid_tracer.write_jsonl(args.trace)
-            else:
-                grid_tracer.write_chrome(args.trace)
-            if not args.quiet:
-                print(f"trace written to {args.trace}", file=sys.stderr)
-        except OSError as error:
-            print(f"could not write {args.trace}: {error}", file=sys.stderr)
+        write_trace = (
+            obs.tracer.write_jsonl if args.trace.endswith(".jsonl")
+            else obs.tracer.write_chrome
+        )
+        if not _write_output(args.trace, "trace", write_trace, args.quiet):
             failures += 1
     if args.metrics_json:
-        assert grid_snapshot is not None
-        snapshots = [grid_snapshot] + [
+        snapshots = [obs.metrics.snapshot()] + [
             record["metrics"]
             for record in outcome.cell_summaries.values()
             if isinstance(record.get("metrics"), dict)
         ]
-        merged = merge_snapshots(snapshots)
-        try:
-            with open(args.metrics_json, "w", encoding="utf-8") as handle:
-                json.dump(merged, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            if not args.quiet:
-                print(f"metrics written to {args.metrics_json}", file=sys.stderr)
-        except OSError as error:
-            print(f"could not write {args.metrics_json}: {error}", file=sys.stderr)
+        if not _write_output(
+            args.metrics_json, "metrics",
+            _json_writer(merge_snapshots(snapshots)), args.quiet,
+        ):
             failures += 1
     if args.stats_json:
         stats_document = {
@@ -402,14 +384,9 @@ def _grid_main(argv: Optional[Sequence[str]]) -> int:
                 "cache": outcome.cache_totals(),
             },
         }
-        try:
-            with open(args.stats_json, "w", encoding="utf-8") as handle:
-                json.dump(stats_document, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            if not args.quiet:
-                print(f"stats written to {args.stats_json}", file=sys.stderr)
-        except OSError as error:
-            print(f"could not write {args.stats_json}: {error}", file=sys.stderr)
+        if not _write_output(
+            args.stats_json, "stats", _json_writer(stats_document), args.quiet
+        ):
             failures += 1
 
     if not args.quiet:
@@ -417,27 +394,21 @@ def _grid_main(argv: Optional[Sequence[str]]) -> int:
         if line:
             print(line, file=sys.stderr)
 
-    summary = json.dumps(outcome.summary(), indent=2, sort_keys=True)
-    if args.json:
-        try:
-            with open(args.json, "w", encoding="utf-8") as handle:
-                handle.write(summary + "\n")
-        except OSError as error:
-            # Never lose finished campaigns to an output error.
-            print(f"could not write {args.json}: {error}", file=sys.stderr)
-            print(summary)
-            return 1
-        if not args.quiet:
-            print(f"summary written to {args.json}", file=sys.stderr)
-    else:
-        print(summary)
-    return 1 if failures else 0
+    summary = outcome.summary()
+    if args.json and _write_output(
+        args.json, "summary", _json_writer(summary), args.quiet
+    ):
+        return 1 if failures else 0
+    # Never lose finished campaigns to an output error: an unwritable
+    # --json summary goes to stdout, and the run still fails.
+    print(json.dumps(summary, indent=2, sort_keys=True))
+    return 1 if failures or args.json else 0
 
 
 # ----------------------------------------------------------------------
 # Subcommand: worker
 # ----------------------------------------------------------------------
-def _worker_main(argv: Sequence[str]) -> int:
+def build_worker_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.engine worker",
         description="Serve simulations of one grid cell's context to "
@@ -453,9 +424,14 @@ def _worker_main(argv: Sequence[str]) -> int:
         help="listening port (default: an ephemeral port, printed on start)",
     )
     add_matrix_arguments(parser)
+    return parser
+
+
+def _worker_main(argv: Sequence[str]) -> int:
+    parser = build_worker_parser()
     args = parser.parse_args(argv)
     try:
-        cells = build_cells(args)
+        cells = build_cells(request_from_args(args))
     except ValueError as error:
         parser.error(str(error))
     if len(cells) != 1:

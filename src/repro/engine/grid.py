@@ -24,6 +24,7 @@ exposes this as ``--stream`` / ``--resume``.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import multiprocessing
@@ -32,7 +33,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.avis import Avis, CampaignResult
+from repro.core.avis import (
+    DEFAULT_LABELLING_COST,
+    DEFAULT_SIMULATION_COST,
+    Avis,
+    CampaignResult,
+)
 from repro.core.config import RunConfiguration
 from repro.engine.backends import _fork_available
 from repro.engine.cache import (
@@ -65,8 +71,6 @@ class GridCell:
     strategy_factory: Callable[[], object]
     budget_units: float = 60.0
     profiling_runs: int = 2
-    simulation_cost: float = 1.0
-    labelling_cost: float = 0.15
     #: Open the inter-vehicle traffic channel to injection: the cell's
     #: session gets the coordination fault space (fleet cells only).
     traffic_faults: bool = False
@@ -97,7 +101,9 @@ def cell_fingerprint(cell: GridCell) -> str:
         config_fingerprint(cell.config, workload_fingerprint(cell.config)),
         f"budget={cell.budget_units!r}",
         f"profiling={cell.profiling_runs!r}",
-        f"costs={cell.simulation_cost!r}/{cell.labelling_cost!r}",
+        # Every cell runs at the Avis default costs; the term stays so
+        # existing stream records keep resuming.
+        f"costs={DEFAULT_SIMULATION_COST!r}/{DEFAULT_LABELLING_COST!r}",
     ]
     if cell.traffic_faults:
         # Rendered only when enabled, so pre-traffic stream files keep
@@ -232,9 +238,7 @@ def validate_campaign_stream(path: str) -> List[str]:
 
 
 def filter_completed(
-    cells: Sequence[GridCell],
-    completed: Dict[str, dict],
-    fingerprints: Optional[Dict[str, str]] = None,
+    cells: Sequence[GridCell], completed: Dict[str, dict]
 ) -> Dict[str, dict]:
     """The subset of ``completed`` records trustworthy for ``cells``.
 
@@ -242,11 +246,10 @@ def filter_completed(
     configuration may be reused: ids omit parameters (altitude, box
     side...), so a mismatched or missing fingerprint means the cell must
     rerun.  This is the single place the resume decision is made -- the
-    grid and the CLI both call it.  Pass ``fingerprints`` (cell id ->
-    :func:`cell_fingerprint`) to reuse fingerprints already computed.
+    grid calls it, and so does the CLI to report the resumed count
+    before running.
     """
-    if fingerprints is None:
-        fingerprints = {cell.cell_id: cell_fingerprint(cell) for cell in cells}
+    fingerprints = {cell.cell_id: cell_fingerprint(cell) for cell in cells}
     return {
         cell_id: record
         for cell_id, record in completed.items()
@@ -298,62 +301,48 @@ def _open_stream(path: str):
 #: Cells inherited by forked grid workers (set before the pool forks).
 _GRID_CELLS: Optional[Sequence[GridCell]] = None
 
-
-def _cell_cache(spec: Optional[str]) -> Optional[ResultCache]:
-    """The result cache over a cell's cache directory (None: engine default).
-
-    Built inside the (possibly forked) worker so each shard holds its
-    own memory tier over the shared directory.
-    """
-    if spec is None:
-        return None
-    return ResultCache(directory=spec)
+#: One finished cell's ``(result, seconds, stats, obs_payload)``.
+CellOutcome = Tuple[CampaignResult, float, dict, Optional[dict]]
 
 
-def _run_cell(
-    index: int,
-) -> Tuple[int, CampaignResult, float, dict, Optional[dict]]:
-    """Execute one grid cell inside a worker.
+def _run_cell(cell: GridCell) -> CellOutcome:
+    """Execute one grid cell (in the grid process or a forked worker).
 
-    Returns ``(index, result, seconds, stats, obs_payload)``: ``stats``
-    always carries the cell's engine and cache counters; ``obs_payload``
-    is the cell's metrics snapshot plus serialized trace events when the
-    cell asked to be observed (each observed cell runs under a *fresh*
+    Returns ``(result, seconds, stats, obs_payload)``: ``stats`` always
+    carries the cell's engine and cache counters; ``obs_payload`` is the
+    cell's metrics snapshot plus serialized trace events when the cell
+    asked to be observed (each observed cell runs under a *fresh*
     runtime, so its snapshot covers that campaign alone), else None.
     """
-    assert _GRID_CELLS is not None
-    cell = _GRID_CELLS[index]
     started = time.perf_counter()
-
-    def execute() -> Tuple[CampaignResult, dict]:
+    obs = Observability() if cell.observe else None
+    with observed(obs) if obs is not None else contextlib.nullcontext():
         avis = Avis(
             cell.config,
             profiling_runs=cell.profiling_runs,
             budget_units=cell.budget_units,
-            simulation_cost=cell.simulation_cost,
-            labelling_cost=cell.labelling_cost,
             backend=cell.backend_spec,
-            cache=_cell_cache(cell.cache_spec),
+            # Built inside the (possibly forked) worker so each shard
+            # holds its own memory tier over the shared directory.
+            cache=ResultCache(directory=cell.cache_spec) if cell.cache_spec else None,
             traffic_faults=cell.traffic_faults,
         )
         avis.profile()
         campaign = avis.check(strategy=cell.strategy_factory())
-        stats = {
-            "engine": dict(avis.engine.last_stats),
-            "cache": dict(avis.cache.stats),
-        }
-        return campaign, stats
+    stats = {
+        "engine": dict(avis.engine.last_stats),
+        "cache": dict(avis.cache.stats),
+    }
+    payload = None if obs is None else {
+        "metrics": obs.metrics.snapshot(),
+        "trace_events": obs.tracer.events,
+    }
+    return campaign, time.perf_counter() - started, stats, payload
 
-    if not cell.observe:
-        campaign, stats = execute()
-        return index, campaign, time.perf_counter() - started, stats, None
-    with observed(Observability()) as obs:
-        campaign, stats = execute()
-        payload = {
-            "metrics": obs.metrics.snapshot(),
-            "trace_events": obs.tracer.events,
-        }
-    return index, campaign, time.perf_counter() - started, stats, payload
+
+def _run_forked_cell(index: int) -> Tuple[int, CellOutcome]:
+    """Pool entry point: run the inherited cell at ``index``."""
+    return index, _run_cell(_GRID_CELLS[index])
 
 
 @dataclass
@@ -368,7 +357,6 @@ class GridOutcome:
 
     results: Dict[str, CampaignResult]
     wall_seconds: float
-    cell_seconds: Dict[str, float]
     workers: int
     cell_summaries: Dict[str, dict] = field(default_factory=dict)
     resumed_cells: int = 0
@@ -437,25 +425,15 @@ class CampaignGrid:
         self._max_workers = max(1, max_workers)
 
     @property
-    def cells(self) -> List[GridCell]:
-        """The configured cells, in matrix order."""
-        return list(self._cells)
-
-    @property
     def max_workers(self) -> int:
         """The configured shard count."""
         return self._max_workers
-
-    def fingerprints(self) -> Dict[str, str]:
-        """:func:`cell_fingerprint` of every cell, keyed by cell id."""
-        return {cell.cell_id: cell_fingerprint(cell) for cell in self._cells}
 
     def run(
         self,
         on_progress: Optional[Callable[[str, CampaignResult], None]] = None,
         stream_path: Optional[str] = None,
         completed: Optional[Dict[str, dict]] = None,
-        fingerprints: Optional[Dict[str, str]] = None,
     ) -> GridOutcome:
         """Execute every cell; ``on_progress`` fires as campaigns finish.
 
@@ -464,18 +442,13 @@ class CampaignGrid:
         ``stream_path`` is given, each finished cell's summary is
         appended to it as one JSON line; cells whose ids appear in
         ``completed`` (a mapping loaded by :func:`load_completed_cells`)
-        are skipped and their streamed summaries reused.  Pass
-        ``fingerprints`` (from :meth:`fingerprints`) when the caller has
-        already computed them, e.g. to display the resumed count before
-        running.
+        are skipped and their streamed summaries reused, as far as
+        :func:`filter_completed` trusts them.
         """
         started = time.perf_counter()
-        if fingerprints is None:
-            fingerprints = self.fingerprints()
-        completed = filter_completed(self._cells, completed or {}, fingerprints)
+        completed = filter_completed(self._cells, completed or {})
         results: Dict[str, CampaignResult] = {}
-        cell_seconds: Dict[str, float] = {}
-        summaries: Dict[str, dict] = {}
+        summaries: Dict[str, dict] = dict(completed)
         pending = [
             index
             for index, cell in enumerate(self._cells)
@@ -483,107 +456,74 @@ class CampaignGrid:
         ]
         workers = min(self._max_workers, len(pending)) or 1
 
-        stream = None
-        if stream_path is not None:
-            stream = _open_stream(stream_path)
-        try:
-            collect = lambda outcome: self._collect(  # noqa: E731
-                outcome, results, cell_seconds, summaries, stream, on_progress,
-                fingerprints,
+        stream = _open_stream(stream_path) if stream_path is not None else None
+
+        def collect(index: int, outcome: CellOutcome) -> None:
+            cell = self._cells[index]
+            campaign, seconds, stats, payload = outcome
+            results[cell.cell_id] = campaign
+            summaries[cell.cell_id] = summarize_campaign(
+                cell.cell_id,
+                campaign,
+                wall_seconds=seconds,
+                fleet_size=cell.config.fleet_size,
+                fingerprint=cell_fingerprint(cell),
+                vehicles=(
+                    [spec.describe() for spec in cell.config.vehicle_specs]
+                    if cell.config.is_heterogeneous else None
+                ),
+                engine_stats=stats.get("engine"),
+                cache_stats=stats.get("cache"),
+                metrics=payload.get("metrics") if payload is not None else None,
             )
+            if payload is not None:
+                # Adopt the cell's trace into the grid-level tracer (when
+                # one is installed) so a single --trace file covers every
+                # cell.
+                parent = obs_runtime.current()
+                if parent is not None:
+                    parent.tracer.extend(payload.get("trace_events", ()))
+            if stream is not None:
+                stream.write(
+                    json.dumps(summaries[cell.cell_id], sort_keys=True) + "\n"
+                )
+                stream.flush()
+            if on_progress is not None:
+                on_progress(cell.cell_id, campaign)
+
+        try:
             if workers <= 1 or not _fork_available():
                 workers = 1
                 for index in pending:
-                    collect(_run_cell_local(self._cells, index))
+                    collect(index, _run_cell(self._cells[index]))
             else:
                 global _GRID_CELLS  # repro-lint: disable=FAB003 -- set immediately before fork so workers inherit the parent's cells by design
                 _GRID_CELLS = self._cells
                 context = multiprocessing.get_context("fork")
                 try:
                     with context.Pool(processes=workers) as pool:
-                        for outcome in pool.imap_unordered(_run_cell, pending):
-                            collect(outcome)
+                        for index, outcome in pool.imap_unordered(
+                            _run_forked_cell, pending
+                        ):
+                            collect(index, outcome)
                 finally:
                     _GRID_CELLS = None
         finally:
             if stream is not None:
                 stream.close()
 
-        # Re-key into matrix order for stable summaries, merging the
-        # summaries of resumed cells in their matrix position.
-        ordered = {
-            cell.cell_id: results[cell.cell_id]
-            for cell in self._cells
-            if cell.cell_id in results
-        }
-        ordered_summaries: Dict[str, dict] = {}
-        resumed = 0
-        for cell in self._cells:
-            if cell.cell_id in summaries:
-                ordered_summaries[cell.cell_id] = summaries[cell.cell_id]
-            elif cell.cell_id in completed:
-                ordered_summaries[cell.cell_id] = completed[cell.cell_id]
-                resumed += 1
+        # Re-key into matrix order for stable summaries; resumed cells
+        # keep their streamed summaries in their matrix position.
         return GridOutcome(
-            results=ordered,
+            results={
+                cell.cell_id: results[cell.cell_id]
+                for cell in self._cells
+                if cell.cell_id in results
+            },
             wall_seconds=time.perf_counter() - started,
-            cell_seconds=cell_seconds,
             workers=workers,
-            cell_summaries=ordered_summaries,
-            resumed_cells=resumed,
+            cell_summaries={
+                cell.cell_id: summaries[cell.cell_id] for cell in self._cells
+            },
+            resumed_cells=len(completed),
         )
-
-    def _collect(
-        self,
-        outcome: Tuple[int, CampaignResult, float, dict, Optional[dict]],
-        results: Dict[str, CampaignResult],
-        cell_seconds: Dict[str, float],
-        summaries: Dict[str, dict],
-        stream,
-        on_progress: Optional[Callable[[str, CampaignResult], None]],
-        fingerprints: Dict[str, str],
-    ) -> None:
-        index, campaign, seconds, stats, payload = outcome
-        cell = self._cells[index]
-        cell_id = cell.cell_id
-        results[cell_id] = campaign
-        cell_seconds[cell_id] = seconds
-        summaries[cell_id] = summarize_campaign(
-            cell_id,
-            campaign,
-            wall_seconds=seconds,
-            fleet_size=getattr(cell.config, "fleet_size", 1),
-            fingerprint=fingerprints[cell_id],
-            vehicles=(
-                [spec.describe() for spec in cell.config.vehicle_specs]
-                if getattr(cell.config, "is_heterogeneous", False)
-                else None
-            ),
-            engine_stats=stats.get("engine"),
-            cache_stats=stats.get("cache"),
-            metrics=payload.get("metrics") if payload is not None else None,
-        )
-        if payload is not None:
-            # Adopt the cell's trace into the grid-level tracer (when one
-            # is installed) so a single --trace file covers every cell.
-            parent = obs_runtime.current()
-            if parent is not None:
-                parent.tracer.extend(payload.get("trace_events", ()))
-        if stream is not None:
-            stream.write(json.dumps(summaries[cell_id], sort_keys=True) + "\n")
-            stream.flush()
-        if on_progress is not None:
-            on_progress(cell_id, campaign)
-
-
-def _run_cell_local(
-    cells: Sequence[GridCell], index: int
-) -> Tuple[int, CampaignResult, float, dict, Optional[dict]]:
-    """Serial-path equivalent of :func:`_run_cell` (no global needed)."""
-    global _GRID_CELLS  # repro-lint: disable=FAB003 -- serial path; saves and restores the slot around the cell run
-    previous = _GRID_CELLS
-    _GRID_CELLS = cells
-    try:
-        return _run_cell(index)
-    finally:
-        _GRID_CELLS = previous

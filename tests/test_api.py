@@ -1,5 +1,6 @@
 """Tests for the campaign request API and the public surface."""
 
+import dataclasses
 import json
 import os
 import re
@@ -21,20 +22,33 @@ from repro.engine.grid import (
 
 class TestCampaignRequest:
     def test_defaults_match_the_flagless_cli(self):
-        from repro.engine.cli import build_cells as cli_build_cells
-        from repro.engine.cli import build_parser
+        from repro.engine.cli import (
+            build_parser,
+            build_worker_parser,
+            request_from_args,
+        )
 
-        args = build_parser().parse_args([])
-        via_cli = cli_build_cells(args)
-        via_request = CampaignRequest().cells()
-        assert [c.cell_id for c in via_cli] == [c.cell_id for c in via_request]
-        assert [cell_fingerprint(c) for c in via_cli] == [
-            cell_fingerprint(c) for c in via_request
-        ]
+        # The flags -> request bridge: every request field is the dest of
+        # exactly one grid flag, and of one worker flag unless it names
+        # the execution fabric (the worker serves one context in-process).
+        fields = sorted(field.name for field in dataclasses.fields(CampaignRequest))
+
+        def field_dests(parser):
+            return sorted(
+                action.dest for action in parser._actions if action.dest in fields
+            )
+
+        assert field_dests(build_parser()) == fields
+        assert field_dests(build_worker_parser()) == sorted(
+            set(fields) - {"backend", "cache", "workers"}
+        )
+        assert request_from_args(build_parser().parse_args([])) == CampaignRequest()
+        assert request_from_args(
+            build_worker_parser().parse_args([])
+        ) == CampaignRequest()
 
     def test_cli_flags_and_request_expand_identically(self):
-        from repro.engine.cli import build_cells as cli_build_cells
-        from repro.engine.cli import build_parser
+        from repro.engine.cli import build_parser, request_from_args
 
         argv = [
             "--firmware", "ardupilot", "px4",
@@ -46,7 +60,7 @@ class TestCampaignRequest:
             "--backend", "pool:2", "--stepper", "soa",
         ]
         args = build_parser().parse_args(argv)
-        via_cli = cli_build_cells(args)
+        via_cli = build_cells(request_from_args(args))
         request = CampaignRequest(
             firmwares=("ardupilot", "px4"),
             workloads=("convoy", "waypoint"),
@@ -108,8 +122,8 @@ class TestCampaignRequest:
             strategies=("random",), budgets=(5.0,),
             backend="pool:4", cache="/shared/avis-cache", workers=3,
         )
-        assert [cell_fingerprint(c) for c in plain.cells()] == [
-            cell_fingerprint(c) for c in fabricked.cells()
+        assert [cell_fingerprint(c) for c in build_cells(plain)] == [
+            cell_fingerprint(c) for c in build_cells(fabricked)
         ]
 
     @pytest.mark.parametrize("bad", [
@@ -125,6 +139,17 @@ class TestCampaignRequest:
         dict(backend="remote:2"),  # local fleets are pool:N
         dict(cache="remote:nohost"),
         dict(cache="remote:127.0.0.1:7801"),  # share a directory instead
+        dict(profiling_runs=0),  # Avis would profile once anyway
+        dict(profiling_runs=-1),
+        # A repeated axis value repeats a cell id; ids render budgets
+        # with :g, so distinct floats can collide too.
+        dict(budgets=(1.0, 1.0)),
+        dict(budgets=(1.0, 1.0000001)),
+        dict(strategies=("random", "random")),
+        dict(
+            workloads=("convoy",), budgets=(5.0, 5.0),
+            vehicles=("firmware=ardupilot", "firmware=px4"),
+        ),
     ])
     def test_invalid_matrices_are_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -259,7 +284,7 @@ class TestStreamSchema:
         stream_path = tmp_path / "legacy.jsonl"
         stream_path.write_text(json.dumps(legacy) + "\n")
 
-        cells = request.cells()
+        cells = build_cells(request)
         completed = filter_completed(
             cells, load_completed_cells(str(stream_path))
         )

@@ -544,11 +544,12 @@ class TestGridResume:
         assert path.read_text() == after
 
     def test_cli_reports_resumed_cells(self, tmp_path, capsys):
-        from repro.engine.cli import build_cells, build_parser, main
+        from repro.engine.api import build_cells
+        from repro.engine.cli import build_parser, main, request_from_args
 
         argv = ["--strategy", "random", "--workload", "auto",
                 "--budget", "2", "3", "--workers", "1"]
-        first = build_cells(build_parser().parse_args(argv))[0]
+        first = build_cells(request_from_args(build_parser().parse_args(argv)))[0]
         stream = tmp_path / "stream.jsonl"
         stream.write_text(json.dumps({
             "cell": first.cell_id, "fingerprint": cell_fingerprint(first),
@@ -677,12 +678,13 @@ class TestEngineCli:
         assert f"unrecognized arguments: {subcommand}" in capsys.readouterr().err
 
     def test_mixed_classic_and_fleet_grids_build(self):
-        from repro.engine.cli import build_cells, build_parser
+        from repro.engine.api import build_cells
+        from repro.engine.cli import build_parser, request_from_args
 
         args = build_parser().parse_args(
             ["--workload", "auto", "convoy", "--fleet-size", "2"]
         )
-        cells = build_cells(args)
+        cells = build_cells(request_from_args(args))
         by_workload = {cell.cell_id: cell.config.fleet_size for cell in cells}
         assert all(
             size == (2 if "convoy" in cell_id else 1)
@@ -690,26 +692,29 @@ class TestEngineCli:
         )
 
     def test_fleet_size_without_fleet_workload_rejected(self):
-        from repro.engine.cli import build_cells, build_parser
+        from repro.engine.api import build_cells
+        from repro.engine.cli import build_parser, request_from_args
 
         args = build_parser().parse_args(["--workload", "auto", "--fleet-size", "3"])
         with pytest.raises(ValueError):
-            build_cells(args)
+            build_cells(request_from_args(args))
 
     def test_oversize_fixed_fleet_rejected(self):
-        from repro.engine.cli import build_cells, build_parser
+        from repro.engine.api import build_cells
+        from repro.engine.cli import build_parser, request_from_args
 
         args = build_parser().parse_args(["--workload", "convoy", "--fleet-size", "4"])
         with pytest.raises(ValueError):
-            build_cells(args)
+            build_cells(request_from_args(args))
 
     def test_per_dequeue_shapes_avis_cells(self):
-        from repro.engine.cli import build_cells, build_parser
+        from repro.engine.api import build_cells
+        from repro.engine.cli import build_parser, request_from_args
 
         args = build_parser().parse_args(
             ["--strategy", "avis", "random", "--per-dequeue", "4"]
         )
-        cells = {cell.cell_id: cell for cell in build_cells(args)}
+        cells = {cell.cell_id: cell for cell in build_cells(request_from_args(args))}
         avis_id = next(cell_id for cell_id in cells if "avis" in cell_id)
         assert "avis@pd4" in avis_id
         strategy = cells[avis_id].strategy_factory()
@@ -719,22 +724,65 @@ class TestEngineCli:
         args = build_parser().parse_args(
             ["--strategy", "avis", "--per-dequeue", "0"]
         )
-        strategy = build_cells(args)[0].strategy_factory()
+        strategy = build_cells(request_from_args(args))[0].strategy_factory()
         assert strategy._per_dequeue is None
 
     def test_per_dequeue_without_avis_rejected(self):
-        from repro.engine.cli import build_cells, build_parser
+        from repro.engine.api import build_cells
+        from repro.engine.cli import build_parser, request_from_args
 
         args = build_parser().parse_args(
             ["--strategy", "random", "--per-dequeue", "4"]
         )
         with pytest.raises(ValueError):
-            build_cells(args)
+            build_cells(request_from_args(args))
         args = build_parser().parse_args(
             ["--strategy", "avis", "--per-dequeue", "-1"]
         )
         with pytest.raises(ValueError):
-            build_cells(args)
+            build_cells(request_from_args(args))
+
+    @pytest.mark.parametrize("argv", [
+        ["--strategy", "random", "--budget", "1", "1", "--quiet"],
+        ["--strategy", "random", "random", "--budget", "1", "--quiet"],
+        ["worker", "--strategy", "random", "random", "--budget", "1"],
+    ])
+    def test_repeated_axis_values_are_usage_errors(self, argv, capsys):
+        from repro.engine.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--workload", "auto"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "cell 'ardupilot/auto/random/1' appears twice" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", [
+        "--json", "--stream", "--trace", "--metrics-json", "--stats-json",
+    ])
+    def test_output_paths_fail_fast_or_report_write_errors(
+        self, flag, tmp_path, capsys
+    ):
+        from repro.engine.cli import main
+
+        argv = ["--strategy", "random", "--workload", "auto", "--budget", "1",
+                "--workers", "1", "--quiet"]
+        # A path under a missing directory is refused before any campaign.
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + [flag, str(tmp_path / "missing" / "out.json")])
+        assert exit_info.value.code == 2
+        assert f"{flag}: directory does not exist" in capsys.readouterr().err
+        if flag == "--stream":
+            return  # no writer branch: the grid appends as cells finish
+        # A target that cannot be opened is reported after the run, and
+        # the finished campaigns are not lost.
+        target = tmp_path / "a-directory"
+        target.mkdir()
+        assert main(argv + [flag, str(target)]) == 1
+        captured = capsys.readouterr()
+        assert f"could not write {target}" in captured.err
+        if flag == "--json":
+            assert json.loads(captured.out)["totals"]["campaigns"] == 1
 
     def test_cli_writes_json_summary(self, tmp_path):
         from repro.engine.cli import main

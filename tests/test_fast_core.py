@@ -696,23 +696,25 @@ class TestAdaptiveVerdictEquivalence:
 
 class TestCliStepper:
     def test_stepper_threads_into_configs_and_cell_ids(self):
-        from repro.engine.cli import build_cells, build_parser
+        from repro.engine.api import build_cells
+        from repro.engine.cli import build_parser, request_from_args
 
         args = build_parser().parse_args(
             ["--workload", "auto", "convoy", "--fleet-size", "2",
              "--stepper", "adaptive"]
         )
-        cells = build_cells(args)
+        cells = build_cells(request_from_args(args))
         assert cells
         for cell in cells:
             assert cell.config.stepper == "adaptive"
             assert "+adaptive" in cell.cell_id
 
     def test_default_keeps_classic_cell_ids(self):
-        from repro.engine.cli import build_cells, build_parser
+        from repro.engine.api import build_cells
+        from repro.engine.cli import build_parser, request_from_args
 
         args = build_parser().parse_args(["--workload", "auto"])
-        for cell in build_cells(args):
+        for cell in build_cells(request_from_args(args)):
             assert cell.config.stepper == "reference"
             assert "+reference" not in cell.cell_id
             assert "+soa" not in cell.cell_id

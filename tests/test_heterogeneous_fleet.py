@@ -23,7 +23,8 @@ from repro.core.config import RunConfiguration, VehicleSpec
 from repro.core.monitor import UnsafeConditionKind
 from repro.core.runner import TestRunner
 from repro.core.strategies import AvisStrategy, RandomInjection
-from repro.engine.cli import build_cells, build_parser, main, parse_vehicle_spec
+from repro.engine.api import build_cells, parse_vehicle_spec
+from repro.engine.cli import build_parser, main, request_from_args
 from repro.firmware.ardupilot import ArduPilotFirmware
 from repro.firmware.px4 import Px4Firmware
 from repro.hinj.faults import TrafficFailure, TrafficFaultKind
@@ -205,12 +206,12 @@ class TestVehicleCli:
             with pytest.raises(ValueError):
                 parse_vehicle_spec(bad)
 
-    def _args(self, argv):
-        return build_parser().parse_args(argv)
+    def _request(self, argv):
+        return request_from_args(build_parser().parse_args(argv))
 
     def test_vehicle_cells_define_the_fleet(self):
         cells = build_cells(
-            self._args(
+            self._request(
                 [
                     "--workload", "convoy",
                     "--vehicle", "firmware=ardupilot",
@@ -235,7 +236,7 @@ class TestVehicleCli:
 
     def test_vehicle_cells_are_emitted_once_across_firmware_axis(self):
         cells = build_cells(
-            self._args(
+            self._request(
                 [
                     "--firmware", "ardupilot", "px4",
                     "--workload", "convoy", "waypoint",
@@ -255,36 +256,36 @@ class TestVehicleCli:
     def test_vehicle_validation_errors(self):
         with pytest.raises(ValueError):
             build_cells(
-                self._args(
+                self._request(
                     ["--workload", "waypoint", "--vehicle", "firmware=px4",
                      "--vehicle", "firmware=px4"]
                 )
             )
         with pytest.raises(ValueError):
             build_cells(
-                self._args(["--workload", "convoy", "--vehicle", "firmware=px4"])
+                self._request(["--workload", "convoy", "--vehicle", "firmware=px4"])
             )
         with pytest.raises(ValueError):
             build_cells(
-                self._args(
+                self._request(
                     ["--workload", "convoy", "--fleet-size", "3",
                      "--vehicle", "firmware=px4", "--vehicle", "firmware=px4"]
                 )
             )
         with pytest.raises(ValueError):
-            build_cells(self._args(["--workload", "waypoint", "--traffic-faults"]))
+            build_cells(self._request(["--workload", "waypoint", "--traffic-faults"]))
         # --traffic-faults only combines with strategies that actually
         # draw from the coordination fault space.
         with pytest.raises(ValueError):
             build_cells(
-                self._args(
+                self._request(
                     ["--workload", "convoy", "--fleet-size", "2",
                      "--traffic-faults", "--strategy", "bfi"]
                 )
             )
         with pytest.raises(ValueError):
             build_cells(
-                self._args(
+                self._request(
                     ["--workload", "waypoint", "--strategy", "random",
                      "--separation-aware"]
                 )

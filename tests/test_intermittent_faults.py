@@ -1004,16 +1004,16 @@ class TestBfiBurstEnumeration:
 
 
 class TestBurstCli:
-    def _args(self, argv):
-        from repro.engine.cli import build_parser
+    def _request(self, argv):
+        from repro.engine.cli import build_parser, request_from_args
 
-        return build_parser().parse_args(argv)
+        return request_from_args(build_parser().parse_args(argv))
 
     def test_burst_duration_builds_windowed_avis_cells(self):
-        from repro.engine.cli import build_cells
+        from repro.engine.api import build_cells
 
         cells = build_cells(
-            self._args(
+            self._request(
                 [
                     "--workload", "convoy",
                     "--fleet-size", "2",
@@ -1032,10 +1032,10 @@ class TestBurstCli:
         assert strategy._include_traffic
 
     def test_burst_duration_reaches_the_bfi_family(self):
-        from repro.engine.cli import build_cells
+        from repro.engine.api import build_cells
 
         cells = build_cells(
-            self._args(
+            self._request(
                 [
                     "--strategy", "stratified-bfi", "bfi",
                     "--burst-duration", "5", "10",
@@ -1051,29 +1051,29 @@ class TestBurstCli:
             assert cell.strategy_factory()._burst_durations == (5.0, 10.0)
 
     def test_default_cell_ids_are_unchanged_without_the_flag(self):
-        from repro.engine.cli import build_cells
+        from repro.engine.api import build_cells
 
         cells = build_cells(
-            self._args(["--strategy", "avis", "--budget", "5"])
+            self._request(["--strategy", "avis", "--budget", "5"])
         )
         assert cells[0].cell_id == "ardupilot/waypoint/avis/5"
 
     def test_burst_duration_rejects_unsupported_strategies(self):
-        from repro.engine.cli import build_cells
+        from repro.engine.api import build_cells
 
         with pytest.raises(ValueError, match="burst-duration"):
             build_cells(
-                self._args(
+                self._request(
                     ["--strategy", "random", "--burst-duration", "5", "--budget", "5"]
                 )
             )
 
     def test_burst_duration_rejects_non_positive_values(self):
-        from repro.engine.cli import build_cells
+        from repro.engine.api import build_cells
 
         with pytest.raises(ValueError, match="positive"):
             build_cells(
-                self._args(
+                self._request(
                     ["--strategy", "avis", "--burst-duration", "0", "--budget", "5"]
                 )
             )
