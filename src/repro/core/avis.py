@@ -125,8 +125,12 @@ class Avis:
         traffic_faults: bool = False,
         burst_durations: Sequence[float] = (),
     ) -> None:
+        if profiling_runs < 1:
+            # Clamping would fly one profile under a count claiming
+            # otherwise; every profile count names exactly its runs.
+            raise ValueError(f"profiling_runs must be >= 1, got {profiling_runs!r}")
         self._config = config
-        self._profiling_run_count = max(profiling_runs, 1)
+        self._profiling_run_count = profiling_runs
         self._budget_units = budget_units
         self._simulation_cost = simulation_cost
         self._labelling_cost = labelling_cost
@@ -197,18 +201,39 @@ class Avis:
         return list(self._profiles)
 
     def profile(self) -> List[RunResult]:
-        """Execute the fault-free profiling runs and calibrate the monitor."""
+        """Fly the fault-free profiling runs and calibrate the monitor."""
         obs = obs_runtime.current()
-        if obs is not None:
+        if obs is None:
+            profiles = self._fly_profiles()
+        else:
             with obs.tracer.span(
                 "avis.profile",
                 firmware=self._config.firmware_name,
                 runs=self._profiling_run_count,
             ):
-                return self._profile()
-        return self._profile()
+                profiles = self._fly_profiles()
+            obs.metrics.counter("avis.profile.flown").inc(len(profiles))
+        self._calibrate(profiles)
+        return profiles
 
-    def _profile(self) -> List[RunResult]:
+    def calibrate(self, profiles: Sequence[RunResult]) -> None:
+        """Adopt ``profiles`` flown by :meth:`profile` of another
+        orchestrator over the same configuration and profiling count.
+
+        The runs are shared, read-only; the monitor built from them is
+        this orchestrator's own, because it carries online state.
+        """
+        if len(profiles) != self._profiling_run_count:
+            raise ValueError(
+                f"expected {self._profiling_run_count} profiling runs, "
+                f"got {len(profiles)}"
+            )
+        self._calibrate(profiles)
+        obs = obs_runtime.current()
+        if obs is not None:
+            obs.metrics.counter("avis.profile.reused").inc(len(profiles))
+
+    def _fly_profiles(self) -> List[RunResult]:
         runner = TestRunner(self._config)
         profiles: List[RunResult] = []
         for index in range(self._profiling_run_count):
@@ -223,9 +248,11 @@ class Avis:
                     f"fault-free profiling run {index} did not pass: {reason}"
                 )
             profiles.append(result)
-        self._profiles = profiles
-        self._monitor = InvariantMonitor(profiles)
         return profiles
+
+    def _calibrate(self, profiles: Sequence[RunResult]) -> None:
+        self._profiles = list(profiles)
+        self._monitor = InvariantMonitor(self._profiles)
 
     # ------------------------------------------------------------------
     # Checking

@@ -358,8 +358,8 @@ def build_cells(request: CampaignRequest) -> List[GridCell]:
     if request.separation_aware and "avis" not in request.strategies:
         raise ValueError("--separation-aware applies only to the 'avis' strategy")
     if request.profiling_runs < 1:
-        # Avis always profiles at least once; accepting 0 or less would
-        # fly that one profile under a fingerprint claiming otherwise.
+        # Checked here as well as in Avis so the CLI reports it as a
+        # usage error before any cell runs.
         raise ValueError("--profiling-runs must be >= 1")
     cells: List[GridCell] = []
     cell_ids = set()

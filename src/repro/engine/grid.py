@@ -3,10 +3,17 @@
 A *grid* is the (firmware x workload x strategy x budget) matrix behind
 the paper's evaluation tables: Table III/IV run every strategy on every
 firmware, Table V runs two strategies per re-inserted bug.  Each cell is
-one full campaign -- profile the fault-free mission, calibrate the
-monitor, run the strategy to budget exhaustion -- and cells are
-completely independent, so the grid shards them across a forked worker
-pool, one campaign per worker at a time.
+one full campaign -- fault-free profiles, a monitor calibrated from
+them, the strategy run to budget exhaustion -- and cells are
+independent, so the grid can shard them across a forked worker pool,
+one campaign per worker at a time.
+
+Cells over one *context* (the same configuration and profiling count;
+strategy, budget, traffic faults and fabric never reach a golden run)
+fly the same fault-free profiles.  A serial ``run`` therefore flies
+them once, with the context's first cell, and every later cell of that
+call calibrates its own monitor from them; nothing outlives the call.
+Each forked worker cell flies its own.
 
 Inside a grid worker every campaign uses the :class:`SerialBackend`
 (nesting process pools inside pool workers is not supported by
@@ -24,6 +31,7 @@ exposes this as ``--stream`` / ``--resume``.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import hashlib
 import json
@@ -40,6 +48,7 @@ from repro.core.avis import (
     CampaignResult,
 )
 from repro.core.config import RunConfiguration
+from repro.core.runner import RunResult
 from repro.engine.backends import _fork_available
 from repro.engine.cache import (
     ResultCache,
@@ -305,8 +314,21 @@ _GRID_CELLS: Optional[Sequence[GridCell]] = None
 CellOutcome = Tuple[CampaignResult, float, dict, Optional[dict]]
 
 
-def _run_cell(cell: GridCell) -> CellOutcome:
+def _profile_key(cell: GridCell) -> Tuple[str, int]:
+    """Everything a cell's fault-free profiles depend on."""
+    return (
+        config_fingerprint(cell.config, workload_fingerprint(cell.config)),
+        cell.profiling_runs,
+    )
+
+
+def _run_cell(cell: GridCell, profiles: List[RunResult]) -> CellOutcome:
     """Execute one grid cell (in the grid process or a forked worker).
+
+    ``profiles`` holds the fault-free runs of the cell's context: when
+    an earlier cell already flew them the campaign calibrates its own
+    monitor from them, otherwise it flies them and appends them for the
+    cells that follow.
 
     Returns ``(result, seconds, stats, obs_payload)``: ``stats`` always
     carries the cell's engine and cache counters; ``obs_payload`` is the
@@ -327,7 +349,10 @@ def _run_cell(cell: GridCell) -> CellOutcome:
             cache=ResultCache(directory=cell.cache_spec) if cell.cache_spec else None,
             traffic_faults=cell.traffic_faults,
         )
-        avis.profile()
+        if profiles:
+            avis.calibrate(profiles)
+        else:
+            profiles.extend(avis.profile())
         campaign = avis.check(strategy=cell.strategy_factory())
     stats = {
         "engine": dict(avis.engine.last_stats),
@@ -342,7 +367,7 @@ def _run_cell(cell: GridCell) -> CellOutcome:
 
 def _run_forked_cell(index: int) -> Tuple[int, CellOutcome]:
     """Pool entry point: run the inherited cell at ``index``."""
-    return index, _run_cell(_GRID_CELLS[index])
+    return index, _run_cell(_GRID_CELLS[index], [])
 
 
 @dataclass
@@ -443,7 +468,8 @@ class CampaignGrid:
         appended to it as one JSON line; cells whose ids appear in
         ``completed`` (a mapping loaded by :func:`load_completed_cells`)
         are skipped and their streamed summaries reused, as far as
-        :func:`filter_completed` trusts them.
+        :func:`filter_completed` trusts them.  Run serially, the cells
+        of one context share a single flight of its fault-free profiles.
         """
         started = time.perf_counter()
         completed = filter_completed(self._cells, completed or {})
@@ -494,8 +520,16 @@ class CampaignGrid:
         try:
             if workers <= 1 or not _fork_available():
                 workers = 1
-                for index in pending:
-                    collect(index, _run_cell(self._cells[index]))
+                # Each context's profiles live until its last pending cell.
+                keys = [_profile_key(self._cells[index]) for index in pending]
+                uses = collections.Counter(keys)
+                profiles: Dict[Tuple[str, int], List[RunResult]] = {}
+                for index, key in zip(pending, keys):
+                    cell = self._cells[index]
+                    collect(index, _run_cell(cell, profiles.setdefault(key, [])))
+                    uses[key] -= 1
+                    if not uses[key]:
+                        del profiles[key]
             else:
                 global _GRID_CELLS  # repro-lint: disable=FAB003 -- set immediately before fork so workers inherit the parent's cells by design
                 _GRID_CELLS = self._cells

@@ -139,7 +139,7 @@ class TestCampaignRequest:
         dict(backend="remote:2"),  # local fleets are pool:N
         dict(cache="remote:nohost"),
         dict(cache="remote:127.0.0.1:7801"),  # share a directory instead
-        dict(profiling_runs=0),  # Avis would profile once anyway
+        dict(profiling_runs=0),  # Avis rejects it too
         dict(profiling_runs=-1),
         # A repeated axis value repeats a cell id; ids render budgets
         # with :g, so distinct floats can collide too.

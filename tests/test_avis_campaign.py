@@ -37,6 +37,26 @@ class TestProfiling:
         with pytest.raises(ProfilingError):
             Avis(config, profiling_runs=1).profile()
 
+    @pytest.mark.parametrize("runs", [0, -1])
+    def test_profiling_runs_below_one_are_rejected(self, short_auto_config, runs):
+        with pytest.raises(ValueError, match="profiling_runs must be >= 1"):
+            Avis(short_auto_config, profiling_runs=runs)
+
+    def test_calibrate_adopts_runs_with_a_monitor_of_its_own(self, waypoint_avis):
+        from repro.obs.runtime import Observability, observed
+
+        profiles = waypoint_avis.profiling_results
+        adopter = Avis(waypoint_avis.config, profiling_runs=2)
+        obs = Observability()
+        with observed(obs):
+            adopter.calibrate(profiles)
+        assert adopter.profiling_results == profiles
+        assert adopter.monitor is not waypoint_avis.monitor
+        assert obs.metrics.snapshot()["counters"] == {"avis.profile.reused": 2}
+        assert obs.tracer.events == []  # the avis.profile span marks flights only
+        with pytest.raises(ValueError, match="expected 3 profiling runs"):
+            Avis(waypoint_avis.config, profiling_runs=3).calibrate(profiles)
+
 
 class TestCampaign:
     def test_sabre_campaign_finds_unsafe_scenarios(self, waypoint_avis):

@@ -1,5 +1,6 @@
 """Tests for the parallel campaign engine (backends, cache, grid)."""
 
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -665,6 +666,195 @@ class TestGridResume:
         summary = json.loads(out.read_text())
         assert summary["totals"]["campaigns"] == 1
         assert summary["totals"]["resumed"] == 1
+
+
+class TestGridProfileShare:
+    """The cells of one serial grid run share each context's profiles."""
+
+    TABLE3 = ("avis", "stratified-bfi", "bfi", "random")
+
+    @pytest.fixture
+    def golden_flights(self, monkeypatch):
+        from repro.core.runner import TestRunner
+
+        flights = []
+        original = TestRunner.run
+
+        def run(runner, *args, **kwargs):
+            result = original(runner, *args, **kwargs)
+            if result.is_golden:
+                flights.append(result)
+            return result
+
+        monkeypatch.setattr(TestRunner, "run", run)
+        return flights
+
+    def _cell(self, config, strategy="random", budget=2.0, profiling_runs=2,
+              cell_id=None):
+        from repro.engine.api import STRATEGIES
+
+        return GridCell(
+            cell_id=cell_id or f"{strategy}/{budget:g}",
+            config=config,
+            strategy_factory=STRATEGIES[strategy],
+            budget_units=budget,
+            profiling_runs=profiling_runs,
+        )
+
+    @staticmethod
+    def _records(path):
+        records = {}
+        for line in path.read_text().splitlines():
+            record = json.loads(line)
+            del record["wall_seconds"], record["wall_s"]
+            records[record["cell"]] = record
+        return records
+
+    def test_table3_grid_flies_each_profile_once(
+        self, short_auto_config, golden_flights, tmp_path
+    ):
+        cells = [self._cell(short_auto_config, name) for name in self.TABLE3]
+        stream = tmp_path / "grid.jsonl"
+        shared = CampaignGrid(cells, max_workers=1).run(stream_path=str(stream))
+        assert len(golden_flights) == 2
+        records = self._records(stream)
+
+        for cell in cells:
+            alone_stream = tmp_path / f"{cell.strategy_factory.__name__}.jsonl"
+            alone = CampaignGrid([cell], max_workers=1).run(
+                stream_path=str(alone_stream)
+            )
+            assert alone.results[cell.cell_id] == shared.results[cell.cell_id]
+            assert self._records(alone_stream) == {cell.cell_id: records[cell.cell_id]}
+        assert len(golden_flights) == 2 + 2 * len(cells)
+
+    @pytest.mark.parametrize("change", [
+        "noise_seed", "altitude", "box_side", "firmware", "stepper",
+        "profiling_runs",
+    ])
+    def test_cells_of_other_contexts_fly_their_own(
+        self, short_waypoint_config, golden_flights, change
+    ):
+        from repro.firmware.px4 import Px4Firmware
+        from repro.workloads.builtin import WaypointFenceWorkload
+
+        def geometry(altitude=10.0, box_side=10.0):
+            return lambda: WaypointFenceWorkload(
+                altitude=altitude, box_side=box_side, init_wait_ms=1000.0
+            )
+
+        config, runs = short_waypoint_config, 2
+        if change == "noise_seed":
+            config = config.with_noise_seed(7)
+        elif change == "altitude":
+            config = dataclasses.replace(
+                config, workload_factory=geometry(altitude=12.0)
+            )
+        elif change == "box_side":
+            config = dataclasses.replace(
+                config, workload_factory=geometry(box_side=12.0)
+            )
+        elif change == "firmware":
+            config = dataclasses.replace(config, firmware_class=Px4Firmware)
+        elif change == "stepper":
+            config = dataclasses.replace(config, stepper="adaptive")
+        else:
+            runs = 3
+        cells = [
+            self._cell(short_waypoint_config, "random", budget=0.0, cell_id="base"),
+            self._cell(config, "bfi", budget=0.0, profiling_runs=runs, cell_id="other"),
+        ]
+        CampaignGrid(cells, max_workers=1).run()
+        assert len(golden_flights) == 2 + runs
+
+    def test_strategy_and_budget_do_not_split_a_context(
+        self, short_auto_config, golden_flights
+    ):
+        cells = [
+            self._cell(short_auto_config, "random", budget=0.0),
+            self._cell(short_auto_config, "bfi", budget=1.0),
+            self._cell(short_auto_config, "avis", budget=0.0),
+        ]
+        CampaignGrid(cells, max_workers=1).run()
+        assert len(golden_flights) == 2
+
+    def test_every_cell_calibrates_its_own_monitor(
+        self, short_auto_config, monkeypatch
+    ):
+        seen = []
+        original = Avis.check
+
+        def check(avis, *args, **kwargs):
+            seen.append((avis.monitor, avis.profiling_results))
+            return original(avis, *args, **kwargs)
+
+        monkeypatch.setattr(Avis, "check", check)
+        cells = [
+            self._cell(short_auto_config, name, budget=0.0) for name in self.TABLE3
+        ]
+        CampaignGrid(cells, max_workers=1).run()
+        monitors = [monitor for monitor, _ in seen]
+        assert len({id(monitor) for monitor in monitors}) == len(cells)
+        # The runs themselves are shared, read-only.
+        first = seen[0][1]
+        for _, profiles in seen[1:]:
+            assert all(a is b for a, b in zip(profiles, first))
+
+    def test_a_failing_context_still_raises(self, short_auto_config):
+        from repro.core.avis import ProfilingError
+        from repro.workloads.framework import Target
+
+        class ImpossibleWorkload(Target):
+            def test(self):
+                self.wait_altitude(1000.0, timeout_s=2.0)
+                self.pass_test()
+
+        impossible = dataclasses.replace(
+            short_auto_config, workload_factory=ImpossibleWorkload,
+            max_sim_time_s=20.0,
+        )
+        cells = [
+            self._cell(short_auto_config, "random", budget=0.0, cell_id="fine"),
+            self._cell(impossible, "random", budget=0.0, cell_id="bad-1"),
+            self._cell(impossible, "bfi", budget=0.0, cell_id="bad-2"),
+        ]
+        with pytest.raises(ProfilingError):
+            CampaignGrid(cells, max_workers=1).run()
+
+    def test_observed_cells_count_flown_and_reused_runs(self, short_auto_config):
+        cells = [
+            self._cell(short_auto_config, name, budget=0.0) for name in self.TABLE3
+        ]
+        for cell in cells:
+            cell.observe = True
+        outcome = CampaignGrid(cells, max_workers=1).run()
+        counters = [
+            outcome.cell_summaries[cell.cell_id]["metrics"]["counters"]
+            for cell in cells
+        ]
+        assert counters[0].get("avis.profile.flown") == 2
+        assert "avis.profile.reused" not in counters[0]
+        for later in counters[1:]:
+            assert later.get("avis.profile.reused") == 2
+            assert "avis.profile.flown" not in later
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the forked grid pool needs the fork start method",
+    )
+    def test_pool_grid_matches_the_serial_grid(self, short_auto_config):
+        def summaries(workers):
+            cells = [self._cell(short_auto_config, name) for name in self.TABLE3]
+            outcome = CampaignGrid(cells, max_workers=workers).run()
+            return {
+                cell_id: {
+                    key: value for key, value in record.items()
+                    if key not in ("wall_seconds", "wall_s")
+                }
+                for cell_id, record in outcome.cell_summaries.items()
+            }
+
+        assert summaries(2) == summaries(1)
 
 
 class TestEngineCli:
