@@ -26,15 +26,10 @@ from repro.core.session import BudgetAccount, ExplorationSession
 from repro.core.strategies import AvisStrategy, SearchStrategy
 from repro.engine.backends import parse_backend_spec
 from repro.engine.cache import ResultCache
-from repro.engine.campaign import DEFAULT_BATCH_SIZE, CampaignEngine
+from repro.engine.campaign import CampaignEngine
 from repro.hinj.faults import default_traffic_failures, validate_burst_durations
 from repro.obs import runtime as obs_runtime
 from repro.sensors.suite import iris_sensor_suite
-
-#: Default budget units per simulation and per labelled candidate.
-DEFAULT_SIMULATION_COST = 1.0
-DEFAULT_LABELLING_COST = 0.15
-
 
 class ProfilingError(RuntimeError):
     """Raised when the fault-free profiling run does not pass the workload."""
@@ -117,11 +112,8 @@ class Avis:
         config: RunConfiguration,
         profiling_runs: int = 2,
         budget_units: float = 60.0,
-        simulation_cost: float = DEFAULT_SIMULATION_COST,
-        labelling_cost: float = DEFAULT_LABELLING_COST,
         backend: str = "serial",
         cache: Optional[ResultCache] = None,
-        batch_size=DEFAULT_BATCH_SIZE,
         traffic_faults: bool = False,
         burst_durations: Sequence[float] = (),
     ) -> None:
@@ -132,8 +124,6 @@ class Avis:
         self._config = config
         self._profiling_run_count = profiling_runs
         self._budget_units = budget_units
-        self._simulation_cost = simulation_cost
-        self._labelling_cost = labelling_cost
         # Recovery windows the default (SABRE) strategy explores next to
         # the latched faults; empty keeps the classic fault space.
         self._burst_durations = validate_burst_durations(burst_durations)
@@ -161,7 +151,6 @@ class Avis:
         self._engine = CampaignEngine(
             backend=parse_backend_spec(backend),
             cache=self._cache,
-            batch_size=batch_size,
         )
         self._profiles: Optional[List[RunResult]] = None
         self._monitor: Optional[InvariantMonitor] = None
@@ -279,15 +268,12 @@ class Avis:
         runner = TestRunner(self._config, monitor=monitor)
         budget = BudgetAccount(
             total_units=budget_units if budget_units is not None else self._budget_units,
-            simulation_cost=self._simulation_cost,
-            labelling_cost=self._labelling_cost,
         )
         session = ExplorationSession(
             runner=runner,
             budget=budget,
             profiling_run=profiles[0],
             suite=iris_sensor_suite(noise_seed=self._config.noise_seed),
-            cache=self._cache,
             traffic_failures=self._traffic_failures,
         )
         obs = obs_runtime.current()
@@ -321,7 +307,7 @@ class Avis:
         Campaigns share this orchestrator's result cache, so scenarios
         several strategies propose are only simulated once (a cache hit
         still charges the hitting campaign's budget, keeping the
-        comparison fair), and each campaign's batchable simulations run
-        through the configured execution backend.
+        comparison fair), and each campaign's simulations run through the
+        configured execution backend.
         """
         return [self.check(strategy=strategy, budget_units=budget_units) for strategy in strategies]

@@ -846,8 +846,6 @@ class TestRunner:
     def __init__(self, config: RunConfiguration, monitor=None) -> None:
         self._config = config
         self._monitor = monitor
-        self._runs_executed = 0
-        self._simulated_seconds = 0.0
 
     @property
     def config(self) -> RunConfiguration:
@@ -862,16 +860,6 @@ class TestRunner:
     @monitor.setter
     def monitor(self, monitor) -> None:
         self._monitor = monitor
-
-    @property
-    def runs_executed(self) -> int:
-        """Number of simulations executed so far."""
-        return self._runs_executed
-
-    @property
-    def simulated_seconds(self) -> float:
-        """Total simulated flight time across all runs."""
-        return self._simulated_seconds
 
     def run(
         self,
@@ -912,8 +900,6 @@ class TestRunner:
         workload.bind(harness)
         workload_result = workload.run()
         result = harness.build_result(workload, workload_result)
-        self._runs_executed += 1
-        self._simulated_seconds += result.duration_s
         if self._monitor is not None:
             recorder = harness._recorder
             if recorder is not None:

@@ -6,16 +6,16 @@ candidate injection sites (~10 s per site) rather than simulating.  The
 reproduction makes that trade-off explicit: a session has a budget in
 abstract units, running one simulation costs ``simulation_cost`` units
 and labelling one candidate costs ``labelling_cost`` units.  Ratios
-matter, absolute values do not; the defaults approximate the paper's
-"a simulation takes minutes, a label takes ten seconds".
+matter, absolute values do not; the defaults
+(:data:`DEFAULT_SIMULATION_COST`, :data:`DEFAULT_LABELLING_COST`)
+approximate the paper's "a simulation takes minutes, a label takes ten
+seconds".
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
-
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from repro.core.runner import RunResult, TestRunner
 from repro.firmware.modes import OperatingModeLabel
@@ -28,8 +28,9 @@ from repro.hinj.faults import (
 from repro.sensors.base import SensorId, SensorRole
 from repro.sensors.suite import SensorSuite, iris_sensor_suite
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.cache import ResultCache
+#: Default budget units per simulation and per labelled candidate.
+DEFAULT_SIMULATION_COST = 1.0
+DEFAULT_LABELLING_COST = 0.15
 
 
 @dataclass
@@ -37,8 +38,8 @@ class BudgetAccount:
     """Tracks how much of the test budget has been consumed."""
 
     total_units: float
-    simulation_cost: float = 1.0
-    labelling_cost: float = 0.15
+    simulation_cost: float = DEFAULT_SIMULATION_COST
+    labelling_cost: float = DEFAULT_LABELLING_COST
     spent_units: float = 0.0
     simulations: int = 0
     labels: int = 0
@@ -81,16 +82,13 @@ class ExplorationSession:
         budget: BudgetAccount,
         profiling_run: RunResult,
         suite: Optional[SensorSuite] = None,
-        cache: Optional["ResultCache"] = None,
         traffic_failures: Optional[List[TrafficFailure]] = None,
     ) -> None:
         self._runner = runner
         self._budget = budget
         self._profiling_run = profiling_run
         self._suite = suite if suite is not None else iris_sensor_suite()
-        self._cache = cache
         self._traffic_failures = list(traffic_failures) if traffic_failures else []
-        self._workload_fp: Optional[str] = None
         self._results: List[RunResult] = []
         self._explored: Dict[FaultScenario, RunResult] = {}
 
@@ -191,11 +189,6 @@ class ExplorationSession:
         """Runs that produced at least one unsafe condition."""
         return [result for result in self._results if result.found_unsafe_condition]
 
-    @property
-    def explored_scenarios(self) -> Set[FaultScenario]:
-        """Scenarios already simulated (the scheduler's hash-set)."""
-        return set(self._explored)
-
     def was_explored(self, scenario: FaultScenario) -> bool:
         """True when ``scenario`` has already been simulated."""
         return scenario in self._explored
@@ -216,40 +209,20 @@ class ExplorationSession:
     def run_scenario(self, scenario: FaultScenario) -> Optional[RunResult]:
         """Simulate ``scenario`` (once), charging the simulation cost.
 
-        Returns ``None`` when the budget cannot afford another simulation;
-        returns the cached result when the scenario was already explored
-        (no extra charge -- the scheduler skips redundant exploration).
+        The strategies' sequential ``explore()`` loops -- the reference
+        the batched campaign engine is pinned against -- simulate here;
+        campaigns record through :meth:`ingest_result` instead.  Returns
+        ``None`` when the budget cannot afford another simulation;
+        returns the recorded result when the scenario was already
+        explored (no extra charge -- the scheduler skips redundant
+        exploration).
         """
         if scenario in self._explored:
             return self._explored[scenario]
         if not self._budget.can_afford_simulation():
             return None
-        key = None
-        if self._cache is not None:
-            from repro.engine.cache import (
-                adapt_cached_result,
-                campaign_fingerprint,
-                scenario_key,
-            )
-
-            if self._workload_fp is None:
-                self._workload_fp = campaign_fingerprint(
-                    self._runner.config, getattr(self._runner, "monitor", None)
-                )
-            key = scenario_key(self._runner.config, self._workload_fp, scenario)
-            stored = self._cache.get(key)
-            if stored is not None:
-                # A hit still charges the simulation cost so warm- and
-                # cold-cache campaigns report identical numbers.
-                result = adapt_cached_result(stored, self._runner.monitor)
-                self._budget.charge_simulation()
-                self._explored[scenario] = result
-                self._results.append(result)
-                return result
         self._budget.charge_simulation()
         result = self._runner.run(scenario)
-        if self._cache is not None and key is not None:
-            self._cache.put(key, result)
         self._explored[scenario] = result
         self._results.append(result)
         return result

@@ -90,7 +90,7 @@ class AvisStrategy(SearchStrategy):
 
     def propose_batch(
         self, session: ExplorationSession, max_scenarios: int
-    ) -> Optional[List[FaultScenario]]:
+    ) -> List[FaultScenario]:
         """Expand the next transition dequeue(s) into a concurrent batch.
 
         The search machine is created on first use and keyed to the

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.core.session import ExplorationSession
 from repro.hinj.faults import FaultScenario
@@ -42,31 +42,23 @@ class SearchStrategy(abc.ABC):
     def explore(self, session: ExplorationSession) -> None:
         """Explore the fault space until the session budget runs out."""
 
-    # ------------------------------------------------------------------
-    # Batch evaluation protocol (used by the parallel campaign engine)
-    # ------------------------------------------------------------------
+    @abc.abstractmethod
     def propose_batch(
         self, session: ExplorationSession, max_scenarios: int
-    ) -> Optional[List[FaultScenario]]:
+    ) -> List[FaultScenario]:
         """Propose up to ``max_scenarios`` unexplored scenarios to simulate.
 
-        Strategies whose next proposal does not depend on the outcome of
-        the previous simulation (random, exhaustive, stratified BFI) are
-        embarrassingly parallel: they override this to hand the campaign
-        engine a batch of scenarios that can be executed concurrently.
-        The engine records results between calls, so later batches see
-        everything earlier batches explored.
+        This is how the campaign engine drives every strategy: it asks
+        for a batch, executes it (concurrently, when the backend can),
+        and records the results in proposal order before the next call,
+        so later batches see everything earlier batches explored.
+        Feedback-driven strategies (SABRE's transition queue, BFI with
+        online learning) defer their feedback consumption to the top of
+        the next proposal round, applied in canonical per-candidate
+        order, so batched runs stay bit-identical to :meth:`explore`.
 
         Contract:
 
-        * ``None`` -- the strategy does not support batching; the engine
-          falls back to the sequential :meth:`explore` loop.  This is
-          the default for strategies that have not implemented the
-          protocol.  Feedback-driven strategies (SABRE's transition
-          queue, BFI with online learning) implement it by deferring
-          their feedback consumption to the top of the next proposal
-          round, applied in canonical per-candidate order, so batched
-          runs stay bit-identical to sequential ones.
         * ``[]`` -- the strategy has exhausted its search space or its
           budget; the campaign is over.
         * A non-empty list -- scenarios to simulate, in proposal order;
@@ -81,17 +73,6 @@ class SearchStrategy(abc.ABC):
         charging anything further, so the budget trajectory of a
         batched campaign is identical to the sequential one.
         """
-        return None
-
-    @property
-    def supports_batching(self) -> bool:
-        """True when the strategy overrides :meth:`propose_batch`."""
-        return type(self).propose_batch is not SearchStrategy.propose_batch
-
-    @property
-    def has_batch_support(self) -> bool:
-        """Alias of :attr:`supports_batching` (the engine's public name)."""
-        return self.supports_batching
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} '{self.name}'>"

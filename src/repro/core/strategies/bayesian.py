@@ -338,7 +338,7 @@ class BayesianFaultInjection(SearchStrategy):
 
     def propose_batch(
         self, session: ExplorationSession, max_scenarios: int
-    ) -> Optional[List[FaultScenario]]:
+    ) -> List[FaultScenario]:
         """Label candidates depth-first; batch the ones worth simulating.
 
         Labelling and simulation costs are charged here, during

@@ -88,7 +88,7 @@ class _EnumerationStrategy(SearchStrategy):
 
     def propose_batch(
         self, session: ExplorationSession, max_scenarios: int
-    ) -> Optional[List[FaultScenario]]:
+    ) -> List[FaultScenario]:
         """The next ``max_scenarios`` unexplored scenarios in search order."""
         iterator = self._ensure_iterator(session)
         batch: List[FaultScenario] = []

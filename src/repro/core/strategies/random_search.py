@@ -85,7 +85,7 @@ class RandomInjection(SearchStrategy):
 
     def propose_batch(
         self, session: ExplorationSession, max_scenarios: int
-    ) -> Optional[List[FaultScenario]]:
+    ) -> List[FaultScenario]:
         """Draw ``max_scenarios`` fresh scenarios from the seeded RNG.
 
         The draws consume the same RNG sequence as :meth:`explore`,

@@ -133,7 +133,7 @@ class StratifiedBFI(SearchStrategy):
 
     def propose_batch(
         self, session: ExplorationSession, max_scenarios: int
-    ) -> Optional[List[FaultScenario]]:
+    ) -> List[FaultScenario]:
         """Label candidates in SABRE's stratified order; batch the ones
         the model predicts unsafe.
 

@@ -41,14 +41,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.avis import (
-    DEFAULT_LABELLING_COST,
-    DEFAULT_SIMULATION_COST,
-    Avis,
-    CampaignResult,
-)
+from repro.core.avis import Avis, CampaignResult
 from repro.core.config import RunConfiguration
 from repro.core.runner import RunResult
+from repro.core.session import DEFAULT_LABELLING_COST, DEFAULT_SIMULATION_COST
 from repro.engine.backends import _fork_available
 from repro.engine.cache import (
     ResultCache,
@@ -110,7 +106,7 @@ def cell_fingerprint(cell: GridCell) -> str:
         config_fingerprint(cell.config, workload_fingerprint(cell.config)),
         f"budget={cell.budget_units!r}",
         f"profiling={cell.profiling_runs!r}",
-        # Every cell runs at the Avis default costs; the term stays so
+        # Every cell runs at the default budget costs; the term stays so
         # existing stream records keep resuming.
         f"costs={DEFAULT_SIMULATION_COST!r}/{DEFAULT_LABELLING_COST!r}",
     ]

@@ -34,7 +34,6 @@ Findings can be waived inline::
 
     value = risky()  # repro-lint: disable=DET001 -- measured, not hashed
 
-or recorded in a committed baseline file (see :mod:`repro.lint.baseline`).
 The CLI lives at ``python -m repro.lint`` (also installed as
 ``repro-lint``).  The package is zero-dependency and pure-stdlib.
 """

@@ -101,7 +101,7 @@ def function_qualname(node: FunctionNode) -> str:
 
 
 def symbol_for(node: ast.AST) -> str:
-    """The baseline symbol of a node: its enclosing function, or ''."""
+    """The symbol a finding names: its enclosing function, or ''."""
     function = enclosing_function(node)
     return function_qualname(function) if function is not None else ""
 

@@ -1,78 +1,18 @@
 """The ``repro-lint`` / ``python -m repro.lint`` command line.
 
-Exit codes: 0 clean, 1 findings (or stale baseline entries), 2 usage /
-environment errors.  ``--changed`` narrows the run to files that differ
-from the merge base with the main branch (plus untracked files), which
-keeps pre-push runs fast; CI always lints the full tree.
+Exit codes: 0 clean, 1 findings, 2 usage errors (such as a missing path).
 """
 
 from __future__ import annotations
 
 import argparse
 import os
-import subprocess
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.lint import baseline as baseline_mod
 from repro.lint.driver import run_lint
 from repro.lint.registry import META_RULES, all_rules
 from repro.lint.report import render_json, render_text
-
-#: Refs probed, in order, for the ``--changed`` merge base.
-MERGE_BASE_CANDIDATES = ("origin/main", "origin/master", "main", "master")
-
-
-def _git(args: List[str], cwd: str) -> Optional[str]:
-    """Run a git command; None when git (or the ref) is unavailable."""
-    try:
-        proc = subprocess.run(
-            ["git"] + args,
-            cwd=cwd,
-            capture_output=True,
-            text=True,
-            check=False,
-        )
-    except OSError:
-        return None
-    if proc.returncode != 0:
-        return None
-    return proc.stdout
-
-
-def _changed_files(paths: Sequence[str], cwd: str) -> Optional[List[str]]:
-    """Python files under ``paths`` that differ from the merge base.
-
-    Includes untracked files (new fixtures must not dodge the lint).
-    Returns ``None`` when no merge base can be determined.
-    """
-    merge_base = None
-    for candidate in MERGE_BASE_CANDIDATES:
-        out = _git(["merge-base", "HEAD", candidate], cwd)
-        if out and out.strip():
-            merge_base = out.strip()
-            break
-    if merge_base is None:
-        return None
-    changed = _git(["diff", "--name-only", merge_base, "--"], cwd)
-    untracked = _git(["ls-files", "--others", "--exclude-standard"], cwd)
-    if changed is None:
-        return None
-    names = set(changed.split()) | set((untracked or "").split())
-    roots = [os.path.normpath(path) for path in paths]
-    selected: List[str] = []
-    for name in sorted(names):
-        if not name.endswith(".py"):
-            continue
-        normalized = os.path.normpath(name)
-        if not any(
-            normalized == root or normalized.startswith(root + os.sep)
-            for root in roots
-        ):
-            continue
-        if os.path.exists(os.path.join(cwd, normalized)):
-            selected.append(os.path.join(cwd, normalized))
-    return selected
 
 
 def _list_rules() -> str:
@@ -105,35 +45,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="output format (default: text)",
     )
     parser.add_argument(
-        "--baseline",
-        default=None,
-        help=(
-            "baseline file of known findings; defaults to"
-            f" ./{baseline_mod.DEFAULT_BASELINE} when it exists"
-        ),
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="record current findings as the new baseline and exit 0",
-    )
-    parser.add_argument(
-        "--changed",
-        action="store_true",
-        help=(
-            "lint only files differing from the merge base with"
-            " main (plus untracked files)"
-        ),
-    )
-    parser.add_argument(
         "--verbose",
         action="store_true",
-        help="also list waived and baselined findings (text format)",
+        help="also list waived findings (text format)",
     )
     parser.add_argument(
         "--list-rules",
@@ -146,35 +60,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(_list_rules())
         return 0
 
-    cwd = os.getcwd()
-    baseline_path: Optional[str] = args.baseline
-    if args.no_baseline:
-        baseline_path = None
-    elif baseline_path is None:
-        default = os.path.join(cwd, baseline_mod.DEFAULT_BASELINE)
-        if os.path.exists(default):
-            baseline_path = default
-
-    files: Optional[List[str]] = None
-    if args.changed:
-        files = _changed_files(args.paths, cwd)
-        if files is None:
-            print(
-                "repro-lint: --changed needs a git merge base"
-                " (origin/main, origin/master, main or master);"
-                " none found",
-                file=sys.stderr,
-            )
-            return 2
-        if not files:
-            print("0 finding(s), 0 waived, 0 baselined, 0 file(s) checked")
-            return 0
-
-    missing = [
-        path
-        for path in (files if files is not None else args.paths)
-        if not os.path.exists(path)
-    ]
+    missing = [path for path in args.paths if not os.path.exists(path)]
     if missing:
         print(
             f"repro-lint: no such path: {', '.join(missing)}",
@@ -182,19 +68,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
         return 2
 
-    if args.write_baseline:
-        result = run_lint(args.paths, baseline_path=None, files=files)
-        target = args.baseline or os.path.join(
-            cwd, baseline_mod.DEFAULT_BASELINE
-        )
-        baseline_mod.write_baseline(target, result.findings)
-        print(
-            f"wrote {len(result.findings)} finding(s) to"
-            f" {os.path.relpath(target, cwd)}"
-        )
-        return 0
-
-    result = run_lint(args.paths, baseline_path=baseline_path, files=files)
+    result = run_lint(args.paths)
     if args.format == "json":
         print(render_json(result))
     else:

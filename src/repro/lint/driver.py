@@ -1,9 +1,9 @@
-"""The lint driver: collect, check, waive, baseline.
+"""The lint driver: collect, check, waive.
 
 ``run_lint`` is the one entry point both the CLI and the test suite use.
 It parses the requested files, builds the call graph once, runs every
 registered rule against the shared :class:`LintContext`, then applies
-inline waivers and the committed baseline.  Everything it returns is
+inline waivers.  Everything it returns is
 deterministically ordered -- the analyzer is subject to the same
 bit-identity contract as the code it checks.
 """
@@ -11,9 +11,8 @@ bit-identity contract as the code it checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-from repro.lint import baseline as baseline_mod
 from repro.lint.callgraph import CallGraph, FunctionInfo
 from repro.lint.findings import Finding
 from repro.lint.registry import all_rules
@@ -45,16 +44,12 @@ class LintResult:
 
     findings: List[Finding] = field(default_factory=list)
     waived: List[Finding] = field(default_factory=list)
-    baselined: List[Finding] = field(default_factory=list)
-    unused_baseline: List[Tuple[str, str, str, str]] = field(
-        default_factory=list
-    )
     files_checked: int = 0
 
     @property
     def ok(self) -> bool:
         """True when nothing fails the run."""
-        return not self.findings and not self.unused_baseline
+        return not self.findings
 
 
 def check_modules(modules: List[LintModule]) -> List[Finding]:
@@ -66,33 +61,19 @@ def check_modules(modules: List[LintModule]) -> List[Finding]:
     return findings
 
 
-def run_lint(
-    paths: Sequence[str],
-    baseline_path: Optional[str] = None,
-    root: Optional[str] = None,
-    files: Optional[Iterable[str]] = None,
-) -> LintResult:
-    """Lint ``paths`` (or an explicit ``files`` list) end to end.
+def run_lint(paths: Sequence[str], root: Optional[str] = None) -> LintResult:
+    """Lint ``paths`` end to end.
 
-    ``baseline_path`` points at a committed baseline file; ``None``
-    means no baseline is applied.  ``root`` anchors the relative paths
-    findings are reported with (defaults to the working directory).
+    ``root`` anchors the relative paths findings are reported with
+    (defaults to the working directory).
     """
-    targets = list(files) if files is not None else list(paths)
-    modules, parse_errors = collect_modules(targets, root=root)
+    modules, parse_errors = collect_modules(list(paths), root=root)
     raw = check_modules(modules)
     kept, waived, waiver_meta = apply_waivers(modules, raw)
     kept.extend(waiver_meta)
     kept.extend(parse_errors)
-    baselined: List[Finding] = []
-    unused: List[Tuple[str, str, str, str]] = []
-    if baseline_path is not None:
-        known = baseline_mod.load_baseline(baseline_path)
-        kept, baselined, unused = baseline_mod.apply_baseline(kept, known)
     return LintResult(
         findings=sorted(kept, key=Finding.order_key),
         waived=sorted(waived, key=Finding.order_key),
-        baselined=sorted(baselined, key=Finding.order_key),
-        unused_baseline=unused,
         files_checked=len(modules) + len(parse_errors),
     )

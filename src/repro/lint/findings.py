@@ -1,9 +1,7 @@
 """The structured finding record every rule emits.
 
-A finding pins a rule id to a source location plus a message.  The
-``symbol`` (enclosing function or field, when known) participates in the
-baseline identity instead of the line number, so committed baselines
-survive unrelated edits that shift lines.
+A finding pins a rule id to a source location plus a message, and to
+the ``symbol`` (enclosing function or field) when one is known.
 """
 
 from __future__ import annotations
@@ -31,10 +29,6 @@ class Finding:
     def order_key(self) -> Tuple[str, int, int, str, str]:
         """Deterministic display ordering."""
         return (self.path, self.line, self.col, self.rule, self.message)
-
-    def identity(self) -> Tuple[str, str, str, str]:
-        """Line-independent identity used for baseline matching."""
-        return (self.path, self.rule, self.symbol, self.message)
 
     def to_dict(self) -> Dict[str, object]:
         """The JSON-output form."""

@@ -18,26 +18,11 @@ def render_text(result: LintResult, verbose: bool = False) -> str:
         lines.append("")
         lines.append(f"waived ({len(result.waived)}):")
         lines.extend(f"  {finding.render()}" for finding in result.waived)
-    if verbose and result.baselined:
-        lines.append("")
-        lines.append(f"baselined ({len(result.baselined)}):")
-        lines.extend(f"  {finding.render()}" for finding in result.baselined)
-    if result.unused_baseline:
-        lines.append("")
-        lines.append(
-            f"unused baseline entries ({len(result.unused_baseline)})"
-            " -- prune them from the baseline file:"
-        )
-        lines.extend(
-            f"  {path}: {rule} [{symbol or '-'}] {message}"
-            for path, rule, symbol, message in result.unused_baseline
-        )
     if lines:
         lines.append("")
     summary = (
         f"{len(result.findings)} finding(s),"
         f" {len(result.waived)} waived,"
-        f" {len(result.baselined)} baselined,"
         f" {result.files_checked} file(s) checked"
     )
     lines.append(summary)
@@ -49,11 +34,6 @@ def render_json(result: LintResult) -> str:
     payload = {
         "findings": [finding.to_dict() for finding in result.findings],
         "waived": [finding.to_dict() for finding in result.waived],
-        "baselined": [finding.to_dict() for finding in result.baselined],
-        "unused_baseline": [
-            {"path": path, "rule": rule, "symbol": symbol, "message": message}
-            for path, rule, symbol, message in result.unused_baseline
-        ],
         "files_checked": result.files_checked,
         "ok": result.ok,
     }

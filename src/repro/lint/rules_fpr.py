@@ -7,8 +7,8 @@ consumed by its fingerprint routine(s), credited through a declared
 property alias, or exempted there with a justification.
 
 The check is skipped for a class whose fingerprint routines are not in
-the analyzed file set at all (e.g. a ``--changed`` run touching only
-``config.py``); run the analyzer over the full tree -- as CI does --
+the analyzed file set at all (e.g. a run over ``config.py`` alone);
+run the analyzer over the full tree -- as CI does --
 for authoritative coverage.
 """
 

@@ -5,8 +5,7 @@ model, tuned for campaign introspection rather than scraping:
 
 * **Counters** only go up (``inc``).  Round counts, proposals, cache
   hits, pruning decisions.
-* **Gauges** hold the latest value (``set``).  Queue depths, the
-  auto-tuned batch size.
+* **Gauges** hold the latest value (``set``).  Queue depths.
 * **Histograms** bucket observations against *fixed* boundaries chosen
   at creation.  Round wall times, per-task execute and queue-wait
   times.  Fixed boundaries keep snapshots mergeable across grid cells

@@ -4,8 +4,8 @@ A :class:`Tracer` records two event shapes:
 
 * **spans** -- ``with tracer.span("simulate", scenario=...)`` records a
   complete (begin + duration) event when the block exits;
-* **instants** -- ``tracer.instant("engine.autotune", size=24)`` marks a
-  point in time (fault injections, autotune decisions).
+* **instants** -- ``tracer.instant("mark", note="...")`` marks a
+  point in time.
 
 The clock is *injected*: the default is ``time.perf_counter``, but
 tests pass a deterministic fake so two traced runs produce

