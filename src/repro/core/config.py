@@ -18,8 +18,8 @@ keys) to the pre-spec fleet engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple, Type
+from dataclasses import dataclass, replace
+from typing import Callable, Optional, Tuple, Type
 
 from repro.firmware.ardupilot import ArduPilotFirmware
 from repro.firmware.base import ControlFirmware
@@ -97,10 +97,6 @@ class RunConfiguration:
         Previously-known bug ids to re-insert (Table V experiments).
     disabled_bugs:
         Bug ids to disable (i.e. treat as fixed).
-    stop_on_unsafe:
-        Abort a run as soon as the invariant monitor reports a violation
-        (saves simulation budget; the paper's runs likewise end once an
-        unsafe condition has been recorded).
     fleet_size:
         Number of vehicles hosted by one simulation.  The default of 1
         is the classic Avis setup and is bit-identical to the
@@ -144,7 +140,6 @@ class RunConfiguration:
     noise_seed: int = 0
     reinserted_bugs: Tuple[str, ...] = ()
     disabled_bugs: Tuple[str, ...] = ()
-    stop_on_unsafe: bool = True
     fleet_size: int = 1
     fleet_pad_spacing_m: float = 8.0
     vehicles: Optional[Tuple[VehicleSpec, ...]] = None
@@ -186,26 +181,7 @@ class RunConfiguration:
 
     def with_noise_seed(self, noise_seed: int) -> "RunConfiguration":
         """Return a copy of the configuration with a different noise seed."""
-        return RunConfiguration(
-            firmware_class=self.firmware_class,
-            workload_factory=self.workload_factory,
-            environment_factory=self.environment_factory,
-            airframe=self.airframe,
-            firmware_params=self.firmware_params,
-            dt=self.dt,
-            max_sim_time_s=self.max_sim_time_s,
-            sample_interval_steps=self.sample_interval_steps,
-            noise_seed=noise_seed,
-            reinserted_bugs=self.reinserted_bugs,
-            disabled_bugs=self.disabled_bugs,
-            stop_on_unsafe=self.stop_on_unsafe,
-            fleet_size=self.fleet_size,
-            fleet_pad_spacing_m=self.fleet_pad_spacing_m,
-            vehicles=self.vehicles,
-            traffic_beacon_interval_s=self.traffic_beacon_interval_s,
-            traffic_latency_s=self.traffic_latency_s,
-            stepper=self.stepper,
-        )
+        return replace(self, noise_seed=noise_seed)
 
     # ------------------------------------------------------------------
     # Per-vehicle specs

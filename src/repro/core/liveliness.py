@@ -23,16 +23,16 @@ OS-level non-determinism.  The reproduction's runs differ only through
 sensor-noise seeds, which would make ``P_max`` / ``A_max`` / ``tau``
 unrealistically tight and turn benign degraded-but-live behaviour into
 false positives (the paper reports none).  The monitor therefore applies
-configurable floors to the normalisation constants; the defaults allow a
-few metres of position slack, which is far below the tens-of-metres
+floors to the normalisation constants (``LivelinessMonitor.MIN_*``); they
+allow a few metres of position slack, which is far below the tens-of-metres
 deviations of a real fly-away.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.core.modegraph import ModeGraph
 from repro.core.runner import RunResult, TraceSample
@@ -126,6 +126,82 @@ class LivelinessCalibration:
         )
 
 
+class SafeModeProgressTracker:
+    """The safe-mode progress invariants, streamed over one vehicle's trace.
+
+    A vehicle in the land mode must keep descending; a vehicle in the
+    return-to-launch mode must keep approaching home (or climbing to its
+    return altitude).  Violations of these are how fly-aways that hide
+    inside a fail-safe mode are caught.  The rule is judged over a
+    window of :attr:`LivelinessMonitor.PROGRESS_WINDOW_S` seconds spent
+    entirely in one airborne fail-safe mode and is calibration free, so
+    it applies to any vehicle's trace -- fleet followers included.  Each
+    mode is flagged at most once per trace.
+
+    This is the one implementation of the rule: the harness streams a
+    run through it while the run executes (so a stalled fail-safe is
+    aborted as soon as it is detectable) and the offline evaluation
+    streams the completed trace through a fresh one.
+    """
+
+    def __init__(self) -> None:
+        self._samples: List[TraceSample] = []
+        #: Index of the first sample of the current run of equal mode labels.
+        self._mode_since = 0
+        self._flagged_labels: Set[str] = set()
+
+    def observe(
+        self, sample: TraceSample, tolerate: bool = False
+    ) -> Optional[LivelinessViolation]:
+        """Stream one sample; ``tolerate`` records it without judging it
+        (used inside recovery-tolerance windows, where a stalled
+        fail-safe is expected transient behaviour)."""
+        samples = self._samples
+        if samples and samples[-1].mode_label != sample.mode_label:
+            self._mode_since = len(samples)
+        samples.append(sample)
+        label = sample.mode_label
+        if tolerate or sample.on_ground or len(samples) < 2:
+            return None
+        if label in self._flagged_labels:
+            return None
+        if label not in (OperatingModeLabel.LAND, OperatingModeLabel.RTL):
+            return None
+        sample_period = samples[1].time - samples[0].time
+        if sample_period <= 0.0:
+            return None
+        window_s = LivelinessMonitor.PROGRESS_WINDOW_S
+        window = max(int(window_s / sample_period), 2)
+        past_index = len(samples) - 1 - window
+        if past_index < self._mode_since:
+            # Too short a trace, or the fail-safe mode was (re)entered
+            # mid-window: wait for a full window inside the mode.
+            return None
+        past = samples[past_index]
+        if label == OperatingModeLabel.LAND:
+            descent = past.altitude - sample.altitude
+            if descent >= LivelinessMonitor.LAND_PROGRESS_M:
+                return None
+            description = (
+                "no descent progress while in the land fail-safe "
+                f"({descent:.2f} m over {window_s:.0f} s)"
+            )
+        else:
+            rtl_description = rtl_progress_violation(
+                past, sample, LivelinessMonitor.RTL_PROGRESS_M
+            )
+            if rtl_description is None:
+                return None
+            description = f"{rtl_description} over {window_s:.0f} s"
+        self._flagged_labels.add(label)
+        return LivelinessViolation(
+            time=sample.time,
+            kind="safe-mode-progress",
+            description=description,
+            mode_label=label,
+        )
+
+
 class LivelinessMonitor:
     """Compares test runs against profiling runs per Equation 1."""
 
@@ -138,32 +214,23 @@ class LivelinessMonitor:
     #: while returning to launch (or, equivalently, climb toward the RTL
     #: altitude).
     RTL_PROGRESS_M = 1.0
+    #: Calibration floors on the normalisation constants (see the module
+    #: docstring): position scale (m), acceleration scale (m/s^2) and tau.
+    MIN_POSITION_SCALE = 5.0
+    MIN_ACCELERATION_SCALE = 2.0
+    MIN_THRESHOLD = 1.5
+    #: +/- time offset (seconds) tolerated when aligning a test sample
+    #: with the profiling runs.
+    ALIGNMENT_WINDOW_S = 1.5
 
-    def __init__(
-        self,
-        profiling_runs: Sequence[RunResult],
-        mode_graph: Optional[ModeGraph] = None,
-        safe_mode_labels: Optional[Set[str]] = None,
-        min_position_scale: float = 5.0,
-        min_acceleration_scale: float = 2.0,
-        min_threshold: float = 1.5,
-        alignment_window_s: float = 1.5,
-    ) -> None:
+    def __init__(self, profiling_runs: Sequence[RunResult]) -> None:
         if not profiling_runs:
             raise ValueError("at least one profiling run is required")
         self._profiles = [run.trace for run in profiling_runs]
-        self._alignment_window_s = alignment_window_s
-        self._mode_graph = (
-            mode_graph
-            if mode_graph is not None
-            else ModeGraph.from_profiling_runs([run.mode_transitions for run in profiling_runs])
+        self._mode_graph = ModeGraph.from_profiling_runs(
+            [run.mode_transitions for run in profiling_runs]
         )
-        self._safe_labels = (
-            set(safe_mode_labels) if safe_mode_labels is not None else set(DEFAULT_SAFE_MODE_LABELS)
-        )
-        self._min_position_scale = min_position_scale
-        self._min_acceleration_scale = min_acceleration_scale
-        self._min_threshold = min_threshold
+        self._safe_labels = set(DEFAULT_SAFE_MODE_LABELS)
         self._calibration = self._calibrate()
 
     # ------------------------------------------------------------------
@@ -178,11 +245,6 @@ class LivelinessMonitor:
     def mode_graph(self) -> ModeGraph:
         """The mode graph built from the profiling runs."""
         return self._mode_graph
-
-    @property
-    def safe_mode_labels(self) -> Set[str]:
-        """Labels treated as safe modes."""
-        return set(self._safe_labels)
 
     def add_safe_mode(self, label: str) -> None:
         """Allow developers to declare an additional safe mode."""
@@ -215,8 +277,8 @@ class LivelinessMonitor:
                         acceleration_scale,
                         euclidean_distance(sample_i.acceleration, sample_j.acceleration),
                     )
-        position_scale = max(position_scale, self._min_position_scale)
-        acceleration_scale = max(acceleration_scale, self._min_acceleration_scale)
+        position_scale = max(position_scale, self.MIN_POSITION_SCALE)
+        acceleration_scale = max(acceleration_scale, self.MIN_ACCELERATION_SCALE)
 
         threshold = 0.0
         for i in range(len(self._profiles)):
@@ -230,7 +292,7 @@ class LivelinessMonitor:
                             sample_i, sample_j, position_scale, acceleration_scale, diameter
                         ),
                     )
-        threshold = max(threshold, self._min_threshold)
+        threshold = max(threshold, self.MIN_THRESHOLD)
         return LivelinessCalibration(
             position_scale=position_scale,
             acceleration_scale=acceleration_scale,
@@ -285,7 +347,7 @@ class LivelinessMonitor:
         sample_period = self._profiles[0][1].time - self._profiles[0][0].time
         if sample_period <= 0.0:
             return 0
-        return max(int(self._alignment_window_s / sample_period), 0)
+        return max(int(self.ALIGNMENT_WINDOW_S / sample_period), 0)
 
     def distance_to_profiles(self, sample: TraceSample) -> float:
         """The minimum distance from ``sample`` to any profiling run.
@@ -341,90 +403,37 @@ class LivelinessMonitor:
     ) -> List[LivelinessViolation]:
         """Offline evaluation of a completed run (Equation 1 + safe modes).
 
+        Returns the first Equation-1 divergence (later ones add noise)
+        followed by the safe-mode progress violations, in time order.
+
         ``tolerance_windows`` are the recovery-tolerance spans of the
         run's intermittent faults: a divergence inside one is expected
-        degraded-but-recovering behaviour, not a violation, so the scan
-        skips those samples and keeps judging afterwards -- divergence
-        that *persists* beyond the window is still flagged instead of
-        the whole run latching on the transient.
+        degraded-but-recovering behaviour, not a violation, so samples
+        inside them are not judged and the stream keeps judging
+        afterwards -- divergence that *persists* beyond the window is
+        still flagged instead of the whole run latching on the transient.
         """
-        violations: List[LivelinessViolation] = []
+        progress = progress_violations(result.trace, tolerance_windows)
         for sample in result.trace:
             if time_in_windows(sample.time, tolerance_windows):
                 continue
-            violation = self.check_sample(sample)
-            if violation is not None:
-                violations.append(violation)
-                break  # first divergence is enough; later samples add noise
-        violations.extend(
-            self.check_safe_mode_progress(result.trace, tolerance_windows)
+            divergence = self.check_sample(sample)
+            if divergence is not None:
+                return [divergence] + progress
+        return progress
+
+
+def progress_violations(
+    samples: Sequence[TraceSample], tolerance_windows: Sequence[ToleranceWindow]
+) -> List[LivelinessViolation]:
+    """Stream a completed trace through a fresh
+    :class:`SafeModeProgressTracker`, tolerating ``tolerance_windows``."""
+    tracker = SafeModeProgressTracker()
+    violations = []
+    for sample in samples:
+        violation = tracker.observe(
+            sample, tolerate=time_in_windows(sample.time, tolerance_windows)
         )
-        return violations
-
-    def check_safe_mode_progress(
-        self,
-        samples: List[TraceSample],
-        tolerance_windows: Sequence[ToleranceWindow] = (),
-    ) -> List[LivelinessViolation]:
-        """Additional invariants for safe modes (Section IV-C-2).
-
-        A vehicle in the land mode must keep descending; a vehicle in the
-        return-to-launch mode must keep approaching home (or climbing to
-        its return altitude).  Violations of these are how fly-aways that
-        hide inside a fail-safe mode are caught.  The rule is calibration
-        free, so it applies to any vehicle's trace -- fleet followers
-        included.  Samples inside a recovery ``tolerance_windows`` span
-        are not judged (see :meth:`evaluate`).
-        """
-        violations: List[LivelinessViolation] = []
-        if len(samples) < 2:
-            return violations
-        sample_period = samples[1].time - samples[0].time
-        if sample_period <= 0.0:
-            return violations
-        window = max(int(self.PROGRESS_WINDOW_S / sample_period), 2)
-
-        land_flagged = False
-        rtl_flagged = False
-        for index in range(window, len(samples)):
-            current = samples[index]
-            past = samples[index - window]
-            if time_in_windows(current.time, tolerance_windows):
-                continue
-            if any(
-                item.mode_label != current.mode_label
-                for item in samples[index - window : index + 1]
-            ):
-                continue
-            if current.on_ground:
-                continue
-            if current.mode_label == OperatingModeLabel.LAND and not land_flagged:
-                descent = past.altitude - current.altitude
-                if descent < self.LAND_PROGRESS_M:
-                    land_flagged = True
-                    violations.append(
-                        LivelinessViolation(
-                            time=current.time,
-                            kind="safe-mode-progress",
-                            description=(
-                                "no descent progress while in the land fail-safe "
-                                f"({descent:.2f} m over {self.PROGRESS_WINDOW_S:.0f} s)"
-                            ),
-                            mode_label=current.mode_label,
-                        )
-                    )
-            elif current.mode_label == OperatingModeLabel.RTL and not rtl_flagged:
-                description = rtl_progress_violation(past, current, self.RTL_PROGRESS_M)
-                if description is not None:
-                    rtl_flagged = True
-                    violations.append(
-                        LivelinessViolation(
-                            time=current.time,
-                            kind="safe-mode-progress",
-                            description=(
-                                f"{description} over {self.PROGRESS_WINDOW_S:.0f} s"
-                            ),
-                            mode_label=current.mode_label,
-                        )
-                    )
-        return violations
+        if violation is not None:
+            violations.append(violation)
+    return violations

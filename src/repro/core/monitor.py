@@ -16,8 +16,9 @@ from typing import Dict, List, Optional, Sequence, Set
 from repro.core.liveliness import (
     LivelinessMonitor,
     LivelinessViolation,
+    SafeModeProgressTracker,
     ToleranceWindow,
-    rtl_progress_violation,
+    progress_violations,
     time_in_windows,
 )
 from repro.core.modegraph import ModeGraph
@@ -76,86 +77,11 @@ class UnsafeCondition:
     mode_label: str
     description: str
 
-    @property
-    def is_safety(self) -> bool:
-        """True for violations of the safety rule (crashes)."""
-        return self.kind in (
-            UnsafeConditionKind.SAFETY_COLLISION,
-            UnsafeConditionKind.SAFETY_SOFTWARE_CRASH,
-        )
-
     def describe(self) -> str:
         """One-line description used in reports."""
         return (
             f"{self.kind.value} at t={self.time:.2f}s (mode '{self.mode_label}'): "
             f"{self.description}"
-        )
-
-
-class _OnlineProgressTracker:
-    """Streams the safe-mode progress invariants while a run executes.
-
-    The offline check in :class:`LivelinessMonitor` operates on the full
-    trace; this tracker applies the same window rule sample-by-sample so
-    the harness can abort a fly-away-inside-a-fail-safe as soon as it is
-    detectable instead of waiting for the workload to time out.
-    """
-
-    def __init__(self, liveliness: LivelinessMonitor) -> None:
-        self._liveliness = liveliness
-        self._samples: List[TraceSample] = []
-        self._flagged_labels: Set[str] = set()
-
-    def observe(
-        self, sample: TraceSample, tolerate: bool = False
-    ) -> Optional[LivelinessViolation]:
-        """Stream one sample; ``tolerate`` records it without judging it
-        (used inside recovery-tolerance windows, where a stalled
-        fail-safe is expected transient behaviour)."""
-        self._samples.append(sample)
-        if tolerate:
-            return None
-        if len(self._samples) < 2 or sample.on_ground:
-            return None
-        if sample.mode_label in self._flagged_labels:
-            return None
-        if sample.mode_label not in (OperatingModeLabel.LAND, OperatingModeLabel.RTL):
-            return None
-        sample_period = self._samples[1].time - self._samples[0].time
-        if sample_period <= 0.0:
-            return None
-        window = max(int(self._liveliness.PROGRESS_WINDOW_S / sample_period), 2)
-        if len(self._samples) <= window:
-            return None
-        past = self._samples[-1 - window]
-        window_samples = self._samples[-1 - window :]
-        if any(item.mode_label != sample.mode_label for item in window_samples):
-            # The fail-safe mode was (re)entered mid-window; wait for a
-            # full window inside the mode before judging progress.
-            return None
-        if sample.mode_label == OperatingModeLabel.LAND:
-            descent = past.altitude - sample.altitude
-            if descent >= self._liveliness.LAND_PROGRESS_M:
-                return None
-            description = (
-                "no descent progress while in the land fail-safe "
-                f"({descent:.2f} m over {self._liveliness.PROGRESS_WINDOW_S:.0f} s)"
-            )
-        else:
-            rtl_description = rtl_progress_violation(
-                past, sample, self._liveliness.RTL_PROGRESS_M
-            )
-            if rtl_description is None:
-                return None
-            description = (
-                f"{rtl_description} over {self._liveliness.PROGRESS_WINDOW_S:.0f} s"
-            )
-        self._flagged_labels.add(sample.mode_label)
-        return LivelinessViolation(
-            time=sample.time,
-            kind="safe-mode-progress",
-            description=description,
-            mode_label=sample.mode_label,
         )
 
 
@@ -182,27 +108,14 @@ class InvariantMonitor:
     #: crash during a transient is still a crash.
     RECOVERY_GRACE_S = 8.0
 
-    def __init__(
-        self,
-        profiling_runs: Sequence[RunResult],
-        safe_mode_labels: Optional[Set[str]] = None,
-        impact_speed_threshold: float = 2.0,
-        min_position_scale: float = 5.0,
-        min_separation_m: Optional[float] = None,
-    ) -> None:
-        self._safety = SafetyMonitor(impact_speed_threshold=impact_speed_threshold)
-        self._liveliness = LivelinessMonitor(
-            profiling_runs,
-            safe_mode_labels=safe_mode_labels,
-            min_position_scale=min_position_scale,
-        )
-        self._progress_tracker: Optional[_OnlineProgressTracker] = None
-        self._vehicle_trackers: Dict[int, _OnlineProgressTracker] = {}
+    def __init__(self, profiling_runs: Sequence[RunResult]) -> None:
+        self._safety = SafetyMonitor()
+        self._liveliness = LivelinessMonitor(profiling_runs)
+        #: Online safe-mode progress trackers, one per fleet member (the
+        #: lead included), reset by :meth:`begin_run`.
+        self._trackers: Dict[int, SafeModeProgressTracker] = {}
         self._tolerance_windows: List[ToleranceWindow] = []
-        if min_separation_m is not None:
-            self._separation_threshold: Optional[float] = min_separation_m
-        else:
-            self._separation_threshold = self._calibrate_separation(profiling_runs)
+        self._separation_threshold = self._calibrate_separation(profiling_runs)
 
     @classmethod
     def _calibrate_separation(
@@ -258,8 +171,7 @@ class InvariantMonitor:
         Latched-only scenarios produce no windows and are judged exactly
         as before.
         """
-        self._progress_tracker = _OnlineProgressTracker(self._liveliness)
-        self._vehicle_trackers = {}
+        self._trackers = {}
         self._tolerance_windows = recovery_tolerance_windows(
             scenario, self.RECOVERY_GRACE_S
         )
@@ -268,8 +180,17 @@ class InvariantMonitor:
         """True inside a recovery-tolerance window of the current run."""
         return time_in_windows(time, self._tolerance_windows)
 
+    def _observe_progress(
+        self, vehicle: int, sample: TraceSample, tolerated: bool
+    ) -> Optional[LivelinessViolation]:
+        """Stream one sample through ``vehicle``'s progress tracker."""
+        tracker = self._trackers.get(vehicle)
+        if tracker is None:
+            tracker = self._trackers[vehicle] = SafeModeProgressTracker()
+        return tracker.observe(sample, tolerate=tolerated)
+
     def check_sample(self, sample: TraceSample) -> Optional[UnsafeCondition]:
-        """Check one trace sample while the run is executing.
+        """Check one lead trace sample while the run is executing.
 
         The liveliness rule and the safe-mode progress invariants are
         evaluated online (safety violations are detected by the
@@ -278,11 +199,10 @@ class InvariantMonitor:
         tolerance window are recorded but not judged.
         """
         tolerated = self._tolerated(sample.time)
-        violation = None
-        if not tolerated:
-            violation = self._liveliness.check_sample(sample)
-        if violation is None and self._progress_tracker is not None:
-            violation = self._progress_tracker.observe(sample, tolerate=tolerated)
+        violation = None if tolerated else self._liveliness.check_sample(sample)
+        progress = self._observe_progress(0, sample, tolerated)
+        if violation is None:
+            violation = progress
         if violation is None:
             return None
         return self._from_liveliness(violation)
@@ -302,11 +222,9 @@ class InvariantMonitor:
         """
         if vehicle == 0:
             return self.check_sample(sample)
-        tracker = self._vehicle_trackers.get(vehicle)
-        if tracker is None:
-            tracker = _OnlineProgressTracker(self._liveliness)
-            self._vehicle_trackers[vehicle] = tracker
-        violation = tracker.observe(sample, tolerate=self._tolerated(sample.time))
+        violation = self._observe_progress(
+            vehicle, sample, self._tolerated(sample.time)
+        )
         if violation is None:
             return None
         return self._namespaced(self._from_liveliness(violation), vehicle)
@@ -359,9 +277,7 @@ class InvariantMonitor:
         for vehicle, samples in sorted(result.vehicle_traces.items()):
             if vehicle == 0:
                 continue  # the lead is covered by the full evaluation above
-            for violation in self._liveliness.check_safe_mode_progress(
-                samples, windows
-            ):
+            for violation in progress_violations(samples, windows):
                 conditions.append(
                     self._namespaced(self._from_liveliness(violation), vehicle)
                 )

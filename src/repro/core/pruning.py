@@ -17,11 +17,11 @@ Two policies keep SABRE from wasting budget on equivalent scenarios:
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Callable, FrozenSet, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Callable, FrozenSet, Optional, Set, Tuple
 
-from repro.hinj.faults import FaultScenario, FaultSpec, TrafficFaultSpec
-from repro.sensors.base import SensorId, SensorRole, SensorType
+from repro.hinj.faults import FaultScenario, TrafficFaultSpec
+from repro.sensors.base import SensorId, SensorRole
 
 
 #: A canonical signature: how many instances of each (vehicle, type, role)
@@ -98,11 +98,6 @@ class PruningStatistics:
     symmetry_pruned: int = 0
     duplicate_pruned: int = 0
 
-    @property
-    def total_pruned(self) -> int:
-        """Total scenarios skipped by any policy."""
-        return self.found_bug_pruned + self.symmetry_pruned + self.duplicate_pruned
-
 
 class RedundancyPruner:
     """Implements ``CanPrune`` of Algorithm 1."""
@@ -132,11 +127,6 @@ class RedundancyPruner:
         """Record that ``scenario`` has been simulated."""
         self._seen_scenarios.add(scenario)
         self._seen_signatures.add(symmetry_signature(scenario, self._role_of))
-
-    @property
-    def bug_scenarios(self) -> Set[FaultScenario]:
-        """Scenarios known to trigger bugs."""
-        return set(self._bug_scenarios)
 
     @property
     def found_bug_pruning_enabled(self) -> bool:

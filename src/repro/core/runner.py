@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import RunConfiguration, VehicleSpec
 from repro.firmware.base import ControlFirmware
@@ -48,7 +48,7 @@ from repro.sim.environment import GeoLocation
 from repro.sim.planner import StepPlanner
 from repro.sim.simulator import CollisionEvent, ProximityEvent, Simulator
 from repro.sim.state import VehicleState
-from repro.workloads.framework import Target, WorkloadOutcome, WorkloadResult
+from repro.workloads.framework import Target, WorkloadResult
 
 if TYPE_CHECKING:
     # Annotation-only: the recorder is imported at runtime inside the
@@ -390,7 +390,7 @@ class SimulationHarness:
         environment = config.environment_factory()
         separation_threshold = 0.0
         if monitor is not None:
-            separation_threshold = getattr(monitor, "separation_threshold_m", None) or 0.0
+            separation_threshold = monitor.separation_threshold_m or 0.0
         self.simulator = Simulator(
             airframe=config.airframe,
             environment=environment,
@@ -463,7 +463,6 @@ class SimulationHarness:
         self._traces: List[List[TraceSample]] = [[] for _ in self._units]
         self._steps = 0
         self._abort = False
-        self._unsafe_found = False
         self._proximity_seen = 0
         self._max_steps = int(config.max_sim_time_s / config.dt)
         self._sample_interval = max(config.sample_interval_steps, 1)
@@ -681,9 +680,7 @@ class SimulationHarness:
             if self._steps >= self._max_steps:
                 self._abort = True
             if self.simulator.has_crashed or not self._all_firmware_alive():
-                self._unsafe_found = True
-                if self._config.stop_on_unsafe:
-                    self._abort = True
+                self._abort = True
             self._check_proximity()
             if recorder is not None:
                 recorder.add_phase("monitor", clock() - mark)
@@ -692,51 +689,41 @@ class SimulationHarness:
         return all(unit.firmware.process_alive for unit in self._units)
 
     def _check_proximity(self) -> None:
-        """Flag (and optionally abort on) new inter-vehicle conflicts."""
+        """Abort on a new inter-vehicle conflict."""
         if len(self._units) == 1:
             return
         count = self.simulator.proximity_event_count
         if count > self._proximity_seen:
             self._proximity_seen = count
-            self._unsafe_found = True
-            if self._config.stop_on_unsafe:
-                self._abort = True
+            self._abort = True
 
     def _record_sample(self) -> None:
-        state = self.simulator.state
-        sample = TraceSample.from_state(
-            index=len(self._traces[0]), state=state, mode_label=self.firmware.operating_mode_label
-        )
-        self._traces[0].append(sample)
-        if self._monitor is not None:
-            violation = self._monitor.check_sample(sample)
-            if violation is not None:
-                self._unsafe_found = True
-                if self._config.stop_on_unsafe:
-                    self._abort = True
-        for unit in self._units[1:]:
+        """Sample every vehicle's trace and stream it through the monitor.
+
+        The lead gets the full online check; followers stream through
+        the safe-mode progress windows, so a coordination fault that
+        strands a follower inside a fail-safe is caught while the run
+        executes.  Any online violation aborts the run.
+        """
+        monitor = self._monitor
+        for unit in self._units:
             vehicle = unit.vehicle
-            follower_sample = TraceSample.from_state(
-                index=len(self._traces[vehicle]),
+            trace = self._traces[vehicle]
+            sample = TraceSample.from_state(
+                index=len(trace),
                 state=self.simulator.state_of(vehicle),
                 mode_label=unit.firmware.operating_mode_label,
                 vehicle=vehicle,
             )
-            self._traces[vehicle].append(follower_sample)
-            # Per-vehicle online liveliness: follower samples stream
-            # through the safe-mode progress windows, so a coordination
-            # fault that strands a follower inside a fail-safe is caught
-            # while the run executes, not only by the offline checks.
-            if self._monitor is not None and hasattr(
-                self._monitor, "check_vehicle_sample"
-            ):
-                violation = self._monitor.check_vehicle_sample(
-                    vehicle, follower_sample
-                )
-                if violation is not None:
-                    self._unsafe_found = True
-                    if self._config.stop_on_unsafe:
-                        self._abort = True
+            trace.append(sample)
+            if monitor is None:
+                continue
+            if vehicle == 0:
+                violation = monitor.check_sample(sample)
+            else:
+                violation = monitor.check_vehicle_sample(vehicle, sample)
+            if violation is not None:
+                self._abort = True
 
     # ------------------------------------------------------------------
     # Result assembly
@@ -890,26 +877,26 @@ class TestRunner:
         config = self._config
         if noise_seed is not None:
             config = config.with_noise_seed(noise_seed)
-        online_monitor = self._monitor if self._monitor is not None else None
-        harness = SimulationHarness(config, scenario, monitor=online_monitor)
-        if online_monitor is not None:
-            # The scenario seeds the monitor's recovery-tolerance windows
-            # (a no-op for latched-only scenarios).
-            online_monitor.begin_run(scenario)
+        monitor = self._monitor
+        if monitor is not None:
+            # Reset the online trackers before the harness records its
+            # first sample; the scenario seeds the recovery-tolerance
+            # windows (a no-op for latched-only scenarios).
+            monitor.begin_run(scenario)
+        harness = SimulationHarness(config, scenario, monitor=monitor)
         workload = config.workload_factory()
         workload.bind(harness)
         workload_result = workload.run()
         result = harness.build_result(workload, workload_result)
-        if self._monitor is not None:
-            recorder = harness._recorder
-            if recorder is not None:
-                evaluate_start = harness._clock()
-                result.unsafe_conditions = self._monitor.evaluate(result)
-                if result.flight_log is not None:
-                    result.flight_log.phase_seconds["monitor_evaluate"] = (
-                        result.flight_log.phase_seconds.get("monitor_evaluate", 0.0)
-                        + (harness._clock() - evaluate_start)
-                    )
-            else:
-                result.unsafe_conditions = self._monitor.evaluate(result)
+        if monitor is None:
+            return result
+        timed = result.flight_log is not None
+        if timed:
+            evaluate_start = harness._clock()
+        result.unsafe_conditions = monitor.evaluate(result)
+        if timed:
+            phases = result.flight_log.phase_seconds
+            phases["monitor_evaluate"] = phases.get("monitor_evaluate", 0.0) + (
+                harness._clock() - evaluate_start
+            )
         return result

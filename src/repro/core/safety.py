@@ -17,9 +17,9 @@ unsafe-condition reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
-from repro.core.runner import RunResult, TraceSample
+from repro.core.runner import RunResult
 
 
 @dataclass(frozen=True)
@@ -35,18 +35,8 @@ class SafetyViolation:
 class SafetyMonitor:
     """Detects crashes (physical and software) in a run."""
 
-    def __init__(self, impact_speed_threshold: float = 2.0) -> None:
-        self._impact_speed_threshold = impact_speed_threshold
-
-    def check_sample(self, sample: TraceSample) -> Optional[SafetyViolation]:
-        """Online check used while the run executes (fast path).
-
-        Collision events are detected by the simulator itself; the online
-        sample check only exists so the harness can abort a run as soon as
-        ground truth shows the vehicle down and tumbling.
-        """
-        del sample  # per-sample safety state is owned by the simulator
-        return None
+    #: Impacts slower than this (m/s) are touchdowns, not collisions.
+    IMPACT_SPEED_THRESHOLD = 2.0
 
     @staticmethod
     def _vehicle_label(result: RunResult, vehicle: int, time: float) -> str:
@@ -65,7 +55,7 @@ class SafetyMonitor:
         """Offline evaluation of a completed run."""
         violations: List[SafetyViolation] = []
         for collision in result.collisions:
-            if collision.impact_speed < self._impact_speed_threshold:
+            if collision.impact_speed < self.IMPACT_SPEED_THRESHOLD:
                 continue
             vehicle = getattr(collision, "vehicle", 0)
             violations.append(

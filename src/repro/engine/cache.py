@@ -60,7 +60,9 @@ def config_fingerprint(config: RunConfiguration, workload_name: str) -> str:
         f"noise_seed={config.noise_seed!r}",
         f"reinserted={sorted(config.reinserted_bugs)!r}",
         f"disabled={sorted(config.disabled_bugs)!r}",
-        f"stop_on_unsafe={config.stop_on_unsafe!r}",
+        # Every run aborts on its first online violation; the term is
+        # kept so existing cache keys stay valid.
+        "stop_on_unsafe=True",
     ]
     fleet_size = getattr(config, "fleet_size", 1)
     if fleet_size != 1:

@@ -11,7 +11,7 @@ for the acknowledgement, re-request on transient denial).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.firmware.estimator import EstimatorStatus
 from repro.firmware.params import FirmwareParameters
@@ -37,17 +37,11 @@ class ArmingController:
     def __init__(self, params: FirmwareParameters) -> None:
         self._params = params
         self._armed = False
-        self._armed_time: Optional[float] = None
 
     @property
     def armed(self) -> bool:
         """True while the motors are armed."""
         return self._armed
-
-    @property
-    def armed_time(self) -> Optional[float]:
-        """Simulation time at which the vehicle armed (None if never)."""
-        return self._armed_time
 
     def prearm_checks(self, status: EstimatorStatus) -> ArmingDecision:
         """Evaluate the pre-arm checks against the estimator status."""
@@ -71,7 +65,6 @@ class ArmingController:
         decision = self.prearm_checks(status)
         if decision.allowed:
             self._armed = True
-            self._armed_time = time
         return decision
 
     def request_disarm(self, airborne: bool) -> ArmingDecision:

@@ -21,7 +21,6 @@ makes the bug manifestations honest.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.firmware.arming import ArmingController, ArmingDecision
@@ -57,15 +56,6 @@ class FirmwareCrashed(Exception):
     is still running"; raising this exception is the in-process analogue
     of the process exiting.
     """
-
-
-@dataclass(frozen=True)
-class ModeChange:
-    """One flight-mode change with its reason, for reports and tests."""
-
-    time: float
-    mode: FlightMode
-    reason: str
 
 
 class ControlFirmware:
@@ -110,7 +100,6 @@ class ControlFirmware:
         )
 
         self._flight_mode = FlightMode.PREFLIGHT
-        self._mode_history: List[ModeChange] = [ModeChange(0.0, FlightMode.PREFLIGHT, "boot")]
         self._operating_label = OperatingModeLabel.PREFLIGHT
         self._label_history: List[Tuple[float, str]] = [(0.0, self._operating_label)]
         self._post_takeoff_mode = FlightMode.GUIDED
@@ -125,7 +114,6 @@ class ControlFirmware:
         self._rtl_phase = "climb"
         self._landed_counter = 0
         self._elapsed_steps = 1
-        self._failsafe_active = False
         self._process_alive = True
         self._pending_failsafe_mode: Optional[FlightMode] = None
 
@@ -164,11 +152,6 @@ class ControlFirmware:
         return self._operating_label
 
     @property
-    def mode_history(self) -> List[ModeChange]:
-        """Every flight-mode change since boot."""
-        return list(self._mode_history)
-
-    @property
     def label_history(self) -> List[Tuple[float, str]]:
         """Every operating-mode label change since boot."""
         return list(self._label_history)
@@ -192,11 +175,6 @@ class ControlFirmware:
     def failsafe_events(self) -> List[FailsafeEvent]:
         """Fail-safe decisions taken so far."""
         return self._failsafe.events
-
-    @property
-    def failsafe_active(self) -> bool:
-        """True once any fail-safe that changes the flight plan has fired."""
-        return self._failsafe_active
 
     @property
     def triggered_bug_ids(self) -> List[str]:
@@ -224,11 +202,6 @@ class ControlFirmware:
     def mission_reached_items(self) -> List[int]:
         """Mission items completed so far."""
         return self._mission.reached_items
-
-    @property
-    def mission_complete(self) -> bool:
-        """True when the uploaded mission has fully executed."""
-        return self._mission.complete
 
     # ------------------------------------------------------------------
     # Commands (called by the MAVLink handler or directly by tests)
@@ -310,7 +283,6 @@ class ControlFirmware:
         if mode == self._flight_mode:
             return
         self._flight_mode = mode
-        self._mode_history.append(ModeChange(time=time, mode=mode, reason=reason))
         estimate = self.estimate
         if mode in (FlightMode.LOITER, FlightMode.POSHOLD, FlightMode.ALT_HOLD, FlightMode.STABILIZE):
             self._hold_point = (estimate.north, estimate.east)
@@ -472,17 +444,14 @@ class ControlFirmware:
     def _apply_failsafe(self, decision: FailsafeEvent) -> None:
         if decision.action == FailsafeAction.LAND:
             self._pending_failsafe_mode = FlightMode.LAND
-            self._failsafe_active = True
         elif decision.action == FailsafeAction.RTL:
             self._pending_failsafe_mode = FlightMode.RTL
-            self._failsafe_active = True
         elif decision.action == FailsafeAction.DISARM:
             # A critical sensor failed while the vehicle was still on the
             # ground: refuse to fly.  (Liveliness is deliberately
             # sacrificed; the invariant monitor excuses a disarmed vehicle
             # on the ground.)
             self._arming.force_disarm()
-            self._failsafe_active = True
         if self._mavlink is not None:
             self._mavlink.send_status_text("critical", decision.describe())
 
@@ -723,9 +692,3 @@ class ControlFirmware:
             return None
         return math.atan2(d_east, d_north)
 
-    # ------------------------------------------------------------------
-    # Software crash injection (used by tests)
-    # ------------------------------------------------------------------
-    def crash_process(self) -> None:
-        """Kill the firmware process (safety-invariant software crash)."""
-        self._process_alive = False

@@ -13,7 +13,7 @@ completely and the firmware's correct fail-safe path takes over.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.firmware.bugs import BugDescriptor, EffectScript
@@ -82,11 +82,6 @@ class BugEffectEngine:
     def active_bug_ids(self) -> List[str]:
         """Ids of bugs whose effects are currently being applied."""
         return [effect.descriptor.bug_id for effect in self._active]
-
-    @property
-    def any_active(self) -> bool:
-        """True when at least one bug effect is in force."""
-        return bool(self._active)
 
     # ------------------------------------------------------------------
     # Per-step application

@@ -65,11 +65,6 @@ class StateEstimate:
     yaw: float = 0.0
     status: EstimatorStatus = field(default_factory=EstimatorStatus)
 
-    @property
-    def horizontal_position(self) -> tuple:
-        """``(north, east)`` in metres."""
-        return (self.north, self.east)
-
     def horizontal_distance_to(self, north: float, east: float) -> float:
         """Horizontal distance from the estimate to a target point."""
         return math.hypot(self.north - north, self.east - east)

@@ -23,10 +23,10 @@ mishandling the paper describes is realised.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.firmware.estimator import EstimatorStatus, SensorFailureEvent, StateEstimate
+from repro.firmware.estimator import EstimatorStatus, SensorFailureEvent
 from repro.firmware.modes import FlightMode
 from repro.firmware.params import FirmwareParameters
 from repro.sensors.base import SensorType
@@ -72,11 +72,6 @@ class FailsafeManager:
     def events(self) -> List[FailsafeEvent]:
         """Every fail-safe decision taken so far."""
         return list(self._events)
-
-    @property
-    def latest_action(self) -> FailsafeAction:
-        """The most recent fail-safe action (NONE when there were none)."""
-        return self._events[-1].action if self._events else FailsafeAction.NONE
 
     def _record(self, event: FailsafeEvent) -> FailsafeEvent:
         self._events.append(event)

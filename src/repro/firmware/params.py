@@ -9,7 +9,7 @@ stock values where a direct analogue exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -58,10 +58,6 @@ class FirmwareParameters:
     # Telemetry.
     heartbeat_interval_s: float = 0.2
     telemetry_interval_s: float = 0.1
-
-    def with_overrides(self, **changes: object) -> "FirmwareParameters":
-        """Return a copy with the given fields replaced."""
-        return replace(self, **changes)
 
 
 ARDUPILOT_DEFAULT_PARAMETERS = FirmwareParameters()

@@ -10,7 +10,7 @@ from, which lets a rule recognise ``t.time()``, ``time.time()`` and
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
@@ -104,15 +104,6 @@ def symbol_for(node: ast.AST) -> str:
     """The symbol a finding names: its enclosing function, or ''."""
     function = enclosing_function(node)
     return function_qualname(function) if function is not None else ""
-
-
-def walk_functions(
-    tree: ast.Module,
-) -> Iterator[Tuple[str, FunctionNode]]:
-    """Every function/method in the module with its qualified name."""
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield function_qualname(node), node
 
 
 def is_type_checking_block(node: ast.stmt) -> bool:

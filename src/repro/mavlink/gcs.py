@@ -19,7 +19,6 @@ from repro.mavlink.messages import (
     GlobalPosition,
     Heartbeat,
     MavCommand,
-    MavResult,
     Message,
     MissionAck,
     MissionCurrent,
@@ -132,13 +131,6 @@ class GroundControlStation:
         """Return (and clear) command acknowledgements received so far."""
         acks, self._pending_acks = self._pending_acks, []
         return acks
-
-    def last_ack_for(self, command: MavCommand) -> Optional[CommandAck]:
-        """The most recent acknowledgement for ``command``, if any."""
-        for ack in reversed(self._pending_acks):
-            if ack.command == command:
-                return ack
-        return None
 
     # ------------------------------------------------------------------
     # Mission upload

@@ -114,11 +114,6 @@ class MavLink:
         return self._to_vehicle.stats
 
     @property
-    def to_gcs_stats(self) -> LinkStats:
-        """Traffic counters for the vehicle -> GCS direction."""
-        return self._to_gcs.stats
-
-    @property
     def pending_to_vehicle(self) -> int:
         """Messages queued toward the vehicle."""
         return self._to_vehicle.pending

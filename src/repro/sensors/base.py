@@ -177,7 +177,6 @@ class SensorDriver:
         self._failed = False
         self._hook_failed = False
         self._fail_hook: Optional[FailDecision] = None
-        self._read_count = 0
 
     # ------------------------------------------------------------------
     # Instrumentation (libhinj equivalent)
@@ -207,11 +206,6 @@ class SensorDriver:
         """True while the instance has not failed."""
         return not self.failed
 
-    @property
-    def read_count(self) -> int:
-        """Number of reads performed so far (used by fault-space sizing)."""
-        return self._read_count
-
     def fail(self) -> None:
         """Force the instance into the failed state (never recovers)."""
         self._failed = True
@@ -220,7 +214,6 @@ class SensorDriver:
         """Restore the instance to healthy (only between test runs)."""
         self._failed = False
         self._hook_failed = False
-        self._read_count = 0
 
     # ------------------------------------------------------------------
     # Reading
@@ -237,7 +230,6 @@ class SensorDriver:
         A failure forced with :meth:`fail` (or left behind by a removed
         hook) never recovers.
         """
-        self._read_count += 1
         if self._fail_hook is not None:
             self._hook_failed = self._fail_hook(self.sensor_id, time)
         if self._failed or self._hook_failed:

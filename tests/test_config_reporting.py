@@ -1,16 +1,22 @@
 """Tests for the run configuration and the report formatting helpers."""
 
+import dataclasses
+
 import pytest
 
 from conftest import make_run_result
 
-from repro.core.config import RunConfiguration
+from repro.core.config import RunConfiguration, VehicleSpec
 from repro.core.replay import build_replay_plan, resolve_plan
 from repro.core.report import format_table, unsafe_condition_report
 from repro.firmware.ardupilot import ArduPilotFirmware
+from repro.firmware.params import FirmwareParameters
 from repro.firmware.px4 import Px4Firmware
 from repro.hinj.scheduler import InjectionRecord
 from repro.sensors.base import SensorId, SensorType
+from repro.sim.environment import fenced_environment
+from repro.sim.vehicle import SOLO_QUADCOPTER
+from repro.workloads.builtin import PositionHoldBoxWorkload
 
 
 class TestRunConfiguration:
@@ -19,20 +25,39 @@ class TestRunConfiguration:
         assert config.firmware_class is ArduPilotFirmware
         assert config.firmware_name == "ardupilot"
         assert config.dt == pytest.approx(0.02)
-        assert config.stop_on_unsafe
 
     def test_with_noise_seed_preserves_everything_else(self):
+        params = FirmwareParameters(rtl_altitude_m=20.0)
+        lead = VehicleSpec(Px4Firmware, SOLO_QUADCOPTER, params)
         config = RunConfiguration(
             firmware_class=Px4Firmware,
-            reinserted_bugs=("PX4-13291",),
+            workload_factory=PositionHoldBoxWorkload,
+            environment_factory=fenced_environment,
+            airframe=SOLO_QUADCOPTER,
+            firmware_params=params,
+            dt=0.01,
             max_sim_time_s=77.0,
+            sample_interval_steps=3,
+            noise_seed=4,
+            reinserted_bugs=("PX4-13291",),
+            disabled_bugs=("APM-16027",),
+            fleet_size=2,
+            fleet_pad_spacing_m=12.0,
+            vehicles=(lead, VehicleSpec()),
+            traffic_beacon_interval_s=0.4,
+            traffic_latency_s=0.3,
+            stepper="adaptive",
         )
         other = config.with_noise_seed(9)
         assert other.noise_seed == 9
-        assert other.firmware_class is Px4Firmware
-        assert other.reinserted_bugs == ("PX4-13291",)
-        assert other.max_sim_time_s == 77.0
-        assert config.noise_seed == 0
+        assert config.noise_seed == 4
+        for item in dataclasses.fields(RunConfiguration):
+            if item.name == "noise_seed":
+                continue
+            # Every field is set off its default, so a field the copy
+            # dropped would show up as a mismatch here.
+            assert getattr(config, item.name) != item.default, item.name
+            assert getattr(other, item.name) == getattr(config, item.name), item.name
 
 
 class TestFormatTable:

@@ -4,9 +4,12 @@ import pytest
 
 from conftest import make_run_result, make_trace
 
+from repro.core.avis import Avis
+from repro.core.config import RunConfiguration
 from repro.core.liveliness import LivelinessMonitor, rtl_progress_violation
 from repro.core.modegraph import ModeGraph
 from repro.core.monitor import InvariantMonitor, UnsafeConditionKind, mode_category_of
+from repro.core.runner import TestRunner
 from repro.core.safety import SafetyMonitor
 from repro.hinj.instrumentation import ModeTransition
 from repro.sim.simulator import CollisionEvent
@@ -126,8 +129,8 @@ class TestLivelinessMonitor:
         assert violations and violations[0].kind == "liveliness"
 
     def test_calibration_floors_apply(self):
-        monitor = self.make_monitor(min_position_scale=7.5)
-        assert monitor.calibration.position_scale >= 7.5
+        monitor = self.make_monitor()
+        assert monitor.calibration.position_scale >= LivelinessMonitor.MIN_POSITION_SCALE
         assert monitor.calibration.threshold >= 1.5
         assert "tau" in monitor.calibration.describe()
 
@@ -218,3 +221,86 @@ class TestInvariantMonitor:
         run = make_run_result(collisions=[collision], transitions=STANDARD_TRANSITIONS)
         condition = monitor.evaluate(run)[0]
         assert mode_category_of(condition) in {"takeoff", "manual", "waypoint", "land"}
+
+
+class TestOnlineOfflineContract:
+    """A run the harness aborts online is reported unsafe offline."""
+
+    @staticmethod
+    def fly_recording(monkeypatch, avis, budget_units):
+        """Run one SABRE campaign; return (result, online conditions) per run."""
+        online = []
+        records = []
+        check_sample = InvariantMonitor.check_sample
+        check_vehicle_sample = InvariantMonitor.check_vehicle_sample
+        run = TestRunner.run
+
+        def recording_check_sample(self, sample):
+            condition = check_sample(self, sample)
+            if condition is not None:
+                online.append(condition)
+            return condition
+
+        def recording_check_vehicle_sample(self, vehicle, sample):
+            condition = check_vehicle_sample(self, vehicle, sample)
+            if condition is not None:
+                online.append(condition)
+            return condition
+
+        def recording_run(self, *args, **kwargs):
+            online.clear()
+            result = run(self, *args, **kwargs)
+            records.append((result, list(online)))
+            return result
+
+        monkeypatch.setattr(InvariantMonitor, "check_sample", recording_check_sample)
+        monkeypatch.setattr(
+            InvariantMonitor, "check_vehicle_sample", recording_check_vehicle_sample
+        )
+        monkeypatch.setattr(TestRunner, "run", recording_run)
+        avis.check(budget_units=budget_units)
+        return records
+
+    def test_first_online_condition_is_reported_offline(
+        self, monkeypatch, short_waypoint_config, short_px4_config
+    ):
+        for config in (short_waypoint_config, short_px4_config):
+            # A fresh orchestrator: a shared one may answer every
+            # scenario from its result cache without flying it.
+            avis = Avis(config, profiling_runs=2)
+            avis.profile()
+            records = self.fly_recording(monkeypatch, avis, budget_units=12.0)
+            aborted = [(result, online) for result, online in records if online]
+            assert aborted, f"no online-aborted run on {avis.config.firmware_name}"
+            for result, online in aborted:
+                first = online[0]
+                assert result.aborted_early
+                offline = {
+                    (condition.kind, condition.time, condition.mode_label)
+                    for condition in result.unsafe_conditions
+                }
+                assert (first.kind, first.time, first.mode_label) in offline
+
+
+class TestRemovedMonitorOptions:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda runs: InvariantMonitor(runs, safe_mode_labels={"rtl"}),
+            lambda runs: InvariantMonitor(runs, impact_speed_threshold=2.0),
+            lambda runs: InvariantMonitor(runs, min_position_scale=5.0),
+            lambda runs: InvariantMonitor(runs, min_separation_m=3.0),
+            lambda runs: LivelinessMonitor(runs, mode_graph=None),
+            lambda runs: LivelinessMonitor(runs, safe_mode_labels={"rtl"}),
+            lambda runs: LivelinessMonitor(runs, min_position_scale=5.0),
+            lambda runs: LivelinessMonitor(runs, min_acceleration_scale=2.0),
+            lambda runs: LivelinessMonitor(runs, min_threshold=1.5),
+            lambda runs: LivelinessMonitor(runs, alignment_window_s=1.5),
+            lambda runs: SafetyMonitor(impact_speed_threshold=2.0),
+            lambda runs: RunConfiguration(stop_on_unsafe=True),
+        ],
+    )
+    def test_removed_keyword_raises_type_error(self, build):
+        runs = [make_run_result(trace=straight_up_trace(), transitions=STANDARD_TRANSITIONS)]
+        with pytest.raises(TypeError):
+            build(runs)
