@@ -48,7 +48,7 @@ from repro.core.monitor import InvariantMonitor, UnsafeCondition
 from repro.core.runner import RunResult, TestRunner
 from repro.hinj.faults import FaultScenario, FaultSpec, TrafficFaultSpec
 
-__version__ = "7.0.0"
+__version__ = "8.0.0"
 
 __all__ = [
     "Avis",
@@ -57,7 +57,6 @@ __all__ = [
     "FaultScenario",
     "FaultSpec",
     "InvariantMonitor",
-    "RemoteBackend",
     "ResultCache",
     "RunConfiguration",
     "RunResult",
@@ -74,7 +73,6 @@ __all__ = [
 #: import the orchestrator above, so an eager import here would cycle.
 _ENGINE_EXPORTS = {
     "CampaignRequest",
-    "RemoteBackend",
     "ResultCache",
     "parse_backend_spec",
     "run_campaign",

@@ -145,8 +145,8 @@ class Avis:
         self._cache = cache if cache is not None else ResultCache()
         if not isinstance(backend, str):
             raise TypeError(
-                "backend must be a spec string such as 'serial', 'pool:4' or "
-                f"'remote:host:port', got {type(backend).__name__}"
+                "backend must be a spec string such as 'serial' or "
+                f"'pool:4', got {type(backend).__name__}"
             )
         self._engine = CampaignEngine(
             backend=parse_backend_spec(backend),

@@ -4,10 +4,8 @@ The engine is the execution layer under :class:`repro.core.avis.Avis`:
 
 * :mod:`repro.engine.backends` -- where batches of simulations run
   (:class:`SerialBackend` in-process, :class:`ProcessPoolBackend` across
-  a forked worker pool, :class:`RemoteBackend` across TCP workers
-  started with ``python -m repro.engine worker`` -- all bit-identical;
-  ``Avis`` takes one as a spec string: ``"serial"``, ``"pool:8"`` or
-  ``"remote:host:port[,...]"``).
+  a forked worker pool -- bit-identical; ``Avis`` takes one as a spec
+  string: ``"serial"``, ``"pool"`` or ``"pool:8"``).
 * :mod:`repro.engine.cache` -- the content-addressed
   :class:`ResultCache`, keyed on ``(firmware, workload, scenario,
   noise seed, params)``, so repeated campaigns skip already-simulated
@@ -30,7 +28,6 @@ from repro.engine.backends import (
     BACKEND_SPEC_HELP,
     ExecutionBackend,
     ProcessPoolBackend,
-    RemoteBackend,
     SerialBackend,
     parse_backend_spec,
 )
@@ -54,7 +51,6 @@ __all__ = [
     "GridCell",
     "GridOutcome",
     "ProcessPoolBackend",
-    "RemoteBackend",
     "ResultCache",
     "STREAM_SCHEMA_VERSION",
     "SerialBackend",

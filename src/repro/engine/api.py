@@ -168,7 +168,7 @@ class CampaignRequest:
     altitude: float = 15.0
     box_side: float = 15.0
     #: Execution backend spec for every cell's campaign engine:
-    #: ``"serial"``, ``"pool[:N]"`` or ``"remote:host:port[,...]"`` (see
+    #: ``"serial"`` or ``"pool[:N]"`` (see
     #: :data:`repro.engine.backends.BACKEND_SPEC_HELP`).
     backend: str = "serial"
     #: Shared result cache: a directory path (local, or on a mount every
@@ -265,11 +265,11 @@ def _vehicle_fleet(request: CampaignRequest) -> Optional[Tuple[VehicleSpec, ...]
 def build_cells(request: CampaignRequest) -> List[GridCell]:
     """Expand a request into its grid cells, validating every axis.
 
-    This is the single matrix expansion in the codebase: the grid CLI,
-    the worker CLI and :func:`run_campaign` all call it, so a given
-    request yields identical cell ids and fingerprints no matter how it
-    was described.  (Error messages use
-    the CLI flag spellings -- the request fields map one-to-one.)
+    This is the single matrix expansion in the codebase: the grid CLI
+    and :func:`run_campaign` both call it, so a given request yields
+    identical cell ids and fingerprints no matter how it was described.
+    (Error messages use the CLI flag spellings -- the request fields
+    map one-to-one.)
     """
     if request.stepper not in STEPPERS:
         raise ValueError(

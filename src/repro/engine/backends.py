@@ -9,7 +9,7 @@ fresh harness and the sensor noise is seeded from the configuration
 is a pure function of ``(config, scenario)`` -- which is what makes the
 process-pool backend bit-identical to the serial one.
 
-Three backends ship with the engine:
+Two backends ship with the engine:
 
 * :class:`SerialBackend` -- runs the batch in-process, one scenario at a
   time.  The reference implementation and the fallback everywhere a
@@ -21,18 +21,13 @@ Three backends ship with the engine:
   inherit the parent's context and only the scenarios and results cross
   the process boundary.  On platforms without ``fork`` the backend
   degrades to serial execution instead of failing.
-* :class:`RemoteBackend` -- ships tasks over TCP (length-prefixed JSON
-  frames, see :mod:`repro.engine.remote`) to worker processes started
-  with ``python -m repro.engine worker``, typically on other hosts.
-  Worker loss mid-round requeues the lost tasks on the surviving
-  workers, and results are reordered by submission index -- so a remote
-  campaign is bit-identical to a serial one.
 
 Backends are named by spec strings: :func:`parse_backend_spec` turns
-``"serial"``, ``"pool"``, ``"pool:8"`` or ``"remote:host:port[,...]"``
-into a backend.  :class:`~repro.core.avis.Avis` is the one place a
-campaign's spec becomes a backend; cell expansion
-(:func:`repro.engine.api.build_cells`) only validates it.
+``"serial"``, ``"pool"`` or ``"pool:8"`` into a backend.
+:class:`~repro.core.avis.Avis` is the one place a campaign's spec
+becomes a backend; cell expansion (:func:`repro.engine.api.build_cells`)
+only validates it.  Campaigns on other hosts share results through a
+common cache directory, not through a backend.
 """
 
 from __future__ import annotations
@@ -40,8 +35,6 @@ from __future__ import annotations
 import abc
 import multiprocessing
 import os
-import queue
-import threading
 import time
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -275,192 +268,20 @@ class ProcessPoolBackend(ExecutionBackend):
             pass
 
 
-class RemoteBackend(ExecutionBackend):
-    """Fan a batch out to worker processes over TCP sockets.
-
-    ``RemoteBackend(addresses=[(host, port), ...])`` connects to workers
-    started with ``python -m repro.engine worker`` (see
-    :mod:`repro.engine.remote` for the wire protocol).  Each connection
-    is handshaken against the campaign's context fingerprint; a worker
-    serving a different context is rejected up front rather than
-    contributing wrong results.
-
-    Scheduling: one controller thread per worker connection pulls
-    ``(index, scenario)`` tasks off a shared queue and blocks on the
-    worker's reply, so every worker has exactly one task in flight and
-    the fastest worker naturally takes the most tasks.  A worker that
-    dies mid-task (connection loss or reply timeout) has its in-flight
-    task requeued on the survivors; when every worker is gone the
-    remainder of the batch finishes on the in-process serial fallback,
-    so a round always converges.  Results are reordered by submission
-    index, which keeps remote == pool == serial bit-identical.
-    """
-
-    name = "remote"
-
-    def __init__(
-        self,
-        addresses: Sequence[Tuple[str, int]],
-        connect_timeout: float = 10.0,
-        task_timeout: Optional[float] = 600.0,
-        retries: int = 3,
-    ) -> None:
-        self._addresses = [tuple(address) for address in addresses]
-        self._connect_timeout = connect_timeout
-        self._task_timeout = task_timeout
-        self._retries = max(1, retries)
-        self._serial_fallback = SerialBackend()
-        #: Tasks whose worker was lost and which ran elsewhere (stats).
-        self.requeued = 0
-
-    @property
-    def max_workers(self) -> int:
-        """Worker endpoints this backend fans out to."""
-        return len(self._addresses)
-
-    def run_scenarios(
-        self,
-        config: RunConfiguration,
-        monitor,
-        scenarios: Sequence[FaultScenario],
-        on_result: Optional[ProgressCallback] = None,
-    ) -> List[RunResult]:
-        from repro.engine import remote
-
-        if not scenarios:
-            return []
-
-        fingerprint = remote.context_fingerprint(config, monitor)
-        connections, failures = remote.connect_workers(
-            self._addresses,
-            fingerprint,
-            connect_timeout=self._connect_timeout,
-            task_timeout=self._task_timeout,
-            retries=self._retries,
-        )
-        if not connections:
-            reasons = "; ".join(
-                f"{remote.format_address(address)}: {reason}"
-                for address, reason in failures
-            )
-            raise ConnectionError(f"no remote worker reachable ({reasons})")
-
-        obs = obs_runtime.current()
-        tasks: "queue.Queue[Tuple[int, FaultScenario]]" = queue.Queue()
-        for item in enumerate(scenarios):
-            tasks.put(item)
-        slots: List[Optional[RunResult]] = [None] * len(scenarios)
-        lock = threading.Lock()
-        collected = {"count": 0, "requeued": 0}
-        poisoned: List[BaseException] = []
-
-        def record(index: int, result: RunResult, label: str, seconds: float):
-            with lock:
-                slots[index] = result
-                collected["count"] += 1
-                if obs is not None:
-                    obs.metrics.counter(
-                        "backend.worker_tasks", worker=label
-                    ).inc()
-                    obs.metrics.counter(
-                        "backend.worker_execute_seconds", worker=label
-                    ).inc(seconds)
-                    obs.metrics.histogram("backend.task_seconds").observe(
-                        seconds
-                    )
-                if on_result is not None:
-                    on_result(index, result)
-
-        def drain(connection) -> None:
-            while not poisoned:
-                try:
-                    index, scenario = tasks.get_nowait()
-                except queue.Empty:
-                    return
-                started = time.perf_counter()
-                try:
-                    reply_index, result = connection.run_task(index, scenario)
-                except remote.RemoteTaskError as error:
-                    # The task itself failed on a healthy worker;
-                    # requeueing it would fail identically everywhere.
-                    with lock:
-                        poisoned.append(RuntimeError(str(error)))
-                    return
-                except (ConnectionError, OSError):
-                    # Worker lost mid-task: requeue for the survivors.
-                    with lock:
-                        collected["requeued"] += 1
-                        if obs is not None:
-                            obs.metrics.counter(
-                                "backend.remote_requeued"
-                            ).inc()
-                    tasks.put((index, scenario))
-                    return
-                record(
-                    reply_index,
-                    result,
-                    connection.label,
-                    time.perf_counter() - started,
-                )
-
-        threads = []
-        try:
-            for connection in connections:
-                thread = threading.Thread(
-                    target=drain, args=(connection,), daemon=True
-                )
-                thread.start()
-                threads.append(thread)
-            for thread in threads:
-                thread.join()
-        finally:
-            for connection in connections:
-                connection.close()
-        self.requeued += collected["requeued"]
-        if poisoned:
-            raise poisoned[0]
-
-        # Every worker may have died with tasks still queued (or have
-        # been requeued onto nobody); the serial fallback finishes the
-        # remainder in-process so the round always converges.
-        remainder: List[Tuple[int, FaultScenario]] = []
-        while True:
-            try:
-                remainder.append(tasks.get_nowait())
-            except queue.Empty:
-                break
-        if remainder:
-            remainder.sort()
-            leftover = self._serial_fallback.run_scenarios(
-                config, monitor, [scenario for _, scenario in remainder]
-            )
-            for (index, _), result in zip(remainder, leftover):
-                record(index, result, "serial-fallback", 0.0)
-        assert all(result is not None for result in slots)
-        return slots  # type: ignore[return-value]
-
-
 # ----------------------------------------------------------------------
 # Backend specs
 # ----------------------------------------------------------------------
 #: The spec grammar, documented once for every error message.
-BACKEND_SPEC_HELP = (
-    "'serial', 'pool', 'pool:<workers>' or "
-    "'remote:host:port[,host:port...]' (workers started with "
-    "'python -m repro.engine worker')"
-)
+BACKEND_SPEC_HELP = "'serial', 'pool' or 'pool:<workers>'"
 
 
 def parse_backend_spec(spec: str) -> ExecutionBackend:
     """Build an execution backend from its string spec.
 
-    The grammar is ``serial | pool | pool:N | remote:host:port[,...]``,
-    shared by ``Avis(backend=...)``, grid cells, campaign requests and
-    the CLI ``--backend`` flag.  Local parallelism is ``pool:N``; the
-    remote form names externally started workers.
+    The grammar is ``serial | pool | pool:N``, shared by
+    ``Avis(backend=...)``, grid cells, campaign requests and the CLI
+    ``--backend`` flag.
     """
-    from repro.engine import remote
-
     text = spec.strip()
     if text == "serial":
         return SerialBackend()
@@ -477,23 +298,10 @@ def parse_backend_spec(spec: str) -> ExecutionBackend:
         if workers < 1:
             raise ValueError(f"invalid pool spec '{spec}': workers must be >= 1")
         return ProcessPoolBackend(max_workers=workers)
-    argument = text[len("remote:") :] if text.startswith("remote:") else None
-    if text == "remote" or (argument is not None and argument.isdigit()):
+    if text == "remote" or text.startswith("remote:"):
         raise ValueError(
-            f"invalid remote spec '{spec}': remote specs name worker "
-            "addresses (remote:host:port[,host:port...]); for local "
-            "workers use pool:N"
+            f"remote backends were removed in 8.0 ('{spec}'): for local "
+            "workers use pool:N; campaigns on other hosts share results "
+            "through one cache directory on a shared mount (--cache DIR)"
         )
-    if argument is not None:
-        try:
-            addresses = [
-                remote.parse_address(part)
-                for part in argument.split(",")
-                if part.strip()
-            ]
-        except ValueError as error:
-            raise ValueError(f"invalid remote spec '{spec}': {error}") from None
-        if not addresses:
-            raise ValueError(f"invalid remote spec '{spec}': {BACKEND_SPEC_HELP}")
-        return RemoteBackend(addresses)
     raise ValueError(f"unknown backend spec '{spec}': {BACKEND_SPEC_HELP}")

@@ -1,14 +1,8 @@
-"""``python -m repro.engine``: campaign grids and remote workers.
+"""``python -m repro.engine``: campaign grids.
 
-The default invocation runs a campaign grid in-process: build the
-(firmware x workload x strategy x budget) matrix from the flags, shard
-it across worker processes, stream one progress line per finished
-campaign, and print (or write) a JSON summary.  One subcommand serves
-the same matrices to the distributed fabric:
-
-``worker``
-    Serve simulations of one grid cell's context to remote-backend
-    controllers (``--backend remote:host:port``).
+Build the (firmware x workload x strategy x budget) matrix from the
+flags, shard it across worker processes, stream one progress line per
+finished campaign, and print (or write) a JSON summary.
 
 Examples
 --------
@@ -67,11 +61,16 @@ from repro.obs.metrics import merge_snapshots
 from repro.obs.runtime import Observability, observed
 
 
-def add_matrix_arguments(parser: argparse.ArgumentParser) -> None:
-    """The campaign-matrix flags, shared by the grid path and
-    ``worker`` -- one flag vocabulary, one expansion
-    (:func:`repro.engine.api.build_cells`).  Every ``dest`` is the
-    :class:`CampaignRequest` field the flag sets."""
+def build_parser() -> argparse.ArgumentParser:
+    """The grid CLI parser.  Every campaign-matrix flag's ``dest`` is
+    the :class:`CampaignRequest` field it sets, so the flags expand
+    through the one matrix expansion
+    (:func:`repro.engine.api.build_cells`)."""
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.engine",
+        description="Shard a (firmware x workload x strategy x budget) "
+        "campaign matrix across worker processes.",
+    )
     parser.add_argument(
         "--firmware", dest="firmwares", nargs="+", choices=sorted(FIRMWARES),
         default=["ardupilot"], help="firmware flavours to check",
@@ -151,17 +150,6 @@ def add_matrix_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--profiling-runs", type=int, default=2)
     parser.add_argument("--altitude", type=float, default=15.0)
     parser.add_argument("--box-side", type=float, default=15.0)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.engine",
-        description="Shard a (firmware x workload x strategy x budget) "
-        "campaign matrix across worker processes.  The 'worker' "
-        "subcommand serves one cell of the same matrix to remote-backend "
-        "controllers.",
-    )
-    add_matrix_arguments(parser)
     fabric = parser.add_argument_group("execution fabric")
     fabric.add_argument(
         "--backend", metavar="SPEC", default="serial",
@@ -221,9 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
 def request_from_args(args: argparse.Namespace) -> CampaignRequest:
     """The :class:`CampaignRequest` a flag namespace describes.
 
-    This is the flags -> API bridge: every flag's ``dest`` is a request
-    field, and fields without a flag (the worker has no fabric flags)
-    keep the request defaults.  Everything downstream (expansion,
+    This is the flags -> API bridge: every request field is the
+    ``dest`` of one grid flag.  Everything downstream (expansion,
     validation, execution) happens on the request, so the CLI and
     :func:`repro.engine.api.run_campaign` expand and validate a matrix
     identically.
@@ -231,7 +218,6 @@ def request_from_args(args: argparse.Namespace) -> CampaignRequest:
     return CampaignRequest(**{
         field.name: getattr(args, field.name)
         for field in dataclasses.fields(CampaignRequest)
-        if hasattr(args, field.name)
     })
 
 
@@ -287,7 +273,7 @@ def _write_output(
     return True
 
 
-def _grid_main(argv: Optional[Sequence[str]]) -> int:
+def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     # Fail fast on every output path: campaigns can run for minutes; an
@@ -403,75 +389,6 @@ def _grid_main(argv: Optional[Sequence[str]]) -> int:
     # --json summary goes to stdout, and the run still fails.
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 1 if failures or args.json else 0
-
-
-# ----------------------------------------------------------------------
-# Subcommand: worker
-# ----------------------------------------------------------------------
-def build_worker_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.engine worker",
-        description="Serve simulations of one grid cell's context to "
-        "remote-backend controllers.  The matrix flags must resolve to "
-        "exactly one cell; the worker profiles the workload itself "
-        "(deterministically, so its context fingerprint matches every "
-        "controller running the same cell) and then serves tasks until "
-        "killed.",
-    )
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument(
-        "--port", type=int, default=0,
-        help="listening port (default: an ephemeral port, printed on start)",
-    )
-    add_matrix_arguments(parser)
-    return parser
-
-
-def _worker_main(argv: Sequence[str]) -> int:
-    parser = build_worker_parser()
-    args = parser.parse_args(argv)
-    try:
-        cells = build_cells(request_from_args(args))
-    except ValueError as error:
-        parser.error(str(error))
-    if len(cells) != 1:
-        parser.error(
-            f"worker flags must resolve to exactly one cell, got "
-            f"{len(cells)}: {', '.join(cell.cell_id for cell in cells)}"
-        )
-    cell = cells[0]
-    from repro.core.avis import Avis
-    from repro.engine.remote import WorkerServer, context_label
-
-    print(f"profiling {cell.cell_id} ...", file=sys.stderr, flush=True)
-    avis = Avis(
-        cell.config,
-        profiling_runs=cell.profiling_runs,
-        budget_units=cell.budget_units,
-        traffic_faults=cell.traffic_faults,
-    )
-    server = WorkerServer(cell.config, avis.monitor, host=args.host,
-                          port=args.port)
-    print(
-        f"worker serving {cell.cell_id} on "
-        f"{server.address[0]}:{server.address[1]} "
-        f"(context {context_label(server.fingerprint)})",
-        flush=True,
-    )
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.close()
-    return 0
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "worker":
-        return _worker_main(argv[1:])
-    return _grid_main(argv)
 
 
 if __name__ == "__main__":  # pragma: no cover

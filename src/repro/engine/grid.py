@@ -85,7 +85,7 @@ class GridCell:
     #: outcome, so it must not invalidate resumable stream records.
     observe: bool = False
     #: Execution backend spec for the cell's campaign engine ("serial",
-    #: "pool[:N]", "remote:...").  Like ``observe``, never part of
+    #: "pool[:N]").  Like ``observe``, never part of
     #: :func:`cell_fingerprint`: backends are bit-identical by contract,
     #: so where a cell ran must not invalidate its stream record.
     backend_spec: str = "serial"

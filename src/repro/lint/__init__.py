@@ -1,7 +1,7 @@
-"""repro.lint: AST-based determinism & fabric-safety analysis.
+"""repro.lint: AST-based determinism & fork-safety analysis.
 
 The repo's whole value proposition is that campaigns are deterministic
-and replayable -- serial == pool == remote bit-for-bit, cache
+and replayable -- serial == pool bit-for-bit, cache
 fingerprints cover every behaviour-affecting field, observability inert
 by default.  Those invariants were guarded only by runtime equivalence
 tests; this package enforces them *statically*, so the bug classes are
@@ -24,9 +24,8 @@ Rule families
     check), eager ``repro.obs`` imports are confined to the runtime
     module inside the simulation core, and fingerprint paths never
     touch observability at all.
-``FAB`` -- fabric/concurrency hygiene.  Threads declare ``daemon=``
-    explicitly, no blocking socket operation runs while a lock is held,
-    and worker-imported modules do not rebind module-global state.
+``FAB`` -- fork safety.  Modules imported by forked pool and grid
+    workers do not rebind module-global state.
 ``LNT`` -- analyzer meta rules (waivers without justification, files
     that fail to parse).
 

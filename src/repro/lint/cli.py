@@ -28,7 +28,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-lint",
         description=(
-            "AST-based determinism & fabric-safety analyzer for the"
+            "AST-based determinism & fork-safety analyzer for the"
             " repro tree (rule families DET/FPR/OBS/FAB)."
         ),
     )

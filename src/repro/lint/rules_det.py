@@ -3,11 +3,11 @@
 The simulation core (``sim``, ``core``, ``firmware``, ``hinj``,
 ``sensors``) must be a pure function of its inputs: a wall clock, an
 entropy source or the unseeded global ``random`` anywhere inside it
-breaks serial == pool == remote bit-identity.  Fingerprint paths
-additionally may not iterate sets or dict views unsorted (string
-hashing is per-process randomized, so iteration order diverges across
-workers), and directory listings must be sorted wherever they are
-consumed in order.
+breaks serial == pool bit-identity.  Fingerprint paths additionally
+may not iterate sets or dict views unsorted (string hashing is
+per-process randomized, so iteration order diverges across workers),
+and directory listings must be sorted wherever they are consumed in
+order.
 """
 
 from __future__ import annotations

@@ -2,17 +2,13 @@
 """Known-good: every house pattern done right -- zero findings.
 
 Seeded RNG instance, sorted set/dict iteration on the fingerprint path,
-sorted directory listing, a None-gated obs runtime, an explicit daemon
-flag, and socket I/O outside the lock.
+sorted directory listing and a None-gated obs runtime.
 """
 
 import os
 import random
-import threading
 
 from repro.obs import runtime as obs_runtime
-
-_lock = threading.Lock()
 
 
 def noise_stream(seed: int) -> random.Random:
@@ -35,14 +31,3 @@ def record_step(step: int) -> None:
     if obs is not None:
         obs.metrics.counter("steps").inc(step)
 
-
-def start_worker(target) -> threading.Thread:
-    worker = threading.Thread(target=target, name="worker", daemon=True)
-    worker.start()
-    return worker
-
-
-def send_payload(sock, payload: bytes) -> None:
-    with _lock:
-        staged = bytes(payload)
-    sock.sendall(staged)

@@ -22,30 +22,16 @@ from repro.engine.grid import (
 
 class TestCampaignRequest:
     def test_defaults_match_the_flagless_cli(self):
-        from repro.engine.cli import (
-            build_parser,
-            build_worker_parser,
-            request_from_args,
-        )
+        from repro.engine.cli import build_parser, request_from_args
 
         # The flags -> request bridge: every request field is the dest of
-        # exactly one grid flag, and of one worker flag unless it names
-        # the execution fabric (the worker serves one context in-process).
+        # exactly one grid flag.
         fields = sorted(field.name for field in dataclasses.fields(CampaignRequest))
-
-        def field_dests(parser):
-            return sorted(
-                action.dest for action in parser._actions if action.dest in fields
-            )
-
-        assert field_dests(build_parser()) == fields
-        assert field_dests(build_worker_parser()) == sorted(
-            set(fields) - {"backend", "cache", "workers"}
-        )
-        assert request_from_args(build_parser().parse_args([])) == CampaignRequest()
-        assert request_from_args(
-            build_worker_parser().parse_args([])
-        ) == CampaignRequest()
+        parser = build_parser()
+        assert sorted(
+            action.dest for action in parser._actions if action.dest in fields
+        ) == fields
+        assert request_from_args(parser.parse_args([])) == CampaignRequest()
 
     def test_cli_flags_and_request_expand_identically(self):
         from repro.engine.cli import build_parser, request_from_args
@@ -136,7 +122,9 @@ class TestCampaignRequest:
         dict(strategies=("random",), separation_aware=True),
         dict(stepper="rk4"),
         dict(backend="turbo"),
-        dict(backend="remote:2"),  # local fleets are pool:N
+        dict(backend="remote"),  # remote backends are gone: pool:N
+        dict(backend="remote:2"),
+        dict(backend="remote:127.0.0.1:7801"),
         dict(cache="remote:nohost"),
         dict(cache="remote:127.0.0.1:7801"),  # share a directory instead
         dict(profiling_runs=0),  # Avis rejects it too

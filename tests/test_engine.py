@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import time
+import warnings
 
 import pytest
 
@@ -22,7 +23,11 @@ from repro.core.strategies import (
 )
 from repro.core.session import ExplorationSession
 from repro.engine.api import STRATEGIES
-from repro.engine.backends import SerialBackend, parse_backend_spec
+from repro.engine.backends import (
+    ProcessPoolBackend,
+    SerialBackend,
+    parse_backend_spec,
+)
 from repro.engine.cache import ResultCache, config_fingerprint, scenario_key
 from repro.engine.campaign import DEFAULT_BATCH_SIZE, CampaignEngine
 from repro.engine.grid import CampaignGrid, GridCell, cell_fingerprint
@@ -431,15 +436,115 @@ class TestCacheWriterSafety:
         assert reader.corrupt == 0
 
 
+class TestCacheFabric:
+    def test_two_clients_share_one_store(self, tmp_path):
+        # Two stores over one directory: each serves the other's puts
+        # from disk.
+        first = ResultCache(directory=str(tmp_path))
+        second = ResultCache(directory=str(tmp_path))
+        first.put("key-a", make_run_result(triggered_bugs=["APM-0001"]))
+        restored = second.get("key-a")
+        assert restored is not None
+        assert restored.triggered_bugs == ["APM-0001"]
+        second.put("key-b", make_run_result())
+        assert first.get("key-b") is not None
+        assert (first.hits, first.misses) == (1, 0)
+        assert (second.hits, second.misses) == (1, 0)
+
+    def test_stamp_mismatch_refuses_the_store(self, tmp_path):
+        writer = ResultCache(directory=str(tmp_path))
+        writer.put("key-a", make_run_result())
+        # Entries written under another bug registry are never served.
+        (tmp_path / ResultCache.VERSION_FILENAME).write_text("0" * 64 + "\n")
+        reader = ResultCache(directory=str(tmp_path))
+        assert reader.invalidated == 1
+        assert reader.get("key-a") is None
+        assert reader.misses == 1
+        # The directory is re-stamped and shared again from here on.
+        reader.put("key-b", make_run_result())
+        assert ResultCache(directory=str(tmp_path)).get("key-b") is not None
+
+    def test_lost_directory_degrades_to_misses(self, tmp_path):
+        import shutil
+
+        directory = tmp_path / "shared"
+        writer = ResultCache(directory=str(directory))
+        reader = ResultCache(directory=str(directory))
+        writer.put("key-a", make_run_result())
+        shutil.rmtree(directory)
+        # A lost shared directory is a miss, never an error; what a store
+        # already holds in memory still hits.
+        assert reader.get("key-a") is None
+        assert reader.misses == 1
+        assert writer.get("key-a") is not None
+        reader.put("key-b", make_run_result())
+        assert reader.get("key-b") is not None
+
+    def test_campaign_runs_through_shared_cache(self, short_auto_config, tmp_path):
+        # Two orchestrators, each on its own store over one directory:
+        # the second campaign is served entirely from the first's puts.
+        def campaign():
+            cache = ResultCache(directory=str(tmp_path))
+            avis = Avis(short_auto_config, profiling_runs=2,
+                        budget_units=3.0, cache=cache)
+            avis.profile()
+            return avis.check(strategy=RandomInjection(rng_seed=3)), cache
+
+        cold, _ = campaign()
+        warm, warm_cache = campaign()
+        assert warm.simulations == cold.simulations
+        assert [r.scenario for r in warm.results] == [
+            r.scenario for r in cold.results
+        ]
+        assert warm_cache.hits >= warm.simulations
+        assert warm_cache.misses == 0
+
+
+class TestBackendSpecs:
+    def test_specs_resolve_to_backends(self):
+        assert isinstance(parse_backend_spec("serial"), SerialBackend)
+        pool = parse_backend_spec("pool:3")
+        assert isinstance(pool, ProcessPoolBackend)
+        assert pool.max_workers == 3
+        assert isinstance(parse_backend_spec("pool"), ProcessPoolBackend)
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["", "turbo", "pool:0", "pool:x", "remote:", "remote:0",
+         "serial:2", "remote:host", "remote", "remote:2",
+         "remote:127.0.0.1:7801"],
+    )
+    def test_bad_specs_are_rejected(self, spec):
+        with pytest.raises(ValueError):
+            parse_backend_spec(spec)
+
+    @pytest.mark.parametrize(
+        "spec", ["remote", "remote:2", "remote:127.0.0.1:7801"]
+    )
+    def test_remote_specs_point_to_pool(self, spec):
+        with pytest.raises(ValueError, match="pool:N"):
+            parse_backend_spec(spec)
+
+    def test_avis_takes_only_spec_strings(self, short_auto_config):
+        for backend in (SerialBackend(), None, 4):
+            with pytest.raises(TypeError, match="spec string"):
+                Avis(short_auto_config, backend=backend)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            avis = Avis(short_auto_config, backend="pool:2")
+        assert isinstance(avis.engine.backend, ProcessPoolBackend)
+
+
 class TestBackendDeterminism:
     def _campaign(self, config, backend, rng_seed=5, budget=5.0):
         avis = Avis(config, profiling_runs=2, budget_units=budget, backend=backend)
         avis.profile()
-        return avis.check(strategy=RandomInjection(rng_seed=rng_seed))
+        campaign = avis.check(strategy=RandomInjection(rng_seed=rng_seed))
+        return campaign, sorted(avis.cache.keys())
 
     def test_process_pool_matches_serial(self, short_auto_config):
-        serial = self._campaign(short_auto_config, "serial")
-        pooled = self._campaign(short_auto_config, "pool:4")
+        serial, serial_keys = self._campaign(short_auto_config, "serial")
+        pooled, pooled_keys = self._campaign(short_auto_config, "pool:4")
         assert pooled.simulations == serial.simulations
         assert pooled.unsafe_scenario_count == serial.unsafe_scenario_count
         assert pooled.triggered_bug_ids == serial.triggered_bug_ids
@@ -451,6 +556,36 @@ class TestBackendDeterminism:
         assert [len(r.unsafe_conditions) for r in pooled.results] == [
             len(r.unsafe_conditions) for r in serial.results
         ]
+        # Identical content-addressed cache keys: the runs really were
+        # the same (config, scenario) pure functions on both backends.
+        assert pooled_keys == serial_keys
+
+    @pytest.mark.parametrize("name", sorted(STRATEGIES))
+    def test_every_strategy_matches_serial_on_the_pool(
+        self, name, waypoint_avis
+    ):
+        def campaign(backend):
+            avis = Avis(waypoint_avis.config, profiling_runs=2, backend=backend)
+            avis.calibrate(waypoint_avis.profiling_results)
+            try:
+                result = avis.check(strategy=STRATEGIES[name](), budget_units=3)
+            finally:
+                avis.engine.backend.close()
+            return result, sorted(avis.cache.keys())
+
+        serial, serial_keys = campaign("serial")
+        pooled, pooled_keys = campaign("pool:2")
+        assert pooled.simulations == serial.simulations
+        assert pooled.labels == serial.labels
+        assert pooled.budget_spent == pytest.approx(serial.budget_spent)
+        assert pooled.unsafe_scenario_count == serial.unsafe_scenario_count
+        assert [r.scenario for r in pooled.results] == [
+            r.scenario for r in serial.results
+        ]
+        assert [r.summary() for r in pooled.results] == [
+            r.summary() for r in serial.results
+        ]
+        assert pooled_keys == serial_keys
 
     def test_daemonic_pool_degrades_to_serial(self, monkeypatch,
                                               short_auto_config):
@@ -493,6 +628,110 @@ class TestBackendDeterminism:
         assert [r.scenario for r in warm.results] == [
             r.scenario for r in cold.results
         ]
+
+
+def _gps_scenarios(starts):
+    return [
+        FaultScenario([FaultSpec(SensorId(SensorType.GPS, 0), start)])
+        for start in starts
+    ]
+
+
+class TestProcessPoolBackend:
+    def test_results_arrive_in_submission_order(self, short_auto_config):
+        scenarios = _gps_scenarios((2.0, 3.0, 4.0, 5.0))
+        expected = SerialBackend().run_scenarios(
+            short_auto_config, None, scenarios
+        )
+        seen = []
+        backend = ProcessPoolBackend(max_workers=2)
+        try:
+            results = backend.run_scenarios(
+                short_auto_config, None, scenarios,
+                on_result=lambda index, result: seen.append((index, result)),
+            )
+        finally:
+            backend.close()
+        assert [r.scenario for r in results] == scenarios
+        assert [r.summary() for r in results] == [
+            r.summary() for r in expected
+        ]
+        # One callback per scenario, each carrying that scenario's result.
+        assert sorted(index for index, _ in seen) == list(range(len(scenarios)))
+        for index, result in seen:
+            assert result is results[index]
+
+    def test_pool_persists_while_the_context_is_unchanged(
+        self, short_auto_config
+    ):
+        scenarios = _gps_scenarios((2.0, 3.0))
+        other_config = dataclasses.replace(
+            short_auto_config, noise_seed=short_auto_config.noise_seed + 1
+        )
+        backend = ProcessPoolBackend(max_workers=2)
+        try:
+            backend.run_scenarios(short_auto_config, None, scenarios)
+            first = backend._pool
+            backend.run_scenarios(short_auto_config, None, scenarios)
+            assert backend._pool is first
+            # Workers inherit the context at fork: a new one needs a new pool.
+            backend.run_scenarios(other_config, None, scenarios)
+            assert backend._pool is not None
+            assert backend._pool is not first
+        finally:
+            backend.close()
+        assert backend._pool is None
+
+    @pytest.mark.parametrize("reason", ["no-fork", "one-worker"])
+    def test_pool_without_workers_runs_serially(
+        self, reason, monkeypatch, short_auto_config
+    ):
+        from repro.engine import backends
+
+        def no_fork(*args, **kwargs):
+            raise AssertionError("a serial fallback must not fork")
+
+        scenarios = _gps_scenarios((2.0, 3.5))
+        expected = SerialBackend().run_scenarios(
+            short_auto_config, None, scenarios
+        )
+        if reason == "no-fork":
+            monkeypatch.setattr(backends, "_fork_available", lambda: False)
+            backend = parse_backend_spec("pool:2")
+        else:
+            backend = parse_backend_spec("pool:1")
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        results = backend.run_scenarios(short_auto_config, None, scenarios)
+        assert [r.summary() for r in results] == [
+            r.summary() for r in expected
+        ]
+
+    def test_empty_batch_returns_no_results(self, short_auto_config):
+        backend = ProcessPoolBackend(max_workers=2)
+        assert backend.run_scenarios(short_auto_config, None, []) == []
+        assert backend._pool is None
+
+
+class TestRemovedRemoteFabric:
+    def test_remote_module_is_gone(self):
+        import importlib
+
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.engine.remote")
+
+    @pytest.mark.parametrize("module, name", [
+        ("repro", "RemoteBackend"),
+        ("repro.engine", "RemoteBackend"),
+        ("repro.engine.backends", "RemoteBackend"),
+        ("repro.engine.cli", "build_worker_parser"),
+        ("repro.engine.cli", "add_matrix_arguments"),
+    ])
+    def test_removed_names_are_gone(self, module, name):
+        import importlib
+
+        imported = importlib.import_module(module)
+        assert not hasattr(imported, name)
+        assert name not in getattr(imported, "__all__", ())
 
 
 class TestCampaignGrid:
@@ -946,7 +1185,9 @@ class TestGridProfileShare:
 
 
 class TestEngineCli:
-    @pytest.mark.parametrize("subcommand", ["serve", "submit", "status"])
+    @pytest.mark.parametrize(
+        "subcommand", ["serve", "submit", "status", "worker"]
+    )
     def test_removed_subcommands_are_unknown_arguments(self, subcommand, capsys):
         from repro.engine.cli import main
 
@@ -1023,7 +1264,6 @@ class TestEngineCli:
     @pytest.mark.parametrize("argv", [
         ["--strategy", "random", "--budget", "1", "1", "--quiet"],
         ["--strategy", "random", "random", "--budget", "1", "--quiet"],
-        ["worker", "--strategy", "random", "random", "--budget", "1"],
     ])
     def test_repeated_axis_values_are_usage_errors(self, argv, capsys):
         from repro.engine.cli import main
@@ -1034,6 +1274,19 @@ class TestEngineCli:
         err = capsys.readouterr().err
         assert "cell 'ardupilot/auto/random/1' appears twice" in err
         assert "Traceback" not in err
+
+    def test_remote_backend_is_a_usage_error(self, capsys):
+        from repro.engine.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--backend", "remote:127.0.0.1:7900", "--strategy",
+                  "random", "--budget", "5", "--quiet"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert "pool:N" in errors[0]
 
     @pytest.mark.parametrize("flag", [
         "--json", "--stream", "--trace", "--metrics-json", "--stats-json",

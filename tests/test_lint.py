@@ -1,4 +1,4 @@
-"""Tests for repro.lint: the determinism & fabric-safety analyzer.
+"""Tests for repro.lint: the determinism & fork-safety analyzer.
 
 Covers the fixture corpus (each known-bad file produces exactly its own
 rule id, known-good files produce none), waivers, the CLI surface (JSON
@@ -39,8 +39,6 @@ BAD_FIXTURES = [
     ("obs001_ungated.py", "OBS001"),
     ("obs002_eager_import.py", "OBS002"),
     ("obs003_fingerprint_obs.py", "OBS003"),
-    ("fab001_thread.py", "FAB001"),
-    ("fab002_socket_lock.py", "FAB002"),
     ("fab003_global.py", "FAB003"),
     ("lnt001_unjustified_waiver.py", "LNT001"),
 ]
@@ -108,6 +106,13 @@ class TestCli:
         out = capsys.readouterr().out
         for rule_id in ALL_RULE_IDS + ["LNT002"]:
             assert rule_id in out
+
+    def test_list_rules_drops_the_remote_fabric_rules(self, capsys):
+        assert lint_main(["--list-rules"]) == 0
+        out = capsys.readouterr().out
+        assert "FAB003" in out
+        assert "FAB001" not in out
+        assert "FAB002" not in out
 
     @pytest.mark.parametrize(
         "option",
