@@ -16,7 +16,7 @@ enumeration cursor) at the tail.  With the bound disabled SABRE is
 exactly Algorithm 1; with a small bound the same scenarios are explored
 in a fairer order across transitions, which matters when the simulation
 budget is far smaller than the paper's two hours.  The default campaign
-uses a bound of 8.
+(``AvisStrategy``) uses a bound of 6.
 
 Three extensions, all off by default so classic campaigns are untouched:
 
@@ -52,10 +52,9 @@ a bug-free result re-seeds the transition queue.  The search is therefore
 implemented as a *resumable proposal machine* rather than a plain loop:
 
 * :meth:`SabreSearch.propose_batch` walks the dequeue -> candidate
-  expansion exactly as the sequential loop would -- same budget checks,
-  same pruning decisions, same cursor bookkeeping -- but instead of
-  simulating each accepted candidate it *reserves* its simulation cost
-  and appends it to the batch.  Feedback that depends on a run's outcome
+  expansion of Algorithm 1 -- budget checks, pruning decisions, cursor
+  bookkeeping -- but instead of simulating each accepted candidate it
+  *reserves* its simulation cost and appends it to the batch.  Feedback that depends on a run's outcome
   (found-bug pruning, queue re-seeding, the end-of-visit re-enqueue that
   must follow it) is written to a pending log.
 * The campaign engine executes the whole batch concurrently on its
@@ -63,8 +62,8 @@ implemented as a *resumable proposal machine* rather than a plain loop:
   proposal order.
 * The next :meth:`propose_batch` call replays the pending log in
   canonical order -- bugs recorded, transitions enqueued, entries
-  re-enqueued exactly where the sequential loop would have put them --
-  before proposing more work.
+  re-enqueued exactly where Algorithm 1 would have put them -- before
+  proposing more work.
 
 The one place a candidate's *admission* genuinely depends on an outcome
 still in flight is found-bug pruning: a strict superset of an in-flight
@@ -76,12 +75,13 @@ pruning -- depends only on a candidate having been *explored*, which is
 certain the moment its simulation is reserved, so that state is applied
 eagerly at proposal time.
 
-The result is the PR 1 determinism contract for the paper's headline
-strategy: a batched campaign is bit-identical to the sequential one --
-same scenarios in the same order, same budget trajectory, same pruning
-statistics -- at every budget.  :meth:`SabreSearch.run` itself is the
-machine driven at batch size one with immediate feedback, which reduces
-to Algorithm 1 by construction.
+The result is the determinism contract for the paper's headline
+strategy: a campaign is bit-identical at every round size -- same
+scenarios in the same order, same budget trajectory, same pruning
+statistics -- at every budget.  At round size one every outcome is
+consumed before the next candidate is decided, which reduces to
+Algorithm 1 by construction; ``SearchStrategy.explore`` is that
+driver.
 """
 
 from __future__ import annotations
@@ -124,7 +124,7 @@ class _QueueEntry:
     cursor: int = 0
 
 
-#: Pending-feedback operations, replayed in canonical (sequential) order:
+#: Pending-feedback operations, replayed in canonical (Algorithm 1) order:
 #: ``("ran", scenario)`` consumes the scenario's result -- record the bug
 #: or re-seed the queue; ``("requeue", entry)`` re-enqueues a visited
 #: entry behind the queue appends of the runs that preceded it.
@@ -209,10 +209,6 @@ class SabreSearch:
         self._pending_ops: List[_PendingOp] = []
         self._in_flight: List[FrozenSet[FaultSpec]] = []
         self._finished = False
-        # Batch cuts forced by found-bug dependencies on in-flight runs.
-        # Deliberately NOT part of SabreReport: a sequential run never
-        # defers, and the report must stay bit-identical across drivers.
-        self.in_flight_cuts = 0
 
     # ------------------------------------------------------------------
     # Subset enumeration (the PowerSet of line 5, smallest subsets first)
@@ -402,9 +398,8 @@ class SabreSearch:
         """Replay the pending log in canonical order.
 
         Every ``"ran"`` scenario's result must already be in the session
-        (the engine ingests the whole batch, in proposal order, before
-        asking for more work; the sequential driver runs each scenario
-        before re-entering the machine).
+        (every driver ingests the whole batch, in proposal order, before
+        asking for more work).
         """
         assert self._queue is not None
         for op, payload in self._pending_ops:
@@ -462,8 +457,8 @@ class SabreSearch:
         self._visit_entry = None
 
     def _depends_on_in_flight(self, scenario: FaultScenario) -> bool:
-        """True when the sequential loop *might* prune ``scenario`` based
-        on the outcome of a simulation still in flight.
+        """True when Algorithm 1 *might* prune ``scenario`` based on the
+        outcome of a simulation still in flight.
 
         Found-bug pruning skips strict supersets of a scenario that
         triggered a bug, so a candidate is only outcome-dependent when
@@ -474,15 +469,11 @@ class SabreSearch:
         faults = frozenset(scenario)
         return any(pending < faults for pending in self._in_flight)
 
-    def propose_batch(
-        self, max_scenarios: int, charge: bool = True
-    ) -> List[FaultScenario]:
+    def propose_batch(self, max_scenarios: int) -> List[FaultScenario]:
         """Propose up to ``max_scenarios`` independent scenarios.
 
-        Walks the dequeue expansion in sequential order, charging one
-        simulation per accepted candidate (``charge=False`` leaves the
-        charging to a sequential driver that simulates immediately).
-        Returns ``[]`` once the queue or the budget is exhausted; a
+        Walks the dequeue expansion in Algorithm 1's order, charging one
+        simulation per accepted candidate.  Returns ``[]`` once the queue or the budget is exhausted; a
         non-empty batch must be fully simulated and ingested into the
         session before the next call.
         """
@@ -511,7 +502,7 @@ class SabreSearch:
                 self._visit_cursor = entry.cursor
                 self._visit_ran = 0
             entry = self._visit_entry
-            # The inner loop's exit conditions, in sequential order.
+            # The inner loop's exit conditions, in Algorithm 1's order.
             if self._visit_cursor >= len(self._variants):
                 self._end_visit(completed=True)
                 continue
@@ -542,14 +533,13 @@ class SabreSearch:
             if self._depends_on_in_flight(scenario):
                 # Admission depends on an outcome still in flight: cut the
                 # batch here (cursor untouched) and re-decide next round.
-                self.in_flight_cuts += 1
                 if obs is not None:
                     obs.metrics.counter(
                         "sabre.batch_cuts", reason="in_flight_dependency"
                     ).inc()
                 break
             self._visit_cursor += 1
-            # Evaluated in the sequential loop's exact short-circuit order;
+            # Evaluated in Algorithm 1's exact short-circuit order;
             # split only so the prune reason can be attributed.
             if self._pruner.can_prune(scenario):
                 self.report.pruned += 1
@@ -561,7 +551,7 @@ class SabreSearch:
                 if obs is not None:
                     obs.metrics.counter("sabre.pruned", reason="explored").inc()
                 continue
-            if charge and not session.reserve_simulation():
+            if not session.reserve_simulation():
                 # Unreachable in practice: affordability was checked just
                 # above and nothing has charged the budget since.
                 self._visit_cursor -= 1
@@ -585,21 +575,8 @@ class SabreSearch:
         return batch
 
     # ------------------------------------------------------------------
-    # The sequential search (the machine at batch size one)
+    # Seed injection points
     # ------------------------------------------------------------------
-    def run(self) -> SabreReport:
-        """Execute the search until the queue or the budget is exhausted."""
-        session = self._session
-        while True:
-            batch = self.propose_batch(1, charge=False)
-            if not batch:
-                break
-            # run_scenario charges the simulation the machine accounted
-            # for (charge=False) and records the result, so the next
-            # proposal immediately consumes its feedback.
-            session.run_scenario(batch[0])
-        return self.report
-
     def _profile_transition_times(self) -> List[float]:
         """The injection timestamps discovered by the profiling run."""
         times = self._session.transition_times

@@ -14,6 +14,7 @@ seconds".
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -43,6 +44,14 @@ class BudgetAccount:
     spent_units: float = 0.0
     simulations: int = 0
     labels: int = 0
+
+    def __post_init__(self) -> None:
+        # NaN and -1 would end a campaign before its first simulation,
+        # inf would never end one: none of them is a budget.
+        if not math.isfinite(self.total_units) or self.total_units < 0:
+            raise ValueError(
+                f"budget must be a finite number >= 0, got {self.total_units!r}"
+            )
 
     @property
     def remaining_units(self) -> float:
@@ -196,47 +205,25 @@ class ExplorationSession:
     def result_for(self, scenario: FaultScenario) -> Optional[RunResult]:
         """The recorded result of ``scenario``, or None when unexplored.
 
-        Batch proposers use this to consume the outcome of a scenario
-        the campaign engine executed and ingested between proposal
-        rounds (SABRE's found-bug pruning and queue re-seeding, BFI's
-        online model updates).
+        SABRE's proposer uses this to consume the outcome of a scenario
+        executed and ingested between proposal rounds (found-bug
+        pruning and queue re-seeding).
         """
         return self._explored.get(scenario)
 
     # ------------------------------------------------------------------
     # Operations
     # ------------------------------------------------------------------
-    def run_scenario(self, scenario: FaultScenario) -> Optional[RunResult]:
-        """Simulate ``scenario`` (once), charging the simulation cost.
-
-        The strategies' sequential ``explore()`` loops -- the reference
-        the batched campaign engine is pinned against -- simulate here;
-        campaigns record through :meth:`ingest_result` instead.  Returns
-        ``None`` when the budget cannot afford another simulation;
-        returns the recorded result when the scenario was already
-        explored (no extra charge -- the scheduler skips redundant
-        exploration).
-        """
-        if scenario in self._explored:
-            return self._explored[scenario]
-        if not self._budget.can_afford_simulation():
-            return None
-        self._budget.charge_simulation()
-        result = self._runner.run(scenario)
-        self._explored[scenario] = result
-        self._results.append(result)
-        return result
-
     def reserve_simulation(self) -> bool:
         """Charge one simulation ahead of its execution; False when the
         budget cannot afford it.
 
-        Batch proposals (:meth:`SearchStrategy.propose_batch`) charge
-        each proposed scenario here, at proposal time, so the sequence
-        of budget charges per candidate is identical to the sequential
-        ``explore()`` loop's label/simulate interleaving -- which is
-        what keeps batched campaigns bit-identical to sequential ones
-        even for strategies that also charge labelling costs.
+        Proposers (:meth:`SearchStrategy.propose_batch`) charge each
+        proposed scenario here, at proposal time, interleaved with their
+        labelling charges in per-candidate order -- so the budget
+        trajectory, and where the campaign stops, is the same at every
+        round size, even for strategies that also charge labelling
+        costs.
         """
         if not self._budget.can_afford_simulation():
             return False
@@ -245,12 +232,12 @@ class ExplorationSession:
 
     def ingest_result(self, scenario: FaultScenario, result: RunResult) -> None:
         """Record a simulation executed outside the session (by the
-        campaign engine's backend).
+        campaign engine's backend, or by ``explore()``).
 
         The simulation cost was already charged when the scenario was
-        proposed (:meth:`reserve_simulation`); this only records.  The
-        engine guarantees results arrive in proposal order, so the
-        session's result list reads the same as a sequential campaign's.
+        proposed (:meth:`reserve_simulation`); this only records.  Both
+        drivers record in proposal order, so the session's result list
+        does not depend on the round size.
         """
         self._explored[scenario] = result
         self._results.append(result)

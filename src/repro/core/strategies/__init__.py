@@ -1,15 +1,15 @@
 """Fault-injection search strategies (the approaches of Table I).
 
 Every strategy implements the same interface
-(:class:`~repro.core.strategies.base.SearchStrategy`): it explores the
-fault space through an :class:`~repro.core.session.ExplorationSession`,
-which charges simulation and labelling costs against the shared budget.
+(:class:`~repro.core.strategies.base.SearchStrategy`): one proposer,
+``propose_batch``, which charges simulation and labelling costs against
+an :class:`~repro.core.session.ExplorationSession`'s shared budget.
 
 * :class:`AvisStrategy` -- SABRE + the redundancy pruning policies (the
   paper's contribution; it is what :class:`repro.core.avis.Avis` runs by
   default).
-* :class:`StratifiedBFI` -- SABRE's transition-targeted candidate order,
-  filtered by the Bayesian model (the paper's improved baseline).
+* :class:`StratifiedBFI` -- :class:`BayesianFaultInjection` labelling
+  SABRE's transition-targeted schedule (the paper's improved baseline).
 * :class:`BayesianFaultInjection` -- the state-of-the-art baseline: a
   learned model labels candidate sites enumerated in depth-first order;
   labelling consumes budget.

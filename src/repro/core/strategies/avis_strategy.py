@@ -14,13 +14,12 @@ from repro.sensors.base import SensorId
 class AvisStrategy(SearchStrategy):
     """The paper's approach (column "Avis" of Table I).
 
-    Supports the campaign engine's batch protocol: each transition
-    dequeue expands into up to ``max_scenarios_per_dequeue`` independent
-    candidate scenarios that are simulated concurrently, with feedback
-    (found-bug pruning, queue re-seeding) consumed between proposal
-    rounds in the sequential order -- so a batched campaign is
-    bit-identical to the sequential ``explore()`` loop at every budget
-    (see :mod:`repro.core.sabre` for the machinery).
+    Each transition dequeue expands into up to
+    ``max_scenarios_per_dequeue`` independent candidate scenarios that
+    are simulated concurrently, with feedback (found-bug pruning, queue
+    re-seeding) consumed between proposal rounds in canonical order --
+    so a campaign is bit-identical at every round size and budget (see
+    :mod:`repro.core.sabre` for the machinery).
 
     Extensions (all default off, so classic campaigns are untouched):
     ``include_traffic_faults`` adds the session's opted-in coordination
@@ -83,11 +82,6 @@ class AvisStrategy(SearchStrategy):
             burst_durations=self._burst_durations,
         )
 
-    def explore(self, session: ExplorationSession) -> None:
-        search = self._make_search(session)
-        self.last_search = search
-        search.run()
-
     def propose_batch(
         self, session: ExplorationSession, max_scenarios: int
     ) -> List[FaultScenario]:
@@ -97,7 +91,7 @@ class AvisStrategy(SearchStrategy):
         session, so a strategy instance reused for a second campaign
         restarts its queue rather than resuming the first campaign's.
         All budget charging happens inside the machine, per candidate,
-        in the sequential loop's order.
+        in canonical order.
         """
         search = self.last_search
         if search is None or search.session is not session:

@@ -38,9 +38,20 @@ class SearchStrategy(abc.ABC):
     #: The Table I feature row for this strategy.
     features: StrategyFeatures = StrategyFeatures(False, False, False)
 
-    @abc.abstractmethod
     def explore(self, session: ExplorationSession) -> None:
-        """Explore the fault space until the session budget runs out."""
+        """Explore the fault space until the session budget runs out.
+
+        The plain serial loop over this strategy's one proposer, at
+        round size 1: propose, simulate on the session's runner, record.
+        Campaigns run the same proposer through the campaign engine
+        instead, at the engine's round size and with its cache.
+        """
+        while True:
+            batch = self.propose_batch(session, 1)
+            if not batch:
+                return
+            for scenario in batch:
+                session.ingest_result(scenario, session.runner.run(scenario))
 
     @abc.abstractmethod
     def propose_batch(
@@ -48,14 +59,15 @@ class SearchStrategy(abc.ABC):
     ) -> List[FaultScenario]:
         """Propose up to ``max_scenarios`` unexplored scenarios to simulate.
 
-        This is how the campaign engine drives every strategy: it asks
-        for a batch, executes it (concurrently, when the backend can),
-        and records the results in proposal order before the next call,
-        so later batches see everything earlier batches explored.
-        Feedback-driven strategies (SABRE's transition queue, BFI with
-        online learning) defer their feedback consumption to the top of
-        the next proposal round, applied in canonical per-candidate
-        order, so batched runs stay bit-identical to :meth:`explore`.
+        This is every strategy's one way to propose: the campaign engine
+        asks for a batch, executes it (concurrently, when the backend
+        can), and records the results in proposal order before the next
+        call, so later batches see everything earlier batches explored;
+        :meth:`explore` is the same protocol at round size 1.
+        Feedback-driven proposers (SABRE's transition queue) defer their
+        feedback consumption to the top of the next proposal round,
+        applied in canonical per-candidate order, so a campaign's
+        scenarios and budget trajectory do not depend on the round size.
 
         Contract:
 
@@ -65,13 +77,13 @@ class SearchStrategy(abc.ABC):
           none of them already explored in ``session`` and no duplicates
           within the batch.
 
-        Budget protocol: the proposer charges costs in the same per-
-        candidate order as its sequential loop -- labelling via
-        ``session.charge_label()`` and, for every scenario it returns,
-        one simulation via ``session.reserve_simulation()`` (stop the
-        batch when it declines).  The engine records results without
-        charging anything further, so the budget trajectory of a
-        batched campaign is identical to the sequential one.
+        Budget protocol: the proposer charges costs per candidate, in
+        its canonical order -- labelling via ``session.charge_label()``
+        and, for every scenario it returns, one simulation via
+        ``session.reserve_simulation()`` (stop the batch when it
+        declines).  Whoever executes the batch records results without
+        charging anything further, so the budget trajectory is the same
+        at every round size.
         """
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -30,7 +30,6 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.core.runner import RunResult
 from repro.core.session import ExplorationSession
 from repro.core.strategies.base import SearchStrategy, StrategyFeatures
 from repro.hinj.faults import (
@@ -40,6 +39,9 @@ from repro.hinj.faults import (
     validate_burst_durations,
 )
 from repro.sensors.base import SensorId, SensorType
+
+#: One labelled candidate: (time, mode category, subset, recovery window).
+_Candidate = Tuple[float, str, Tuple[SensorId, ...], Optional[float]]
 
 
 @dataclass(frozen=True)
@@ -184,7 +186,22 @@ class BfiModel:
 
 
 class BayesianFaultInjection(SearchStrategy):
-    """BFI over a depth-first candidate enumeration (column "BFI")."""
+    """BFI over a depth-first candidate enumeration (column "BFI").
+
+    Every candidate site is labelled (charged to the budget) and scored
+    by the offline model; the ones it predicts unsafe -- plus a seeded
+    ``EXPLORATION_RATE`` share of the rest -- are simulated.  The model
+    and the enumeration do not depend on run outcomes, so labelling
+    ahead of the simulations is sound and batches fill to the requested
+    size.
+
+    ``burst_durations`` (off by default) extends the candidate space with
+    intermittent variants of every subset: the latched candidates keep
+    their exact classic order, then each burst duration sweeps the same
+    (time, subset) grid with a bounded fault window.  The model scores a
+    burst like its latched counterpart -- BFI's features do not cover
+    recovery timing, which is precisely why it under-explores that axis.
+    """
 
     name = "bfi"
     features = StrategyFeatures(
@@ -192,47 +209,33 @@ class BayesianFaultInjection(SearchStrategy):
         uses_prior_bugs=True,
         searches_dissimilar_first=False,
     )
+    #: Chance that a site the model rejects is simulated anyway; one
+    #: seeded draw per label.
+    EXPLORATION_RATE = 0.02
 
     def __init__(
         self,
         model: Optional[BfiModel] = None,
         candidate_granularity_s: float = 0.1,
         threshold: float = 0.4,
-        exploration_rate: float = 0.02,
         rng_seed: int = 7,
         max_concurrent_failures: int = 1,
-        learn_online: bool = False,
         burst_durations: Sequence[float] = (),
     ) -> None:
         self._model = model if model is not None else BfiModel()
         self._granularity = candidate_granularity_s
         self._threshold = threshold
-        self._exploration_rate = exploration_rate
         self._rng = random.Random(rng_seed)
         self._max_concurrent = max_concurrent_failures
-        # ``learn_online`` folds every simulated outcome back into the
-        # model as a fresh training example.  The published BFI trains
-        # offline only, so this is off by default.
-        self._learn_online = learn_online
-        # ``burst_durations`` sweeps intermittent variants of every
-        # candidate after the latched ones (empty = the classic space).
         self._burst_durations = validate_burst_durations(burst_durations)
-        self.labels_issued = 0
-        self.simulations_run = 0
-        # --- batch-proposal state (reset per session) -----------------
-        self._batch_session: Optional[ExplorationSession] = None
-        self._batch_stream: Optional[
-            Iterator[Tuple[float, str, Tuple[SensorId, ...], Optional[float]]]
-        ] = None
-        self._batch_finished = False
-        self._deferred_updates: List[
-            Tuple[FaultScenario, Tuple[SensorId, ...], str]
-        ] = []
+        self._stream_session: Optional[ExplorationSession] = None
+        self._stream: Iterator[_Candidate] = iter(())
 
     # ------------------------------------------------------------------
-    # Candidate enumeration (depth-first, from the end of the mission)
+    # Candidate enumeration
     # ------------------------------------------------------------------
     def _candidate_times(self, session: ExplorationSession) -> List[float]:
+        """Depth-first: from the end of the mission backwards."""
         duration = session.mission_duration
         times: List[float] = []
         time = duration
@@ -248,163 +251,60 @@ class BayesianFaultInjection(SearchStrategy):
             subsets.extend(itertools.combinations(sensors, size))
         return subsets
 
-    def _candidate_windows(
-        self, session: ExplorationSession
-    ) -> List[Optional[float]]:
-        """Recovery windows swept per candidate site."""
-        return admissible_burst_windows(
+    def _candidate_stream(self, session: ExplorationSession) -> Iterator[_Candidate]:
+        """Per candidate time, the latched subsets first (the exact
+        classic order), then each burst duration's sweep of the same
+        subsets."""
+        subsets = self._candidate_subsets(session)
+        windows = admissible_burst_windows(
             self._burst_durations, session.mission_duration
         )
-
-    # ------------------------------------------------------------------
-    # Exploration
-    # ------------------------------------------------------------------
-    def _observe_outcome(
-        self,
-        subset: Tuple[SensorId, ...],
-        mode_category: str,
-        result: RunResult,
-    ) -> None:
-        """Fold one simulated outcome back into the model (learn_online)."""
-        for sensor_id in subset:
-            self._model.observe(
-                TrainingExample(
-                    sensor_type=sensor_id.sensor_type,
-                    mode_category=mode_category,
-                    unsafe=result.found_unsafe_condition,
-                )
-            )
-
-    def explore(self, session: ExplorationSession) -> None:
-        for time, mode_category, subset, duration in self._candidate_stream(session):
-            if session.budget.exhausted:
-                return
-            if not session.charge_label():
-                return
-            self.labels_issued += 1
-            score = self._model.scenario_score(
-                [sensor_id.sensor_type for sensor_id in subset], mode_category
-            )
-            predicted_unsafe = score >= self._threshold
-            explore_anyway = self._rng.random() < self._exploration_rate
-            if not predicted_unsafe and not explore_anyway:
-                continue
-            scenario = FaultScenario(
-                FaultSpec(sensor_id, time, duration) for sensor_id in subset
-            )
-            result = session.run_scenario(scenario)
-            if result is None:
-                return
-            self.simulations_run += 1
-            if self._learn_online:
-                self._observe_outcome(subset, mode_category, result)
-
-    # ------------------------------------------------------------------
-    # Batch evaluation (the depth-first enumeration and the offline
-    # model are outcome-independent, so labelling ahead of the
-    # simulations is sound; with online learning, model updates are
-    # deferred and applied in canonical proposal order between rounds)
-    # ------------------------------------------------------------------
-    def _candidate_stream(
-        self, session: ExplorationSession
-    ) -> Iterator[Tuple[float, str, Tuple[SensorId, ...], Optional[float]]]:
-        """The candidate order shared by :meth:`explore` and
-        :meth:`propose_batch`: per site, the latched subsets first (the
-        exact classic order), then each burst duration's sweep."""
-        subsets = self._candidate_subsets(session)
-        windows = self._candidate_windows(session)
         for time in self._candidate_times(session):
             mode_category = session.mode_category_at(time)
             for window in windows:
                 for subset in subsets:
                     yield time, mode_category, subset, window
 
-    def _apply_deferred_updates(self, session: ExplorationSession) -> None:
-        """Consume the outcomes of the previous batch, in proposal order.
-
-        Only populated with ``learn_online``; the offline model has no
-        feedback to consume.
-        """
-        for scenario, subset, mode_category in self._deferred_updates:
-            result = session.result_for(scenario)
-            if result is None:
-                raise RuntimeError(
-                    "batched BFI proposed a scenario whose result was never "
-                    "ingested -- the engine must record every proposed "
-                    "scenario before the next proposal round"
-                )
-            self._observe_outcome(subset, mode_category, result)
-        self._deferred_updates.clear()
-
+    # ------------------------------------------------------------------
+    # Proposal
+    # ------------------------------------------------------------------
     def propose_batch(
         self, session: ExplorationSession, max_scenarios: int
     ) -> List[FaultScenario]:
-        """Label candidates depth-first; batch the ones worth simulating.
+        """Label candidates in order; batch the ones worth simulating.
 
-        Labelling and simulation costs are charged here, during
-        proposal, in the same per-candidate order as the sequential
-        loop (label, then reserve the simulation the moment a candidate
-        passes the threshold or wins the exploration draw), and the RNG
-        is consumed one draw per label -- so the budget trajectory, the
-        explored scenarios, and where the campaign stops are identical
-        to :meth:`explore`.
-
-        With ``learn_online`` every label's score depends on the
-        outcomes of every earlier simulation, so a round closes as soon
-        as one scenario is in flight: the deferred model updates are
-        applied (in proposal order) when the next round opens.  Without
-        it the model is frozen and batches fill to ``max_scenarios``.
+        Per candidate: charge the label, score it, draw once from the
+        RNG, and reserve the simulation the moment the candidate passes
+        the threshold or wins the exploration draw.  The candidate
+        cursor is per session, so a strategy reused for another campaign
+        restarts the enumeration.
         """
-        if self._batch_session is not session:
-            self._batch_session = session
-            self._batch_stream = self._candidate_stream(session)
-            self._batch_finished = False
-            self._deferred_updates = []
-        self._apply_deferred_updates(session)
-        if self._batch_finished:
-            return []
-        assert self._batch_stream is not None
+        if self._stream_session is not session:
+            self._stream_session = session
+            self._stream = self._candidate_stream(session)
         batch: List[FaultScenario] = []
         seen: Set[FaultScenario] = set()
         while len(batch) < max_scenarios:
-            if self._learn_online and self._deferred_updates:
-                # The next label's score depends on an in-flight outcome.
-                break
-            entry = next(self._batch_stream, None)
+            entry = next(self._stream, None)
             if entry is None:
-                self._batch_finished = True
                 break
             time, mode_category, subset, duration = entry
             if session.budget.exhausted or not session.charge_label():
-                self._batch_finished = True
                 break
-            self.labels_issued += 1
             score = self._model.scenario_score(
                 [sensor_id.sensor_type for sensor_id in subset], mode_category
             )
             predicted_unsafe = score >= self._threshold
-            explore_anyway = self._rng.random() < self._exploration_rate
+            explore_anyway = self._rng.random() < self.EXPLORATION_RATE
             if not predicted_unsafe and not explore_anyway:
                 continue
             scenario = FaultScenario(
                 FaultSpec(sensor_id, time, duration) for sensor_id in subset
             )
             if session.was_explored(scenario) or scenario in seen:
-                # The sequential loop re-runs the scenario for free (the
-                # session serves the cached result without a charge) and
-                # still counts it; with the result already known, a
-                # deferred model update can be consumed immediately.
-                self.simulations_run += 1
-                if self._learn_online:
-                    result = session.result_for(scenario)
-                    if result is not None:
-                        self._observe_outcome(subset, mode_category, result)
                 continue
             if not session.reserve_simulation():
-                self._batch_finished = True
                 break
             seen.add(scenario)
-            if self._learn_online:
-                self._deferred_updates.append((scenario, subset, mode_category))
             batch.append(scenario)
         return batch

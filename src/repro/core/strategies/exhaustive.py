@@ -37,19 +37,18 @@ def _non_empty_subsets(sensors: Sequence[SensorId]) -> List[Tuple[SensorId, ...]
 
 
 class _EnumerationStrategy(SearchStrategy):
-    """Shared budget-driven loop over a fixed enumeration order.
+    """Shared budget-driven proposer over a fixed enumeration order.
 
     The enumeration order is a pure function of the sensor set and the
     time grid, so batches of consecutive scenarios are independent and
     the search is embarrassingly parallel: :meth:`propose_batch` simply
-    hands the engine the next slice of the enumeration.
+    hands out the next slice of the enumeration.
     """
 
     def __init__(self, time_step_s: float = 1.0) -> None:
         self._time_step = time_step_s
         self._scenario_iter: Optional[Iterator[FaultScenario]] = None
         self._iter_session: Optional[ExplorationSession] = None
-        self.simulations_run = 0
 
     @staticmethod
     def enumerate_scenarios(
@@ -74,17 +73,6 @@ class _EnumerationStrategy(SearchStrategy):
                 session.sensor_ids, self._times(session)
             )
         return self._scenario_iter
-
-    def explore(self, session: ExplorationSession) -> None:
-        for scenario in self._ensure_iterator(session):
-            if session.budget.exhausted:
-                return
-            if scenario.is_empty or session.was_explored(scenario):
-                continue
-            result = session.run_scenario(scenario)
-            if result is None:
-                return
-            self.simulations_run += 1
 
     def propose_batch(
         self, session: ExplorationSession, max_scenarios: int

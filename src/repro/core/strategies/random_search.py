@@ -12,7 +12,7 @@ measured inefficiency that motivates the stratified search.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Set
+from typing import List, Set
 
 from repro.core.session import ExplorationSession
 from repro.core.strategies.base import SearchStrategy, StrategyFeatures
@@ -33,21 +33,10 @@ class RandomInjection(SearchStrategy):
         self,
         rng_seed: int = 11,
         max_concurrent_failures: int = 2,
-        max_iterations: Optional[int] = None,
     ) -> None:
+        # The RNG deliberately persists across campaigns of one instance.
         self._rng = random.Random(rng_seed)
         self._max_concurrent = max(1, max_concurrent_failures)
-        self._max_iterations = max_iterations
-        self._iterations = 0
-        self._active_session: Optional[ExplorationSession] = None
-        self.simulations_run = 0
-
-    def _bind_session(self, session: ExplorationSession) -> None:
-        """Reset the per-campaign iteration count on a new session (the
-        RNG deliberately persists, as it did before batching existed)."""
-        if session is not self._active_session:
-            self._active_session = session
-            self._iterations = 0
 
     def _draw(self, session: ExplorationSession) -> FaultScenario:
         """One seeded draw from the uniform (failure set, time) distribution.
@@ -66,45 +55,24 @@ class RandomInjection(SearchStrategy):
             for failure in chosen
         )
 
-    def _iterations_left(self) -> bool:
-        return self._max_iterations is None or self._iterations < self._max_iterations
-
-    def explore(self, session: ExplorationSession) -> None:
-        self._bind_session(session)
-        while not session.budget.exhausted:
-            if not self._iterations_left():
-                return
-            self._iterations += 1
-            scenario = self._draw(session)
-            if session.was_explored(scenario):
-                continue
-            result = session.run_scenario(scenario)
-            if result is None:
-                return
-            self.simulations_run += 1
-
     def propose_batch(
         self, session: ExplorationSession, max_scenarios: int
     ) -> List[FaultScenario]:
         """Draw ``max_scenarios`` fresh scenarios from the seeded RNG.
 
-        The draws consume the same RNG sequence as :meth:`explore`,
-        duplicate draws are skipped exactly as the sequential loop skips
-        already-explored scenarios, and each accepted scenario reserves
-        its simulation cost -- so a batched campaign visits the same
-        scenarios, with the same budget trajectory, as a sequential one
-        with the same seed.
+        Draws that repeat an explored (or already batched) scenario are
+        skipped, and each accepted scenario reserves its simulation
+        cost, so a campaign visits the same scenarios, with the same
+        budget trajectory, at every round size.
         """
-        self._bind_session(session)
         batch: List[FaultScenario] = []
         seen: Set[FaultScenario] = set()
         # Uniform draws rarely collide, but bound the redraw loop so a
         # tiny fault space cannot spin forever.
         attempts_left = max(max_scenarios, 1) * 50
         while len(batch) < max_scenarios and attempts_left > 0:
-            if session.budget.exhausted or not self._iterations_left():
+            if session.budget.exhausted:
                 break
-            self._iterations += 1
             attempts_left -= 1
             scenario = self._draw(session)
             if session.was_explored(scenario) or scenario in seen:

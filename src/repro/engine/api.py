@@ -23,6 +23,7 @@ streams (``--stream``/``--resume``), so resuming, validating
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -361,6 +362,11 @@ def build_cells(request: CampaignRequest) -> List[GridCell]:
         # Checked here as well as in Avis so the CLI reports it as a
         # usage error before any cell runs.
         raise ValueError("--profiling-runs must be >= 1")
+    for budget in request.budgets:
+        # BudgetAccount rejects these too; checked here so the CLI
+        # reports them before any cell runs.
+        if not math.isfinite(budget) or budget < 0:
+            raise ValueError(f"--budget must be a finite number >= 0, got {budget:g}")
     cells: List[GridCell] = []
     cell_ids = set()
     for firmware_index, firmware_name in enumerate(request.firmwares):

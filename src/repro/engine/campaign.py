@@ -6,7 +6,7 @@ way a campaign executes, caches and records its scenarios.  Every
 strategy implements the batch protocol
 (:meth:`repro.core.strategies.base.SearchStrategy.propose_batch`) and is
 driven in rounds: the engine asks for a batch of scenarios (the
-proposer charges labelling and simulation budget in its sequential
+proposer charges labelling and simulation budget in its canonical
 per-candidate order), resolves cache hits, fans the remainder out to
 the execution backend, then records every result in proposal order
 before asking for the next batch.
@@ -76,9 +76,8 @@ class CampaignEngine:
     def execute(self, strategy, session) -> None:
         """Run ``strategy`` to budget exhaustion, recording into ``session``.
 
-        Budget accounting happens entirely inside ``propose_batch`` (in
-        the same per-candidate order as the strategy's sequential loop),
-        so the engine only executes what was proposed and records the
+        Budget accounting happens entirely inside ``propose_batch`` (per
+        candidate, in the proposer's canonical order), so the engine only executes what was proposed and records the
         results.  :attr:`last_stats` afterwards reports how the campaign
         was scheduled: proposal rounds, scenarios proposed, cache hits
         resolved without a simulation, and scenarios the backend
@@ -130,8 +129,6 @@ class CampaignEngine:
                 if cached is None and self._cache is not None:
                     self._cache.put(key, result)
                 session.ingest_result(scenario, result)
-                if hasattr(strategy, "simulations_run"):
-                    strategy.simulations_run += 1
 
             if obs is not None:
                 round_seconds = obs.tracer.clock() - round_start

@@ -85,6 +85,30 @@ def make_run_result(
     )
 
 
+def drive_batched(search, batch_size: int) -> None:
+    """Drive a SABRE proposal machine the way the campaign engine does:
+    execute every proposed scenario, ingest results in proposal order."""
+    session = search.session
+    while True:
+        batch = search.propose_batch(batch_size)
+        if not batch:
+            return
+        for scenario in batch:
+            session.ingest_result(scenario, session.runner.run(scenario))
+
+
+def drive_strategy(strategy, session, batch_size: int) -> None:
+    """The campaign engine's propose/run/ingest loop without a backend
+    or a cache, at an explicit round size (stub runners have no config
+    for a backend to build a runner from)."""
+    while True:
+        batch = strategy.propose_batch(session, batch_size)
+        if not batch:
+            return
+        for scenario in batch:
+            session.ingest_result(scenario, session.runner.run(scenario))
+
+
 @pytest.fixture(scope="session")
 def short_auto_config() -> RunConfiguration:
     """A short AUTO mission (8 m takeoff + land) on ArduPilot."""

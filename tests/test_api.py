@@ -129,6 +129,10 @@ class TestCampaignRequest:
         dict(cache="remote:127.0.0.1:7801"),  # share a directory instead
         dict(profiling_runs=0),  # Avis rejects it too
         dict(profiling_runs=-1),
+        # A budget is a finite number >= 0 (BudgetAccount agrees).
+        dict(budgets=(-1.0,)),
+        dict(budgets=(float("nan"),)),
+        dict(budgets=(float("inf"),)),
         # A repeated axis value repeats a cell id; ids render budgets
         # with :g, so distinct floats can collide too.
         dict(budgets=(1.0, 1.0)),

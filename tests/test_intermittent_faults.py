@@ -12,7 +12,7 @@ under co-scheduled faults, strict ``latest()`` bounds).
 
 import pytest
 
-from conftest import make_run_result, make_trace
+from conftest import drive_batched, make_run_result, make_trace
 
 from repro.core.config import RunConfiguration
 from repro.core.monitor import (
@@ -818,7 +818,9 @@ class TestSabreFindsRecoveryWindowHazard:
         handle = BurstFailure(
             TrafficFailure(0, TrafficFaultKind.DROPOUT), self.BURST_DURATION_S
         )
-        SabreSearch(session, failures=[handle], max_concurrent_failures=1).run()
+        drive_batched(
+            SabreSearch(session, failures=[handle], max_concurrent_failures=1), 1
+        )
 
         unsafe = [
             result
@@ -900,14 +902,19 @@ class TestSabreBurstEnumeration:
 
     def test_default_campaign_is_bit_identical_with_empty_bursts(self):
         plain = self._session()
-        SabreSearch(plain, failures=[GPS, BARO], max_concurrent_failures=1).run()
+        drive_batched(
+            SabreSearch(plain, failures=[GPS, BARO], max_concurrent_failures=1), 1
+        )
         windowed = self._session()
-        SabreSearch(
-            windowed,
-            failures=[GPS, BARO],
-            max_concurrent_failures=1,
-            burst_durations=(),
-        ).run()
+        drive_batched(
+            SabreSearch(
+                windowed,
+                failures=[GPS, BARO],
+                max_concurrent_failures=1,
+                burst_durations=(),
+            ),
+            1,
+        )
         assert [str(r.scenario) for r in windowed.results] == [
             str(r.scenario) for r in plain.results
         ]
@@ -924,7 +931,7 @@ class TestSabreBurstEnumeration:
             max_concurrent_failures=1,
             burst_durations=[1000.0],
         )
-        search.run()
+        drive_batched(search, 1)
         assert all(
             fault.duration_s is None
             for result in session.results
@@ -940,7 +947,7 @@ class TestSabreBurstEnumeration:
             max_concurrent_failures=1,
             burst_durations=[4.0],
         )
-        search.run()
+        drive_batched(search, 1)
         durations = {
             fault.duration_s
             for result in session.results

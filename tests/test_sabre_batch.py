@@ -3,12 +3,15 @@
 The campaign engine drives ``AvisStrategy`` through the batch protocol:
 each transition dequeue expands into up to ``max_scenarios_per_dequeue``
 independent candidates that are simulated concurrently, with feedback
-(found-bug pruning, queue re-seeding) applied between rounds in the
-sequential order.  These tests pin the PR 1 determinism contract for the
-paper's headline strategy: the batched path reproduces the sequential
-``explore()`` loop bit-for-bit -- same scenarios in the same order, same
-budget trajectory, same pruning statistics, same found-bug set, same
-cache keys -- at every budget, batch width, and fleet size.
+(found-bug pruning, queue re-seeding) applied between rounds in
+canonical order.  These tests pin the determinism contract for the
+paper's headline strategy: the same proposer driven at round size 8
+reproduces its round-size-1 run (``explore()``, where every outcome is
+consumed before the next candidate is decided) bit-for-bit -- same
+scenarios in the same order, same budget trajectory, same pruning
+statistics, same found-bug set, same cache keys -- at every budget,
+batch width, and fleet size.  ``test_strategy_digests.py`` pins the
+round-size-1 runs themselves to recorded digests.
 
 The exhaustive matrix runs against the stub fault space (instant
 "simulations"), real-simulator coverage runs a small budget end to end
@@ -20,6 +23,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from conftest import drive_batched, drive_strategy
 from test_sabre_strategies import StubRunner, make_session, profiling_run
 
 from repro.core.avis import Avis
@@ -46,20 +50,6 @@ def make_fleet_session(budget_units=50.0, runner=None, fleet_size=2):
     )
 
 
-def drive_batched(search: SabreSearch, batch_size: int) -> None:
-    """Drive the proposal machine the way the campaign engine does:
-    execute every proposed scenario, ingest results in proposal order."""
-    session = search.session
-    runner = session.runner
-    while True:
-        batch = search.propose_batch(batch_size)
-        if not batch:
-            return
-        results = [runner.run(scenario) for scenario in batch]
-        for scenario, result in zip(batch, results):
-            session.ingest_result(scenario, result)
-
-
 def signature(session: ExplorationSession):
     return [
         (str(result.scenario), result.found_unsafe_condition)
@@ -78,7 +68,7 @@ class TestStubBitIdentity:
         sequential = SabreSearch(
             sequential_session, max_scenarios_per_dequeue=per_dequeue
         )
-        sequential.run()
+        drive_batched(sequential, 1)
 
         batched_session = make_session(budget_units=budget, runner=StubRunner())
         batched = SabreSearch(batched_session, max_scenarios_per_dequeue=per_dequeue)
@@ -114,7 +104,7 @@ class TestStubBitIdentity:
         identically (vehicle-0 GPS failures stay the unsafe trigger)."""
         sequential_session = make_fleet_session(budget_units=budget)
         sequential = SabreSearch(sequential_session, max_scenarios_per_dequeue=4)
-        sequential.run()
+        drive_batched(sequential, 1)
 
         batched_session = make_fleet_session(budget_units=budget)
         batched = SabreSearch(batched_session, max_scenarios_per_dequeue=4)
@@ -127,7 +117,9 @@ class TestStubBitIdentity:
 
     def test_unbounded_dequeue_matches_sequential(self):
         sequential_session = make_session(budget_units=30.0, runner=StubRunner())
-        SabreSearch(sequential_session, max_scenarios_per_dequeue=None).run()
+        drive_batched(
+            SabreSearch(sequential_session, max_scenarios_per_dequeue=None), 1
+        )
         batched_session = make_session(budget_units=30.0, runner=StubRunner())
         drive_batched(
             SabreSearch(batched_session, max_scenarios_per_dequeue=None), 8
@@ -152,63 +144,24 @@ class TestStubBitIdentity:
 class TestBatchedBfi:
     def test_bfi_batched_matches_sequential(self):
         sequential_session = make_session(budget_units=12.0, runner=StubRunner())
-        sequential = BayesianFaultInjection(candidate_granularity_s=1.0)
-        sequential.explore(sequential_session)
+        BayesianFaultInjection(candidate_granularity_s=1.0).explore(
+            sequential_session
+        )
 
         batched_session = make_session(budget_units=12.0, runner=StubRunner())
-        batched = BayesianFaultInjection(candidate_granularity_s=1.0)
-        runner = batched_session.runner
-        while True:
-            batch = batched.propose_batch(batched_session, 8)
-            if not batch:
-                break
-            for scenario in batch:
-                batched_session.ingest_result(scenario, runner.run(scenario))
-                batched.simulations_run += 1
+        drive_strategy(
+            BayesianFaultInjection(candidate_granularity_s=1.0), batched_session, 8
+        )
 
         assert signature(batched_session) == signature(sequential_session)
         assert (
             batched_session.budget.spent_units
             == sequential_session.budget.spent_units
         )
-        assert batched.labels_issued == sequential.labels_issued
-        assert batched.simulations_run == sequential.simulations_run
-
-    def test_bfi_online_learning_defers_model_updates(self):
-        """With learn_online the model evolves with every outcome, so a
-        round closes per in-flight scenario -- and still matches the
-        sequential loop's trajectory exactly."""
-        def run(strategy, session, batched):
-            if not batched:
-                strategy.explore(session)
-                return
-            runner = session.runner
-            while True:
-                batch = strategy.propose_batch(session, 8)
-                if not batch:
-                    return
-                assert len(batch) == 1  # feedback barrier per scenario
-                for scenario in batch:
-                    session.ingest_result(scenario, runner.run(scenario))
-                    strategy.simulations_run += 1
-
-        sequential_session = make_session(budget_units=12.0, runner=StubRunner())
-        sequential = BayesianFaultInjection(
-            candidate_granularity_s=1.0, learn_online=True
-        )
-        run(sequential, sequential_session, batched=False)
-
-        batched_session = make_session(budget_units=12.0, runner=StubRunner())
-        batched = BayesianFaultInjection(
-            candidate_granularity_s=1.0, learn_online=True
-        )
-        run(batched, batched_session, batched=True)
-
-        assert signature(batched_session) == signature(sequential_session)
-        assert batched.labels_issued == sequential.labels_issued
+        assert batched_session.budget.labels == sequential_session.budget.labels
         assert (
-            batched_session.budget.spent_units
-            == sequential_session.budget.spent_units
+            batched_session.budget.simulations
+            == sequential_session.budget.simulations
         )
 
 
@@ -234,13 +187,7 @@ class TestBatchSupport:
         first = make_session(budget_units=6.0, runner=StubRunner())
         second = make_session(budget_units=6.0, runner=StubRunner())
         for session in (first, second):
-            runner = session.runner
-            while True:
-                batch = strategy.propose_batch(session, 8)
-                if not batch:
-                    break
-                for scenario in batch:
-                    session.ingest_result(scenario, runner.run(scenario))
+            drive_strategy(strategy, session, 8)
         assert signature(first) == signature(second)
 
 

@@ -10,7 +10,7 @@ from typing import List
 
 import pytest
 
-from conftest import make_run_result, make_trace
+from conftest import drive_batched, make_run_result, make_trace
 
 from repro.core.pruning import (
     RedundancyPruner,
@@ -157,13 +157,13 @@ class TestSabreSearch:
         runner = StubRunner(unsafe_sensor=GPS, window=(9.5, 11.5))
         session = make_session(budget_units=40, runner=runner)
         search = SabreSearch(session, max_scenarios_per_dequeue=6)
-        report = search.run()
-        assert report.unsafe_scenarios >= 1
+        drive_batched(search, 1)
+        assert search.report.unsafe_scenarios >= 1
         assert any(result.found_unsafe_condition for result in session.results)
 
     def test_respects_budget(self):
         session = make_session(budget_units=10)
-        SabreSearch(session).run()
+        drive_batched(SabreSearch(session), 1)
         assert session.budget.simulations <= 10
 
     def test_subsets_ordered_singletons_then_pairs_primaries_first(self):
@@ -178,7 +178,7 @@ class TestSabreSearch:
     def test_does_not_rerun_explored_scenarios(self):
         runner = StubRunner()
         session = make_session(budget_units=60, runner=runner)
-        SabreSearch(session, max_scenarios_per_dequeue=None).run()
+        drive_batched(SabreSearch(session, max_scenarios_per_dequeue=None), 1)
         executed = [str(sorted(f.describe() for f in s)) for s in runner.executed]
         assert len(executed) == len(set(executed))
 
@@ -244,9 +244,14 @@ class TestStrategies:
         session = make_session(budget_units=10)
         strategy = BayesianFaultInjection(candidate_granularity_s=1.0)
         strategy.explore(session)
-        assert session.budget.labels > 0
-        assert strategy.labels_issued == session.budget.labels
-        assert session.budget.spent_units <= 10.0 + session.budget.simulation_cost
+        budget = session.budget
+        assert budget.labels > 0
+        # Every label issued was charged, next to the simulations.
+        assert budget.spent_units == pytest.approx(
+            budget.labels * budget.labelling_cost
+            + budget.simulations * budget.simulation_cost
+        )
+        assert budget.spent_units <= 10.0 + budget.simulation_cost
 
     def test_stratified_bfi_only_runs_predicted_sites(self):
         runner = StubRunner(unsafe_sensor=COMPASS_P, window=(19.0, 22.0))
@@ -281,16 +286,92 @@ class TestBudgetAccount:
         assert budget.exhausted
         assert budget.can_afford_label()
 
+    @pytest.mark.parametrize(
+        "total", [-1.0, float("nan"), float("inf"), float("-inf")]
+    )
+    def test_rejects_non_finite_and_negative_budgets(self, total):
+        with pytest.raises(ValueError, match="finite number >= 0"):
+            BudgetAccount(total_units=total)
+
     def test_session_returns_cached_result_without_charge(self):
         runner = StubRunner()
         session = make_session(budget_units=5, runner=runner)
-        scenario = FaultScenario([FaultSpec(GPS, 10.0)])
-        first = session.run_scenario(scenario)
-        second = session.run_scenario(scenario)
-        assert first is second
-        assert session.budget.simulations == 1
+        first = next(
+            scenario
+            for scenario in BreadthFirstSearch.enumerate_scenarios(
+                session.sensor_ids, [0.0]
+            )
+            if not scenario.is_empty
+        )
+        assert session.reserve_simulation()
+        recorded = runner.run(first)
+        session.ingest_result(first, recorded)
+        # The proposer skips the explored scenario: its recorded result
+        # is served, never simulated or charged a second time.
+        BreadthFirstSearch().explore(session)
+        assert runner.executed.count(first) == 1
+        assert session.result_for(first) is recorded
+        assert session.budget.simulations == 5
+        assert len(session.results) == 5
 
     def test_session_refuses_when_budget_exhausted(self):
-        session = make_session(budget_units=1)
-        assert session.run_scenario(FaultScenario([FaultSpec(GPS, 1.0)])) is not None
-        assert session.run_scenario(FaultScenario([FaultSpec(BARO, 1.0)])) is None
+        runner = StubRunner()
+        session = make_session(budget_units=1, runner=runner)
+        assert session.reserve_simulation()
+        assert not session.reserve_simulation()
+        assert session.budget.simulations == 1
+        # An exhausted session gets no proposals, so nothing simulates.
+        RandomInjection().explore(session)
+        assert runner.executed == []
+
+
+class TestRemovedStrategyOptions:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: BayesianFaultInjection(learn_online=True),
+            lambda: BayesianFaultInjection(exploration_rate=0.5),
+            lambda: StratifiedBFI(exploration_rate=0.5),
+            lambda: RandomInjection(max_iterations=3),
+            lambda: SabreSearch(make_session()).propose_batch(1, charge=False),
+        ],
+        ids=[
+            "bfi-learn-online",
+            "bfi-exploration-rate",
+            "stratified-bfi-exploration-rate",
+            "random-max-iterations",
+            "sabre-charge",
+        ],
+    )
+    def test_removed_keyword_raises_type_error(self, build):
+        with pytest.raises(TypeError):
+            build()
+
+    def test_removed_names_are_gone(self):
+        from repro.core.session import ExplorationSession
+
+        assert not hasattr(ExplorationSession, "run_scenario")
+        assert not hasattr(SabreSearch, "run")
+        assert not hasattr(SabreSearch(make_session()), "in_flight_cuts")
+        for strategy in (
+            BayesianFaultInjection(),
+            StratifiedBFI(),
+            RandomInjection(),
+            DepthFirstSearch(),
+        ):
+            assert not hasattr(strategy, "simulations_run")
+            assert not hasattr(strategy, "labels_issued")
+
+    def test_every_strategy_explores_through_the_base_class(self):
+        from repro.core.strategies import SearchStrategy
+        from repro.engine.api import STRATEGIES
+
+        for strategy_class in STRATEGIES.values():
+            assert strategy_class.explore is SearchStrategy.explore
+
+    def test_stratified_bfi_is_bfi_on_sabres_schedule(self):
+        assert issubclass(StratifiedBFI, BayesianFaultInjection)
+        assert "propose_batch" not in vars(StratifiedBFI)
+        assert "_candidate_stream" not in vars(StratifiedBFI)
+        assert BayesianFaultInjection.EXPLORATION_RATE == 0.02
+        assert StratifiedBFI.EXPLORATION_RATE == 0.0
