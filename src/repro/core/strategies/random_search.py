@@ -12,7 +12,7 @@ measured inefficiency that motivates the stratified search.
 from __future__ import annotations
 
 import random
-from typing import List, Set
+from typing import List, Optional, Set
 
 from repro.core.session import ExplorationSession
 from repro.core.strategies.base import SearchStrategy, StrategyFeatures
@@ -28,6 +28,9 @@ class RandomInjection(SearchStrategy):
         uses_prior_bugs=False,
         searches_dissimilar_first=True,
     )
+    #: Consecutive duplicate draws after which the fault space counts as
+    #: saturated and the campaign ends.
+    MAX_DUPLICATE_STREAK = 50
 
     def __init__(
         self,
@@ -37,6 +40,9 @@ class RandomInjection(SearchStrategy):
         # The RNG deliberately persists across campaigns of one instance.
         self._rng = random.Random(rng_seed)
         self._max_concurrent = max(1, max_concurrent_failures)
+        self._streak_session: Optional[ExplorationSession] = None
+        #: Consecutive duplicate draws since the last accepted one.
+        self._duplicate_streak = 0
 
     def _draw(self, session: ExplorationSession) -> FaultScenario:
         """One seeded draw from the uniform (failure set, time) distribution.
@@ -64,21 +70,31 @@ class RandomInjection(SearchStrategy):
         skipped, and each accepted scenario reserves its simulation
         cost, so a campaign visits the same scenarios, with the same
         budget trajectory, at every round size.
+
+        Uniform draws rarely collide, but a tiny fault space saturates:
+        the campaign ends after :attr:`MAX_DUPLICATE_STREAK` duplicate
+        draws in a row.  The streak runs across calls and restarts with
+        each campaign (session), so where it ends does not depend on the
+        round size either.
         """
+        if self._streak_session is not session:
+            self._streak_session = session
+            self._duplicate_streak = 0
         batch: List[FaultScenario] = []
         seen: Set[FaultScenario] = set()
-        # Uniform draws rarely collide, but bound the redraw loop so a
-        # tiny fault space cannot spin forever.
-        attempts_left = max(max_scenarios, 1) * 50
-        while len(batch) < max_scenarios and attempts_left > 0:
+        while (
+            len(batch) < max_scenarios
+            and self._duplicate_streak < self.MAX_DUPLICATE_STREAK
+        ):
             if session.budget.exhausted:
                 break
-            attempts_left -= 1
             scenario = self._draw(session)
             if session.was_explored(scenario) or scenario in seen:
+                self._duplicate_streak += 1
                 continue
             if not session.reserve_simulation():
                 break
+            self._duplicate_streak = 0
             seen.add(scenario)
             batch.append(scenario)
         return batch

@@ -1,15 +1,23 @@
 """Unit tests for the invariant monitor (mode graph, liveliness, safety)."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_run_result, make_trace
 
 from repro.core.avis import Avis
 from repro.core.config import RunConfiguration
-from repro.core.liveliness import LivelinessMonitor, rtl_progress_violation
+from repro.core.liveliness import (
+    LivelinessMonitor,
+    LivelinessViolation,
+    rtl_progress_violation,
+)
 from repro.core.modegraph import ModeGraph
 from repro.core.monitor import InvariantMonitor, UnsafeConditionKind, mode_category_of
-from repro.core.runner import TestRunner
+from repro.core.runner import TestRunner, TraceSample
 from repro.core.safety import SafetyMonitor
 from repro.hinj.instrumentation import ModeTransition
 from repro.sim.simulator import CollisionEvent
@@ -280,6 +288,190 @@ class TestOnlineOfflineContract:
                     for condition in result.unsafe_conditions
                 }
                 assert (first.kind, first.time, first.mode_label) in offline
+
+
+def full_scan_check(monitor, profiles, sample):
+    """The reference verdict: Equation 1 as the exact minimum distance
+    over every profiling run and every index of the alignment window,
+    compared with tau (the monitor's verdict before it stopped early)."""
+    if monitor.is_safe_mode(sample.mode_label):
+        return None
+    if sample.on_ground and not sample.armed:
+        return None
+    traces = [run.trace for run in profiles]
+    window = 0
+    if len(traces[0]) >= 2:
+        period = traces[0][1].time - traces[0][0].time
+        if period > 0.0:
+            window = max(int(LivelinessMonitor.ALIGNMENT_WINDOW_S / period), 0)
+    best = float("inf")
+    for trace in traces:
+        for index in range(sample.index - window, sample.index + window + 1):
+            if index < 0:
+                continue
+            reference = trace[index] if index < len(trace) else trace[-1]
+            distance = monitor.state_distance(sample, reference)
+            if distance < best:
+                best = distance
+    threshold = monitor.calibration.threshold
+    if best > threshold:
+        return LivelinessViolation(
+            time=sample.time,
+            kind="liveliness",
+            description=(
+                f"state diverged from every profiling run "
+                f"(distance {best:.2f} > tau {threshold:.2f})"
+            ),
+            mode_label=sample.mode_label,
+            distance=best,
+            threshold=threshold,
+        )
+    return None
+
+
+@pytest.fixture(scope="module")
+def sabre_campaigns(short_waypoint_config, short_px4_config):
+    """A budget-12 SABRE campaign per firmware:
+    (config, profiles, monitor, runs)."""
+    campaigns = []
+    for config in (short_waypoint_config, short_px4_config):
+        avis = Avis(config, profiling_runs=2)
+        profiles = avis.profile()
+        campaign = avis.check(budget_units=12.0)
+        campaigns.append(
+            (config, profiles, avis.monitor.liveliness, campaign.results)
+        )
+    return campaigns
+
+
+class TestEarlyExitVerdict:
+    """``check_sample`` stops at the first profiling sample within tau;
+    its verdicts must be the full scan's, byte for byte."""
+
+    def test_agrees_with_full_scan_on_sabre_campaigns(self, sabre_campaigns):
+        for _, profiles, monitor, runs in sabre_campaigns:
+            judged = violations = 0
+            for run in list(profiles) + list(runs):
+                for sample in run.trace:
+                    expected = full_scan_check(monitor, profiles, sample)
+                    assert monitor.check_sample(sample) == expected
+                    judged += 1
+                    violations += expected is not None
+            assert judged > 1000
+            assert violations > 0
+
+    def test_distance_evaluations_per_judged_sample(
+        self, monkeypatch, sabre_campaigns
+    ):
+        # The full scan costs 2 profiles x 31 window indices = 62
+        # distances per judged sample; a live sample should cost ~1.
+        calls = []
+        state_distance = LivelinessMonitor._state_distance
+
+        def counting_state_distance(self, *args):
+            calls.append(1)
+            return state_distance(self, *args)
+
+        for config, profiles, monitor, _ in sabre_campaigns:
+            other_seed = TestRunner(config).run(noise_seed=config.noise_seed + 7)
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    LivelinessMonitor, "_state_distance", counting_state_distance
+                )
+                for trace in (profiles[0].trace, other_seed.trace):
+                    calls.clear()
+                    judged = 0
+                    for sample in trace:
+                        assert monitor.check_sample(sample) is None
+                        if not monitor.is_safe_mode(sample.mode_label) and not (
+                            sample.on_ground and not sample.armed
+                        ):
+                            judged += 1
+                    assert judged > 100
+                    assert len(calls) / judged <= 2.0
+
+
+def synthetic_profiles():
+    """Two climbing profiles of different lengths, 0.1 s apart per sample
+    (a 15-sample alignment window)."""
+    long = straight_up_trace(samples=40)
+    short = make_trace(
+        [(0.3, -0.2, min(i * 0.5, 10.0)) for i in range(30)],
+        ["takeoff" if i < 25 else "waypoint-1" for i in range(30)],
+    )
+    return [
+        make_run_result(trace=long, transitions=STANDARD_TRANSITIONS),
+        make_run_result(trace=short, transitions=STANDARD_TRANSITIONS),
+    ]
+
+
+SYNTHETIC_PROFILES = synthetic_profiles()
+SYNTHETIC_MONITOR = LivelinessMonitor(SYNTHETIC_PROFILES)
+# Around the profiled climb, so both verdicts come up.
+horizontal = st.floats(-3.0, 3.0)
+vertical = st.floats(-2.0, 12.0)
+positions = st.tuples(horizontal, horizontal, vertical)
+known_labels = st.sampled_from(["preflight", "takeoff", "waypoint-1"])
+
+
+def synthetic_sample(index, position, label, acceleration=(0.0, 0.0, 0.0)):
+    return TraceSample(
+        index=index,
+        time=index * 0.1,
+        position=position,
+        acceleration=acceleration,
+        velocity=(0.0, 0.0, 0.0),
+        mode_label=label,
+        altitude=position[2],
+        on_ground=False,
+        armed=True,
+    )
+
+
+def assert_agrees_with_full_scan(sample):
+    expected = full_scan_check(SYNTHETIC_MONITOR, SYNTHETIC_PROFILES, sample)
+    assert SYNTHETIC_MONITOR.check_sample(sample) == expected
+
+
+class TestEarlyExitVerdictProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(40, 120), positions, known_labels)
+    def test_index_past_every_profile_end(self, index, position, label):
+        assert_agrees_with_full_scan(synthetic_sample(index, position, label))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 14), positions, known_labels)
+    def test_index_inside_the_window_of_zero(self, index, position, label):
+        assert_agrees_with_full_scan(synthetic_sample(index, position, label))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 60),
+        positions,
+        st.sampled_from(["acro", "circle", "v1:guided", ""]),
+    )
+    def test_mode_labels_unseen_in_profiling(self, index, position, label):
+        assert_agrees_with_full_scan(synthetic_sample(index, position, label))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 60),
+        st.tuples(
+            st.one_of(horizontal, st.just(math.nan)),
+            st.one_of(horizontal, st.just(math.nan)),
+            st.one_of(vertical, st.just(math.nan)),
+        ),
+        st.tuples(
+            st.one_of(st.floats(-3.0, 3.0), st.just(math.nan)),
+            st.just(0.0),
+            st.just(0.0),
+        ),
+        known_labels,
+    )
+    def test_nan_coordinates(self, index, position, acceleration, label):
+        assert_agrees_with_full_scan(
+            synthetic_sample(index, position, label, acceleration)
+        )
 
 
 class TestRemovedMonitorOptions:

@@ -10,7 +10,7 @@ from typing import List
 
 import pytest
 
-from conftest import drive_batched, make_run_result, make_trace
+from conftest import drive_batched, drive_strategy, make_run_result, make_trace
 
 from repro.core.pruning import (
     RedundancyPruner,
@@ -239,6 +239,47 @@ class TestStrategies:
         RandomInjection(rng_seed=3).explore(session)
         assert session.budget.simulations <= 15
         assert len(runner.executed) == len(set(runner.executed))
+
+    def test_random_injection_saturates_at_the_same_point_at_every_round_size(self):
+        # A sub-second mission: 101 injection times x 9 sensors, one
+        # failure per draw, so the space saturates long before the
+        # budget and the duplicate-streak bound ends the campaign.
+        def saturating_session() -> ExplorationSession:
+            golden = make_run_result(
+                trace=make_trace([(0.0, 0.0, float(i)) for i in range(5)]),
+                transitions=profiling_run().mode_transitions,
+                duration_s=0.5,
+            )
+            return ExplorationSession(
+                runner=StubRunner(),
+                budget=BudgetAccount(total_units=5000),
+                profiling_run=golden,
+                suite=iris_sensor_suite(),
+            )
+
+        outcomes = []
+        for round_size in (1, 8):
+            session = saturating_session()
+            strategy = RandomInjection(max_concurrent_failures=1)
+            if round_size == 1:
+                strategy.explore(session)
+            else:
+                drive_strategy(strategy, session, round_size)
+            outcomes.append(
+                (
+                    session.budget.simulations,
+                    [result.scenario for result in session.results],
+                    session.budget.spent_units,
+                )
+            )
+        assert outcomes[0] == outcomes[1]
+        simulations = outcomes[0][0]
+        assert 0 < simulations < 101 * 9
+        # The saturated campaign's duplicate streak does not carry over
+        # into the next campaign of the same strategy.
+        session = make_session(budget_units=5)
+        strategy.explore(session)
+        assert session.budget.simulations == 5
 
     def test_bfi_charges_labelling_costs(self):
         session = make_session(budget_units=10)
