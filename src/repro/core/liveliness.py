@@ -232,11 +232,10 @@ class LivelinessMonitor:
         )
         self._safe_labels = set(DEFAULT_SAFE_MODE_LABELS)
         self._calibration = self._calibrate()
-        self._window = self._alignment_window_samples()
         #: Index offsets in the order the verdict visits them: 0, -1,
         #: +1, -2, +2, ... out to the alignment window.
         self._offsets = [0]
-        for step in range(1, self._window + 1):
+        for step in range(1, self._alignment_window_samples() + 1):
             self._offsets.extend((-step, step))
 
     # ------------------------------------------------------------------
@@ -356,38 +355,24 @@ class LivelinessMonitor:
         return max(int(self.ALIGNMENT_WINDOW_S / sample_period), 0)
 
     def distance_to_profiles(self, sample: TraceSample) -> float:
-        """The minimum distance from ``sample`` to any profiling run.
+        """Distance from ``sample`` to the profiling runs (Equation 1).
 
-        The minimum is taken over every profiling run and over sample
-        indices within the alignment window of the test sample's index.
-        It is the full scan: :meth:`check_sample` needs it only to report
-        a violation, never to find a live sample live.
-        """
-        window = self._window
-        best = float("inf")
-        for profile in self._profiles:
-            for index in range(sample.index - window, sample.index + window + 1):
-                if index < 0:
-                    continue
-                distance = self.state_distance(sample, self._profile_sample(profile, index))
-                if distance < best:
-                    best = distance
-        return best
-
-    def _near_some_profile(self, sample: TraceSample) -> bool:
-        """True when some aligned profiling sample lies within tau.
-
-        Equation 1 is an existence test, so the search walks outward
-        from offset 0 (every profile at each offset, padding past a
-        profile's end, skipping negative indices) and stops at the first
-        candidate within tau -- usually the first one.  A NaN distance
-        is never within tau, as it never lowers the exact minimum.
+        Candidates are every profiling run at every sample index within
+        the alignment window of the test sample's index (padding past a
+        profile's end, skipping negative indices).  Equation 1 is an
+        existence test, so the search walks outward from offset 0 (0, -1,
+        +1, -2, +2, ...) and stops at the first candidate within tau --
+        usually the first one.  The result is therefore the exact minimum
+        only when it lies above tau, i.e. exactly when the sample diverges;
+        otherwise it is some distance within tau.  A NaN distance never
+        lowers ``best``, as in the exact minimum.
         """
         calibration = self._calibration
         threshold = calibration.threshold
         position_scale = calibration.position_scale
         acceleration_scale = calibration.acceleration_scale
         diameter = calibration.diameter
+        best = float("inf")
         for offset in self._offsets:
             index = sample.index + offset
             if index < 0:
@@ -400,9 +385,11 @@ class LivelinessMonitor:
                     acceleration_scale,
                     diameter,
                 )
-                if distance <= threshold:
-                    return True
-        return False
+                if distance < best:
+                    best = distance
+                    if best <= threshold:
+                        return best
+        return best
 
     # ------------------------------------------------------------------
     # Violation checks
@@ -414,19 +401,17 @@ class LivelinessMonitor:
     def check_sample(self, sample: TraceSample) -> Optional[LivelinessViolation]:
         """Equation 1 applied to one trace sample (online and offline).
 
-        The verdict searches outward from offset 0 and stops at the
-        first profiling sample within tau; only a violation computes
-        the exact :meth:`distance_to_profiles` minimum for its report.
-        "Some candidate within tau" is exactly "the minimum within tau",
-        so the verdict is the full scan's.
+        :meth:`distance_to_profiles` searches outward from offset 0 and
+        stops at the first profiling sample within tau, so only a
+        violation pays for the exact minimum it reports.  "Some candidate
+        within tau" is exactly "the minimum within tau", so the verdict is
+        the full scan's.
         """
         if self.is_safe_mode(sample.mode_label):
             return None
         if sample.on_ground and not sample.armed:
             # Refusing to fly (failed pre-arm checks, post-failsafe disarm)
             # preserves safety at the expense of liveliness; not a bug.
-            return None
-        if self._near_some_profile(sample):
             return None
         distance = self.distance_to_profiles(sample)
         if distance > self._calibration.threshold:
