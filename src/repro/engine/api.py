@@ -367,6 +367,15 @@ def build_cells(request: CampaignRequest) -> List[GridCell]:
         # reports them before any cell runs.
         if not math.isfinite(budget) or budget < 0:
             raise ValueError(f"--budget must be a finite number >= 0, got {budget:g}")
+    for flag, value in (("--altitude", request.altitude),
+                        ("--box-side", request.box_side)):
+        # Checked here so the CLI reports them before any cell runs;
+        # otherwise they surface mid-grid as a profiling failure or a
+        # mission that cannot be built.
+        if not math.isfinite(value) or value <= 0:
+            raise ValueError(f"{flag} must be a finite number > 0, got {value:g}")
+    if request.workers is not None and request.workers < 1:
+        raise ValueError(f"--workers must be >= 1, got {request.workers}")
     cells: List[GridCell] = []
     cell_ids = set()
     for firmware_index, firmware_name in enumerate(request.firmwares):

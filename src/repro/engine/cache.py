@@ -64,19 +64,18 @@ def config_fingerprint(config: RunConfiguration, workload_name: str) -> str:
         # kept so existing cache keys stay valid.
         "stop_on_unsafe=True",
     ]
-    fleet_size = getattr(config, "fleet_size", 1)
-    if fleet_size != 1:
+    if config.fleet_size != 1:
         # Only fleet runs render fleet terms: classic (fleet size 1)
         # fingerprints -- and therefore cache keys -- keep the exact
         # pre-fleet key format.  (Pre-upgrade cache *directories* are
         # still purged once by the version-stamp check, which cannot
         # attribute unstamped entries to a bug registry.)
-        parts.append(f"fleet_size={fleet_size!r}")
+        parts.append(f"fleet_size={config.fleet_size!r}")
         parts.append(f"fleet_pad_spacing_m={config.fleet_pad_spacing_m!r}")
         # Heterogeneous fleets render one term per vehicle; homogeneous
         # fleets -- scalar aliases or explicit identical specs -- omit
         # them, keeping the exact pre-VehicleSpec key format.
-        if getattr(config, "is_heterogeneous", False):
+        if config.is_heterogeneous:
             rendered = ";".join(
                 f"v{index}:firmware={spec.firmware_name},"
                 f"airframe={spec.airframe!r},params={spec.firmware_params!r}"
@@ -87,31 +86,26 @@ def config_fingerprint(config: RunConfiguration, workload_name: str) -> str:
         # render it only when it deviates from the dataclass defaults so
         # existing fleet keys are unperturbed.
         fields = RunConfiguration.__dataclass_fields__
-        defaults = (
+        interval = config.traffic_beacon_interval_s
+        latency = config.traffic_latency_s
+        if (interval, latency) != (
             fields["traffic_beacon_interval_s"].default,
             fields["traffic_latency_s"].default,
-        )
-        interval = getattr(config, "traffic_beacon_interval_s", defaults[0])
-        latency = getattr(config, "traffic_latency_s", defaults[1])
-        if (interval, latency) != defaults:
+        ):
             parts.append(f"traffic={interval!r}/{latency!r}")
     # The stepper term appears only for modes that can change what a run
     # records; its absence keeps every pre-stepper key format unperturbed
     # (the "soa" alias is stored as "reference", so it shares those keys).
-    stepper = getattr(config, "stepper", "reference")
-    if stepper != "reference":
-        parts.append(f"stepper={stepper}")
+    if config.stepper != "reference":
+        parts.append(f"stepper={config.stepper}")
     # The environment shapes every trajectory (wind, obstacles, fences,
     # ground altitude), so a non-default environment must key its own
     # cache entries.  The term is emitted only when the factory deviates
     # from ``default_environment`` so every historical key format is
     # unperturbed; the factory's *product* is rendered (sorted fields)
     # because factories themselves have no stable identity.
-    environment_factory = getattr(
-        config, "environment_factory", default_environment
-    )
-    if environment_factory is not default_environment:
-        environment = environment_factory()
+    if config.environment_factory is not default_environment:
+        environment = config.environment_factory()
         rendered = ",".join(
             f"{name}={_canonical(value)}"
             for name, value in sorted(vars(environment).items())

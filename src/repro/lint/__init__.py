@@ -3,17 +3,18 @@
 The repo's whole value proposition is that campaigns are deterministic
 and replayable -- serial == pool bit-for-bit, cache
 fingerprints cover every behaviour-affecting field, observability inert
-by default.  Those invariants were guarded only by runtime equivalence
-tests; this package enforces them *statically*, so the bug classes are
-rejected at lint time instead of bisected out of a flaky nightly.
+by default.  This package enforces the statically checkable part of
+those invariants, so the bug classes are rejected at lint time instead
+of bisected out of a flaky nightly.  Hash-seed independence is a
+runtime property and has a runtime check instead: a tier-1 test
+computes every cache key and fingerprint under two ``PYTHONHASHSEED``
+values and compares them.
 
 Rule families
 -------------
 
 ``DET`` -- determinism sources.  No wall clocks, entropy, or unseeded
-    global ``random`` inside the simulation core; no unsorted set/dict
-    iteration in any function reachable from a fingerprint / cache-key /
-    label routine; ``os.listdir``/``glob`` results must be sorted.
+    global ``random`` inside the simulation core.
 ``FPR`` -- fingerprint coverage.  Every field of the registered
     behaviour-bearing dataclasses (``RunConfiguration``, ``FaultSpec``,
     ``TrafficFaultSpec``, ``VehicleSpec``) must be consumed by its
@@ -21,9 +22,8 @@ Rule families
     :mod:`repro.lint.fingerprint_registry`.
 ``OBS`` -- observability hygiene.  Instrumentation must route through
     the gated runtime (``obs_runtime.current()`` guarded by a None
-    check), eager ``repro.obs`` imports are confined to the runtime
-    module inside the simulation core, and fingerprint paths never
-    touch observability at all.
+    check), and the simulation core imports only the runtime module
+    of ``repro.obs`` eagerly.
 ``FAB`` -- fork safety.  Modules imported by forked pool and grid
     workers do not rebind module-global state.
 ``LNT`` -- analyzer meta rules (waivers without justification, files

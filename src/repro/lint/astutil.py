@@ -65,13 +65,6 @@ def call_name(node: ast.Call, imap: Dict[str, str]) -> Optional[str]:
     return dotted_name(node.func, imap)
 
 
-def method_name(node: ast.Call) -> Optional[str]:
-    """The bare attribute name of a method-style call, or None."""
-    if isinstance(node.func, ast.Attribute):
-        return node.func.attr
-    return None
-
-
 def parent_of(node: ast.AST) -> Optional[ast.AST]:
     """The parent annotated by the walker, or None at the module root."""
     return getattr(node, "lint_parent", None)

@@ -1,9 +1,8 @@
 """The lint driver: collect, check, waive.
 
 ``run_lint`` is the one entry point both the CLI and the test suite use.
-It parses the requested files, builds the call graph once, runs every
-registered rule against the shared :class:`LintContext`, then applies
-inline waivers.  Everything it returns is
+It parses the requested files, runs every registered rule over the
+parsed modules, then applies inline waivers.  Everything it returns is
 deterministically ordered -- the analyzer is subject to the same
 bit-identity contract as the code it checks.
 """
@@ -13,29 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from repro.lint.callgraph import CallGraph, FunctionInfo
 from repro.lint.findings import Finding
 from repro.lint.registry import all_rules
 from repro.lint.waivers import apply_waivers
 from repro.lint.walker import LintModule, collect_modules
-
-
-@dataclass
-class LintContext:
-    """Everything a rule check may consult."""
-
-    modules: List[LintModule]
-    callgraph: CallGraph
-    fingerprint_reachable: List[FunctionInfo]
-
-    @classmethod
-    def build(cls, modules: List[LintModule]) -> "LintContext":
-        graph = CallGraph(modules)
-        return cls(
-            modules=modules,
-            callgraph=graph,
-            fingerprint_reachable=graph.fingerprint_reachable(),
-        )
 
 
 @dataclass
@@ -54,10 +34,9 @@ class LintResult:
 
 def check_modules(modules: List[LintModule]) -> List[Finding]:
     """Run every registered rule over already-parsed modules."""
-    context = LintContext.build(modules)
     findings: List[Finding] = []
     for rule in all_rules():
-        findings.extend(rule.check(context))
+        findings.extend(rule.check(modules))
     return findings
 
 

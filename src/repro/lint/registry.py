@@ -1,10 +1,10 @@
 """The rule registry: every shipped rule, one table.
 
 Rules are plain (id, family, summary, check) records; ``check`` takes
-the :class:`~repro.lint.driver.LintContext` and returns findings.  The
-two ``LNT`` meta rules are synthesized by the driver (waiver parsing and
-file collection) rather than checked here, but they are listed so
-``--list-rules`` documents every id that can appear in output.
+the parsed modules and returns findings.  The two ``LNT`` meta rules
+are synthesized by the driver (waiver parsing and file collection)
+rather than checked here, but they are listed so ``--list-rules``
+documents every id that can appear in output.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
 from repro.lint.findings import Finding
+from repro.lint.walker import LintModule
 
 
 @dataclass(frozen=True)
@@ -22,7 +23,7 @@ class Rule:
     id: str
     family: str
     summary: str
-    check: Callable[["LintContext"], List[Finding]]  # noqa: F821
+    check: Callable[[List[LintModule]], List[Finding]]
 
 
 #: (id, summary) of findings synthesized outside rule checks.

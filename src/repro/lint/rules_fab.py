@@ -16,6 +16,7 @@ from typing import List
 from repro.lint.astutil import symbol_for
 from repro.lint.findings import Finding
 from repro.lint.registry import Rule
+from repro.lint.walker import LintModule
 
 #: Packages imported by forked pool and grid workers.
 WORKER_SCOPE = (
@@ -31,9 +32,9 @@ WORKER_SCOPE = (
 )
 
 
-def _check_fab003(context) -> List[Finding]:
+def _check_fab003(modules: List[LintModule]) -> List[Finding]:
     findings: List[Finding] = []
-    for module in context.modules:
+    for module in modules:
         if not module.in_package(*WORKER_SCOPE):
             continue
         for node in ast.walk(module.tree):

@@ -15,10 +15,10 @@ for authoritative coverage.
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Set, Tuple
 
 from repro.lint import fingerprint_registry
-from repro.lint.callgraph import FunctionInfo
+from repro.lint.astutil import FunctionNode
 from repro.lint.findings import Finding
 from repro.lint.registry import Rule
 from repro.lint.walker import LintModule
@@ -47,11 +47,11 @@ def _class_fields(node: ast.ClassDef) -> List[Tuple[str, int, int]]:
     return fields
 
 
-def _consumed_names(functions: List[FunctionInfo]) -> Set[str]:
+def _consumed_names(functions: List[FunctionNode]) -> Set[str]:
     """Every attribute name and getattr-string the routines touch."""
     consumed: Set[str] = set()
-    for fn in functions:
-        for node in ast.walk(fn.node):
+    for function in functions:
+        for node in ast.walk(function):
             if isinstance(node, ast.Attribute):
                 consumed.add(node.attr)
             elif isinstance(node, ast.Call):
@@ -67,29 +67,36 @@ def _consumed_names(functions: List[FunctionInfo]) -> Set[str]:
     return consumed
 
 
-def _fingerprint_functions_for(
-    context, class_module: LintModule, names: Tuple[str, ...]
-) -> List[FunctionInfo]:
-    """The registered routines, preferring the class's own module."""
-    local = [
-        fn
-        for fn in context.callgraph.functions
-        if fn.name in names and fn.module is class_module
+def _functions_named(
+    module: LintModule, names: Tuple[str, ...]
+) -> List[FunctionNode]:
+    return [
+        node
+        for node in ast.walk(module.tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name in names
     ]
+
+
+def _fingerprint_functions_for(
+    modules: List[LintModule], class_module: LintModule, names: Tuple[str, ...]
+) -> List[FunctionNode]:
+    """The registered routines, preferring the class's own module."""
+    local = _functions_named(class_module, names)
     if local:
         return local
-    return [fn for fn in context.callgraph.functions if fn.name in names]
+    return [fn for module in modules for fn in _functions_named(module, names)]
 
 
-def _check_fpr001(context) -> List[Finding]:
+def _check_fpr001(modules: List[LintModule]) -> List[Finding]:
     findings: List[Finding] = []
     registry = fingerprint_registry.FINGERPRINT_FUNCTIONS
-    for module in context.modules:
+    for module in modules:
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.ClassDef) or node.name not in registry:
                 continue
             routine_names = registry[node.name]
-            routines = _fingerprint_functions_for(context, module, routine_names)
+            routines = _fingerprint_functions_for(modules, module, routine_names)
             if not routines:
                 continue
             consumed = _consumed_names(routines)

@@ -3,7 +3,7 @@
 The PR-6 contract is that observability is *inert by default*: no
 runtime installed means no clocks read, no objects allocated, no
 behaviour perturbed -- and traced campaigns stay bit-identical to
-untraced ones.  Three statically checkable consequences:
+untraced ones.  Two statically checkable consequences:
 
 ``OBS001``
     The result of ``obs_runtime.current()`` is used only under a
@@ -13,9 +13,10 @@ untraced ones.  Three statically checkable consequences:
     except the gate itself (``repro.obs.runtime``); recorder/metrics
     imports are deferred into the gated call sites (or live in
     ``TYPE_CHECKING`` blocks).
-``OBS003``
-    Fingerprint paths never touch observability at all -- a cache key
-    must not depend on, or feed, the instruments.
+
+That cache keys do not depend on tracing is checked at run time:
+``tests/test_obs.py`` compares the keys of traced and untraced
+campaigns.
 """
 
 from __future__ import annotations
@@ -119,9 +120,9 @@ def _guarded(usage: ast.AST, name: str, function: ast.AST) -> bool:
     return False
 
 
-def _check_obs001(context) -> List[Finding]:
+def _check_obs001(modules: List[LintModule]) -> List[Finding]:
     findings: List[Finding] = []
-    for module in context.modules:
+    for module in modules:
         if module.in_package("repro.obs") or not module.name.startswith("repro."):
             continue
         imap = import_map(module.tree, module.name)
@@ -221,51 +222,11 @@ def _eager_obs_imports(module: LintModule) -> List[Finding]:
     return findings
 
 
-def _check_obs002(context) -> List[Finding]:
+def _check_obs002(modules: List[LintModule]) -> List[Finding]:
     findings: List[Finding] = []
-    for module in context.modules:
+    for module in modules:
         if module.in_package(*OBS_IMPORT_SCOPE):
             findings.extend(_eager_obs_imports(module))
-    return findings
-
-
-def _check_obs003(context) -> List[Finding]:
-    findings: List[Finding] = []
-    seen: Set[int] = set()
-    for fn in context.fingerprint_reachable:
-        if id(fn.node) in seen:
-            continue
-        seen.add(id(fn.node))
-        if fn.module.in_package("repro.obs") or not fn.module.name.startswith(
-            "repro."
-        ):
-            continue
-        imap = import_map(fn.module.tree, fn.module.name)
-        for node in ast.walk(fn.node):
-            if not isinstance(node, (ast.Name, ast.Attribute)):
-                continue
-            dotted = dotted_name(node, imap)
-            if dotted is None or not dotted.startswith("repro.obs"):
-                continue
-            if isinstance(parent_of(node), ast.Attribute):
-                continue  # report the full chain once, not each prefix
-            findings.append(
-                Finding(
-                    rule="OBS003",
-                    family="OBS",
-                    path=fn.module.display,
-                    line=node.lineno,
-                    col=node.col_offset,
-                    message=(
-                        f"observability reference ({dotted}) inside"
-                        f" fingerprint-path routine {fn.qualname};"
-                        " cache keys must neither depend on nor feed the"
-                        " instruments"
-                    ),
-                    symbol=fn.qualname,
-                )
-            )
-            break
     return findings
 
 
@@ -281,11 +242,5 @@ RULES = [
         family="OBS",
         summary="the core imports only repro.obs.runtime eagerly",
         check=_check_obs002,
-    ),
-    Rule(
-        id="OBS003",
-        family="OBS",
-        summary="fingerprint paths never touch observability",
-        check=_check_obs003,
     ),
 ]

@@ -133,6 +133,15 @@ class TestCampaignRequest:
         dict(budgets=(-1.0,)),
         dict(budgets=(float("nan"),)),
         dict(budgets=(float("inf"),)),
+        # Geometry is a finite number > 0; workers, when given, >= 1.
+        dict(altitude=-5.0),
+        dict(altitude=0.0),
+        dict(altitude=float("inf")),
+        dict(altitude=float("nan")),
+        dict(box_side=-10.0),
+        dict(box_side=float("nan")),
+        dict(workers=0),
+        dict(workers=-2),
         # A repeated axis value repeats a cell id; ids render budgets
         # with :g, so distinct floats can collide too.
         dict(budgets=(1.0, 1.0)),

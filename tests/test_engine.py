@@ -266,20 +266,93 @@ class TestResultCache:
         assert restored.triggered_bugs == ["APM-0001"]
         assert reader.hits == 1
 
-    def test_registry_stamp_ignores_the_hash_seed(self):
-        # Descriptors carry frozensets; a stamp that followed their repr
-        # would differ between interpreters and purge shared directories.
+    def test_fingerprints_ignore_the_hash_seed(self):
+        # Registry descriptors carry frozensets and workloads may carry
+        # sets: a key that followed their iteration order would differ
+        # between interpreters, so pool workers, grid shards and later
+        # runs would miss each other's cache entries (and a differing
+        # registry stamp purges shared directories).
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        code = "from repro.engine.cache import bug_registry_stamp; print(bug_registry_stamp())"
-        stamps = {
-            subprocess.run(
-                [sys.executable, "-c", code],
-                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
-                capture_output=True, text=True, check=True,
-            ).stdout.strip()
+        runs = [
+            json.loads(
+                subprocess.run(
+                    [sys.executable, "-c", _FINGERPRINT_SCRIPT],
+                    env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+                    capture_output=True, text=True, check=True,
+                ).stdout
+            )
             for seed in ("1", "2")
+        ]
+        assert runs[0] == runs[1]
+        # The set-valued attribute reaches the key, so the set branch of
+        # the canonical rendering is exercised.
+        assert "'tags': " in runs[0]["workload"]
+
+
+#: Prints every cache key and fingerprint the engine derives, as one
+#: JSON object; ``test_fingerprints_ignore_the_hash_seed`` runs it under
+#: two ``PYTHONHASHSEED`` values.
+_FINGERPRINT_SCRIPT = """
+import json
+from types import SimpleNamespace
+
+from repro.core.config import RunConfiguration
+from repro.engine.api import CampaignRequest, build_cells
+from repro.engine.cache import (
+    bug_registry_stamp, campaign_fingerprint, config_fingerprint,
+    scenario_key, workload_fingerprint,
+)
+from repro.engine.grid import cell_fingerprint
+from repro.hinj.faults import (
+    FaultScenario, FaultSpec, TrafficFaultKind, TrafficFaultSpec,
+)
+from repro.sensors.base import SensorId, SensorType
+from repro.workloads.builtin import AutoWorkload
+
+
+class TaggedAuto(AutoWorkload):
+    def __init__(self):
+        super().__init__()
+        self.tags = {
+            "accelerometer", "barometer", "battery", "compass",
+            "fence", "gps", "gyroscope", "rally",
         }
-        assert len(stamps) == 1
+
+
+tagged = RunConfiguration(workload_factory=TaggedAuto)
+monitor = SimpleNamespace(separation_threshold_m=2.5)
+values = {
+    "stamp": bug_registry_stamp(),
+    "workload": workload_fingerprint(tagged),
+    "campaign": campaign_fingerprint(tagged, monitor),
+}
+values["config"] = config_fingerprint(tagged, values["campaign"])
+gps, compass = SensorId(SensorType.GPS, 0), SensorId(SensorType.COMPASS, 1)
+scenarios = [
+    FaultScenario([FaultSpec(gps, 2.0), FaultSpec(compass, 4.0, duration_s=3.0)]),
+    FaultScenario([
+        FaultSpec(gps.for_vehicle(1), 6.0, duration_s=2.5),
+        TrafficFaultSpec(0, TrafficFaultKind.DROPOUT, 10.0, duration_s=5.0),
+        TrafficFaultSpec(1, TrafficFaultKind.DELAY, 3.0, extra_delay_s=0.4),
+    ]),
+]
+cells = build_cells(CampaignRequest(
+    firmwares=("ardupilot", "px4"), workloads=("auto", "waypoint"),
+    strategies=("random",), budgets=(5.0,),
+)) + build_cells(CampaignRequest(
+    workloads=("multi-pad",), strategies=("avis",), budgets=(5.0,),
+    vehicles=("firmware=ardupilot", "firmware=px4,airframe=solo"),
+    traffic_faults=True, stepper="adaptive",
+))
+for cell in cells:
+    values["cell " + cell.cell_id] = cell_fingerprint(cell)
+    workload_name = campaign_fingerprint(cell.config, monitor)
+    for index, scenario in enumerate(scenarios):
+        values[f"scenario {cell.cell_id} {index}"] = scenario_key(
+            cell.config, workload_name, scenario
+        )
+print(json.dumps(values, sort_keys=True))
+"""
 
 
 class TestCacheGc:
@@ -1283,6 +1356,28 @@ class TestEngineCli:
         errors = [line for line in err.splitlines() if "error:" in line]
         assert len(errors) == 1
         assert "--budget must be a finite number >= 0" in errors[0]
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--altitude", "-5"], "--altitude must be a finite number > 0"),
+        (["--altitude", "0"], "--altitude must be a finite number > 0"),
+        (["--altitude", "inf"], "--altitude must be a finite number > 0"),
+        (["--altitude", "nan"], "--altitude must be a finite number > 0"),
+        (["--box-side", "nan"], "--box-side must be a finite number > 0"),
+        (["--box-side", "-10"], "--box-side must be a finite number > 0"),
+        (["--workers", "0"], "--workers must be >= 1"),
+        (["--workers", "-2"], "--workers must be >= 1"),
+    ])
+    def test_bad_scalars_are_usage_errors(self, argv, message, capsys):
+        from repro.engine.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--strategy", "random", "--budget", "1", "--quiet", *argv])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert message in errors[0]
 
     def test_zero_budget_runs_zero_simulations(self, capsys):
         from repro.engine.cli import main

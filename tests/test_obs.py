@@ -309,23 +309,34 @@ def _campaign_digest(campaign):
     )
 
 
-def _run_campaign(config, strategy_factory, budget, backend="serial"):
+def _run_campaign_and_keys(config, strategy_factory, budget, backend="serial"):
+    """The campaign result plus the sorted keys it left in its cache."""
     avis = Avis(config, profiling_runs=1, budget_units=budget, backend=backend)
     try:
-        return avis.check(strategy=strategy_factory())
+        return avis.check(strategy=strategy_factory()), sorted(avis.cache.keys())
     finally:
         # Spec-built backends are engine-owned, so the engine closes them.
         avis.engine.close()
+
+
+def _run_campaign(config, strategy_factory, budget, backend="serial"):
+    return _run_campaign_and_keys(config, strategy_factory, budget, backend)[0]
 
 
 class TestBitIdentity:
     def test_serial_campaign_identical_with_tracing_on_and_off(
         self, short_auto_config
     ):
-        plain = _run_campaign(short_auto_config, RandomInjection, 3.0)
+        plain, plain_keys = _run_campaign_and_keys(
+            short_auto_config, RandomInjection, 3.0
+        )
         with observed(Observability()):
-            traced = _run_campaign(short_auto_config, RandomInjection, 3.0)
+            traced, traced_keys = _run_campaign_and_keys(
+                short_auto_config, RandomInjection, 3.0
+            )
         assert _campaign_digest(traced) == _campaign_digest(plain)
+        # Tracing never enters a cache key.
+        assert plain_keys and traced_keys == plain_keys
         # Tracing-off runs carry no flight log at all; traced runs do.
         assert all(result.flight_log is None for result in plain.results)
         assert all(result.flight_log is not None for result in traced.results)
