@@ -1,85 +1,62 @@
-"""Engine scaling: worker-count, fleet-size, traffic-fault, burst and
-batched-SABRE axes.
+"""Engine microbenchmark: process-pool speedup and raw stepper throughput.
 
-Five scaling axes are measured and written to ``BENCH_engine.json``
-next to the repository root:
+The one writer of ``BENCH_engine.json`` (next to the repository root),
+which ``benchmarks/check_regression.py`` gates against the committed
+``BENCH_baseline.json``.  It measures the two things the campaign
+benchmark (``perfbench/``) does not:
 
-* **Workers** -- a fixed, seeded 32-scenario campaign (the same
-  scenarios, in the same order) executed through :class:`SerialBackend`
-  and through :class:`ProcessPoolBackend` with 2 and 4 workers, with the
+* **Pool** -- a fixed, seeded 32-scenario campaign (the same scenarios,
+  in the same order) executed through :class:`SerialBackend` and
+  through :class:`ProcessPoolBackend` with 2 and 4 workers, with the
   backends asserted to agree on every per-scenario outcome (the
-  determinism contract).
-* **Fleet size** -- a fixed batch of battery-fault scenarios flown by
-  the multi-pad fleet workload at fleet sizes 2 and 3, recording
-  seconds per simulation so the cost of hosting more vehicles per run
-  is tracked over time.
-* **Traffic faults** -- a fixed batch of coordination-fault scenarios
-  (beacon dropout/freeze on the lead) flown by the beacon-driven
-  convoy, so the cost of the traffic channel plus the longest-running
-  fleet workload is tracked over time.
-* **Burst** -- the same convoy under *intermittent* coordination faults
-  (finite ``duration_s``): recovery re-engages the follower's tracking
-  loop mid-mission, so these runs exercise the recovery machinery end
-  to end and tend to run the full mission (no early unsafe abort),
-  making the axis a sensitive cost probe for the recovery-window
-  feature.
+  determinism contract) before the speedups are recorded.  perfbench
+  runs every workload serially, so this is the only pool measurement.
+* **Physics** -- a bare :class:`SimulationHarness` (no faults, no
+  monitor, workload never bound) stepped a fixed number of micro-steps
+  at fleet sizes 1-3 under each stepper, recorded as steps/sec:
+  ``reference`` (one micro-step per control period, the stepper every
+  verdict is pinned to) and ``adaptive`` (the quiescence-skipping
+  planner; with no fault windows or mode changes the plan is maximally
+  quiescent, so this row is the stepper's ceiling).
 
-  The traffic and burst axes are each re-run under the adaptive
-  (quiescence-skipping) stepper with the *same scenarios*; the verdict
-  signatures (outcome, collisions, injection/recovery counts) are
-  asserted equal before ``adaptive_speedup`` is recorded, because a
-  faster stepper that changes verdicts is a bug, not a win.  The
-  regression gate holds this speedup above its 2.0x floor.
-* **SABRE** -- the paper's headline strategy run as a full (profiled,
-  budgeted) campaign through the batch protocol: serial backend versus
-  a 4-worker pool at the recorded ``per_dequeue``, with the two
-  campaigns asserted bit-identical (same scenarios, same order, same
-  found-bug set) before the wall-clocks are compared.
+Per-simulation and per-campaign seconds (single vehicle, convoy,
+SABRE) are perfbench's workloads, not axes here; that the adaptive
+stepper keeps the reference verdicts is a tier-1 test
+(``tests/test_fast_core.py::TestAdaptiveRun``), not a timing.
 
 The report also records ``calibration_s`` -- the wall-clock of a fixed
-pure-python workload -- so ``benchmarks/check_regression.py`` can scale
-the committed ``BENCH_baseline.json`` thresholds to the speed of the
-machine actually running CI.
+pure-python workload -- so the gate can scale the baseline's physics
+floors to the speed of the machine actually running it.
 
 Speedups are *asserted* only on machines with at least two usable cores
 (a process pool cannot beat serial execution of CPU-bound simulations
 on a single core, and CI containers are frequently single-core); on a
 single core the measured numbers are annotated in the JSON and the
 console instead.
+
+Run with ``python -m pytest benchmarks/bench_engine_scaling.py -q``.
 """
 
 import json
 import os
 import random
 import time
-from dataclasses import replace
 from pathlib import Path
 
-from repro.core.avis import Avis
 from repro.core.config import RunConfiguration
-from repro.core.strategies import AvisStrategy
+from repro.core.runner import SimulationHarness
 from repro.engine.backends import ProcessPoolBackend, SerialBackend
 from repro.firmware.ardupilot import ArduPilotFirmware
-from repro.hinj.faults import (
-    FaultScenario,
-    FaultSpec,
-    TrafficFaultKind,
-    TrafficFaultSpec,
-)
-from repro.sensors.base import SensorId, SensorType
+from repro.hinj.faults import FaultScenario, FaultSpec
 from repro.sensors.suite import iris_sensor_suite
 from repro.workloads.builtin import AutoWorkload
-from repro.workloads.fleet import ConvoyFollowWorkload, MultiPadTakeoffLandWorkload
 
 SCENARIO_COUNT = 32
 RNG_SEED = 17
-FLEET_SIZES = (2, 3)
-FLEET_SCENARIO_COUNT = 4
-TRAFFIC_SCENARIO_COUNT = 4
-BURST_SCENARIO_COUNT = 4
-BURST_DURATION_S = 20.0
-SABRE_BUDGET = 10.0
-SABRE_PER_DEQUEUE = 4
+PHYSICS_FLEET_SIZES = (1, 2, 3)
+STEPPERS = ("reference", "adaptive")
+WARMUP_STEPS = 50
+MEASURED_STEPS = 1500
 OUTPUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 
 
@@ -93,10 +70,9 @@ def _usable_cpus() -> int:
 def _calibrate() -> float:
     """Wall-clock of a fixed pure-python workload (machine speed probe).
 
-    The regression gate scales the committed baseline's absolute
-    timings by the ratio of this number across machines, so a slower
-    CI runner does not read as a regression and a faster one does not
-    mask one.
+    The regression gate scales the committed baseline's rates by the
+    ratio of this number across machines, so a slower CI runner does
+    not read as a regression and a faster one does not mask one.
     """
     def spin() -> float:
         started = time.perf_counter()
@@ -134,238 +110,41 @@ def _fixed_scenarios() -> list:
     return scenarios
 
 
-def _fleet_config(fleet_size: int) -> RunConfiguration:
-    return RunConfiguration(
-        firmware_class=ArduPilotFirmware,
-        workload_factory=lambda: MultiPadTakeoffLandWorkload(fleet_size=fleet_size),
-        fleet_size=fleet_size,
-        max_sim_time_s=160.0,
-    )
-
-
-def _fleet_scenarios(fleet_size: int) -> list:
-    """Battery faults spread across the fleet and the mission timeline."""
-    scenarios = []
-    for index in range(FLEET_SCENARIO_COUNT):
-        vehicle = index % fleet_size
-        scenarios.append(
-            FaultScenario(
-                [
-                    FaultSpec(
-                        SensorId(SensorType.BATTERY, 0, vehicle=vehicle),
-                        10.0 + 3.0 * index,
-                    )
-                ]
-            )
-        )
-    return scenarios
-
-
-def _measure_fleet_axis() -> dict:
-    """Seconds per simulation at each fleet size (serial backend)."""
-    axis = {}
-    for fleet_size in FLEET_SIZES:
-        config = _fleet_config(fleet_size)
-        scenarios = _fleet_scenarios(fleet_size)
-        started = time.perf_counter()
-        results = SerialBackend().run_scenarios(config, None, scenarios)
-        elapsed = time.perf_counter() - started
-        separations = [
-            r.min_separation_m for r in results if r.min_separation_m is not None
-        ]
-        axis[f"fleet{fleet_size}"] = {
-            "fleet_size": fleet_size,
-            "scenario_count": len(scenarios),
-            "wall_s": elapsed,
-            "seconds_per_simulation": elapsed / len(scenarios),
-            "min_separation_m": min(separations) if separations else None,
-        }
-    return axis
-
-
-def _traffic_config() -> RunConfiguration:
-    return RunConfiguration(
-        firmware_class=ArduPilotFirmware,
-        workload_factory=lambda: ConvoyFollowWorkload(),
-        fleet_size=2,
-        max_sim_time_s=160.0,
-    )
-
-
-def _traffic_scenarios() -> list:
-    """Coordination faults on the lead's beacons along the corridor."""
-    kinds = (TrafficFaultKind.DROPOUT, TrafficFaultKind.FREEZE)
-    return [
-        FaultScenario(
-            [TrafficFaultSpec(0, kinds[index % len(kinds)], 12.0 + 9.0 * index)]
-        )
-        for index in range(TRAFFIC_SCENARIO_COUNT)
-    ]
-
-
-def _verdict_signature(results) -> list:
-    """What the campaign *concluded*, independent of how it was stepped.
-
-    The adaptive stepper is allowed to change wall-clock, never
-    verdicts: outcome, collision presence, and the injection/recovery
-    record must survive the stepping strategy unchanged.
-    """
-    return [
-        (
-            str(result.scenario),
-            result.workload_result.outcome.value if result.workload_result else "n/a",
-            bool(result.collisions),
-            len(result.traffic_injections),
-            sum(1 for record in result.traffic_injections if record.recovered),
-        )
-        for result in results
-    ]
-
-
-def _measure_adaptive(config, scenarios, reference_results, reference_wall) -> dict:
-    """Re-run ``scenarios`` under the adaptive stepper; assert verdicts.
-
-    Returns the fields merged into the reference axis dict.  The
-    verdict-signature assertion runs *before* any timing is recorded:
-    a speedup measured against diverging outcomes would be meaningless.
-    """
-    adaptive_config = replace(config, stepper="adaptive")
-    started = time.perf_counter()
-    results = SerialBackend().run_scenarios(adaptive_config, None, scenarios)
-    elapsed = time.perf_counter() - started
-    assert _verdict_signature(results) == _verdict_signature(reference_results), (
-        "adaptive stepper changed campaign verdicts"
-    )
-    return {
-        "wall_s_adaptive": elapsed,
-        "seconds_per_simulation_adaptive": elapsed / len(scenarios),
-        "adaptive_speedup": reference_wall / elapsed if elapsed > 0 else None,
-    }
-
-
-def _measure_traffic_axis() -> dict:
-    """Seconds per simulation for traffic-fault convoy campaigns."""
-    config = _traffic_config()
-    scenarios = _traffic_scenarios()
-    started = time.perf_counter()
-    results = SerialBackend().run_scenarios(config, None, scenarios)
-    elapsed = time.perf_counter() - started
-    separations = [
-        r.min_separation_m for r in results if r.min_separation_m is not None
-    ]
-    axis = {
-        "workload": "convoy-follow",
-        "scenario_count": len(scenarios),
-        "wall_s": elapsed,
-        "seconds_per_simulation": elapsed / len(scenarios),
-        "min_separation_m": min(separations) if separations else None,
-        "traffic_injections": sum(len(r.traffic_injections) for r in results),
-    }
-    axis.update(_measure_adaptive(config, scenarios, results, elapsed))
-    return axis
-
-
-def _burst_scenarios() -> list:
-    """Intermittent (recovering) dropouts on the lead's beacons."""
-    return [
-        FaultScenario(
-            [
-                TrafficFaultSpec(
-                    0,
-                    TrafficFaultKind.DROPOUT,
-                    9.0 + 2.0 * index,
-                    duration_s=BURST_DURATION_S,
-                )
-            ]
-        )
-        for index in range(BURST_SCENARIO_COUNT)
-    ]
-
-
-def _measure_burst_axis() -> dict:
-    """Seconds per simulation for intermittent-dropout convoy runs."""
-    config = _traffic_config()
-    scenarios = _burst_scenarios()
-    started = time.perf_counter()
-    results = SerialBackend().run_scenarios(config, None, scenarios)
-    elapsed = time.perf_counter() - started
-    separations = [
-        r.min_separation_m for r in results if r.min_separation_m is not None
-    ]
-    recoveries = sum(
-        1
-        for result in results
-        for record in result.traffic_injections
-        if record.recovered
-    )
-    axis = {
-        "workload": "convoy-follow",
-        "burst_duration_s": BURST_DURATION_S,
-        "scenario_count": len(scenarios),
-        "wall_s": elapsed,
-        "seconds_per_simulation": elapsed / len(scenarios),
-        "min_separation_m": min(separations) if separations else None,
-        "recoveries": recoveries,
-    }
-    axis.update(_measure_adaptive(config, scenarios, results, elapsed))
-    return axis
-
-
-def _sabre_campaign(backend):
-    """One full batched-SABRE campaign; returns (campaign, wall seconds,
-    engine round stats)."""
-    avis = Avis(
-        _config(), profiling_runs=2, budget_units=SABRE_BUDGET, backend=backend
-    )
-    avis.profile()  # profiling excluded from the timed section
-    started = time.perf_counter()
-    campaign = avis.check(
-        strategy=AvisStrategy(max_scenarios_per_dequeue=SABRE_PER_DEQUEUE)
-    )
-    elapsed = time.perf_counter() - started
-    stats = dict(avis.engine.last_stats)
-    avis.engine.close()  # spec-built backends are engine-owned
-    return campaign, elapsed, stats
-
-
-def _measure_sabre_axis() -> dict:
-    """Batched SABRE, serial vs pool: the paper's headline strategy is
-    the one axis the PR 1 worker pool could not accelerate before the
-    dequeue-level batch protocol existed."""
-    serial_campaign, serial_s, serial_stats = _sabre_campaign("serial")
-    pool_campaign, pool_s, _ = _sabre_campaign("pool:4")
-
-    # Determinism before performance: the two campaigns must be
-    # bit-identical or the speedup is meaningless.
-    assert [str(r.scenario) for r in pool_campaign.results] == [
-        str(r.scenario) for r in serial_campaign.results
-    ]
-    assert pool_campaign.triggered_bug_ids == serial_campaign.triggered_bug_ids
-    assert pool_campaign.budget_spent == serial_campaign.budget_spent
-
-    return {
-        "budget_units": SABRE_BUDGET,
-        "per_dequeue": SABRE_PER_DEQUEUE,
-        "simulations": serial_campaign.simulations,
-        "unsafe_scenarios": serial_campaign.unsafe_scenario_count,
-        "proposal_rounds": serial_stats["rounds"],
-        "serial_s": serial_s,
-        "pool_s": pool_s,
-        "speedup_pool4": serial_s / pool_s if pool_s > 0 else None,
-        "seconds_per_simulation": (
-            serial_s / serial_campaign.simulations
-            if serial_campaign.simulations
-            else None
-        ),
-    }
-
-
 def _outcome_signature(results) -> list:
     return [
         (str(result.scenario), result.steps, len(result.collisions),
          tuple(result.triggered_bugs))
         for result in results
     ]
+
+
+def _steps_per_second(fleet_size: int, stepper: str) -> float:
+    """Micro-steps per wall-second for one (fleet size, stepper) cell.
+
+    The count passed to ``step`` is always in micro-steps, so the
+    adaptive stepper advances exactly as much simulated time as the
+    reference one -- its higher rate comes from fusing work across
+    strides, not from doing less simulation.
+    """
+    harness = SimulationHarness(
+        RunConfiguration(
+            firmware_class=ArduPilotFirmware, fleet_size=fleet_size, stepper=stepper
+        )
+    )
+    harness.step(WARMUP_STEPS)
+    started = time.perf_counter()
+    harness.step(MEASURED_STEPS)
+    return MEASURED_STEPS / (time.perf_counter() - started)
+
+
+def _measure_physics_axis() -> dict:
+    axis = {"steps": MEASURED_STEPS}
+    for fleet_size in PHYSICS_FLEET_SIZES:
+        axis[f"fleet{fleet_size}"] = {
+            f"{stepper}_steps_per_s": _steps_per_second(fleet_size, stepper)
+            for stepper in STEPPERS
+        }
+    return axis
 
 
 def test_engine_scaling(benchmark, capsys):
@@ -383,6 +162,7 @@ def test_engine_scaling(benchmark, capsys):
             started = time.perf_counter()
             results = backend.run_scenarios(config, None, scenarios)
             timings[label] = time.perf_counter() - started
+            backend.close()
             signatures[label] = _outcome_signature(results)
         return timings, signatures
 
@@ -392,10 +172,7 @@ def test_engine_scaling(benchmark, capsys):
     assert signatures["workers2"] == signatures["serial"]
     assert signatures["workers4"] == signatures["serial"]
 
-    fleet_axis = _measure_fleet_axis()
-    traffic_axis = _measure_traffic_axis()
-    burst_axis = _measure_burst_axis()
-    sabre_axis = _measure_sabre_axis()
+    physics = _measure_physics_axis()
 
     cpus = _usable_cpus()
     single_core = cpus < 2
@@ -414,10 +191,7 @@ def test_engine_scaling(benchmark, capsys):
             if single_core
             else None
         ),
-        "fleet_scaling": fleet_axis,
-        "traffic": traffic_axis,
-        "burst": burst_axis,
-        "sabre": sabre_axis,
+        "physics": physics,
     }
     OUTPUT_PATH.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
 
@@ -428,31 +202,17 @@ def test_engine_scaling(benchmark, capsys):
               f"({report['speedup_workers2']:.2f}x)")
         print(f"  4 workers : {report['workers4_s']:.2f}s "
               f"({report['speedup_workers4']:.2f}x)")
-        for label, entry in fleet_axis.items():
-            print(f"  {label}    : {entry['wall_s']:.2f}s for "
-                  f"{entry['scenario_count']} sims "
-                  f"({entry['seconds_per_simulation']:.2f}s/sim)")
-        print(f"  traffic   : {traffic_axis['wall_s']:.2f}s for "
-              f"{traffic_axis['scenario_count']} sims "
-              f"({traffic_axis['seconds_per_simulation']:.2f}s/sim, "
-              f"{traffic_axis['traffic_injections']} injections)")
-        print(f"  burst     : {burst_axis['wall_s']:.2f}s for "
-              f"{burst_axis['scenario_count']} sims "
-              f"({burst_axis['seconds_per_simulation']:.2f}s/sim, "
-              f"{burst_axis['recoveries']} recoveries)")
-        for label, axis in (("traffic", traffic_axis), ("burst", burst_axis)):
-            print(f"  {label:<9} : adaptive {axis['wall_s_adaptive']:.2f}s "
-                  f"({axis['seconds_per_simulation_adaptive']:.2f}s/sim, "
-                  f"{axis['adaptive_speedup']:.2f}x vs reference, "
-                  "verdicts identical)")
-        print(f"  sabre     : {sabre_axis['serial_s']:.2f}s serial vs "
-              f"{sabre_axis['pool_s']:.2f}s pooled "
-              f"({sabre_axis['speedup_pool4']:.2f}x, "
-              f"{sabre_axis['simulations']} sims, "
-              f"per_dequeue={sabre_axis['per_dequeue']}, "
-              f"{sabre_axis['proposal_rounds']} rounds)")
         if single_core:
             print(f"  note      : {report['speedup_note']}")
+        print(f"Stepper throughput ({MEASURED_STEPS} micro-steps per cell):")
+        for fleet_size in PHYSICS_FLEET_SIZES:
+            entry = physics[f"fleet{fleet_size}"]
+            row = "  ".join(
+                f"{stepper} {entry[f'{stepper}_steps_per_s']:>7.0f}/s"
+                for stepper in STEPPERS
+            )
+            gain = entry["adaptive_steps_per_s"] / entry["reference_steps_per_s"]
+            print(f"  fleet {fleet_size}: {row}  (adaptive {gain:.2f}x)")
         print(f"  written to {OUTPUT_PATH}")
 
     # Speedups are annotations on single-core runners, assertions

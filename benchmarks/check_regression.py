@@ -1,41 +1,39 @@
 """Perf-regression gate: compare ``BENCH_engine.json`` to the baseline.
 
-CI runs the engine-scaling microbenchmark and then this script.  The
-gate fails (exit code 1) when any ``seconds_per_simulation`` metric --
-the single-vehicle campaign, the fleet-scaling axis, the traffic-fault
-convoy axis, the intermittent-fault (burst) convoy axis, the adaptive
-re-runs of the convoy axes, or the batched SABRE campaign -- regresses
-more than ``--tolerance`` (default 25%) against the committed
-``BENCH_baseline.json``.
+CI and the nightly run ``benchmarks/bench_engine_scaling.py`` (the one
+writer of ``BENCH_engine.json``) and then this script.  The gate fails
+(exit code 1) on any of three checks against the committed
+``BENCH_baseline.json``:
 
-Beyond the timing axes the gate asserts three kinds of floors:
+* **Physics throughput floors.**  The ``physics`` axis records harness
+  steps/sec per stepper and fleet size; each rate must stay above
+  ``baseline / scale / (1 + tolerance)`` (default tolerance 25%).
+  Higher is better, so these are floors, not ceilings.  The
+  ``adaptive_steps_per_s`` floors also catch "fusing stopped paying".
+* **Pool speedup floor.**  On a runner with at least two usable cores,
+  ``speedup_workers2`` must stay at or above 1.0x.  The floor is
+  deliberately loose: it catches "the pool stopped helping at all",
+  not scheduler noise.
+* **Missing metrics fail.**  A gated metric the baseline carries but
+  the fresh report does not is a gate failure, not a note: a benchmark
+  axis that silently stopped being measured would otherwise read as a
+  pass forever.  (The reverse -- a baseline from before a metric
+  existed -- is fine; only baseline metrics are enumerated.)
 
-* **Missing axes fail.**  A metric the baseline carries but the fresh
-  report does not is a gate failure, not a note: a benchmark axis that
-  silently stopped being measured would otherwise read as a pass
-  forever.  (The reverse -- a baseline from before an axis existed --
-  is fine; only baseline metrics are enumerated.)
-* **Adaptive speedup floors.**  The quiescence-skipping stepper must
-  stay at least ``1.5x`` faster than the reference stepper on the
-  traffic and burst convoy axes.  These are single-process ratios
-  measured in the same run, so they are asserted on every runner,
-  including single-core CI.
-* **Physics throughput floors.**  The ``physics`` axis records
-  harness steps/sec per stepper and fleet size; each rate must stay
-  above ``baseline / scale / (1 + tolerance)``.
+Seconds per simulation and per campaign are not gated here: the
+campaign benchmark (``perfbench/``) measures them end to end.
 
 Two things keep the gate honest across heterogeneous runners:
 
 * **Calibration scaling** -- both reports record ``calibration_s``, the
-  wall-clock of a fixed pure-python workload.  Thresholds are scaled by
+  wall-clock of a fixed pure-python workload.  Floors are scaled by
   the ratio of the two calibrations, so a slower CI runner is not
   flagged for being slow and a faster one cannot hide a real
   regression behind raw hardware speed.
-* **Core-count gating** -- parallel speedup assertions are skipped when
+* **Core-count gating** -- the speedup floor is skipped when
   ``usable_cpus < 2``: a process pool cannot beat serial execution of
   CPU-bound simulations on a single core, which is why single-core CI
-  speedups read ~1.0x.  (Adaptive-stepper speedups are exempt: they
-  compare two serial runs.)
+  speedups read ~1.0x.
 
 Usage::
 
@@ -57,68 +55,29 @@ DEFAULT_BASELINE = REPO_ROOT / "BENCH_baseline.json"
 DEFAULT_CURRENT = REPO_ROOT / "BENCH_engine.json"
 DEFAULT_TOLERANCE = 0.25
 
-#: Parallel-speedup metrics and the floor each must clear on machines
-#: with at least two usable cores.  The floors are deliberately loose --
-#: they catch "the pool stopped helping at all", not scheduler noise.
-SPEEDUP_FLOORS: Sequence[Tuple[Tuple[str, ...], float]] = (
-    (("speedup_workers2",), 1.0),
-    (("sabre", "speedup_pool4"), 0.9),
-)
-
-#: Adaptive-stepper speedups and the floor each must clear on every
-#: runner.  Both sides of the ratio are serial runs from the same
-#: process, so core count is irrelevant.  The adaptive stepper saves
-#: the sensor reads and firmware updates of fused ticks, so the ratio
-#: shrinks whenever those layers get cheaper: with the compiled fault
-#: table and flat sensor readings both steppers got faster and the
-#: ratio fell from 2.2-2.4x to 1.9-2.2x, and one run before that
-#: change already read 1.6x on ``burst``.  The floor therefore only
-#: catches "fusing stopped paying" (which reads ~1.0x); the adaptive
-#: stepper's own speed is gated in absolute terms through
-#: ``seconds_per_simulation_adaptive``.
-ADAPTIVE_FLOORS: Sequence[Tuple[Tuple[str, ...], float]] = (
-    (("traffic", "adaptive_speedup"), 1.5),
-    (("burst", "adaptive_speedup"), 1.5),
-)
+#: The parallel-speedup metric and the floor it must clear on machines
+#: with at least two usable cores.
+SPEEDUP_METRIC = "speedup_workers2"
+SPEEDUP_FLOOR = 1.0
 
 
-def _lookup(report: dict, path: Tuple[str, ...]) -> Optional[float]:
-    node = report
-    for key in path:
-        if not isinstance(node, dict) or key not in node:
-            return None
-        node = node[key]
-    return node if isinstance(node, (int, float)) else None
+def _number(node: object, key: str) -> Optional[float]:
+    """``node[key]`` when ``node`` is a dict holding a number there."""
+    if not isinstance(node, dict):
+        return None
+    value = node.get(key)
+    return value if isinstance(value, (int, float)) else None
 
 
-def _seconds_metrics(report: dict) -> Iterator[Tuple[str, float]]:
-    """Every ``seconds_per_simulation`` metric a report carries."""
-    value = _lookup(report, ("seconds_per_simulation",))
-    if value is not None:
-        yield "seconds_per_simulation", value
-    for axis_key in ("fleet_scaling",):
-        axis = report.get(axis_key)
-        if isinstance(axis, dict):
-            for entry_key in sorted(axis):
-                value = _lookup(axis, (entry_key, "seconds_per_simulation"))
-                if value is not None:
-                    yield f"{axis_key}.{entry_key}.seconds_per_simulation", value
-    for flat_axis in ("traffic", "burst", "sabre"):
-        value = _lookup(report, (flat_axis, "seconds_per_simulation"))
-        if value is not None:
-            yield f"{flat_axis}.seconds_per_simulation", value
-    for flat_axis in ("traffic", "burst"):
-        value = _lookup(report, (flat_axis, "seconds_per_simulation_adaptive"))
-        if value is not None:
-            yield f"{flat_axis}.seconds_per_simulation_adaptive", value
+def _missing(name: str) -> str:
+    return (
+        f"{name}: present in baseline but missing from the current "
+        "report -- the axis stopped being measured"
+    )
 
 
 def _rate_metrics(report: dict) -> Iterator[Tuple[str, float]]:
-    """Every ``*_steps_per_s`` throughput metric (the ``physics`` axis).
-
-    Rates invert the timing logic: higher is better, so the gate
-    asserts a *floor* rather than a ceiling.
-    """
+    """Every ``*_steps_per_s`` throughput metric (the ``physics`` axis)."""
     axis = report.get("physics")
     if not isinstance(axis, dict):
         return
@@ -127,10 +86,8 @@ def _rate_metrics(report: dict) -> Iterator[Tuple[str, float]]:
         if not isinstance(entry, dict):
             continue
         for metric_key in sorted(entry):
-            if not metric_key.endswith("_steps_per_s"):
-                continue
-            value = _lookup(entry, (metric_key,))
-            if value is not None:
+            value = _number(entry, metric_key)
+            if metric_key.endswith("_steps_per_s") and value is not None:
                 yield f"physics.{entry_key}.{metric_key}", value
 
 
@@ -141,16 +98,16 @@ def check_regression(
 
     Returns ``(failures, notes)``: a non-empty ``failures`` list means
     the gate must fail; ``notes`` document skipped or scaled checks and
-    the measured-vs-baseline numbers of every passing axis.  Every axis
-    is always checked -- the gate reports all failures, never just the
-    first one.
+    the measured-vs-baseline numbers of every passing metric.  Every
+    metric is always checked -- the gate reports all failures, never
+    just the first one.
     """
     failures: List[str] = []
     notes: List[str] = []
 
     scale = 1.0
-    base_cal = _lookup(baseline, ("calibration_s",))
-    cur_cal = _lookup(current, ("calibration_s",))
+    base_cal = _number(baseline, "calibration_s")
+    cur_cal = _number(current, "calibration_s")
     if base_cal and cur_cal and base_cal > 0:
         scale = cur_cal / base_cal
         notes.append(
@@ -160,39 +117,11 @@ def check_regression(
     else:
         notes.append("calibration missing from a report: raw thresholds used")
 
-    current_seconds = dict(_seconds_metrics(current))
-    for name, base_value in _seconds_metrics(baseline):
-        cur_value = current_seconds.get(name)
-        if cur_value is None:
-            failures.append(
-                f"{name}: present in baseline but missing from the current "
-                "report -- the axis stopped being measured"
-            )
-            continue
-        allowed = base_value * scale * (1.0 + tolerance)
-        if cur_value > allowed:
-            failures.append(
-                f"{name}: {cur_value:.4f}s/sim exceeds allowed "
-                f"{allowed:.4f}s/sim (baseline {base_value:.4f}s/sim, "
-                f"scale {scale:.2f}x, tolerance {tolerance:.0%})"
-            )
-        else:
-            # Passing axes explain themselves too: measured vs baseline
-            # is what lets a reviewer spot a creeping (sub-tolerance)
-            # regression before it trips the gate.
-            notes.append(
-                f"{name}: measured {cur_value:.4f}s/sim vs baseline "
-                f"{base_value:.4f}s/sim, within allowed {allowed:.4f}s/sim"
-            )
-
     current_rates = dict(_rate_metrics(current))
     for name, base_value in _rate_metrics(baseline):
         cur_value = current_rates.get(name)
         if cur_value is None:
-            failures.append(
-                f"{name}: present in baseline but missing from the current "
-                "report -- the axis stopped being measured"
-            )
+            failures.append(_missing(name))
             continue
         floor = base_value / scale / (1.0 + tolerance)
         if cur_value < floor:
@@ -202,57 +131,31 @@ def check_regression(
                 f"scale {scale:.2f}x, tolerance {tolerance:.0%})"
             )
         else:
+            # Passing metrics explain themselves too: measured vs
+            # baseline is what lets a reader spot a creeping
+            # (sub-tolerance) regression before it trips the gate.
             notes.append(
                 f"{name}: measured {cur_value:.0f} steps/s vs baseline "
                 f"{base_value:.0f} steps/s, above floor {floor:.0f} steps/s"
             )
 
-    for path, floor in ADAPTIVE_FLOORS:
-        name = ".".join(path)
-        value = _lookup(current, path)
-        if value is None:
-            if _lookup(baseline, path) is not None:
-                failures.append(
-                    f"{name}: present in baseline but missing from the "
-                    "current report -- the axis stopped being measured"
-                )
-            else:
-                notes.append(f"{name}: not in either report, skipped")
-            continue
-        if value < floor:
-            failures.append(
-                f"{name}: {value:.2f}x is below the {floor:.2f}x floor "
-                "(adaptive stepper stopped paying for itself)"
-            )
-        else:
-            notes.append(f"{name}: {value:.2f}x >= {floor:.2f}x floor")
-
-    cpus = _lookup(current, ("usable_cpus",)) or 1
-    if cpus < 2:
+    speedup = _number(current, SPEEDUP_METRIC)
+    cpus = _number(current, "usable_cpus") or 1
+    if speedup is None:
+        if _number(baseline, SPEEDUP_METRIC) is not None:
+            failures.append(_missing(SPEEDUP_METRIC))
+    elif cpus < 2:
         notes.append(
             "usable_cpus < 2: parallel speedup assertions skipped "
             "(a pool cannot beat serial on one core; speedups read ~1.0x)"
         )
+    elif speedup < SPEEDUP_FLOOR:
+        failures.append(
+            f"{SPEEDUP_METRIC}: {speedup:.2f}x is below the "
+            f"{SPEEDUP_FLOOR:.2f}x floor on a {cpus}-cpu runner"
+        )
     else:
-        for path, floor in SPEEDUP_FLOORS:
-            name = ".".join(path)
-            value = _lookup(current, path)
-            if value is None:
-                if _lookup(baseline, path) is not None:
-                    failures.append(
-                        f"{name}: present in baseline but missing from the "
-                        "current report -- the axis stopped being measured"
-                    )
-                else:
-                    notes.append(f"{name}: not in either report, skipped")
-                continue
-            if value < floor:
-                failures.append(
-                    f"{name}: {value:.2f}x is below the {floor:.2f}x floor "
-                    f"on a {cpus}-cpu runner"
-                )
-            else:
-                notes.append(f"{name}: {value:.2f}x >= {floor:.2f}x floor")
+        notes.append(f"{SPEEDUP_METRIC}: {speedup:.2f}x >= {SPEEDUP_FLOOR:.2f}x floor")
 
     return failures, notes
 

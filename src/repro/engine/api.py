@@ -343,7 +343,9 @@ def build_cells(request: CampaignRequest) -> List[GridCell]:
         try:
             validate_burst_durations(request.burst_durations)
         except ValueError:
-            raise ValueError("--burst-duration values must be positive seconds")
+            raise ValueError(
+                "--burst-duration values must be finite, positive seconds"
+            )
         unsupported = sorted(set(request.strategies) - BURST_STRATEGIES)
         if unsupported:
             raise ValueError(

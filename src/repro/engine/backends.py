@@ -36,7 +36,7 @@ import abc
 import multiprocessing
 import os
 import time
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.config import RunConfiguration
 from repro.core.runner import RunResult, TestRunner
@@ -45,9 +45,6 @@ from repro.obs import runtime as obs_runtime
 
 #: Per-batch context inherited by forked workers (config, monitor).
 _WORKER_CONTEXT: Optional[Tuple[RunConfiguration, object]] = None
-
-#: Callback type invoked as each result is collected (scenario index, result).
-ProgressCallback = Callable[[int, RunResult], None]
 
 
 def _fork_available() -> bool:
@@ -96,7 +93,6 @@ class ExecutionBackend(abc.ABC):
         config: RunConfiguration,
         monitor,
         scenarios: Sequence[FaultScenario],
-        on_result: Optional[ProgressCallback] = None,
     ) -> List[RunResult]:
         """Simulate every scenario; results are in submission order."""
 
@@ -117,12 +113,11 @@ class SerialBackend(ExecutionBackend):
         config: RunConfiguration,
         monitor,
         scenarios: Sequence[FaultScenario],
-        on_result: Optional[ProgressCallback] = None,
     ) -> List[RunResult]:
         runner = TestRunner(config, monitor=monitor)
         obs = obs_runtime.current()
         results: List[RunResult] = []
-        for index, scenario in enumerate(scenarios):
+        for scenario in scenarios:
             if obs is not None:
                 start = time.perf_counter()
             result = runner.run(scenario)
@@ -134,8 +129,6 @@ class SerialBackend(ExecutionBackend):
                 ).inc(execute_s)
                 obs.metrics.histogram("backend.task_seconds").observe(execute_s)
             results.append(result)
-            if on_result is not None:
-                on_result(index, result)
         return results
 
 
@@ -198,7 +191,6 @@ class ProcessPoolBackend(ExecutionBackend):
         config: RunConfiguration,
         monitor,
         scenarios: Sequence[FaultScenario],
-        on_result: Optional[ProgressCallback] = None,
     ) -> List[RunResult]:
         if (
             not scenarios
@@ -208,16 +200,14 @@ class ProcessPoolBackend(ExecutionBackend):
             # cannot spawn children; degrade to serial instead of failing.
             or multiprocessing.current_process().daemon
         ):
-            return self._serial_fallback.run_scenarios(
-                config, monitor, scenarios, on_result
-            )
+            return self._serial_fallback.run_scenarios(config, monitor, scenarios)
 
         pool = self._ensure_pool(config, monitor)
         obs = obs_runtime.current()
         submit_clock = time.perf_counter() if obs is not None else 0.0
         # In-flight scheduling: collect completions as the workers finish
         # them (imap_unordered has no head-of-line blocking, so a slow
-        # scenario never stalls the progress callback behind it) and
+        # scenario never stalls the collection of those behind it) and
         # reorder into submission order via the indices that rode along.
         slots: List[Optional[RunResult]] = [None] * len(scenarios)
         for index, result, timing in pool.imap_unordered(
@@ -248,8 +238,6 @@ class ProcessPoolBackend(ExecutionBackend):
                             "run.flight_events", kind=event.kind
                         ).inc()
             slots[index] = result
-            if on_result is not None:
-                on_result(index, result)
         assert all(result is not None for result in slots)
         return slots  # type: ignore[return-value]
 

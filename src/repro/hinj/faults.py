@@ -37,10 +37,17 @@ the latched ones.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.sensors.base import SensorId, SensorType
+
+
+def _is_window_length(duration: float) -> bool:
+    """True for a usable recovery window: finite and positive.  A NaN
+    window would never be active, an infinite one never recover."""
+    return math.isfinite(duration) and duration > 0.0
 
 
 class _WindowedSpec:
@@ -53,6 +60,17 @@ class _WindowedSpec:
     """
 
     __slots__ = ()
+
+    def _validate_window(self) -> None:
+        """Reject a start that is negative or not finite, and a
+        ``duration_s`` that is given but not finite and positive."""
+        if not (math.isfinite(self.start_time) and self.start_time >= 0.0):
+            raise ValueError(
+                "a fault starts at a finite time >= 0 "
+                "(it cannot start before the simulation begins)"
+            )
+        if self.duration_s is not None and not _is_window_length(self.duration_s):
+            raise ValueError("duration_s, when given, must be finite and positive")
 
     def active_at(self, time: float) -> bool:
         """True when the fault should be in effect at ``time``."""
@@ -127,10 +145,7 @@ class FaultSpec(_WindowedSpec):
     duration_s: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.start_time < 0.0:
-            raise ValueError("a fault cannot start before the simulation begins")
-        if self.duration_s is not None and self.duration_s <= 0.0:
-            raise ValueError("duration_s, when given, must be positive")
+        self._validate_window()
 
     @property
     def vehicle(self) -> int:
@@ -227,12 +242,9 @@ class TrafficFaultSpec(_WindowedSpec):
     def __post_init__(self) -> None:
         if self.vehicle < 0:
             raise ValueError("vehicle index cannot be negative")
-        if self.start_time < 0.0:
-            raise ValueError("a fault cannot start before the simulation begins")
+        self._validate_window()
         if self.extra_delay_s < 0.0:
             raise ValueError("extra_delay_s cannot be negative")
-        if self.duration_s is not None and self.duration_s <= 0.0:
-            raise ValueError("duration_s, when given, must be positive")
         if (
             self.kind != TrafficFaultKind.DELAY
             and self.extra_delay_s != DEFAULT_EXTRA_DELAY_S
@@ -338,8 +350,8 @@ class BurstFailure:
     def __post_init__(self) -> None:
         if isinstance(self.failure, BurstFailure):
             raise ValueError("burst handles do not nest")
-        if self.duration_s <= 0.0:
-            raise ValueError("a burst needs a positive duration")
+        if not _is_window_length(self.duration_s):
+            raise ValueError("a burst needs a finite, positive duration")
 
     @property
     def label(self) -> str:
@@ -375,8 +387,8 @@ def validate_burst_durations(durations: Sequence[float]) -> Tuple[float, ...]:
     family, ``Avis``, the CLI) applies to its ``burst_durations``.
     """
     durations = tuple(durations)
-    if any(duration <= 0.0 for duration in durations):
-        raise ValueError("burst durations must be positive")
+    if not all(_is_window_length(duration) for duration in durations):
+        raise ValueError("burst durations must be finite and positive")
     return durations
 
 

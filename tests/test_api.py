@@ -142,6 +142,10 @@ class TestCampaignRequest:
         dict(box_side=float("nan")),
         dict(workers=0),
         dict(workers=-2),
+        # A burst window is a finite number > 0.
+        dict(strategies=("avis",), burst_durations=(float("nan"),)),
+        dict(strategies=("avis",), burst_durations=(float("inf"),)),
+        dict(strategies=("avis",), burst_durations=(0.0,)),
         # A repeated axis value repeats a cell id; ids render budgets
         # with :g, so distinct floats can collide too.
         dict(budgets=(1.0, 1.0)),

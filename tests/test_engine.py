@@ -712,23 +712,15 @@ class TestProcessPoolBackend:
         expected = SerialBackend().run_scenarios(
             short_auto_config, None, scenarios
         )
-        seen = []
         backend = ProcessPoolBackend(max_workers=2)
         try:
-            results = backend.run_scenarios(
-                short_auto_config, None, scenarios,
-                on_result=lambda index, result: seen.append((index, result)),
-            )
+            results = backend.run_scenarios(short_auto_config, None, scenarios)
         finally:
             backend.close()
         assert [r.scenario for r in results] == scenarios
         assert [r.summary() for r in results] == [
             r.summary() for r in expected
         ]
-        # One callback per scenario, each carrying that scenario's result.
-        assert sorted(index for index, _ in seen) == list(range(len(scenarios)))
-        for index, result in seen:
-            assert result is results[index]
 
     def test_pool_persists_while_the_context_is_unchanged(
         self, short_auto_config

@@ -579,6 +579,43 @@ class TestHarnessBitIdentity:
             assert harness.simulator.clock.ticks == total
 
 
+#: Beacon faults on the convoy lead: latched DROPOUT/FREEZE at
+#: 12 + 9i s, then 20 s DROPOUT bursts at 9 + 2i s (recovery re-engages
+#: the follower's tracking loop mid-mission).
+CONVOY_VERDICT_SCENARIOS = [
+    FaultScenario(
+        [
+            TrafficFaultSpec(
+                0,
+                (TrafficFaultKind.DROPOUT, TrafficFaultKind.FREEZE)[index % 2],
+                12.0 + 9.0 * index,
+            )
+        ]
+    )
+    for index in range(4)
+] + [
+    FaultScenario(
+        [
+            TrafficFaultSpec(
+                0, TrafficFaultKind.DROPOUT, 9.0 + 2.0 * index, duration_s=20.0
+            )
+        ]
+    )
+    for index in range(4)
+]
+
+
+def verdict_signature(result):
+    """What a run concluded, independent of how it was stepped: outcome,
+    collision presence, and the traffic injection/recovery record."""
+    return (
+        result.workload_result.outcome.value if result.workload_result else "n/a",
+        bool(result.collisions),
+        len(result.traffic_injections),
+        sum(1 for record in result.traffic_injections if record.recovered),
+    )
+
+
 class TestAdaptiveRun:
     def test_mission_passes_and_fuses_windows(self):
         with observed(Observability()) as obs:
@@ -620,6 +657,15 @@ class TestAdaptiveRun:
                 (record.sensor_id, record.scheduled_time, record.duration_s)
                 for record in reference.injections
             ]
+
+    @pytest.mark.parametrize(
+        "scenario", CONVOY_VERDICT_SCENARIOS, ids=lambda scenario: scenario.describe()
+    )
+    def test_convoy_verdicts_match_reference(self, hazard_config, scenario):
+        """A faster stepper that changes a verdict is a bug, not a win."""
+        reference = TestRunner(hazard_config).run(scenario)
+        adaptive = TestRunner(replace(hazard_config, stepper="adaptive")).run(scenario)
+        assert verdict_signature(adaptive) == verdict_signature(reference)
 
 
 @pytest.fixture(scope="module")

@@ -40,6 +40,7 @@ from repro.hinj.faults import (
     TrafficFaultSpec,
     burst_failures,
     spec_for,
+    validate_burst_durations,
 )
 from repro.hinj.scheduler import FaultScheduler
 from repro.mavlink.traffic import TrafficChannel
@@ -97,6 +98,26 @@ class TestWindowedSpecGrammar:
             FaultSpec(GPS, 2.0, duration_s=0.0)
         with pytest.raises(ValueError):
             TrafficFaultSpec(0, TrafficFaultKind.DROPOUT, 2.0, duration_s=-1.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_windows_are_rejected(self, bad):
+        # A NaN window is never active and an infinite one never
+        # recovers, so neither is a burst.
+        with pytest.raises(ValueError, match="finite"):
+            FaultSpec(GPS, 5.0, duration_s=bad)
+        with pytest.raises(ValueError, match="finite"):
+            TrafficFaultSpec(0, TrafficFaultKind.DROPOUT, 5.0, duration_s=bad)
+        with pytest.raises(ValueError, match="finite"):
+            BurstFailure(GPS, bad)
+        with pytest.raises(ValueError, match="finite"):
+            validate_burst_durations((3.0, bad))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_start_time_must_be_finite_and_non_negative(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            FaultSpec(GPS, bad)
+        with pytest.raises(ValueError, match="finite"):
+            TrafficFaultSpec(0, TrafficFaultKind.FREEZE, bad)
 
     def test_windowed_and_latched_specs_are_distinct(self):
         latched = FaultSpec(GPS, 2.0)

@@ -534,37 +534,42 @@ def _load_check_regression():
 
 
 class TestCheckRegressionReporting:
-    def _report(self, **seconds):
-        report = {"calibration_s": 1.0, "usable_cpus": 1}
-        for axis, value in seconds.items():
-            if axis == "seconds_per_simulation":
-                report[axis] = value
-            else:
-                report[axis] = {"seconds_per_simulation": value}
-        return report
+    def _report(self, speedup=1.5, **rates):
+        physics = {
+            entry: {"reference_steps_per_s": rate} for entry, rate in rates.items()
+        }
+        return {
+            "calibration_s": 1.0,
+            "usable_cpus": 2,
+            "speedup_workers2": speedup,
+            "physics": physics,
+        }
 
     def test_passing_axes_print_measured_vs_baseline(self):
         check_regression = _load_check_regression()
 
         failures, notes = check_regression.check_regression(
-            self._report(seconds_per_simulation=1.0, sabre=2.0),
-            self._report(seconds_per_simulation=1.1, sabre=1.9),
+            self._report(fleet1=1000.0, fleet2=500.0),
+            self._report(fleet1=900.0, fleet2=520.0),
         )
         assert failures == []
-        passing = [note for note in notes if "within allowed" in note]
+        passing = [note for note in notes if "above floor" in note]
         assert len(passing) == 2
         assert any(
-            "measured 1.1000s/sim vs baseline 1.0000s/sim" in note
+            "physics.fleet1.reference_steps_per_s: measured 900 steps/s "
+            "vs baseline 1000 steps/s" in note
             for note in passing
         )
+        assert any("speedup_workers2: 1.50x >= 1.00x floor" in n for n in notes)
 
     def test_every_failing_axis_is_reported(self):
         check_regression = _load_check_regression()
 
         failures, _ = check_regression.check_regression(
-            self._report(seconds_per_simulation=1.0, sabre=1.0, traffic=1.0),
-            self._report(seconds_per_simulation=9.0, sabre=9.0, traffic=1.0),
+            self._report(fleet1=1000.0, fleet2=1000.0, fleet3=1000.0),
+            self._report(speedup=0.5, fleet1=100.0, fleet2=1000.0, fleet3=100.0),
         )
-        assert len(failures) == 2
-        assert any("seconds_per_simulation:" in failure for failure in failures)
-        assert any(failure.startswith("sabre.") for failure in failures)
+        assert len(failures) == 3
+        assert any(failure.startswith("physics.fleet1.") for failure in failures)
+        assert any(failure.startswith("physics.fleet3.") for failure in failures)
+        assert any(failure.startswith("speedup_workers2:") for failure in failures)
