@@ -20,11 +20,16 @@ driver reports healthy readings again from the next read on.
 from __future__ import annotations
 
 import enum
+import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.sim.state import VehicleState
+
+# The constants and functions ``random.Random.gauss`` uses, bound once.
+_TWO_PI = 2.0 * math.pi
+_cos, _log, _sin, _sqrt = math.cos, math.log, math.sin, math.sqrt
 
 
 class SensorType(enum.Enum):
@@ -252,6 +257,33 @@ class SensorDriver:
         if sigma <= 0.0:
             return 0.0
         return self._rng.gauss(0.0, sigma)
+
+    def _normals(self, count: int) -> List[float]:
+        """``count`` standard normal deviates in one pass.
+
+        State-exact batching of ``count`` calls to ``rng.gauss(0, 1)``:
+        the same inlined Box-Muller transform ``random.Random.gauss``
+        runs, consuming and leaving the RNG state -- the cached second
+        deviate ``gauss_next`` included -- exactly as those calls would.
+        Each deviate is the ``z`` that ``gauss(0.0, sigma)`` scales, so a
+        caller computing ``0.0 + z * sigma`` gets ``gauss(0.0, sigma)``
+        bit for bit.
+        """
+        rng = self._rng
+        uniform = rng.random
+        pending = rng.gauss_next
+        values = []
+        for _ in range(count):
+            if pending is not None:
+                values.append(pending)
+                pending = None
+            else:
+                x2pi = uniform() * _TWO_PI
+                g2rad = _sqrt(-2.0 * _log(1.0 - uniform()))
+                values.append(_cos(x2pi) * g2rad)
+                pending = _sin(x2pi) * g2rad
+        rng.gauss_next = pending
+        return values
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         status = "failed" if self._failed else "healthy"

@@ -38,14 +38,15 @@ class BatteryMonitor(SensorDriver):
         # a battery fault is injected.
         used_fraction = min(state.time / self.NOMINAL_ENDURANCE_S, 1.0)
         remaining = 1.0 - used_fraction
+        z_voltage, z_current = self._normals(2)
         voltage = (
             self.EMPTY_VOLTAGE
             + (self.FULL_VOLTAGE - self.EMPTY_VOLTAGE) * remaining
-            + self._noise(0.02)
+            + (0.0 + z_voltage * 0.02)
         )
         current = 15.0 if state.armed and not state.on_ground else 0.5
         return {
             "voltage": voltage,
-            "current": current + self._noise(0.1),
+            "current": current + (0.0 + z_current * 0.1),
             "remaining": remaining,
         }

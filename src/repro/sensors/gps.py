@@ -39,15 +39,20 @@ class GpsReceiver(SensorDriver):
     def _measure(self, state: VehicleState) -> Dict[str, float]:
         north, east, up = state.position
         vel_north, vel_east, vel_up = state.velocity
-        noisy_alt = up + self._noise(self.VERTICAL_SIGMA)
+        # One draw per noisy channel, in the order the channels were
+        # always drawn: altitude first.
+        z_alt, z_north, z_east, z_vn, z_ve, z_vu = self._normals(6)
+        noisy_alt = up + (0.0 + z_alt * self.VERTICAL_SIGMA)
         quantised_alt = round(noisy_alt / self.VERTICAL_RESOLUTION) * self.VERTICAL_RESOLUTION
+        horizontal = self.HORIZONTAL_SIGMA
+        velocity = self.VELOCITY_SIGMA
         return {
-            "north": north + self._noise(self.HORIZONTAL_SIGMA),
-            "east": east + self._noise(self.HORIZONTAL_SIGMA),
+            "north": north + (0.0 + z_north * horizontal),
+            "east": east + (0.0 + z_east * horizontal),
             "altitude": quantised_alt,
-            "vel_north": vel_north + self._noise(self.VELOCITY_SIGMA),
-            "vel_east": vel_east + self._noise(self.VELOCITY_SIGMA),
-            "vel_up": vel_up + self._noise(self.VELOCITY_SIGMA),
+            "vel_north": vel_north + (0.0 + z_vn * velocity),
+            "vel_east": vel_east + (0.0 + z_ve * velocity),
+            "vel_up": vel_up + (0.0 + z_vu * velocity),
             "satellites": 14.0,
             "hdop": 0.8,
         }

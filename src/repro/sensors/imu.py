@@ -36,10 +36,13 @@ class Gyroscope(SensorDriver):
 
     def _measure(self, state: VehicleState) -> Dict[str, float]:
         roll_rate, pitch_rate, yaw_rate = state.angular_rate
+        bias = self._bias
+        sigma = self.NOISE_SIGMA
+        z_roll, z_pitch, z_yaw = self._normals(3)
         return {
-            "roll_rate": roll_rate + self._bias[0] + self._noise(self.NOISE_SIGMA),
-            "pitch_rate": pitch_rate + self._bias[1] + self._noise(self.NOISE_SIGMA),
-            "yaw_rate": yaw_rate + self._bias[2] + self._noise(self.NOISE_SIGMA),
+            "roll_rate": roll_rate + bias[0] + (0.0 + z_roll * sigma),
+            "pitch_rate": pitch_rate + bias[1] + (0.0 + z_pitch * sigma),
+            "yaw_rate": yaw_rate + bias[2] + (0.0 + z_yaw * sigma),
         }
 
 
@@ -82,8 +85,11 @@ class Accelerometer(SensorDriver):
             + forward * math.sin(pitch)
             - right * math.sin(roll)
         )
+        bias = self._bias
+        sigma = self.NOISE_SIGMA
+        z_x, z_y, z_z = self._normals(3)
         return {
-            "accel_x": body_x + self._bias[0] + self._noise(self.NOISE_SIGMA),
-            "accel_y": body_y + self._bias[1] + self._noise(self.NOISE_SIGMA),
-            "accel_z": body_z + self._bias[2] + self._noise(self.NOISE_SIGMA),
+            "accel_x": body_x + bias[0] + (0.0 + z_x * sigma),
+            "accel_y": body_y + bias[1] + (0.0 + z_y * sigma),
+            "accel_z": body_z + bias[2] + (0.0 + z_z * sigma),
         }

@@ -1,6 +1,7 @@
 """Unit tests for the sensor models and the sensor suite."""
 
 import math
+import random
 
 import pytest
 
@@ -84,6 +85,39 @@ class TestIndividualSensors:
         first = Gyroscope(noise_seed=1).read(state_at(), 1.0)
         second = Gyroscope(noise_seed=2).read(state_at(), 1.0)
         assert first.values != second.values
+
+
+class TestBatchedNoise:
+    """``SensorDriver._normals`` is k ``gauss(0, 1)`` calls, state-exact."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_normals_match_sequential_gauss(self, seed):
+        driver = Gyroscope(noise_seed=seed)
+        reference = random.Random()
+        reference.setstate(driver._rng.getstate())
+        # Odd counts leave a cached second deviate (``gauss_next``) for
+        # the next batch to consume first.
+        for count in (3, 1, 6, 2, 0, 5, 3):
+            assert driver._normals(count) == [reference.gauss(0, 1) for _ in range(count)]
+            assert driver._rng.getstate() == reference.getstate()
+
+    @pytest.mark.parametrize(
+        "driver_class", [Gyroscope, Accelerometer, GpsReceiver, BatteryMonitor]
+    )
+    def test_readings_match_one_gauss_call_per_channel(self, driver_class, monkeypatch):
+        batched = driver_class(noise_seed=5)
+        sequential = driver_class(noise_seed=5)
+        monkeypatch.setattr(
+            sequential,
+            "_normals",
+            lambda count: [sequential._rng.gauss(0.0, 1.0) for _ in range(count)],
+        )
+        for step in range(40):
+            state = state_at(altitude=10.0 + 0.37 * step, yaw=0.01 * step)
+            assert batched.read(state, step * 0.02).values == sequential.read(
+                state, step * 0.02
+            ).values
+        assert batched._rng.getstate() == sequential._rng.getstate()
 
 
 class TestCleanFailureSemantics:
