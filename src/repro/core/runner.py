@@ -460,6 +460,15 @@ class SimulationHarness:
         self.gcs = lead.gcs
         self.firmware: ControlFirmware = lead.firmware
 
+        # A fault no injection log can record -- a sensor fault on a
+        # vehicle outside the fleet, a coordination fault without a
+        # traffic channel -- keeps the run from ever parking.
+        logged = sum(len(unit.scheduler.scenario) for unit in self._units)
+        if self.traffic is not None:
+            logged += len(scenario.traffic_faults)
+        self._parkable = logged == len(scenario)
+        self._parked_at: Optional[float] = None
+
         self._traces: List[List[TraceSample]] = [[] for _ in self._units]
         self._steps = 0
         self._abort = False
@@ -542,6 +551,39 @@ class SimulationHarness:
     def should_abort(self) -> bool:
         """True when the workload should stop stepping."""
         return self._abort
+
+    def parked(self) -> bool:
+        """True when no vehicle can change the run's verdict any more.
+
+        Every vehicle's firmware is disarmed and its airframe rests on
+        the ground, every scheduled sensor fault has been injected and
+        every recovering one recovered (by the schedulers' injection
+        logs), and the same holds for coordination faults.  From here a
+        run only records samples Equation 1 excuses (disarmed on the
+        ground), the safe-mode progress rule skips (on the ground), and
+        that cannot collide or lose separation (zero thrust at rest); no
+        fault is left to trigger a bug, and every recovery-tolerance
+        window the offline verdict grants has already closed.  Only an
+        arm request can end the state, and the arm helpers, the only
+        callers of ``gcs.arm()``, never consult this.
+
+        The workload framework ends a wait at the first poll where this
+        holds (the parked exit); that poll's time is kept for the
+        flight recorder.
+        """
+        if not self._parkable:
+            return False
+        simulator = self.simulator
+        for unit in self._units:
+            if unit.firmware.armed or not simulator.state_of(unit.vehicle).on_ground:
+                return False
+            if not unit.scheduler.settled:
+                return False
+        if self.traffic is not None and not self.traffic.settled:
+            return False
+        if self._parked_at is None:
+            self._parked_at = self.time
+        return True
 
     # ------------------------------------------------------------------
     # Adaptive-stepper hooks
@@ -820,6 +862,14 @@ class SimulationHarness:
                     )
                 )
         events.extend(self.simulator.safety_events())
+        if self._parked_at is not None:
+            events.append(
+                FlightEvent(
+                    self._parked_at,
+                    "run.parked",
+                    "every vehicle disarmed on the ground, no fault pending",
+                )
+            )
         events.sort(key=lambda event: (event.time_s, event.kind, event.detail))
         self._recorder.record_all(events)
 
@@ -865,10 +915,7 @@ class TestRunner:
             result = self._run(scenario, noise_seed)
             span_args["unsafe"] = result.found_unsafe_condition
         if result.flight_log is not None:
-            for phase, seconds in result.flight_log.phase_seconds.items():
-                obs.metrics.counter("run.phase_seconds", phase=phase).inc(seconds)
-            for event in result.flight_log.events:
-                obs.metrics.counter("run.flight_events", kind=event.kind).inc()
+            result.flight_log.count_into(obs.metrics)
         return result
 
     def _run(

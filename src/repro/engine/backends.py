@@ -229,14 +229,7 @@ class ProcessPoolBackend(ExecutionBackend):
                 # log that travelled back with the result.
                 log = getattr(result, "flight_log", None)
                 if log is not None:
-                    for phase, seconds in log.phase_seconds.items():
-                        obs.metrics.counter(
-                            "run.phase_seconds", phase=phase
-                        ).inc(seconds)
-                    for event in log.events:
-                        obs.metrics.counter(
-                            "run.flight_events", kind=event.kind
-                        ).inc()
+                    log.count_into(obs.metrics)
             slots[index] = result
         assert all(result is not None for result in slots)
         return slots  # type: ignore[return-value]

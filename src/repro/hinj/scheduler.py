@@ -212,6 +212,18 @@ class FaultScheduler:
         """The sensor instances failed so far."""
         return {self._records[index].sensor_id for index in self._injection_order}
 
+    @property
+    def settled(self) -> bool:
+        """True once the injection log is complete: every scheduled fault
+        has been injected and every recovering one has recovered, so no
+        later read can add a record or a recovery stamp."""
+        for fault, record in zip(self._faults, self._records):
+            if record is None:
+                return False
+            if fault.recovers and record.recovered_time is None:
+                return False
+        return True
+
     def pending_faults(self, time: float) -> List[SensorId]:
         """Sensor instances with scheduled faults not yet applied at ``time``."""
         pending = []

@@ -302,6 +302,19 @@ class TrafficChannel:
         )
 
     @property
+    def settled(self) -> bool:
+        """True once every scheduled coordination fault has been applied
+        and every recovering one has recovered on the air."""
+        for faults in self._faults.values():
+            for fault in faults:
+                record = self._injected.get(fault)
+                if record is None:
+                    return False
+                if fault.recovers and record.recovered_time is None:
+                    return False
+        return True
+
+    @property
     def stats(self) -> Dict[str, int]:
         """Broadcast/delivery/drop counters."""
         return {

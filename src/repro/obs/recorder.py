@@ -37,8 +37,9 @@ class FlightEvent:
     ``kind`` is a stable dotted tag (``fault.injected``,
     ``fault.recovered``, ``traffic.injected``, ``traffic.recovered``,
     ``mode.transition``, ``proximity.conflict``, ``safety.collision``,
-    ``safety.fence_breach``); ``detail`` is a human-readable suffix and
-    ``vehicle`` names the aircraft involved when there is one.
+    ``safety.fence_breach``, ``run.parked``); ``detail`` is a
+    human-readable suffix and ``vehicle`` names the aircraft involved
+    when there is one.
     """
 
     time_s: float
@@ -73,6 +74,18 @@ class FlightLog:
     #: class-attribute default: logs pickled by older engines unpickle
     #: against it.
     stepper: str = "reference"
+
+    def count_into(self, metrics) -> None:
+        """Add this run to ``metrics``: ``run.phase_seconds`` per phase,
+        ``run.flight_events`` per event kind, and ``run.parked`` when
+        the run took the parked exit.  Serial runs and pool workers'
+        results are counted the same way, from the log."""
+        for phase, seconds in self.phase_seconds.items():
+            metrics.counter("run.phase_seconds", phase=phase).inc(seconds)
+        for event in self.events:
+            metrics.counter("run.flight_events", kind=event.kind).inc()
+            if event.kind == "run.parked":
+                metrics.counter("run.parked").inc()
 
     def as_dict(self) -> Dict[str, object]:
         """JSON-serialisable rendering."""

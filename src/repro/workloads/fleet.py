@@ -82,6 +82,12 @@ class FleetTarget(Target):
             )
         )
 
+    def _telemetry_disarmed(self) -> bool:
+        """True when every fleet member's telemetry reports disarmed."""
+        return not any(
+            self.vehicle(index).telemetry.armed for index in range(self.fleet_size)
+        )
+
     def check_fleet(self) -> None:
         """Fail fast when the harness hosts fewer vehicles than needed."""
         available = getattr(self._harness, "fleet_size", 1)
@@ -110,7 +116,8 @@ class FleetTarget(Target):
                     last_request[index] = self._harness.time
             return armed
 
-        self.wait_until(all_armed, timeout_s=timeout_s, description="fleet to arm")
+        self._wait(all_armed, timeout_s, "fleet to arm", parked_exit=False)
+        self._arming_done = True
 
     def takeoff_fleet(
         self,

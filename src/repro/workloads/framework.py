@@ -10,6 +10,25 @@ workload.
 The harness object a workload runs against is provided by Avis's test
 runner (:mod:`repro.core.runner`); the framework only relies on the small
 interface documented on :class:`Target`.
+
+A run ends in one of five ways:
+
+* **max sim time** -- the harness's ``max_sim_time_s`` budget runs out
+  mid-workload (``BUDGET_EXHAUSTED``);
+* **crash** -- the simulator records a collision, or a firmware process
+  dies, and the harness aborts (``BUDGET_EXHAUSTED``);
+* **online violation** -- the invariant monitor flags a trace sample
+  while the run executes and the harness aborts (``BUDGET_EXHAUSTED``);
+* **workload timeout** -- a wait's condition stays false for its whole
+  timeout (``TIMEOUT``);
+* **parked exit** -- a wait after the arming handshake finds every
+  vehicle disarmed on the ground with no fault left to inject or
+  recover (``FAILED``, "vehicle disarmed on the ground while waiting
+  for ..."): nothing the run could still record would change its
+  verdict, so it stops instead of waiting out the timeout.
+
+Otherwise the workload finishes its body (``PASSED`` once it called
+:meth:`Target.pass_test`).
 """
 
 from __future__ import annotations
@@ -89,6 +108,10 @@ class Target:
     ``should_abort()``
         True when the harness wants the workload to stop early (for
         example because the invariant monitor already found a violation).
+    ``parked()`` (optional)
+        True when every vehicle is disarmed on the ground and no fault
+        is left to inject or recover.  Harnesses without it never end a
+        wait early.
     """
 
     #: Name used in reports; defaults to the class name.
@@ -99,6 +122,9 @@ class Target:
     def __init__(self) -> None:
         self._harness = None
         self._passed = False
+        # Set once an arm helper's handshake returned: only then can a
+        # disarmed vehicle on the ground mean the flight is over.
+        self._arming_done = False
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -216,20 +242,48 @@ class Target:
         """Step the simulation until ``predicate()`` holds.
 
         Raises :class:`WorkloadTimeout` if the condition is still false
-        after ``timeout_s`` simulated seconds.
+        after ``timeout_s`` simulated seconds.  After the arming
+        handshake, raises :class:`WorkloadFailure` at the first poll
+        where the condition is false, every vehicle's telemetry reports
+        disarmed and the harness reports every vehicle parked (see
+        :meth:`SimulationHarness.parked
+        <repro.core.runner.SimulationHarness.parked>`): the run could
+        only step a vehicle at rest until the timeout, and nothing it
+        recorded would change the verdict.
         """
+        self._wait(predicate, timeout_s, description, parked_exit=self._arming_done)
+
+    def _wait(
+        self,
+        predicate: Callable[[], bool],
+        timeout_s: Optional[float],
+        description: str,
+        parked_exit: bool,
+    ) -> None:
+        """:meth:`wait_until`, with the parked exit on or off."""
         timeout = timeout_s if timeout_s is not None else self.default_timeout_s
         deadline = self._harness.time + timeout
         # Reference harnesses poll every step (stride 1, the classic
         # loop); an adaptive harness reports its fused-window stride so
         # waiting polls once per macro-step instead.
         stride = getattr(self._harness, "wait_stride", None)
+        parked = getattr(self._harness, "parked", None) if parked_exit else None
         while not predicate():
             if self._harness.time >= deadline:
                 raise WorkloadTimeout(
                     f"timed out after {timeout:.0f}s waiting for {description}"
                 )
+            # A flying vehicle reports armed, so this costs one telemetry
+            # read per poll until the fleet is on the ground.
+            if parked is not None and self._telemetry_disarmed() and parked():
+                raise WorkloadFailure(
+                    f"vehicle disarmed on the ground while waiting for {description}"
+                )
             self.step(stride() if stride is not None else 1)
+
+    def _telemetry_disarmed(self) -> bool:
+        """True when the workload's telemetry reports every vehicle disarmed."""
+        return not self._harness.telemetry.armed
 
     # ------------------------------------------------------------------
     # Mission construction (Figure 8 helpers)
@@ -312,7 +366,10 @@ class Target:
                 last_request = self._harness.time
             return self._harness.telemetry.armed
 
-        self.wait_until(armed, timeout_s=timeout_s, description="vehicle to arm")
+        # The handshake's own wait never takes the parked exit: waiting
+        # on the ground for the vehicle to arm is what it is for.
+        self._wait(armed, timeout_s, "vehicle to arm", parked_exit=False)
+        self._arming_done = True
 
     def enter_auto_mode(self) -> None:
         """Switch to the mission (AUTO) mode and start the mission."""

@@ -158,6 +158,83 @@ class TestWaitPrimitives:
         assert len([c for c in harness.gcs.calls if c[0] == "arm"]) >= 2
 
 
+class ParkedHarness(FakeHarness):
+    """A fake harness whose vehicle is always parked (disarmed at rest,
+    no fault pending); it arms on the first arm request."""
+
+    def __init__(self):
+        super().__init__()
+        self.parked_polls = 0
+        self.on_step = self._arm_on_request
+
+    @staticmethod
+    def _arm_on_request(harness):
+        if any(call[0] == "arm" for call in harness.gcs.calls):
+            harness.telemetry.armed = True
+
+    def parked(self):
+        self.parked_polls += 1
+        return True
+
+
+class TestParkedExit:
+    def test_waits_before_the_arming_handshake_never_park(self):
+        harness = ParkedHarness()
+        workload = SimplePassingWorkload()
+        workload.bind(harness)
+        with pytest.raises(WorkloadTimeout):
+            workload.wait_until(lambda: False, timeout_s=0.5, description="never")
+        assert harness.parked_polls == 0
+
+    def test_a_wait_after_arming_ends_on_a_parked_fleet(self):
+        harness = ParkedHarness()
+        workload = SimplePassingWorkload()
+        workload.bind(harness)
+        workload.arm_system_completely(timeout_s=5.0)
+        harness.telemetry.armed = False  # e.g. a fail-safe DISARM
+        start = harness.time
+        with pytest.raises(WorkloadFailure, match="disarmed on the ground while waiting for never"):
+            workload.wait_until(lambda: False, timeout_s=30.0, description="never")
+        assert harness.time == start
+
+    def test_armed_telemetry_skips_the_harness_check(self):
+        harness = ParkedHarness()
+        workload = SimplePassingWorkload()
+        workload.bind(harness)
+        workload.arm_system_completely(timeout_s=5.0)
+        with pytest.raises(WorkloadTimeout):
+            workload.wait_until(lambda: False, timeout_s=0.5, description="never")
+        assert harness.parked_polls == 0
+
+    def test_a_true_predicate_returns_normally(self):
+        harness = ParkedHarness()
+        workload = SimplePassingWorkload()
+        workload.bind(harness)
+        workload.arm_system_completely(timeout_s=5.0)
+        harness.telemetry.armed = False
+        workload.wait_disarmed(timeout_s=5.0)
+        assert harness.parked_polls == 0
+
+    def test_the_arm_wait_stays_exempt_on_a_second_arming(self):
+        harness = ParkedHarness()
+        workload = SimplePassingWorkload()
+        workload.bind(harness)
+        workload.arm_system_completely(timeout_s=5.0)
+        harness.telemetry.armed = False
+        harness.gcs.calls.clear()
+        workload.arm_system_completely(timeout_s=5.0)
+        assert harness.telemetry.armed
+        assert harness.parked_polls == 0
+
+    def test_harnesses_without_the_predicate_never_park(self):
+        harness = FakeHarness()
+        workload = SimplePassingWorkload()
+        workload.bind(harness)
+        workload._arming_done = True
+        with pytest.raises(WorkloadTimeout):
+            workload.wait_until(lambda: False, timeout_s=0.5, description="never")
+
+
 class TestMissionBuilders:
     def setup_method(self):
         self.harness = FakeHarness()
