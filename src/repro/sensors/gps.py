@@ -39,8 +39,8 @@ class GpsReceiver(SensorDriver):
     def _measure(self, state: VehicleState) -> Dict[str, float]:
         north, east, up = state.position
         vel_north, vel_east, vel_up = state.velocity
-        # One draw per noisy channel, in the order the channels were
-        # always drawn: altitude first.
+        # One draw per noisy channel; the RNG stream fixes the order,
+        # altitude first.
         z_alt, z_north, z_east, z_vn, z_ve, z_vu = self._normals(6)
         noisy_alt = up + (0.0 + z_alt * self.VERTICAL_SIGMA)
         quantised_alt = round(noisy_alt / self.VERTICAL_RESOLUTION) * self.VERTICAL_RESOLUTION

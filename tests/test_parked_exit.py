@@ -232,21 +232,16 @@ class TestFleetParks:
             fleet_size=2,
             max_sim_time_s=12.0,
         )
-        harnesses = []
-        original_init = SimulationHarness.__init__
-
-        def keep(self, *args, **kwargs):
-            original_init(self, *args, **kwargs)
-            harnesses.append(self)
-
         scenario = FaultScenario([FaultSpec(BATTERY, AFTER_ARMING_S)])
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(SimulationHarness, "__init__", keep)
-            result = TestRunner(config).run(scenario)
+        harness = SimulationHarness(config, scenario)
+        workload = config.workload_factory()
+        workload.bind(harness)
+        result = workload.run()
         # Vehicle 0 is parked on its pad, but vehicle 1 flies the
         # mission, so the run goes on to the end of its time budget.
-        assert result.workload_result.outcome == WorkloadOutcome.BUDGET_EXHAUSTED
-        assert not harnesses[0].parked()
+        assert result.outcome == WorkloadOutcome.BUDGET_EXHAUSTED
+        assert not harness.vehicle(0).firmware.armed
+        assert not harness.parked()
 
 
 class TestObservability:
