@@ -121,13 +121,11 @@ class RunConfiguration:
         lock-step loop one micro-step per control period; ``adaptive``
         additionally fuses micro-steps while no fault window, workload
         checkpoint, mode transition or proximity hazard is near (same
-        safety verdicts, distinct cache keys).  ``soa`` is accepted as
-        an alias of ``reference`` (the name of a physics core since
-        merged into it) and is stored as ``reference``.
+        safety verdicts, distinct cache keys).
     """
 
-    #: Stepping modes accepted by :attr:`stepper` (``soa`` is an alias).
-    STEPPERS = ("reference", "soa", "adaptive")
+    #: Stepping modes accepted by :attr:`stepper`.
+    STEPPERS = ("reference", "adaptive")
 
     firmware_class: Type[ControlFirmware] = ArduPilotFirmware
     workload_factory: Callable[[], Target] = AutoWorkload
@@ -176,8 +174,6 @@ class RunConfiguration:
             raise ValueError(
                 f"unknown stepper {self.stepper!r}; expected one of {self.STEPPERS}"
             )
-        if self.stepper == "soa":
-            self.stepper = "reference"
 
     def with_noise_seed(self, noise_seed: int) -> "RunConfiguration":
         """Return a copy of the configuration with a different noise seed."""

@@ -51,9 +51,8 @@ from repro.sim.state import VehicleState
 from repro.workloads.framework import Target, WorkloadResult
 
 if TYPE_CHECKING:
-    # Annotation-only: the recorder is imported at runtime inside the
-    # observability-gated call sites so an uninstrumented run never
-    # loads it (the inert-by-default contract, enforced by OBS002).
+    # Annotation-only: the observability-gated call sites import the
+    # recorder when they run.
     from repro.obs.recorder import FlightEvent, FlightLog
 
 #: Noise-seed stride between fleet members: vehicle ``v`` uses

@@ -435,10 +435,8 @@ def build_cells(request: CampaignRequest) -> List[GridCell]:
                 if request.traffic_faults:
                     workload_id += "+traffic"
             if request.stepper != "reference":
-                # Non-default spellings mark the cell id so streams and
-                # resumes distinguish them at a glance.  'soa' keeps its
-                # '+soa' cell ids (old streams still resume) while its
-                # configs, and so its cache keys, are 'reference'.
+                # Non-default steppers mark the cell id so streams and
+                # resumes distinguish them at a glance.
                 workload_id += f"+{request.stepper}"
             for strategy_name in request.strategies:
                 for budget in request.budgets:

@@ -171,7 +171,9 @@ class ProcessPoolBackend(ExecutionBackend):
             if held_config is config and held_monitor is monitor:
                 return self._pool
             self.close()
-        global _WORKER_CONTEXT  # repro-lint: disable=FAB003 -- set immediately before the pool forks so workers inherit the run context
+        # Fork safety: set immediately before the pool forks so workers inherit
+        # the run context.
+        global _WORKER_CONTEXT
         _WORKER_CONTEXT = (config, monitor)
         try:
             # The pool is created while the context global is set, so

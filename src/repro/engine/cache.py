@@ -94,8 +94,7 @@ def config_fingerprint(config: RunConfiguration, workload_name: str) -> str:
         ):
             parts.append(f"traffic={interval!r}/{latency!r}")
     # The stepper term appears only for modes that can change what a run
-    # records; its absence keeps every pre-stepper key format unperturbed
-    # (the "soa" alias is stored as "reference", so it shares those keys).
+    # records; its absence keeps every pre-stepper key format unperturbed.
     if config.stepper != "reference":
         parts.append(f"stepper={config.stepper}")
     # The environment shapes every trajectory (wind, obstacles, fences,

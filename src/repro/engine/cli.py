@@ -126,8 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
         "the lock-step loop at one micro-step per control period, "
         "'adaptive' additionally fuses micro-steps while no fault "
         "window, checkpoint, mode transition or proximity hazard is near "
-        "(same verdicts, own cache keys); 'soa' is an alias of "
-        "'reference' kept for old streams (its cells keep '+soa' ids)",
+        "(same verdicts, own cache keys)",
     )
     parser.add_argument(
         "--strategy", dest="strategies", nargs="+", choices=sorted(STRATEGIES),

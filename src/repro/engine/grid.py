@@ -527,7 +527,9 @@ class CampaignGrid:
                     if not uses[key]:
                         del profiles[key]
             else:
-                global _GRID_CELLS  # repro-lint: disable=FAB003 -- set immediately before fork so workers inherit the parent's cells by design
+                # Fork safety: set immediately before fork so workers inherit
+                # the parent's cells by design.
+                global _GRID_CELLS
                 _GRID_CELLS = self._cells
                 context = multiprocessing.get_context("fork")
                 try:

@@ -17,7 +17,7 @@ them into the upstream code base.
 """
 
 from repro.firmware.ardupilot import ArduPilotFirmware
-from repro.firmware.base import ControlFirmware, FirmwareCrashed
+from repro.firmware.base import ControlFirmware
 from repro.firmware.bugs import (
     ARDUPILOT_LATENT_BUGS,
     KNOWN_BUGS,
@@ -43,7 +43,6 @@ __all__ = [
     "ControlFirmware",
     "EffectScript",
     "EstimatorStatus",
-    "FirmwareCrashed",
     "FirmwareParameters",
     "FlightMode",
     "KNOWN_BUGS",

@@ -49,15 +49,6 @@ from repro.sim.physics import ActuatorCommand
 from repro.sim.vehicle import IRIS_QUADCOPTER, AirframeParameters
 
 
-class FirmwareCrashed(Exception):
-    """Raised when the firmware process dies (a software crash).
-
-    The invariant monitor's safety rule "checks if the firmware process
-    is still running"; raising this exception is the in-process analogue
-    of the process exiting.
-    """
-
-
 class ControlFirmware:
     """A generic multicopter firmware; flavours specialise naming and bugs."""
 

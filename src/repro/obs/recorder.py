@@ -68,9 +68,8 @@ class FlightLog:
     capacity: int = DEFAULT_CAPACITY
     phase_seconds: Dict[str, float] = field(default_factory=dict)
     #: The stepping mode the phase records were produced under
-    #: (``reference`` / ``adaptive``; the ``soa`` alias is recorded as
-    #: ``reference``, never under its own name), so trace diffs can
-    #: attribute per-phase speedups to skipped quiescence.  A plain
+    #: (``reference`` / ``adaptive``), so trace diffs can attribute
+    #: per-phase speedups to skipped quiescence.  A plain
     #: class-attribute default: logs pickled by older engines unpickle
     #: against it.
     stepper: str = "reference"

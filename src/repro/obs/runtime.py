@@ -58,14 +58,18 @@ def current() -> Optional[Observability]:
 
 def install(obs: Observability) -> Observability:
     """Make ``obs`` the process-wide runtime (replacing any prior one)."""
-    global _ACTIVE  # repro-lint: disable=FAB003 -- the gate's one process-wide slot; workers deliberately inherit the inert default
+    # Fork safety: the gate's one process-wide slot; workers deliberately
+    # inherit the inert default.
+    global _ACTIVE
     _ACTIVE = obs
     return obs
 
 
 def uninstall() -> None:
     """Return the process to the inert default."""
-    global _ACTIVE  # repro-lint: disable=FAB003 -- the gate's one process-wide slot; workers deliberately inherit the inert default
+    # Fork safety: the gate's one process-wide slot; workers deliberately
+    # inherit the inert default.
+    global _ACTIVE
     _ACTIVE = None
 
 
@@ -77,7 +81,9 @@ def observed(obs: Optional[Observability] = None) -> Iterator[Observability]:
     block raises, so tests and grid cells cannot leak instrumentation
     into later work.
     """
-    global _ACTIVE  # repro-lint: disable=FAB003 -- the gate's one process-wide slot; restored on exit even when the block raises
+    # Fork safety: the gate's one process-wide slot; restored on exit even when
+    # the block raises.
+    global _ACTIVE
     previous = _ACTIVE
     _ACTIVE = obs if obs is not None else Observability()
     try:

@@ -7,6 +7,7 @@ fixtures are session-scoped so profiling is paid for once.
 
 from __future__ import annotations
 
+import hashlib
 from typing import List, Optional, Sequence
 
 import pytest
@@ -83,6 +84,46 @@ def make_run_result(
         duration_s=duration_s if duration_s is not None else trace[-1].time,
         steps=len(trace) * 5,
     )
+
+
+def line_digest(lines) -> str:
+    """A short SHA-256 over the ``repr`` of each line, in order."""
+    digest = hashlib.sha256()
+    for line in lines:
+        digest.update((repr(line) + "\n").encode("utf-8"))
+    return digest.hexdigest()[:20]
+
+
+def flight_lines(result: RunResult) -> list:
+    """Every observable of one flown run, without its cache key: traces,
+    mode transitions, event logs, injections, verdict inputs and step
+    count.  Two runs with equal lines flew the same flight."""
+    lines = list(result.trace)
+    lines += [
+        sample
+        for vehicle in sorted(result.vehicle_traces)
+        for sample in result.vehicle_traces[vehicle]
+    ]
+    lines += result.mode_transitions
+    lines += [
+        transition
+        for vehicle in sorted(result.vehicle_mode_transitions)
+        for transition in result.vehicle_mode_transitions[vehicle]
+    ]
+    lines += [
+        result.collisions,
+        result.fence_breaches,
+        result.injections,
+        result.failsafe_events,
+        result.triggered_bugs,
+        result.workload_result.outcome,
+        result.steps,
+        result.duration_s,
+        result.min_separation_m,
+        result.proximity_events,
+        result.traffic_injections,
+    ]
+    return lines
 
 
 def drive_batched(search, batch_size: int) -> None:

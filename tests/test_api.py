@@ -43,7 +43,7 @@ class TestCampaignRequest:
             "--budget", "8", "--fleet-size", "2",
             "--traffic-faults", "--separation-aware",
             "--burst-duration", "5",
-            "--backend", "pool:2", "--stepper", "soa",
+            "--backend", "pool:2", "--stepper", "adaptive",
         ]
         args = build_parser().parse_args(argv)
         via_cli = build_cells(request_from_args(args))
@@ -57,7 +57,7 @@ class TestCampaignRequest:
             separation_aware=True,
             burst_durations=(5.0,),
             backend="pool:2",
-            stepper="soa",
+            stepper="adaptive",
         )
         via_request = build_cells(request)
         assert [c.cell_id for c in via_cli] == [c.cell_id for c in via_request]
@@ -65,42 +65,8 @@ class TestCampaignRequest:
             cell_fingerprint(c) for c in via_request
         ]
         assert all(c.backend_spec == "pool:2" for c in via_request)
-        # 'soa' is an alias: configs are 'reference', ids keep '+soa'.
-        assert all(c.config.stepper == "reference" for c in via_request)
-        assert all("+soa" in c.cell_id for c in via_request)
-
-    def test_soa_streams_written_before_the_alias_still_resume(self, tmp_path):
-        # Cell ids and fingerprints a '--stepper soa' grid streamed when
-        # 'soa' still named its own physics core.
-        streamed = {
-            "ardupilot/convoy@fleet2+traffic+soa/avis+sep+burst5/8": "fc7bb590a6849ee8",
-            "ardupilot/waypoint+soa/avis+sep+burst5/8": "6f97e5b01b6bab88",
-            "px4/convoy@fleet2+traffic+soa/avis+sep+burst5/8": "6b3801a4d7848d93",
-            "px4/waypoint+soa/avis+sep+burst5/8": "d3c8cfeab5349cd2",
-        }
-        stream = tmp_path / "soa.jsonl"
-        stream.write_text(
-            "".join(
-                json.dumps({"cell": cell_id, "fingerprint": fingerprint}) + "\n"
-                for cell_id, fingerprint in streamed.items()
-            )
-        )
-        cells = build_cells(
-            CampaignRequest(
-                firmwares=("ardupilot", "px4"),
-                workloads=("convoy", "waypoint"),
-                strategies=("avis",),
-                budgets=(8.0,),
-                fleet_size=2,
-                traffic_faults=True,
-                separation_aware=True,
-                burst_durations=(5.0,),
-                stepper="soa",
-            )
-        )
-        assert {c.cell_id: cell_fingerprint(c) for c in cells} == streamed
-        resumed = filter_completed(cells, load_completed_cells(str(stream)))
-        assert sorted(resumed) == sorted(streamed)
+        assert all(c.config.stepper == "adaptive" for c in via_request)
+        assert all("+adaptive" in c.cell_id for c in via_request)
 
     def test_fabric_fields_never_enter_fingerprints(self):
         plain = CampaignRequest(strategies=("random",), budgets=(5.0,))

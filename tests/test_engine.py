@@ -237,6 +237,13 @@ class TestResultCache:
         assert workload_fingerprint(cfg(8.0)) != workload_fingerprint(cfg(12.0))
         assert workload_fingerprint(cfg(8.0)) == workload_fingerprint(cfg(8.0))
 
+    def test_default_environment_renders_no_environment_term(self):
+        # Only a custom environment is keyed (tests/test_key_coverage.py
+        # flies one); the default keeps every historical key format.
+        from repro.core.config import RunConfiguration
+
+        assert "environment=" not in config_fingerprint(RunConfiguration(), "auto")
+
     def test_hit_and_miss_counters(self, short_auto_config):
         cache = ResultCache()
         key = scenario_key(short_auto_config, "auto", self._scenario())

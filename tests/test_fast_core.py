@@ -14,10 +14,10 @@ Pins the contracts the ``stepper`` knob rests on:
   the burst-vs-latched pair), while fusing most of its control periods.
 """
 
-import hashlib
 from dataclasses import replace
 
 import pytest
+from conftest import flight_lines, line_digest
 
 from repro.core.avis import Avis
 from repro.core.config import RunConfiguration
@@ -77,13 +77,6 @@ def scripted_command(step: int, phase_shift: int = 0) -> ActuatorCommand:
     return ActuatorCommand()
 
 
-def _sha(lines):
-    digest = hashlib.sha256()
-    for line in lines:
-        digest.update((repr(line) + "\n").encode("utf-8"))
-    return digest.hexdigest()[:20]
-
-
 def tape_digest(steps: int, fleet_size: int, dt: float) -> str:
     """Every state of a fleet flying the scripted tape (vehicle ``v``
     phase-shifted by 17 v steps from a pad 8 v m east), then each
@@ -103,40 +96,14 @@ def tape_digest(steps: int, fleet_size: int, dt: float) -> str:
     ]
     lines.append([fleet.last_impact_speed(v) for v in range(fleet_size)])
     lines.append(fleet.time)
-    return _sha(lines)
+    return line_digest(lines)
 
 
 def run_digest(config: RunConfiguration, scenario: FaultScenario) -> str:
-    """Every observable of one harness run: cache key, traces, mode
-    transitions, event logs, injections, verdict inputs and step count."""
+    """Every observable of one harness run, led by its cache key."""
     result = TestRunner(config).run(scenario)
-    lines = [scenario_key(config, result.workload_name, scenario)]
-    lines += result.trace
-    lines += [
-        sample
-        for vehicle in sorted(result.vehicle_traces)
-        for sample in result.vehicle_traces[vehicle]
-    ]
-    lines += result.mode_transitions
-    lines += [
-        transition
-        for vehicle in sorted(result.vehicle_mode_transitions)
-        for transition in result.vehicle_mode_transitions[vehicle]
-    ]
-    lines += [
-        result.collisions,
-        result.fence_breaches,
-        result.injections,
-        result.failsafe_events,
-        result.triggered_bugs,
-        result.workload_result.outcome,
-        result.steps,
-        result.duration_s,
-        result.min_separation_m,
-        result.proximity_events,
-        result.traffic_injections,
-    ]
-    return _sha(lines)
+    key = scenario_key(config, result.workload_name, scenario)
+    return line_digest([key] + flight_lines(result))
 
 
 #: Recorded with one per-vehicle integrator object per fleet member.
@@ -431,7 +398,7 @@ class TestSimulatorCore:
             simulator.min_separation_m,
             simulator.time,
         ]
-        assert _sha(lines) == SIMULATOR_DROP_DIGEST
+        assert line_digest(lines) == SIMULATOR_DROP_DIGEST
 
     def test_teleport_vehicle_updates_snapshot(self):
         simulator = Simulator(dt=DT, fleet_size=2)
@@ -477,23 +444,17 @@ class TestRunConfigurationStepper:
         config = RunConfiguration(firmware_class=ArduPilotFirmware, stepper="adaptive")
         assert config.with_noise_seed(7).stepper == "adaptive"
 
-    def test_soa_is_stored_as_reference(self):
-        config = RunConfiguration(firmware_class=ArduPilotFirmware, stepper="soa")
-        assert config.stepper == "reference"
-        assert replace(config, stepper="soa").stepper == "reference"
-
 
 class TestCacheKeys:
     def _config(self, stepper):
         return RunConfiguration(firmware_class=ArduPilotFirmware, stepper=stepper)
 
-    def test_soa_shares_cache_keys_with_reference(self):
+    def test_reference_renders_no_stepper_term(self):
         scenario = FaultScenario([FaultSpec(GPS, 2.0)])
-        for stepper in ("reference", "soa"):
-            assert scenario_key(self._config(stepper), "auto", scenario) == (
-                REFERENCE_KEY
-            )
-        assert "stepper" not in config_fingerprint(self._config("soa"), "auto")
+        assert scenario_key(self._config("reference"), "auto", scenario) == (
+            REFERENCE_KEY
+        )
+        assert "stepper" not in config_fingerprint(self._config("reference"), "auto")
 
     def test_adaptive_gets_its_own_fingerprint_term(self):
         scenario = FaultScenario([FaultSpec(GPS, 2.0)])
@@ -763,7 +724,6 @@ class TestCliStepper:
         for cell in build_cells(request_from_args(args)):
             assert cell.config.stepper == "reference"
             assert "+reference" not in cell.cell_id
-            assert "+soa" not in cell.cell_id
 
 
 class _StubHarness:
