@@ -284,9 +284,9 @@ class Avis:
                 firmware=self._config.firmware_name,
                 budget=budget.total_units,
             ):
-                self._engine.execute(strategy, session)
+                self._engine.execute(strategy, session, golden=profiles[0])
         else:
-            self._engine.execute(strategy, session)
+            self._engine.execute(strategy, session, golden=profiles[0])
         return CampaignResult(
             strategy_name=strategy.name,
             firmware_name=self._config.firmware_name,

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import RunConfiguration, VehicleSpec
 from repro.firmware.base import ControlFirmware
@@ -43,17 +43,13 @@ from repro.mavlink.traffic import (
     traffic_flight_events,
 )
 from repro.obs import runtime as obs_runtime
+from repro.obs.recorder import FlightEvent, FlightLog
 from repro.sensors.suite import SensorSuite, iris_sensor_suite
 from repro.sim.environment import GeoLocation
 from repro.sim.planner import StepPlanner
 from repro.sim.simulator import CollisionEvent, ProximityEvent, Simulator
 from repro.sim.state import VehicleState
 from repro.workloads.framework import Target, WorkloadResult
-
-if TYPE_CHECKING:
-    # Annotation-only: the observability-gated call sites import the
-    # recorder when they run.
-    from repro.obs.recorder import FlightEvent, FlightLog
 
 #: Noise-seed stride between fleet members: vehicle ``v`` uses
 #: ``config.noise_seed + v * FLEET_NOISE_SEED_STRIDE`` so every vehicle
@@ -842,8 +838,6 @@ class SimulationHarness:
         recorded run and an unrecorded run execute identically -- the
         recorder only changes what is *reported*, never what happened.
         """
-        from repro.obs.recorder import FlightEvent
-
         events: List[FlightEvent] = []
         events.extend(injection_flight_events(result.injections))
         events.extend(traffic_flight_events(result.traffic_injections))

@@ -24,12 +24,21 @@ Recording in proposal order is what keeps a parallel campaign
 bit-identical to a serial one: the per-run outcomes are deterministic
 functions of ``(config, scenario)``, and order is the only thing a pool
 could otherwise scramble.
+
+A scenario whose every fault starts after the golden run's last sensor
+read is *unfired*: no fault can fire, so its flight repeats the golden
+run tick for tick.  Given that golden run, the engine answers such a
+scenario from it without flying, before the cache is consulted (see
+:meth:`CampaignEngine.execute`).
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.config import RunConfiguration
+from repro.core.runner import RunResult
 from repro.engine.backends import ExecutionBackend, SerialBackend
 from repro.engine.cache import (
     ResultCache,
@@ -61,7 +70,13 @@ class CampaignEngine:
 
     @staticmethod
     def _fresh_stats() -> Dict[str, int]:
-        return {"rounds": 0, "proposed": 0, "cache_hits": 0, "executed": 0}
+        return {
+            "rounds": 0,
+            "proposed": 0,
+            "cache_hits": 0,
+            "unfired": 0,
+            "executed": 0,
+        }
 
     @property
     def backend(self) -> ExecutionBackend:
@@ -73,15 +88,24 @@ class CampaignEngine:
         """The shared result cache (None when caching is disabled)."""
         return self._cache
 
-    def execute(self, strategy, session) -> None:
+    def execute(self, strategy, session, golden: Optional[RunResult] = None) -> None:
         """Run ``strategy`` to budget exhaustion, recording into ``session``.
 
         Budget accounting happens entirely inside ``propose_batch`` (per
-        candidate, in the proposer's canonical order), so the engine only executes what was proposed and records the
-        results.  :attr:`last_stats` afterwards reports how the campaign
-        was scheduled: proposal rounds, scenarios proposed, cache hits
-        resolved without a simulation, and scenarios the backend
-        actually executed.
+        candidate, in the proposer's canonical order), so the engine
+        only executes what was proposed and records the results.
+        :attr:`last_stats` afterwards reports how the campaign was
+        scheduled: proposal rounds, scenarios proposed, cache hits
+        resolved without a simulation, unfired scenarios answered from
+        ``golden``, and scenarios the backend actually executed.
+
+        ``golden`` is the fault-free run flown from exactly this
+        campaign's configuration at ``config.noise_seed`` (``Avis``
+        passes its profile 0).  Given it, a scenario none of whose
+        faults can fire (see :func:`unfired_horizon`) is answered from
+        it instead of flown, unless the re-judged verdict is unsafe: an
+        online abort could then make the flight differ.  Answered
+        scenarios neither read nor write the cache.
         """
         self.last_stats = self._fresh_stats()
         obs = obs_runtime.current()
@@ -92,6 +116,7 @@ class CampaignEngine:
         workload_name = (
             campaign_fingerprint(config, monitor) if self._cache is not None else ""
         )
+        horizon = unfired_horizon(config, golden)
 
         while True:
             round_start = obs.tracer.clock() if obs is not None else 0.0
@@ -101,21 +126,35 @@ class CampaignEngine:
             self.last_stats["rounds"] += 1
             self.last_stats["proposed"] += len(batch)
 
-            # Resolve cache hits, then execute the misses as one batch.
-            slots: List[Tuple[object, str, Optional[object]]] = []
+            # Answer unfired scenarios from the golden run, resolve cache
+            # hits, then execute the rest as one batch.
+            slots: List[Tuple[object, str, Optional[RunResult]]] = []
             pending = []
+            unfired = 0
             for scenario in batch:
                 key = ""
-                cached = None
-                if self._cache is not None:
+                answer = None
+                if horizon is not None and all(
+                    fault.start_time > horizon for fault in scenario
+                ):
+                    answer = adapt_cached_result(
+                        replace(golden, scenario=scenario, flight_log=None), monitor
+                    )
+                    if answer.found_unsafe_condition:
+                        answer = None
+                    else:
+                        unfired += 1
+                if answer is None and self._cache is not None:
                     key = scenario_key(config, workload_name, scenario)
                     stored = self._cache.get(key)
                     if stored is not None:
-                        cached = adapt_cached_result(stored, monitor)
-                slots.append((scenario, key, cached))
-                if cached is None:
+                        answer = adapt_cached_result(stored, monitor)
+                slots.append((scenario, key, answer))
+                if answer is None:
                     pending.append(scenario)
-            self.last_stats["cache_hits"] += len(batch) - len(pending)
+            cache_hits = len(batch) - len(pending) - unfired
+            self.last_stats["cache_hits"] += cache_hits
+            self.last_stats["unfired"] += unfired
             self.last_stats["executed"] += len(pending)
 
             # The backend may complete the round's simulations in any
@@ -124,9 +163,9 @@ class CampaignEngine:
             executed = iter(
                 self._backend.run_scenarios(config, monitor, pending)
             )
-            for scenario, key, cached in slots:
-                result = cached if cached is not None else next(executed)
-                if cached is None and self._cache is not None:
+            for scenario, key, answer in slots:
+                result = answer if answer is not None else next(executed)
+                if answer is None and self._cache is not None:
                     self._cache.put(key, result)
                 session.ingest_result(scenario, result)
 
@@ -139,15 +178,15 @@ class CampaignEngine:
                     strategy=strategy_name,
                     backend=self._backend.name,
                     proposed=len(batch),
-                    cache_hits=len(batch) - len(pending),
+                    cache_hits=cache_hits,
+                    unfired=unfired,
                     executed=len(pending),
                 )
                 labels = {"strategy": strategy_name, "backend": self._backend.name}
                 obs.metrics.counter("engine.rounds", **labels).inc()
                 obs.metrics.counter("engine.proposed", **labels).inc(len(batch))
-                obs.metrics.counter("engine.cache_hits", **labels).inc(
-                    len(batch) - len(pending)
-                )
+                obs.metrics.counter("engine.cache_hits", **labels).inc(cache_hits)
+                obs.metrics.counter("engine.unfired", **labels).inc(unfired)
                 obs.metrics.counter("engine.executed", **labels).inc(len(pending))
                 obs.metrics.histogram("engine.round_seconds", **labels).observe(
                     round_seconds
@@ -156,3 +195,22 @@ class CampaignEngine:
     def close(self) -> None:
         """Release backend resources."""
         self._backend.close()
+
+
+def unfired_horizon(
+    config: RunConfiguration, golden: Optional[RunResult]
+) -> Optional[float]:
+    """The time after which no fault of a campaign can fire, or None.
+
+    On the reference stepper a single vehicle reads every sensor once
+    per control period, at ``k * dt`` for step ``k``.  A faulted flight
+    repeats ``golden`` tick for tick until a fault fires, so a fault
+    starting after the golden run's last read, ``(steps - 1) * dt``,
+    never fires.  Fleets and the adaptive stepper get no horizon: a
+    fleet records proximity events against the monitor's separation
+    threshold (the golden flew without a monitor), and adaptive windows
+    split at pending fault times.
+    """
+    if golden is None or config.fleet_size != 1 or config.stepper != "reference":
+        return None
+    return (golden.steps - 1) * config.dt

@@ -231,9 +231,10 @@ def _stats_line(outcome: GridOutcome) -> Optional[str]:
     engine = outcome.engine_totals()
     if engine:
         parts.append(
-            "engine: rounds={} proposed={} cache_hits={} executed={}".format(
+            "engine: rounds={} proposed={} cache_hits={} unfired={} "
+            "executed={}".format(
                 *(fmt(engine.get(key)) for key in
-                  ("rounds", "proposed", "cache_hits", "executed"))
+                  ("rounds", "proposed", "cache_hits", "unfired", "executed"))
             )
         )
     cache = outcome.cache_totals()

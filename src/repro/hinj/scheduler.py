@@ -26,6 +26,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.hinj.faults import EMPTY_SCENARIO, FaultScenario, FaultSpec
+from repro.obs.recorder import FlightEvent
 from repro.sensors.base import SensorId
 from repro.sensors.suite import SensorSuite
 
@@ -57,15 +58,13 @@ class InjectionRecord:
         return self.recovered_time is not None
 
 
-def injection_flight_events(records: List[InjectionRecord]) -> list:
+def injection_flight_events(records: List[InjectionRecord]) -> List[FlightEvent]:
     """Flight-recorder events for a run's sensor-fault injection log.
 
     One ``fault.injected`` event per applied fault, plus a
     ``fault.recovered`` event for every intermittent fault whose window
     actually closed during the run.
     """
-    from repro.obs.recorder import FlightEvent
-
     events = []
     for record in records:
         detail = record.sensor_id.label

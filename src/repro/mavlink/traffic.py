@@ -39,6 +39,7 @@ from dataclasses import dataclass, replace
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.hinj.faults import TrafficFaultKind, TrafficFaultSpec
+from repro.obs.recorder import FlightEvent
 
 
 @dataclass(frozen=True)
@@ -92,15 +93,13 @@ class TrafficInjectionRecord:
         return text
 
 
-def traffic_flight_events(records: List[TrafficInjectionRecord]) -> list:
+def traffic_flight_events(records: List[TrafficInjectionRecord]) -> List[FlightEvent]:
     """Flight-recorder events for a run's coordination-fault log.
 
     One ``traffic.injected`` event per applied fault plus a
     ``traffic.recovered`` event for every intermittent fault whose
     window actually closed on the air.
     """
-    from repro.obs.recorder import FlightEvent
-
     events = []
     for record in records:
         vehicle = f"v{record.fault.vehicle}"

@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.obs.recorder import FlightEvent
 from repro.sim.environment import Environment, FenceRegion, Obstacle, default_environment
 from repro.sim.fleet_physics import FleetPhysics
 from repro.sim.physics import HARD_IMPACT_SPEED, ActuatorCommand
@@ -264,14 +265,12 @@ class Simulator:
         """True when at least one collision has been recorded."""
         return bool(self._collisions)
 
-    def safety_events(self) -> list:
+    def safety_events(self) -> List[FlightEvent]:
         """Flight-recorder events for every safety occurrence so far.
 
         Collisions, fence breaches and proximity conflicts as one
         time-ordered stream, for the per-run flight log.
         """
-        from repro.obs.recorder import FlightEvent
-
         events = []
         for collision in self._collisions:
             target = collision.obstacle if collision.obstacle else "ground"
