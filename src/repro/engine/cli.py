@@ -196,12 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
         "traffic, worker utilisation, SABRE prune reasons, per-run phase "
         "timings) of every campaign here as JSON",
     )
-    observability.add_argument(
-        "--stats-json", metavar="PATH", default=None,
-        help="write per-cell engine/cache scheduling stats "
-        "(CampaignEngine.last_stats and ResultCache.stats) plus grid "
-        "totals here as JSON",
-    )
     return parser
 
 
@@ -280,8 +274,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # unwritable path must not surface only after the grid has finished.
     for flag, value in (("--json", args.json), ("--stream", args.stream),
                         ("--resume", args.resume), ("--trace", args.trace),
-                        ("--metrics-json", args.metrics_json),
-                        ("--stats-json", args.stats_json)):
+                        ("--metrics-json", args.metrics_json)):
         if not value:
             continue
         directory = os.path.dirname(os.path.abspath(value))
@@ -354,24 +347,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if not _write_output(
             args.metrics_json, "metrics",
             _json_writer(merge_snapshots(snapshots)), args.quiet,
-        ):
-            failures += 1
-    if args.stats_json:
-        stats_document = {
-            "cells": {
-                cell_id: {
-                    "engine": record.get("engine"),
-                    "cache": record.get("cache"),
-                }
-                for cell_id, record in outcome.cell_summaries.items()
-            },
-            "totals": {
-                "engine": outcome.engine_totals(),
-                "cache": outcome.cache_totals(),
-            },
-        }
-        if not _write_output(
-            args.stats_json, "stats", _json_writer(stats_document), args.quiet
         ):
             failures += 1
 

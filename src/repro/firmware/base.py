@@ -26,7 +26,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.firmware.arming import ArmingController, ArmingDecision
 from repro.firmware.bugs import BugRegistry
 from repro.firmware.effects import BugEffectEngine, EffectOverrides
-from repro.firmware.estimator import SensorFailureEvent, StateEstimate, StateEstimator
+from repro.firmware.estimator import (
+    Channels,
+    SensorFailureEvent,
+    StateEstimate,
+    StateEstimator,
+)
 from repro.firmware.failsafe import FailsafeAction, FailsafeEvent, FailsafeManager
 from repro.firmware.mission_exec import MissionExecutor, MissionStep
 from repro.firmware.modes import (
@@ -43,7 +48,7 @@ from repro.hinj.instrumentation import HinjInterface
 from repro.mavlink.link import MavLink
 from repro.mavlink.mission import MissionPlan
 from repro.sensors.base import SensorType
-from repro.sensors.suite import SensorReadings, SensorSuite
+from repro.sensors.suite import SensorSuite
 from repro.sim.environment import Environment, GeoLocation, default_environment
 from repro.sim.physics import ActuatorCommand
 from repro.sim.vehicle import IRIS_QUADCOPTER, AirframeParameters
@@ -102,6 +107,7 @@ class ControlFirmware:
         self._hold_altitude: float = 0.0
         self._guided_target: Optional[Tuple[float, float, float]] = None
         self._guided_speed_limit: Optional[float] = None
+        # RTL runs "climb", then "return", then "descend".
         self._rtl_phase = "climb"
         self._landed_counter = 0
         self._elapsed_steps = 1
@@ -299,14 +305,15 @@ class ControlFirmware:
     # ------------------------------------------------------------------
     def update(
         self,
-        readings: SensorReadings,
+        readings: List[Optional[Channels]],
         time: float,
         elapsed_steps: int = 1,
     ) -> ActuatorCommand:
         """Run one control period and return the actuator command.
 
         ``readings`` is this period's read pass over the suite
-        (:meth:`SensorSuite.read_all`).
+        (:meth:`SensorSuite.read_all`): each instance's channel values in
+        canonical order, ``None`` where a read failed.
         ``elapsed_steps`` is the number of simulation micro-steps since
         the previous control period (1 under the reference stepper).
         The adaptive stepper fuses quiescent windows -- one control
@@ -410,10 +417,9 @@ class ControlFirmware:
         )
         self._apply_failsafe(decision)
 
-    def _check_battery(self, readings: SensorReadings, time: float) -> None:
-        samples = readings.samples
+    def _check_battery(self, readings: List[Optional[Channels]], time: float) -> None:
         for position in self._battery_positions:
-            battery = samples[position]
+            battery = readings[position]
             if battery is not None:
                 break
         else:
@@ -655,23 +661,20 @@ class ControlFirmware:
                 ),
                 OperatingModeLabel.RTL,
             )
-        if self._rtl_phase == "descend":
-            # Descend over the launch point; hand over to the land mode for
-            # the final approach (the "Return To Launch -> Land" transition
-            # of Table II happens here).
-            if estimate.altitude <= self.params.land_final_altitude_m:
-                self._set_flight_mode(FlightMode.LAND, time, "RTL final approach")
-                return self._land_logic(estimate, time)
-            return (
-                NavigationSetpoint(
-                    target_north=0.0,
-                    target_east=0.0,
-                    climb_rate=-self.params.land_speed_high_ms,
-                ),
-                OperatingModeLabel.RTL,
-            )
-        # Final phase (legacy path): land at home.
-        return self._land_logic(estimate, time)
+        # The "descend" phase: descend over the launch point; hand over to
+        # the land mode for the final approach (the "Return To Launch ->
+        # Land" transition of Table II happens here).
+        if estimate.altitude <= self.params.land_final_altitude_m:
+            self._set_flight_mode(FlightMode.LAND, time, "RTL final approach")
+            return self._land_logic(estimate, time)
+        return (
+            NavigationSetpoint(
+                target_north=0.0,
+                target_east=0.0,
+                climb_rate=-self.params.land_speed_high_ms,
+            ),
+            OperatingModeLabel.RTL,
+        )
 
     @staticmethod
     def _bearing_to(estimate: StateEstimate, north: Optional[float], east: Optional[float]) -> Optional[float]:

@@ -29,7 +29,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.firmware.params import FirmwareParameters
 from repro.sensors.base import SensorId, SensorRole, SensorType
-from repro.sensors.suite import SensorReadings, SensorSuite
+from repro.sensors.suite import SensorSuite
 from repro.sim.physics import GRAVITY
 from repro.sim.state import wrap_angle
 
@@ -90,7 +90,7 @@ class SensorFailureEvent:
     type_exhausted: bool
 
 
-#: Channel values of one instance's reading (see ``SensorReadings``).
+#: Channel values of one instance's reading (see ``SensorSuite.read_all``).
 Channels = Dict[str, float]
 
 #: The sensor types the filters fuse, in selection order; the estimator
@@ -107,10 +107,10 @@ _FUSED_TYPES = (
 class StateEstimator:
     """Complementary-filter state estimator with explicit fail-over.
 
-    Readings arrive as one :class:`SensorReadings` pass in the suite's
-    canonical order; every per-type lookup is a precomputed tuple of
-    positions (primary first), so the per-tick path neither sorts nor
-    hashes sensor ids.
+    Readings arrive as one :meth:`SensorSuite.read_all` pass in the
+    suite's canonical order; every per-type lookup is a precomputed
+    tuple of positions (primary first), so the per-tick path neither
+    sorts nor hashes sensor ids.
     """
 
     # Correction gains per update (tuned for 50 Hz; scale with dt).
@@ -164,7 +164,9 @@ class StateEstimator:
     # ------------------------------------------------------------------
     # Update
     # ------------------------------------------------------------------
-    def update(self, readings: SensorReadings, dt: float, time: float) -> tuple:
+    def update(
+        self, samples: List[Optional[Channels]], dt: float, time: float
+    ) -> tuple:
         """Fuse one read pass of the suite (:meth:`SensorSuite.read_all`).
 
         Returns ``(estimate, failure_events)`` where ``failure_events``
@@ -172,7 +174,6 @@ class StateEstimator:
         the firmware's fail-safe manager (and through it the bug registry)
         consumes them.
         """
-        samples = readings.samples
         failure_events = self._detect_failures(samples, time) if None in samples else []
 
         active = self._active

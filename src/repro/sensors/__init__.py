@@ -5,12 +5,15 @@ sensor instance stops communicating with the firmware, the driver reports
 the instance has failed, and the instance never recovers within the same
 test run.  Every sensor driver in this package implements that contract:
 
-* ``read(state, time)`` returns a :class:`~repro.sensors.base.SensorReading`
-  synthesised from the simulated vehicle state, or a reading flagged
-  ``failed`` once the instance has been failed.
+* ``sample(state, time)`` returns the channel values synthesised from
+  the simulated vehicle state, or ``None`` when the read fails.
 * The read path passes through the hinj instrumentation hook so the fault
   injection engine can fail any instance at any time-step, exactly like
-  ``libhinj`` instruments the ``read()`` procedure of each driver.
+  ``libhinj`` instruments the ``read()`` procedure of each driver; the
+  hook is the only way a read fails.
+* :meth:`~repro.sensors.suite.SensorSuite.read_all` samples every
+  instance once per control period and hands the firmware the list of
+  results in the suite's canonical order.
 
 Sensor types follow the paper: gyroscope, accelerometer, GPS, compass,
 barometer, and battery monitor.  The suite groups instances into primary
@@ -22,7 +25,6 @@ from repro.sensors.barometer import Barometer
 from repro.sensors.base import (
     SensorDriver,
     SensorId,
-    SensorReading,
     SensorRole,
     SensorType,
 )
@@ -41,7 +43,6 @@ __all__ = [
     "Gyroscope",
     "SensorDriver",
     "SensorId",
-    "SensorReading",
     "SensorRole",
     "SensorSuite",
     "SensorType",

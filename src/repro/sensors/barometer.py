@@ -41,6 +41,7 @@ class Barometer(SensorDriver):
         drift = self.DRIFT_AMPLITUDE * math.sin(
             2.0 * math.pi * state.time / self.DRIFT_PERIOD + self._drift_phase
         )
-        altitude = state.altitude + drift + self._noise(self.ALTITUDE_SIGMA)
+        (z_alt,) = self._normals(1)
+        altitude = state.altitude + drift + (0.0 + z_alt * self.ALTITUDE_SIGMA)
         pressure = SEA_LEVEL_PRESSURE_HPA - PRESSURE_LAPSE_HPA_PER_M * altitude
         return {"altitude": altitude, "pressure_hpa": pressure}

@@ -7,14 +7,14 @@ with deterministic, seeded noise so that every run is reproducible --
 reproducibility underpins both the liveliness monitor (profiling runs
 must be comparable) and bug replay.
 
-The ``read()`` method mirrors the structure the paper describes for
-``libhinj``: before the reading is handed to the firmware, an
+The ``sample()`` method mirrors the structure the paper describes for
+``libhinj``: before the channel values are handed to the firmware, an
 instrumentation hook is consulted; if it answers that the instance should
-fail, the reading is replaced by a failure record.  With the paper's
-latched fault model the hook's answer never reverts, so the instance
-stays failed for the rest of the run; an intermittent fault's scheduler
-stops failing the instance once its recovery window closes, and the
-driver reports healthy readings again from the next read on.
+fail, the read returns ``None`` instead.  With the paper's latched fault
+model the hook's answer never reverts, so the instance stays failed for
+the rest of the run; an intermittent fault's scheduler stops failing the
+instance once its recovery window closes, and the driver reports channel
+values again from the next read on.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.sim.state import VehicleState
@@ -130,31 +130,6 @@ class SensorId:
         return self.label
 
 
-@dataclass(frozen=True)
-class SensorReading:
-    """One reading produced by a sensor driver.
-
-    ``values`` holds the measurement channels (meaning depends on the
-    sensor type); ``failed`` marks a clean failure -- when set, ``values``
-    must not be trusted and the firmware's fault handling is expected to
-    engage.
-    """
-
-    sensor_id: SensorId
-    time: float
-    values: Dict[str, float] = field(default_factory=dict)
-    failed: bool = False
-
-    def value(self, channel: str) -> float:
-        """Return one channel, raising ``KeyError`` when absent."""
-        return self.values[channel]
-
-    @staticmethod
-    def failure(sensor_id: SensorId, time: float) -> "SensorReading":
-        """Construct the reading a failed instance reports."""
-        return SensorReading(sensor_id=sensor_id, time=time, values={}, failed=True)
-
-
 #: Signature of the hinj instrumentation hook: given the sensor id and the
 #: current simulation time, return True when the read should fail.
 FailDecision = Callable[[SensorId, float], bool]
@@ -164,8 +139,8 @@ class SensorDriver:
     """Base class for all sensor drivers.
 
     Subclasses implement :meth:`_measure` to synthesise channel values
-    from the true vehicle state.  :meth:`read` adds the instrumentation
-    hook and the clean-failure latch.
+    from the true vehicle state.  :meth:`sample` consults the
+    instrumentation hook before measuring.
     """
 
     sensor_type: SensorType = SensorType.GYROSCOPE
@@ -179,7 +154,6 @@ class SensorDriver:
         self.sensor_id = SensorId(self.sensor_type, instance)
         self.role = role
         self._rng = random.Random(noise_seed * 7919 + instance * 104729 + 1)
-        self._failed = False
         self._hook_failed = False
         self._fail_hook: Optional[FailDecision] = None
 
@@ -195,7 +169,8 @@ class SensorDriver:
         self._fail_hook = fail_hook
 
     def remove_instrumentation(self) -> None:
-        """Remove the fault-injection hook (used between test runs)."""
+        """Remove the fault-injection hook; the instance keeps the
+        health the hook's last answer gave it."""
         self._fail_hook = None
 
     # ------------------------------------------------------------------
@@ -204,21 +179,7 @@ class SensorDriver:
     @property
     def failed(self) -> bool:
         """True while the instance is suffering a clean failure."""
-        return self._failed or self._hook_failed
-
-    @property
-    def healthy(self) -> bool:
-        """True while the instance has not failed."""
-        return not self.failed
-
-    def fail(self) -> None:
-        """Force the instance into the failed state (never recovers)."""
-        self._failed = True
-
-    def reset(self) -> None:
-        """Restore the instance to healthy (only between test runs)."""
-        self._failed = False
-        self._hook_failed = False
+        return self._hook_failed
 
     # ------------------------------------------------------------------
     # Reading
@@ -231,32 +192,18 @@ class SensorDriver:
         latched fault's scheduler keeps answering yes once it has fired,
         so the failure persists for the rest of the run; when an
         intermittent fault's recovery window closes the scheduler's
-        answer reverts and the driver reports healthy readings again.
-        A failure forced with :meth:`fail` (or left behind by a removed
-        hook) never recovers.
+        answer reverts and the driver reports channel values again.  A
+        failure left behind by a removed hook never recovers.
         """
         if self._fail_hook is not None:
             self._hook_failed = self._fail_hook(self.sensor_id, time)
-        if self._failed or self._hook_failed:
+        if self._hook_failed:
             return None
         return self._measure(state)
-
-    def read(self, state: VehicleState, time: float) -> SensorReading:
-        """Produce a reading for the firmware (see :meth:`sample`)."""
-        values = self.sample(state, time)
-        if values is None:
-            return SensorReading.failure(self.sensor_id, time)
-        return SensorReading(sensor_id=self.sensor_id, time=time, values=values)
 
     def _measure(self, state: VehicleState) -> Dict[str, float]:
         """Synthesise the channel values for one reading."""
         raise NotImplementedError
-
-    def _noise(self, sigma: float) -> float:
-        """Deterministic Gaussian noise sample with standard deviation sigma."""
-        if sigma <= 0.0:
-            return 0.0
-        return self._rng.gauss(0.0, sigma)
 
     def _normals(self, count: int) -> List[float]:
         """``count`` standard normal deviates in one pass.
@@ -286,5 +233,5 @@ class SensorDriver:
         return values
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        status = "failed" if self._failed else "healthy"
+        status = "failed" if self._hook_failed else "healthy"
         return f"<{type(self).__name__} {self.sensor_id.label} {self.role.value} {status}>"

@@ -31,5 +31,8 @@ class Compass(SensorDriver):
         self._offset = self._rng.uniform(-0.01, 0.01)
 
     def _measure(self, state: VehicleState) -> Dict[str, float]:
-        heading = wrap_angle(state.heading + self._offset + self._noise(self._sigma))
+        (z_heading,) = self._normals(1)
+        heading = wrap_angle(
+            state.heading + self._offset + (0.0 + z_heading * self._sigma)
+        )
         return {"heading": heading}

@@ -3,18 +3,17 @@
 The suite groups drivers by type, tracks which instance plays the
 primary role, and exposes the operations the rest of the stack needs:
 
-* the firmware reads every instance each control period and asks for the
-  best healthy instance of each type;
+* the firmware reads every instance each control period;
 * the fault injection engine enumerates instances (with roles) to build
   the fault space and applies the sensor-instance-symmetry policy;
 * hinj instruments the read path of every driver (or only of the
   instances its scenario schedules faults for) in one call.
 
-Each control period the firmware gets one :class:`SensorReadings`: a
-flat list of per-instance channel values in the suite's canonical order,
-which the estimator indexes by position.  It is also a
-``Mapping[SensorId, SensorReading]``, materialising reading objects only
-for callers that look readings up by id.
+Each control period the firmware gets one read pass: a list of
+per-instance channel values in the suite's canonical order (that of
+:attr:`SensorSuite.sensor_ids`), ``None`` where a read failed.  The
+estimator indexes it by position and chooses the instance it trusts for
+each type.
 
 The default :func:`iris_sensor_suite` mirrors a stock 3DR Iris running
 ArduPilot/PX4 SITL: dual IMUs (gyroscope + accelerometer each), dual
@@ -23,15 +22,13 @@ compasses, one GPS, one barometer, and one battery monitor.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from typing import Collection, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Collection, Dict, Iterable, List, Optional, Tuple
 
 from repro.sensors.barometer import Barometer
 from repro.sensors.base import (
     FailDecision,
     SensorDriver,
     SensorId,
-    SensorReading,
     SensorRole,
     SensorType,
 )
@@ -73,11 +70,9 @@ class SensorSuite:
             self._by_type[sensor_type] = sorted(
                 instances, key=lambda d: (d.role != SensorRole.PRIMARY, d.sensor_id)
             )
-        self._position: Dict[SensorId, int] = {
-            sensor_id: position for position, sensor_id in enumerate(self._sorted_ids)
-        }
+        position = {sensor_id: index for index, sensor_id in enumerate(self._sorted_ids)}
         self._positions: Dict[SensorType, Tuple[int, ...]] = {
-            sensor_type: tuple(self._position[d.sensor_id] for d in instances)
+            sensor_type: tuple(position[d.sensor_id] for d in instances)
             for sensor_type, instances in self._by_type.items()
         }
 
@@ -113,7 +108,7 @@ class SensorSuite:
 
     def positions(self, sensor_type: SensorType) -> Tuple[int, ...]:
         """Canonical positions of ``sensor_type``'s instances, primary
-        first: the indexes of their entries in :attr:`SensorReadings.samples`."""
+        first: the indexes of their entries in a :meth:`read_all` pass."""
         return self._positions.get(sensor_type, ())
 
     def instance_count(self, sensor_type: SensorType) -> int:
@@ -129,32 +124,9 @@ class SensorSuite:
     # ------------------------------------------------------------------
     # Health
     # ------------------------------------------------------------------
-    def healthy_instances(self, sensor_type: SensorType) -> List[SensorDriver]:
-        """Healthy instances of ``sensor_type``, primary first."""
-        return [d for d in self._by_type.get(sensor_type, ()) if d.healthy]
-
-    def active_instance(self, sensor_type: SensorType) -> Optional[SensorDriver]:
-        """The instance the firmware should currently trust, if any.
-
-        The primary is preferred; when it has failed, the lowest numbered
-        healthy backup takes over (sensor fail-over).  Returns ``None``
-        when every instance of the type has failed.
-        """
-        healthy = self.healthy_instances(sensor_type)
-        return healthy[0] if healthy else None
-
-    def all_failed(self, sensor_type: SensorType) -> bool:
-        """True when no healthy instance of ``sensor_type`` remains."""
-        return not self.healthy_instances(sensor_type)
-
     def failed_sensor_ids(self) -> List[SensorId]:
         """Ids of every failed instance, in stable order."""
         return [d.sensor_id for d in self.drivers if d.failed]
-
-    def reset(self) -> None:
-        """Restore every instance to healthy (between test runs)."""
-        for driver in self._drivers.values():
-            driver.reset()
 
     # ------------------------------------------------------------------
     # Instrumentation and reading
@@ -175,71 +147,12 @@ class SensorSuite:
         for driver in self._drivers.values():
             driver.remove_instrumentation()
 
-    def read_all(self, state: VehicleState, time: float) -> "SensorReadings":
-        """Read every instance once, in canonical order."""
-        return SensorReadings(
-            self, time, [driver.sample(state, time) for driver in self._sorted_drivers]
-        )
-
-    def read_active(
-        self, readings: "SensorReadings", sensor_type: SensorType
-    ) -> Optional[SensorReading]:
-        """From ``readings``, pick the one the firmware should use.
-
-        Prefers the primary instance's reading when it is healthy,
-        otherwise the first healthy backup; returns ``None`` when every
-        instance of the type reported failure.
-        """
-        for position in self.positions(sensor_type):
-            if readings.samples[position] is not None:
-                return readings.reading_at(position)
-        return None
-
-
-class SensorReadings(Mapping):
-    """One read pass over a suite.
-
-    ``samples[i]`` holds the channel values the suite's ``i``-th instance
-    (canonical order, see :meth:`SensorSuite.positions`) reported, or
-    ``None`` when its read failed.  As a ``Mapping[SensorId,
-    SensorReading]`` it builds each :class:`SensorReading` on first
-    lookup.
-    """
-
-    __slots__ = ("_suite", "time", "samples", "_readings")
-
-    def __init__(
-        self, suite: SensorSuite, time: float, samples: List[Optional[Dict[str, float]]]
-    ) -> None:
-        self._suite = suite
-        self.time = time
-        self.samples = samples
-        self._readings: List[Optional[SensorReading]] = [None] * len(samples)
-
-    def reading_at(self, position: int) -> SensorReading:
-        """The reading of the instance at canonical ``position``."""
-        reading = self._readings[position]
-        if reading is None:
-            sensor_id = self._suite._sorted_ids[position]
-            values = self.samples[position]
-            if values is None:
-                reading = SensorReading.failure(sensor_id, self.time)
-            else:
-                reading = SensorReading(sensor_id=sensor_id, time=self.time, values=values)
-            self._readings[position] = reading
-        return reading
-
-    def __getitem__(self, sensor_id: SensorId) -> SensorReading:
-        return self.reading_at(self._suite._position[sensor_id])
-
-    def __contains__(self, sensor_id: object) -> bool:
-        return sensor_id in self._suite._position
-
-    def __iter__(self) -> Iterator[SensorId]:
-        return iter(self._suite._sorted_ids)
-
-    def __len__(self) -> int:
-        return len(self.samples)
+    def read_all(
+        self, state: VehicleState, time: float
+    ) -> List[Optional[Dict[str, float]]]:
+        """Read every instance once: its channel values, or ``None`` when
+        its read failed, in canonical order (:attr:`sensor_ids`)."""
+        return [driver.sample(state, time) for driver in self._sorted_drivers]
 
 
 def iris_sensor_suite(noise_seed: int = 0) -> SensorSuite:

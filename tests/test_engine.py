@@ -1264,6 +1264,19 @@ class TestEngineCli:
         assert exit_info.value.code == 2
         assert f"unrecognized arguments: {subcommand}" in capsys.readouterr().err
 
+    def test_stats_json_is_an_unknown_argument(self, capsys):
+        """``--stats-json`` is gone since 12.0: the ``--json`` summary
+        carries every cell's engine/cache stats and their totals."""
+        from repro.engine.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--strategy", "random", "--budget", "5",
+                  "--stats-json", "x.json", "--quiet"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --stats-json x.json" in err
+        assert "Traceback" not in err
+
     def test_mixed_classic_and_fleet_grids_build(self):
         from repro.engine.api import build_cells
         from repro.engine.cli import build_parser, request_from_args
@@ -1401,7 +1414,7 @@ class TestEngineCli:
         assert "pool:N" in errors[0]
 
     @pytest.mark.parametrize("flag", [
-        "--json", "--stream", "--trace", "--metrics-json", "--stats-json",
+        "--json", "--stream", "--trace", "--metrics-json",
     ])
     def test_output_paths_fail_fast_or_report_write_errors(
         self, flag, tmp_path, capsys

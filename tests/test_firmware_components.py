@@ -58,6 +58,11 @@ class TestModes:
         assert OperatingModeLabel.mode_category("poshold") == "manual"
 
 
+def fail_from(suite, sensor_id, start):
+    """Fail ``sensor_id``'s reads from ``start`` on through the hook."""
+    suite.instrument(lambda _, time: time >= start, {sensor_id})
+
+
 class TestEstimator:
     def make_estimator(self):
         suite = iris_sensor_suite()
@@ -86,7 +91,7 @@ class TestEstimator:
         suite, estimator = self.make_estimator()
         state = VehicleState(position=(0.0, 0.0, 10.0))
         self.run_estimator(suite, estimator, state, steps=5)
-        suite.driver(SensorId(SensorType.COMPASS, 0)).fail()
+        fail_from(suite, SensorId(SensorType.COMPASS, 0), 1.0)
         events = self.run_estimator(suite, estimator, state, steps=5, start=1.0)
         assert len(events) == 1
         assert events[0].sensor_id == SensorId(SensorType.COMPASS, 0)
@@ -97,7 +102,7 @@ class TestEstimator:
         suite, estimator = self.make_estimator()
         state = VehicleState(position=(0.0, 0.0, 15.0))
         self.run_estimator(suite, estimator, state, steps=50)
-        suite.driver(SensorId(SensorType.BAROMETER, 0)).fail()
+        fail_from(suite, SensorId(SensorType.BAROMETER, 0), 2.0)
         self.run_estimator(suite, estimator, state, steps=50, start=2.0)
         assert estimator.status.altitude_source == "gps"
         assert estimator.estimate.altitude == pytest.approx(15.0, abs=3.0)
@@ -106,7 +111,7 @@ class TestEstimator:
         suite, estimator = self.make_estimator()
         state = VehicleState(position=(5.0, 5.0, 15.0))
         self.run_estimator(suite, estimator, state, steps=50)
-        suite.driver(SensorId(SensorType.GPS, 0)).fail()
+        fail_from(suite, SensorId(SensorType.GPS, 0), 2.0)
         self.run_estimator(suite, estimator, state, steps=200, start=2.0)
         assert not estimator.status.position_valid
         assert SensorType.GPS in estimator.status.failed_types

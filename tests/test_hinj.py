@@ -125,8 +125,8 @@ class TestHinjInterface:
         suite = iris_sensor_suite()
         hinj.install(suite)
         readings = suite.read_all(VehicleState(), 1.0)
-        assert readings[GPS].failed
-        assert not readings[BARO].failed
+        assert readings[suite.sensor_ids.index(GPS)] is None
+        assert readings[suite.sensor_ids.index(BARO)] is not None
 
     def test_transition_describe(self):
         transition = ModeTransition(time=3.0, label="takeoff", previous="preflight")

@@ -31,6 +31,8 @@ from repro.core.strategies import (
 )
 from repro.engine.cache import scenario_fingerprint, scenario_key
 from repro.firmware.ardupilot import ArduPilotFirmware
+from repro.firmware.estimator import StateEstimator
+from repro.firmware.params import FirmwareParameters
 from repro.hinj.faults import (
     BurstFailure,
     FaultScenario,
@@ -373,19 +375,11 @@ class TestSchedulerRecovery:
         gps = GpsReceiver()
         gps.instrument(scheduler.should_fail)
         state = VehicleState()
-        assert not gps.read(state, 1.0).failed
-        assert gps.read(state, 2.5).failed
+        assert gps.sample(state, 1.0) is not None
+        assert gps.sample(state, 2.5) is None
         assert gps.failed
-        reading = gps.read(state, 5.5)
-        assert not reading.failed
-        assert reading.values
-        assert gps.healthy
-
-    def test_manual_fail_still_latches_through_a_permissive_hook(self):
-        gps = GpsReceiver()
-        gps.instrument(lambda sensor_id, time: False)
-        gps.fail()
-        assert gps.read(VehicleState(), 1.0).failed
+        assert gps.sample(state, 5.5)
+        assert not gps.failed
 
     def test_suite_failover_and_failback(self):
         suite = iris_sensor_suite()
@@ -394,11 +388,12 @@ class TestSchedulerRecovery:
             FaultScenario([FaultSpec(compass0, 1.0, duration_s=2.0)])
         )
         suite.instrument(scheduler.should_fail)
+        estimator = StateEstimator(suite, FirmwareParameters())
         state = VehicleState()
-        suite.read_all(state, 1.5)
-        assert suite.active_instance(SensorType.COMPASS).sensor_id.instance == 1
-        suite.read_all(state, 3.5)
-        assert suite.active_instance(SensorType.COMPASS).sensor_id.instance == 0
+        estimator.update(suite.read_all(state, 1.5), 0.02, 1.5)
+        assert estimator.active_instance(SensorType.COMPASS).instance == 1
+        estimator.update(suite.read_all(state, 3.5), 0.02, 3.5)
+        assert estimator.active_instance(SensorType.COMPASS).instance == 0
 
 
 class TestChannelRecovery:

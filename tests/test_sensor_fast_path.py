@@ -162,24 +162,29 @@ class TestHookSkip:
         hinj = HinjInterface(scheduler)
         hinj.install(suite)
         scheduler.load_scenario(FaultScenario([FaultSpec(BARO, 0.0)]))
+        ids = suite.sensor_ids
         readings = suite.read_all(VehicleState(), 1.0)
-        assert readings[BARO].failed and not readings[GPS].failed
+        assert readings[ids.index(BARO)] is None
+        assert readings[ids.index(GPS)] is not None
         hinj.uninstall(suite)
         scheduler.load_scenario(FaultScenario([FaultSpec(COMPASS0, 0.0)]))
-        assert not suite.read_all(VehicleState(), 2.0)[COMPASS0].failed
+        assert suite.read_all(VehicleState(), 2.0)[ids.index(COMPASS0)] is not None
 
-    def test_readings_materialise_on_lookup(self):
-        suite = iris_sensor_suite()
-        suite.driver(BARO).fail()
-        readings = suite.read_all(VehicleState(), 1.0)
-        assert list(readings) == suite.sensor_ids
-        assert readings[BARO].failed and readings[BARO].values == {}
-        assert readings[GPS] is readings[GPS]
-        assert readings[GPS].time == 1.0
-        assert set(readings[GPS].values) >= {"north", "east", "altitude"}
-        assert SensorId(SensorType.GPS, 3) not in readings
-        with pytest.raises(KeyError):
-            readings[SensorId(SensorType.GPS, 3)]
+    @pytest.mark.parametrize("failed", [(), (BARO,), (GPS, COMPASS1), (GYRO0, ACCEL1)])
+    def test_read_all_is_canonically_ordered(self, failed):
+        """One entry per instance in ``sensor_ids`` order: each driver's
+        own sample at that position, ``None`` exactly where the hook
+        failed the read."""
+        suite = iris_sensor_suite(noise_seed=3)
+        twin = iris_sensor_suite(noise_seed=3)
+        suite.instrument(lambda sensor_id, time: sensor_id in failed)
+        state = VehicleState(position=(1.0, 2.0, 5.0))
+        expected = [
+            None if sensor_id in failed else twin.driver(sensor_id).sample(state, 1.0)
+            for sensor_id in suite.sensor_ids
+        ]
+        assert suite.read_all(state, 1.0) == expected
+        assert suite.failed_sensor_ids() == sorted(failed)
 
 
 # ----------------------------------------------------------------------

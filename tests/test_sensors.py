@@ -5,6 +5,8 @@ import random
 
 import pytest
 
+from repro.firmware.estimator import StateEstimator
+from repro.firmware.params import FirmwareParameters
 from repro.sensors import (
     Accelerometer,
     Barometer,
@@ -37,54 +39,53 @@ def state_at(altitude: float = 10.0, yaw: float = 0.3) -> VehicleState:
 class TestIndividualSensors:
     def test_gyroscope_reports_rates(self):
         gyro = Gyroscope()
-        reading = gyro.read(state_at(), 1.0)
-        assert set(reading.values) == {"roll_rate", "pitch_rate", "yaw_rate"}
-        assert not reading.failed
+        values = gyro.sample(state_at(), 1.0)
+        assert set(values) == {"roll_rate", "pitch_rate", "yaw_rate"}
 
     def test_accelerometer_senses_gravity_at_rest(self):
         accel = Accelerometer()
         rest = VehicleState()
-        reading = accel.read(rest, 0.0)
-        assert reading.value("accel_z") == pytest.approx(GRAVITY, abs=0.5)
+        values = accel.sample(rest, 0.0)
+        assert values["accel_z"] == pytest.approx(GRAVITY, abs=0.5)
 
     def test_gps_altitude_is_quantised(self):
         gps = GpsReceiver()
-        reading = gps.read(state_at(altitude=17.3), 1.0)
-        assert reading.value("altitude") % GpsReceiver.VERTICAL_RESOLUTION == pytest.approx(0.0)
+        values = gps.sample(state_at(altitude=17.3), 1.0)
+        assert values["altitude"] % GpsReceiver.VERTICAL_RESOLUTION == pytest.approx(0.0)
 
     def test_gps_horizontal_position_close_to_truth(self):
         gps = GpsReceiver()
-        reading = gps.read(state_at(), 1.0)
-        assert reading.value("north") == pytest.approx(3.0, abs=2.0)
-        assert reading.value("east") == pytest.approx(4.0, abs=2.0)
+        values = gps.sample(state_at(), 1.0)
+        assert values["north"] == pytest.approx(3.0, abs=2.0)
+        assert values["east"] == pytest.approx(4.0, abs=2.0)
 
     def test_compass_reports_heading_near_truth(self):
         compass = Compass()
-        reading = compass.read(state_at(yaw=0.3), 1.0)
-        assert reading.value("heading") == pytest.approx(0.3, abs=0.1)
+        values = compass.sample(state_at(yaw=0.3), 1.0)
+        assert values["heading"] == pytest.approx(0.3, abs=0.1)
 
     def test_barometer_tracks_altitude(self):
         baro = Barometer()
-        reading = baro.read(state_at(altitude=25.0), 1.0)
-        assert reading.value("altitude") == pytest.approx(25.0, abs=0.6)
-        assert reading.value("pressure_hpa") < 1013.25
+        values = baro.sample(state_at(altitude=25.0), 1.0)
+        assert values["altitude"] == pytest.approx(25.0, abs=0.6)
+        assert values["pressure_hpa"] < 1013.25
 
     def test_battery_discharges_over_time(self):
         battery = BatteryMonitor()
-        early = battery.read(state_at(), 1.0)
+        early = battery.sample(state_at(), 1.0)
         late_state = VehicleState(time=600.0, armed=True, on_ground=False)
-        late = battery.read(late_state, 600.0)
-        assert late.value("remaining") < early.value("remaining")
+        late = battery.sample(late_state, 600.0)
+        assert late["remaining"] < early["remaining"]
 
     def test_noise_is_deterministic_per_seed(self):
-        first = Gyroscope(noise_seed=3).read(state_at(), 1.0)
-        second = Gyroscope(noise_seed=3).read(state_at(), 1.0)
-        assert first.values == second.values
+        first = Gyroscope(noise_seed=3).sample(state_at(), 1.0)
+        second = Gyroscope(noise_seed=3).sample(state_at(), 1.0)
+        assert first == second
 
     def test_noise_differs_between_seeds(self):
-        first = Gyroscope(noise_seed=1).read(state_at(), 1.0)
-        second = Gyroscope(noise_seed=2).read(state_at(), 1.0)
-        assert first.values != second.values
+        first = Gyroscope(noise_seed=1).sample(state_at(), 1.0)
+        second = Gyroscope(noise_seed=2).sample(state_at(), 1.0)
+        assert first != second
 
 
 class TestBatchedNoise:
@@ -102,7 +103,8 @@ class TestBatchedNoise:
             assert driver._rng.getstate() == reference.getstate()
 
     @pytest.mark.parametrize(
-        "driver_class", [Gyroscope, Accelerometer, GpsReceiver, BatteryMonitor]
+        "driver_class",
+        [Gyroscope, Accelerometer, GpsReceiver, Compass, Barometer, BatteryMonitor],
     )
     def test_readings_match_one_gauss_call_per_channel(self, driver_class, monkeypatch):
         batched = driver_class(noise_seed=5)
@@ -114,36 +116,23 @@ class TestBatchedNoise:
         )
         for step in range(40):
             state = state_at(altitude=10.0 + 0.37 * step, yaw=0.01 * step)
-            assert batched.read(state, step * 0.02).values == sequential.read(
+            assert batched.sample(state, step * 0.02) == sequential.sample(
                 state, step * 0.02
-            ).values
+            )
         assert batched._rng.getstate() == sequential._rng.getstate()
 
 
 class TestCleanFailureSemantics:
-    def test_fail_latches(self):
-        gps = GpsReceiver()
-        gps.fail()
-        reading = gps.read(state_at(), 1.0)
-        assert reading.failed
-        assert reading.values == {}
-        assert gps.failed
-
     def test_instrumentation_hook_fails_reads(self):
         gps = GpsReceiver()
         gps.instrument(lambda sensor_id, time: time >= 2.0)
-        assert not gps.read(state_at(), 1.0).failed
-        assert gps.read(state_at(), 2.5).failed
-        # Failure is latched even if the hook would say no later.
+        assert gps.sample(state_at(), 1.0) is not None
+        assert not gps.failed
+        assert gps.sample(state_at(), 2.5) is None
+        assert gps.failed
+        # The hook's last answer stands once the hook is removed.
         gps.remove_instrumentation()
-        assert gps.read(state_at(), 3.0).failed
-
-    def test_reset_restores_health(self):
-        gps = GpsReceiver()
-        gps.fail()
-        gps.reset()
-        assert gps.healthy
-        assert not gps.read(state_at(), 1.0).failed
+        assert gps.sample(state_at(), 3.0) is None
 
 
 class TestSensorSuite:
@@ -163,40 +152,31 @@ class TestSensorSuite:
         assert compasses[0].role == SensorRole.PRIMARY
         assert compasses[1].role == SensorRole.BACKUP
 
-    def test_failover_to_backup(self):
+    def test_positions_index_read_all_primary_first(self):
         suite = iris_sensor_suite()
-        primary = suite.driver(SensorId(SensorType.COMPASS, 0))
-        primary.fail()
-        active = suite.active_instance(SensorType.COMPASS)
-        assert active is not None
-        assert active.sensor_id.instance == 1
+        ids = suite.sensor_ids
+        for sensor_type in suite.sensor_types:
+            assert [ids[p] for p in suite.positions(sensor_type)] == [
+                driver.sensor_id for driver in suite.instances_of(sensor_type)
+            ]
+        assert suite.positions(SensorType.GPS) == (ids.index(SensorId(SensorType.GPS, 0)),)
 
-    def test_all_failed_detection(self):
+    def test_read_all_fails_exactly_the_hooked_instances(self):
         suite = iris_sensor_suite()
-        for driver in suite.instances_of(SensorType.COMPASS):
-            driver.fail()
-        assert suite.all_failed(SensorType.COMPASS)
-        assert suite.active_instance(SensorType.COMPASS) is None
-
-    def test_read_all_and_read_active(self):
-        suite = iris_sensor_suite()
-        suite.driver(SensorId(SensorType.GYROSCOPE, 0)).fail()
+        gyro0 = SensorId(SensorType.GYROSCOPE, 0)
+        suite.instrument(lambda sensor_id, time: True, {gyro0})
         readings = suite.read_all(state_at(), 1.0)
         assert len(readings) == 9
-        active = suite.read_active(readings, SensorType.GYROSCOPE)
-        assert active is not None and active.sensor_id.instance == 1
-
-    def test_read_active_none_when_type_exhausted(self):
-        suite = minimal_sensor_suite()
-        suite.driver(SensorId(SensorType.GPS, 0)).fail()
-        readings = suite.read_all(state_at(), 1.0)
-        assert suite.read_active(readings, SensorType.GPS) is None
+        failed = [i for i, values in enumerate(readings) if values is None]
+        assert failed == [suite.sensor_ids.index(gyro0)]
+        assert suite.failed_sensor_ids() == [gyro0]
 
     def test_instrument_all_drivers(self):
         suite = iris_sensor_suite()
         suite.instrument(lambda sensor_id, time: True)
         readings = suite.read_all(state_at(), 1.0)
-        assert all(reading.failed for reading in readings.values())
+        assert readings == [None] * len(suite)
+        assert suite.failed_sensor_ids() == suite.sensor_ids
 
     def test_duplicate_instances_rejected(self):
         with pytest.raises(ValueError):
@@ -206,11 +186,19 @@ class TestSensorSuite:
         with pytest.raises(ValueError):
             SensorSuite([])
 
-    def test_reset_restores_all(self):
-        suite = iris_sensor_suite()
-        suite.driver(SensorId(SensorType.GPS, 0)).fail()
-        suite.reset()
-        assert not suite.failed_sensor_ids()
+    def test_no_active_instance_when_type_exhausted(self):
+        suite = minimal_sensor_suite()
+        gps = SensorId(SensorType.GPS, 0)
+        suite.instrument(lambda sensor_id, time: True, {gps})
+        estimator = StateEstimator(suite, FirmwareParameters())
+        _, events = estimator.update(suite.read_all(state_at(), 1.0), 0.02, 1.0)
+        assert estimator.active_instance(SensorType.GPS) is None
+        assert estimator.active_instance(SensorType.BAROMETER) == SensorId(
+            SensorType.BAROMETER, 0
+        )
+        assert [(event.sensor_id, event.type_exhausted) for event in events] == [
+            (gps, True)
+        ]
 
 
 class TestSensorId:
