@@ -5,11 +5,12 @@ writer of ``BENCH_engine.json``) and then this script.  The gate fails
 (exit code 1) on any of three checks against the committed
 ``BENCH_baseline.json``:
 
-* **Physics throughput floors.**  The ``physics`` axis records harness
-  steps/sec per stepper and fleet size; each rate must stay above
-  ``baseline / scale / (1 + tolerance)`` (default tolerance 25%).
+* **Physics throughput floors.**  The ``physics`` axis records, per
+  stepper and fleet size, the median over paired samples of harness
+  steps per calibration loop (``*_steps_per_calibration``); each must
+  stay above ``baseline / (1 + tolerance)`` (default tolerance 25%).
   Higher is better, so these are floors, not ceilings.  The
-  ``adaptive_steps_per_s`` floors also catch "fusing stopped paying".
+  ``adaptive_*`` floors also catch "fusing stopped paying".
 * **Pool speedup floor.**  On a runner with at least two usable cores,
   ``speedup_workers2`` must stay at or above 1.0x.  The floor is
   deliberately loose: it catches "the pool stopped helping at all",
@@ -25,11 +26,12 @@ campaign benchmark (``perfbench/``) measures them end to end.
 
 Two things keep the gate honest across heterogeneous runners:
 
-* **Calibration scaling** -- both reports record ``calibration_s``, the
-  wall-clock of a fixed pure-python workload.  Floors are scaled by
-  the ratio of the two calibrations, so a slower CI runner is not
-  flagged for being slow and a faster one cannot hide a real
-  regression behind raw hardware speed.
+* **Paired calibration** -- the benchmark times a fixed pure-python
+  loop just before every physics sample and records each sample's rate
+  times that loop's seconds, so a slower (or momentarily contended)
+  runner is not flagged for being slow and a faster one cannot hide a
+  real regression behind raw hardware speed.  The floors need no
+  further scaling.
 * **Core-count gating** -- the speedup floor is skipped when
   ``usable_cpus < 2``: a process pool cannot beat serial execution of
   CPU-bound simulations on a single core, which is why single-core CI
@@ -55,6 +57,9 @@ DEFAULT_BASELINE = REPO_ROOT / "BENCH_baseline.json"
 DEFAULT_CURRENT = REPO_ROOT / "BENCH_engine.json"
 DEFAULT_TOLERANCE = 0.25
 
+#: Suffix of the gated physics metrics: harness steps per calibration loop.
+RATE_SUFFIX = "_steps_per_calibration"
+
 #: The parallel-speedup metric and the floor it must clear on machines
 #: with at least two usable cores.
 SPEEDUP_METRIC = "speedup_workers2"
@@ -77,7 +82,7 @@ def _missing(name: str) -> str:
 
 
 def _rate_metrics(report: dict) -> Iterator[Tuple[str, float]]:
-    """Every ``*_steps_per_s`` throughput metric (the ``physics`` axis)."""
+    """Every calibrated throughput metric of the ``physics`` axis."""
     axis = report.get("physics")
     if not isinstance(axis, dict):
         return
@@ -87,7 +92,7 @@ def _rate_metrics(report: dict) -> Iterator[Tuple[str, float]]:
             continue
         for metric_key in sorted(entry):
             value = _number(entry, metric_key)
-            if metric_key.endswith("_steps_per_s") and value is not None:
+            if metric_key.endswith(RATE_SUFFIX) and value is not None:
                 yield f"physics.{entry_key}.{metric_key}", value
 
 
@@ -97,7 +102,7 @@ def check_regression(
     """Compare ``current`` against ``baseline``.
 
     Returns ``(failures, notes)``: a non-empty ``failures`` list means
-    the gate must fail; ``notes`` document skipped or scaled checks and
+    the gate must fail; ``notes`` document skipped checks and
     the measured-vs-baseline numbers of every passing metric.  Every
     metric is always checked -- the gate reports all failures, never
     just the first one.
@@ -105,38 +110,26 @@ def check_regression(
     failures: List[str] = []
     notes: List[str] = []
 
-    scale = 1.0
-    base_cal = _number(baseline, "calibration_s")
-    cur_cal = _number(current, "calibration_s")
-    if base_cal and cur_cal and base_cal > 0:
-        scale = cur_cal / base_cal
-        notes.append(
-            f"calibration: baseline {base_cal:.4f}s, current {cur_cal:.4f}s "
-            f"-> thresholds scaled by {scale:.2f}x"
-        )
-    else:
-        notes.append("calibration missing from a report: raw thresholds used")
-
     current_rates = dict(_rate_metrics(current))
     for name, base_value in _rate_metrics(baseline):
         cur_value = current_rates.get(name)
         if cur_value is None:
             failures.append(_missing(name))
             continue
-        floor = base_value / scale / (1.0 + tolerance)
+        floor = base_value / (1.0 + tolerance)
         if cur_value < floor:
             failures.append(
-                f"{name}: {cur_value:.0f} steps/s is below the allowed floor "
-                f"{floor:.0f} steps/s (baseline {base_value:.0f} steps/s, "
-                f"scale {scale:.2f}x, tolerance {tolerance:.0%})"
+                f"{name}: {cur_value:.0f} is below the allowed floor "
+                f"{floor:.0f} (baseline {base_value:.0f}, "
+                f"tolerance {tolerance:.0%})"
             )
         else:
             # Passing metrics explain themselves too: measured vs
             # baseline is what lets a reader spot a creeping
             # (sub-tolerance) regression before it trips the gate.
             notes.append(
-                f"{name}: measured {cur_value:.0f} steps/s vs baseline "
-                f"{base_value:.0f} steps/s, above floor {floor:.0f} steps/s"
+                f"{name}: measured {cur_value:.0f} vs baseline "
+                f"{base_value:.0f}, above floor {floor:.0f}"
             )
 
     speedup = _number(current, SPEEDUP_METRIC)

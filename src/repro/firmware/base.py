@@ -97,7 +97,9 @@ class ControlFirmware:
 
         self._flight_mode = FlightMode.PREFLIGHT
         self._operating_label = OperatingModeLabel.PREFLIGHT
-        self._label_history: List[Tuple[float, str]] = [(0.0, self._operating_label)]
+        # When the current operating label was entered; hinj keeps the
+        # full transition log.
+        self._label_since = 0.0
         self._post_takeoff_mode = FlightMode.GUIDED
         self._takeoff_target_altitude: Optional[float] = None
         # Fleet members launch from offset pads; the hold point must start
@@ -147,11 +149,6 @@ class ControlFirmware:
     def operating_mode_label(self) -> str:
         """The operating-mode label reported through hinj."""
         return self._operating_label
-
-    @property
-    def label_history(self) -> List[Tuple[float, str]]:
-        """Every operating-mode label change since boot."""
-        return list(self._label_history)
 
     @property
     def armed(self) -> bool:
@@ -296,7 +293,7 @@ class ControlFirmware:
         if label == self._operating_label:
             return
         self._operating_label = label
-        self._label_history.append((time, label))
+        self._label_since = time
         if self._hinj is not None:
             self._hinj.update_mode(label, time)
 
@@ -391,7 +388,7 @@ class ControlFirmware:
         failed_types = frozenset(
             sensor_id.sensor_type for sensor_id in self.suite.failed_sensor_ids()
         )
-        seconds_into_mode = time - self._label_history[-1][0]
+        seconds_into_mode = time - self._label_since
         matches = self._bugs.match(
             sensor_type=sensor_type,
             mode_label=self._operating_label,

@@ -22,6 +22,11 @@ This package reproduces both halves in-process:
 * :class:`~repro.hinj.instrumentation.HinjInterface` is the firmware-facing
   API: ``update_mode()`` reports mode transitions, ``install()`` hooks the
   sensor suite's read path.
+
+As in the paper, where every test runs on a freshly provisioned
+firmware and simulator, each of these is built for one run and one
+scenario: nothing re-loads a scenario into a live scheduler, unhooks a
+suite or listens in on a run's mode changes.
 """
 
 from repro.hinj.faults import (

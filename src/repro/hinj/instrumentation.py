@@ -16,7 +16,7 @@ hooks the sensor suite's read path up to a :class:`FaultScheduler`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from repro.hinj.scheduler import FaultScheduler
 from repro.sensors.suite import SensorSuite
@@ -43,22 +43,20 @@ class ModeTransition:
 
 
 class HinjInterface:
-    """The bridge between the firmware and Avis's fault injection engine."""
+    """The bridge between the firmware and Avis's fault injection engine.
+
+    Built for one run: :meth:`install` hooks one sensor suite once, and
+    :attr:`transitions` is that run's mode log.
+    """
 
     def __init__(self, scheduler: Optional[FaultScheduler] = None) -> None:
         self._scheduler = scheduler if scheduler is not None else FaultScheduler()
         self._transitions: List[ModeTransition] = []
-        self._current_mode: Optional[str] = None
-        self._mode_listeners: List[Callable[[ModeTransition], None]] = []
+        self._label: Optional[str] = None
 
     # ------------------------------------------------------------------
     # Wiring
     # ------------------------------------------------------------------
-    @property
-    def scheduler(self) -> FaultScheduler:
-        """The fault scheduler answering read-time queries."""
-        return self._scheduler
-
     def install(self, suite: SensorSuite) -> None:
         """Instrument the sensor drivers in ``suite``.
 
@@ -67,14 +65,6 @@ class HinjInterface:
         scheduler's scenario can fail are actually hooked.
         """
         self._scheduler.instrument(suite)
-
-    def uninstall(self, suite: SensorSuite) -> None:
-        """Remove the instrumentation from ``suite``."""
-        self._scheduler.release(suite)
-
-    def add_mode_listener(self, listener: Callable[[ModeTransition], None]) -> None:
-        """Register a callback invoked on every mode transition."""
-        self._mode_listeners.append(listener)
 
     # ------------------------------------------------------------------
     # The hinj_update_mode() API
@@ -86,37 +76,14 @@ class HinjInterface:
         the insertion point in the firmware's set-mode function, which is
         only reached when the mode actually changes.
         """
-        if label == self._current_mode:
+        if label == self._label:
             return
-        transition = ModeTransition(time=time, label=label, previous=self._current_mode)
-        self._current_mode = label
-        self._transitions.append(transition)
-        for listener in self._mode_listeners:
-            listener(transition)
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def current_mode(self) -> Optional[str]:
-        """The most recently reported operating-mode label."""
-        return self._current_mode
+        self._transitions.append(
+            ModeTransition(time=time, label=label, previous=self._label)
+        )
+        self._label = label
 
     @property
     def transitions(self) -> List[ModeTransition]:
         """Every transition reported so far, in order."""
         return list(self._transitions)
-
-    def mode_at(self, time: float) -> Optional[str]:
-        """The operating-mode label in effect at simulation time ``time``."""
-        label: Optional[str] = None
-        for transition in self._transitions:
-            if transition.time <= time:
-                label = transition.label
-            else:
-                break
-        return label
-
-    def transition_times(self) -> List[float]:
-        """The times of every mode transition (used to seed SABRE)."""
-        return [transition.time for transition in self._transitions]

@@ -4,14 +4,17 @@ This is the Python analogue of the paper's scheduler process.  The real
 scheduler answers RPCs issued from ``libhinj`` calls embedded in the
 driver ``read()`` procedures; here the scheduler object is handed to the
 sensor suite as the fail-decision hook, so the query happens in-process
-with identical semantics: when the current scenario schedules a failure
-for an instance at or before the current time, the read fails and the
-instance stays failed (until an intermittent fault's window closes).
+with identical semantics: when the scenario schedules a failure for an
+instance at or before the current time, the read fails and the instance
+stays failed (until an intermittent fault's window closes).
 
-The scheduler compiles its scenario's sensor faults once, into a table
-of fault windows per instance, and hooks only the instances that table
-names: a read of any other instance would be answered "no" and is not
-queried at all.  The answers for faulted instances are exactly those of
+A scheduler executes exactly one scenario, as the paper's scheduler
+executes one per run: the harness builds a fresh scheduler, sensor
+suite and firmware for every vehicle of every run, and there is no way
+to load another scenario into a live one.  The constructor compiles the
+scenario's sensor faults into a table of fault windows per instance,
+and only the instances that table names are hooked: a read of any
+other instance would be answered "no" and is not queried at all.  The answers for faulted instances are exactly those of
 :meth:`FaultScenario.active_fault_for`.
 
 The scheduler also keeps the record of injections it actually performed
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.hinj.faults import EMPTY_SCENARIO, FaultScenario, FaultSpec
 from repro.obs.recorder import FlightEvent
@@ -83,29 +86,13 @@ def injection_flight_events(records: List[InjectionRecord]) -> List[FlightEvent]
 
 
 class FaultScheduler:
-    """Executes one :class:`FaultScenario` during a simulated run."""
+    """Executes one :class:`FaultScenario` during a simulated run.
+
+    A scheduler is built for one scenario and thrown away with its run,
+    as Avis provisions a fresh firmware and simulator for every test.
+    """
 
     def __init__(self, scenario: FaultScenario = EMPTY_SCENARIO) -> None:
-        # Suites whose faulted instances are hooked to this scheduler;
-        # ``load_scenario`` re-hooks them for the new scenario.
-        self._suites: List[SensorSuite] = []
-        self.load_scenario(scenario)
-
-    # ------------------------------------------------------------------
-    # Configuration
-    # ------------------------------------------------------------------
-    @property
-    def scenario(self) -> FaultScenario:
-        """The scenario this scheduler is executing."""
-        return self._scenario
-
-    def load_scenario(self, scenario: FaultScenario) -> None:
-        """Replace the scenario and clear the injection record.
-
-        Avis provisions a new firmware + simulator instance per test, so
-        in practice a fresh scheduler is created per run; ``load_scenario``
-        exists for tests and for replay, which reuses one scheduler.
-        """
         self._scenario = scenario
         # The sensor faults in scenario order, and per instance the
         # (start, end, index) window of each, in that order: the first
@@ -129,22 +116,16 @@ class FaultScheduler:
         # keeping replay plans complete for multi-window scenarios.
         self._records: List[Optional[InjectionRecord]] = [None] * len(self._faults)
         self._injection_order: List[int] = []
-        self._query_count = 0
-        for suite in self._suites:
-            suite.instrument(self.should_fail, self._windows)
+
+    @property
+    def scenario(self) -> FaultScenario:
+        """The scenario this scheduler is executing."""
+        return self._scenario
 
     def instrument(self, suite: SensorSuite) -> None:
         """Hook the read path of ``suite``'s faulted instances to
-        :meth:`should_fail` (again after every :meth:`load_scenario`)."""
-        if suite not in self._suites:
-            self._suites.append(suite)
+        :meth:`should_fail`."""
         suite.instrument(self.should_fail, self._windows)
-
-    def release(self, suite: SensorSuite) -> None:
-        """Remove the hooks :meth:`instrument` installed on ``suite``."""
-        if suite in self._suites:
-            self._suites.remove(suite)
-        suite.remove_instrumentation()
 
     # ------------------------------------------------------------------
     # The libhinj query (Step 4 of Figure 7)
@@ -159,7 +140,6 @@ class FaultScheduler:
         the first read at or after the window closed (a latched fault
         never recovers, so its record never gains a recovery stamp).
         """
-        self._query_count += 1
         windows = self._windows.get(sensor_id)
         if windows is None:
             return False
@@ -189,11 +169,6 @@ class FaultScheduler:
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def query_count(self) -> int:
-        """Number of fail-decision queries answered so far."""
-        return self._query_count
-
-    @property
     def injections(self) -> List[InjectionRecord]:
         """Faults that have actually been applied, in injection order.
 
@@ -207,11 +182,6 @@ class FaultScheduler:
         )
 
     @property
-    def injected_sensor_ids(self) -> Set[SensorId]:
-        """The sensor instances failed so far."""
-        return {self._records[index].sensor_id for index in self._injection_order}
-
-    @property
     def settled(self) -> bool:
         """True once the injection log is complete: every scheduled fault
         has been injected and every recovering one has recovered, so no
@@ -222,12 +192,3 @@ class FaultScheduler:
             if fault.recovers and record.recovered_time is None:
                 return False
         return True
-
-    def pending_faults(self, time: float) -> List[SensorId]:
-        """Sensor instances with scheduled faults not yet applied at ``time``."""
-        pending = []
-        for fault, record in zip(self._faults, self._records):
-            if record is None and fault.start_time > time:
-                if fault.sensor_id not in pending:
-                    pending.append(fault.sensor_id)
-        return pending

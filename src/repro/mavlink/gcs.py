@@ -14,7 +14,6 @@ from typing import List, Optional
 
 from repro.mavlink.link import MavLink
 from repro.mavlink.messages import (
-    CommandAck,
     CommandLong,
     GlobalPosition,
     Heartbeat,
@@ -53,7 +52,6 @@ class GroundControlStation:
     def __init__(self, link: MavLink) -> None:
         self._link = link
         self._telemetry = TelemetrySnapshot()
-        self._pending_acks: List[CommandAck] = []
         self._upload: Optional[MissionUploadState] = None
 
     # ------------------------------------------------------------------
@@ -93,8 +91,6 @@ class GroundControlStation:
                 self._telemetry.reached_items.append(message.seq)
         elif isinstance(message, StatusText):
             self._telemetry.status_messages.append(f"[{message.severity}] {message.text}")
-        elif isinstance(message, CommandAck):
-            self._pending_acks.append(message)
         elif isinstance(message, (MissionRequest, MissionAck)) and self._upload is not None:
             item = self._upload.handle(message)
             if item is not None:
@@ -126,11 +122,6 @@ class GroundControlStation:
     def start_mission(self) -> None:
         """Command the vehicle to start executing the uploaded mission."""
         self.send_command(MavCommand.MISSION_START)
-
-    def take_acks(self) -> List[CommandAck]:
-        """Return (and clear) command acknowledgements received so far."""
-        acks, self._pending_acks = self._pending_acks, []
-        return acks
 
     # ------------------------------------------------------------------
     # Mission upload

@@ -58,8 +58,10 @@ def current() -> Optional[Observability]:
 
 def install(obs: Observability) -> Observability:
     """Make ``obs`` the process-wide runtime (replacing any prior one)."""
-    # Fork safety: the gate's one process-wide slot; workers deliberately
-    # inherit the inert default.
+    # Fork safety: a fork copies this slot, so a pool forked while a
+    # runtime is installed gives every worker that runtime (which is how
+    # ``backends._run_indexed`` knows to time its runs); a pool forked
+    # before ``install`` keeps the inert default for its lifetime.
     global _ACTIVE
     _ACTIVE = obs
     return obs
@@ -67,8 +69,8 @@ def install(obs: Observability) -> Observability:
 
 def uninstall() -> None:
     """Return the process to the inert default."""
-    # Fork safety: the gate's one process-wide slot; workers deliberately
-    # inherit the inert default.
+    # Fork safety: workers forked earlier keep the runtime they copied;
+    # only pools forked after this call start inert.
     global _ACTIVE
     _ACTIVE = None
 

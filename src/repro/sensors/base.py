@@ -168,11 +168,6 @@ class SensorDriver:
         """
         self._fail_hook = fail_hook
 
-    def remove_instrumentation(self) -> None:
-        """Remove the fault-injection hook; the instance keeps the
-        health the hook's last answer gave it."""
-        self._fail_hook = None
-
     # ------------------------------------------------------------------
     # Health
     # ------------------------------------------------------------------
@@ -192,8 +187,7 @@ class SensorDriver:
         latched fault's scheduler keeps answering yes once it has fired,
         so the failure persists for the rest of the run; when an
         intermittent fault's recovery window closes the scheduler's
-        answer reverts and the driver reports channel values again.  A
-        failure left behind by a removed hook never recovers.
+        answer reverts and the driver reports channel values again.
         """
         if self._fail_hook is not None:
             self._hook_failed = self._fail_hook(self.sensor_id, time)

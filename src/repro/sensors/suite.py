@@ -7,7 +7,8 @@ primary role, and exposes the operations the rest of the stack needs:
 * the fault injection engine enumerates instances (with roles) to build
   the fault space and applies the sensor-instance-symmetry policy;
 * hinj instruments the read path of every driver (or only of the
-  instances its scenario schedules faults for) in one call.
+  instances its scenario schedules faults for) in one call, once: a
+  suite is built for one run and is never re-hooked or unhooked.
 
 Each control period the firmware gets one read pass: a list of
 per-instance channel values in the suite's canonical order (that of
@@ -135,17 +136,11 @@ class SensorSuite:
         self, fail_hook: FailDecision, sensor_ids: Optional[Collection[SensorId]] = None
     ) -> None:
         """Install the fault-injection hook on every driver, or only on
-        the instances in ``sensor_ids`` (removing it from the others)."""
+        the instances in ``sensor_ids``.  A suite is hooked once, by the
+        run that built it; the hook stays for the suite's lifetime."""
         for sensor_id, driver in self._drivers.items():
             if sensor_ids is None or sensor_id in sensor_ids:
                 driver.instrument(fail_hook)
-            else:
-                driver.remove_instrumentation()
-
-    def remove_instrumentation(self) -> None:
-        """Remove the fault-injection hook from every driver."""
-        for driver in self._drivers.values():
-            driver.remove_instrumentation()
 
     def read_all(
         self, state: VehicleState, time: float
@@ -173,19 +168,5 @@ def iris_sensor_suite(noise_seed: int = 0) -> SensorSuite:
             GpsReceiver(instance=0, role=SensorRole.PRIMARY, noise_seed=noise_seed),
             Barometer(instance=0, role=SensorRole.PRIMARY, noise_seed=noise_seed),
             BatteryMonitor(instance=0, role=SensorRole.PRIMARY, noise_seed=noise_seed),
-        ]
-    )
-
-
-def minimal_sensor_suite(noise_seed: int = 0) -> SensorSuite:
-    """A two-sensor suite (GPS + barometer) matching Figure 5 of the paper.
-
-    Used by unit tests and the Figure 5 benchmark, where the fault space
-    is illustrated with exactly these two sensors.
-    """
-    return SensorSuite(
-        [
-            GpsReceiver(instance=0, role=SensorRole.PRIMARY, noise_seed=noise_seed),
-            Barometer(instance=0, role=SensorRole.PRIMARY, noise_seed=noise_seed),
         ]
     )

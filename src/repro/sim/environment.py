@@ -216,13 +216,3 @@ def fenced_environment(
             max_east=60.0,
         )
     return Environment(fences=(fence,), obstacles=tuple(obstacles))
-
-
-def check_environment_is_default(environment: Environment) -> bool:
-    """True when the environment matches the paper's default test setup."""
-    return (
-        not environment.obstacles
-        and not environment.fences
-        and environment.wind.is_calm
-        and environment.ground_altitude == 0.0
-    )

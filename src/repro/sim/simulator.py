@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.recorder import FlightEvent
 from repro.sim.environment import Environment, FenceRegion, Obstacle, default_environment
@@ -191,7 +191,6 @@ class Simulator:
         self._last_fence: List[Optional[str]] = [None] * fleet_size
         self._pairs_in_conflict: Dict[Tuple[int, int], bool] = {}
         self._min_separation: Optional[float] = None
-        self._step_listeners: List[Callable[[VehicleState], None]] = []
 
     # ------------------------------------------------------------------
     # Properties
@@ -303,10 +302,6 @@ class Simulator:
         events.sort(key=lambda event: (event.time_s, event.kind))
         return events
 
-    def add_step_listener(self, listener: Callable[[VehicleState], None]) -> None:
-        """Register a callback invoked with vehicle 0's state after every step."""
-        self._step_listeners.append(listener)
-
     # ------------------------------------------------------------------
     # Stepping
     # ------------------------------------------------------------------
@@ -339,9 +334,6 @@ class Simulator:
             self._detect_fence_breach(vehicle)
         if self.fleet_size > 1:
             self._track_separation()
-
-        for listener in self._step_listeners:
-            listener(self._states[0])
         return list(self._states)
 
     def teleport_vehicle(

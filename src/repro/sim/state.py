@@ -15,25 +15,15 @@ in radians, matching compass headings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Tuple
+from dataclasses import dataclass, field
+from typing import Tuple
 
 Vector3 = Tuple[float, float, float]
-
-
-def vector_add(a: Vector3, b: Vector3) -> Vector3:
-    """Return the component-wise sum of two 3-vectors."""
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
 
 
 def vector_sub(a: Vector3, b: Vector3) -> Vector3:
     """Return the component-wise difference ``a - b``."""
     return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
-
-
-def vector_scale(a: Vector3, factor: float) -> Vector3:
-    """Return ``a`` scaled by ``factor``."""
-    return (a[0] * factor, a[1] * factor, a[2] * factor)
 
 
 def vector_norm(a: Vector3) -> float:
@@ -69,10 +59,6 @@ class AttitudeState:
     def as_tuple(self) -> Vector3:
         """Return ``(roll, pitch, yaw)`` as a plain tuple."""
         return (self.roll, self.pitch, self.yaw)
-
-    def rotated_yaw(self, delta: float) -> "AttitudeState":
-        """Return a copy with ``delta`` radians added to the yaw (wrapped)."""
-        return AttitudeState(self.roll, self.pitch, wrap_angle(self.yaw + delta))
 
 
 @dataclass(frozen=True)
@@ -135,67 +121,3 @@ class VehicleState:
     def horizontal_distance_to(self, point: Vector3) -> float:
         """Horizontal (north/east plane) distance to ``point`` in metres."""
         return math.hypot(self.position[0] - point[0], self.position[1] - point[1])
-
-    def distance_to(self, point: Vector3) -> float:
-        """Full 3-D Euclidean distance to ``point`` in metres."""
-        return euclidean_distance(self.position, point)
-
-    def with_time(self, time: float) -> "VehicleState":
-        """Return a copy of the state stamped with a different time."""
-        return replace(self, time=time)
-
-    def with_armed(self, armed: bool) -> "VehicleState":
-        """Return a copy of the state with the armed flag changed."""
-        return replace(self, armed=armed)
-
-
-def interpolate_states(a: VehicleState, b: VehicleState, fraction: float) -> VehicleState:
-    """Linearly interpolate between two states.
-
-    Used by trace analysis when resampling runs of different durations onto
-    a common time base (the paper pads shorter runs by repeating the last
-    state; interpolation is used when traces were recorded at different
-    rates).
-    """
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError(f"fraction must be within [0, 1], got {fraction}")
-
-    def lerp(x: float, y: float) -> float:
-        return x + (y - x) * fraction
-
-    def lerp3(x: Vector3, y: Vector3) -> Vector3:
-        return (lerp(x[0], y[0]), lerp(x[1], y[1]), lerp(x[2], y[2]))
-
-    return VehicleState(
-        time=lerp(a.time, b.time),
-        position=lerp3(a.position, b.position),
-        velocity=lerp3(a.velocity, b.velocity),
-        acceleration=lerp3(a.acceleration, b.acceleration),
-        attitude=AttitudeState(
-            lerp(a.attitude.roll, b.attitude.roll),
-            lerp(a.attitude.pitch, b.attitude.pitch),
-            a.attitude.yaw + wrap_angle(b.attitude.yaw - a.attitude.yaw) * fraction,
-        ),
-        angular_rate=lerp3(a.angular_rate, b.angular_rate),
-        on_ground=a.on_ground if fraction < 0.5 else b.on_ground,
-        armed=a.armed if fraction < 0.5 else b.armed,
-    )
-
-
-def pad_trace(trace: Iterable[VehicleState], length: int) -> list[VehicleState]:
-    """Pad a trace to ``length`` samples by repeating its final state.
-
-    The paper's liveliness metric requires every profiling run to have the
-    same duration; shorter runs "repeat the last state an appropriate
-    number of times".
-    """
-    states = list(trace)
-    if not states:
-        raise ValueError("cannot pad an empty trace")
-    if length < len(states):
-        raise ValueError(
-            f"target length {length} is shorter than the trace ({len(states)} samples)"
-        )
-    last = states[-1]
-    states.extend([last] * (length - len(states)))
-    return states

@@ -126,15 +126,3 @@ class TestMissionUploadThroughFirmware:
         bench.gcs.start_mission()
         bench.step(600)
         assert 0 in bench.gcs.telemetry.reached_items
-
-
-class TestModeTransitionsReporting:
-    def test_label_history_matches_hinj(self, bench):
-        bench.step(10)
-        bench.gcs.arm()
-        bench.step(10)
-        bench.gcs.command_takeoff(4.0)
-        bench.step(300)
-        labels = [label for _, label in bench.firmware.label_history]
-        assert labels[0] == "preflight"
-        assert "takeoff" in labels

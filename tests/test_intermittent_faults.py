@@ -340,7 +340,7 @@ class TestSchedulerRecovery:
         records = scheduler.injections
         assert [record.scheduled_time for record in records] == [10.0, 30.0]
         assert [record.recovered_time for record in records] == [14.0, 34.0]
-        assert scheduler.injected_sensor_ids == {GPS}
+        assert {record.sensor_id for record in records} == {GPS}
         # Replay plans carry *both* windows.
         result = make_run_result(scenario=scenario)
         result.injections = records
@@ -348,7 +348,7 @@ class TestSchedulerRecovery:
         assert len(plan.faults) == 2
         assert [fault.duration_s for fault in plan.faults] == [3.0, 3.0]
 
-    def test_pending_faults_sees_unapplied_later_windows(self):
+    def test_later_window_stays_unapplied(self):
         scenario = FaultScenario(
             [
                 FaultSpec(GPS, 10.0, duration_s=3.0),
@@ -357,7 +357,8 @@ class TestSchedulerRecovery:
         )
         scheduler = FaultScheduler(scenario)
         scheduler.should_fail(GPS, 11.0)
-        assert scheduler.pending_faults(20.0) == [GPS]
+        assert [record.scheduled_time for record in scheduler.injections] == [10.0]
+        assert not scheduler.settled
 
     def test_latched_records_never_recover(self):
         scheduler = FaultScheduler(FaultScenario([FaultSpec(GPS, 2.0)]))

@@ -16,7 +16,6 @@ from repro.mavlink import (
     StatusText,
     mission_item,
 )
-from repro.mavlink.link import drain_messages_of_type
 from repro.mavlink.messages import CommandAck, CommandLong, GlobalPosition, MavResult, describe
 from repro.mavlink.mission import MissionReceiveState, UploadPhase
 
@@ -38,24 +37,12 @@ class TestMavLink:
         link.advance()
         assert len(link.vehicle_receive()) == 1
 
-    def test_capacity_drops_messages(self):
-        link = MavLink(capacity=1)
-        assert link.gcs_send(Heartbeat())
-        assert not link.gcs_send(Heartbeat())
-        assert link.to_vehicle_stats.dropped == 1
-
     def test_directions_are_independent(self):
         link = MavLink()
         link.gcs_send(Heartbeat(mode="to-vehicle"))
         link.vehicle_send(Heartbeat(mode="to-gcs"))
-        assert link.pending_to_vehicle == 1
-        assert link.pending_to_gcs == 1
-        assert link.gcs_receive()[0].mode == "to-gcs"
-
-    def test_drain_messages_of_type(self):
-        messages = [Heartbeat(), StatusText(text="x"), Heartbeat()]
-        hearts, rest = drain_messages_of_type(messages, Heartbeat)
-        assert len(hearts) == 2 and len(rest) == 1
+        assert [m.mode for m in link.gcs_receive()] == ["to-gcs"]
+        assert [m.mode for m in link.vehicle_receive()] == ["to-vehicle"]
 
     def test_describe_renders_fields(self):
         assert "HEARTBEAT" in describe(Heartbeat(mode="auto"))
@@ -144,9 +131,9 @@ class TestGroundControlStation:
         gcs = GroundControlStation(link)
         link.vehicle_send(StatusText(severity="warning", text="baro failed"))
         link.vehicle_send(CommandAck(command=MavCommand.NAV_TAKEOFF, result=MavResult.ACCEPTED))
-        gcs.poll()
+        messages = gcs.poll()
         assert any("baro failed" in text for text in gcs.telemetry.status_messages)
-        acks = gcs.take_acks()
+        acks = [message for message in messages if isinstance(message, CommandAck)]
         assert len(acks) == 1 and acks[0].command == MavCommand.NAV_TAKEOFF
 
     def test_arm_sends_command_long(self):

@@ -534,10 +534,10 @@ def _load_check_regression():
 class TestCheckRegressionReporting:
     def _report(self, speedup=1.5, **rates):
         physics = {
-            entry: {"reference_steps_per_s": rate} for entry, rate in rates.items()
+            entry: {"reference_steps_per_calibration": rate}
+            for entry, rate in rates.items()
         }
         return {
-            "calibration_s": 1.0,
             "usable_cpus": 2,
             "speedup_workers2": speedup,
             "physics": physics,
@@ -554,8 +554,8 @@ class TestCheckRegressionReporting:
         passing = [note for note in notes if "above floor" in note]
         assert len(passing) == 2
         assert any(
-            "physics.fleet1.reference_steps_per_s: measured 900 steps/s "
-            "vs baseline 1000 steps/s" in note
+            "physics.fleet1.reference_steps_per_calibration: measured 900 "
+            "vs baseline 1000" in note
             for note in passing
         )
         assert any("speedup_workers2: 1.50x >= 1.00x floor" in n for n in notes)

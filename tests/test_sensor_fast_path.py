@@ -135,40 +135,35 @@ class TestCompiledWindowTable:
         assert [record.duration_s for record in scheduler.injections] == [1.0, None]
         assert scheduler.injections[0].recovered_time == 3.0
 
-    def test_pending_faults_follow_the_records(self):
+    def test_injections_follow_the_reads(self):
         scheduler = FaultScheduler(
             FaultScenario([FaultSpec(GPS, 1.0, 1.0), FaultSpec(BARO, 5.0)])
         )
-        assert scheduler.pending_faults(0.0) == [BARO, GPS]
+        assert scheduler.injections == []
         scheduler.should_fail(GPS, 1.5)
-        assert scheduler.pending_faults(0.0) == [BARO]
+        assert [record.sensor_id for record in scheduler.injections] == [GPS]
+        assert not scheduler.settled
 
 
 class TestHookSkip:
     def test_only_faulted_instances_are_queried(self):
         scheduler = FaultScheduler(FaultScenario([FaultSpec(GPS, 1.0, 1.0)]))
+        queried = []
+        should_fail = scheduler.should_fail
+
+        def counted(sensor_id, time):
+            queried.append(sensor_id)
+            return should_fail(sensor_id, time)
+
+        scheduler.should_fail = counted
         suite = iris_sensor_suite()
         HinjInterface(scheduler).install(suite)
         for step in range(200):
             suite.read_all(VehicleState(), step * 0.02)
-        assert scheduler.query_count == 200
+        assert queried == [GPS] * 200
         assert [record.recovered_time for record in scheduler.injections] == [
             pytest.approx(2.0)
         ]
-
-    def test_load_scenario_rehooks_installed_suites(self):
-        scheduler = FaultScheduler(FaultScenario([FaultSpec(GPS, 0.0)]))
-        suite = iris_sensor_suite()
-        hinj = HinjInterface(scheduler)
-        hinj.install(suite)
-        scheduler.load_scenario(FaultScenario([FaultSpec(BARO, 0.0)]))
-        ids = suite.sensor_ids
-        readings = suite.read_all(VehicleState(), 1.0)
-        assert readings[ids.index(BARO)] is None
-        assert readings[ids.index(GPS)] is not None
-        hinj.uninstall(suite)
-        scheduler.load_scenario(FaultScenario([FaultSpec(COMPASS0, 0.0)]))
-        assert suite.read_all(VehicleState(), 2.0)[ids.index(COMPASS0)] is not None
 
     @pytest.mark.parametrize("failed", [(), (BARO,), (GPS, COMPASS1), (GYRO0, ACCEL1)])
     def test_read_all_is_canonically_ordered(self, failed):

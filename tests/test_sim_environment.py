@@ -8,7 +8,6 @@ from repro.sim.environment import (
     GeoLocation,
     Obstacle,
     Wind,
-    check_environment_is_default,
     default_environment,
     fenced_environment,
 )
@@ -67,10 +66,12 @@ class TestGeoLocation:
 
 class TestEnvironment:
     def test_default_environment_matches_paper_setup(self):
-        assert check_environment_is_default(default_environment())
+        env = default_environment()
+        assert not env.obstacles and not env.fences
+        assert env.wind.is_calm and env.ground_altitude == 0.0
 
     def test_fenced_environment_is_not_default(self):
-        assert not check_environment_is_default(fenced_environment())
+        assert fenced_environment().fences
 
     def test_collision_queries(self):
         env = Environment(obstacles=(Obstacle("tower", 5.0, 5.0, 1.0, 1.0, 30.0),))

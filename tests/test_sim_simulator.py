@@ -28,13 +28,6 @@ class TestSimulatorStepping:
         simulator.step(ActuatorCommand(armed=False))
         assert simulator.time == pytest.approx(0.04)
 
-    def test_step_listener_invoked(self):
-        simulator = Simulator(dt=0.02)
-        seen = []
-        simulator.add_step_listener(lambda state: seen.append(state.time))
-        simulator.step(ActuatorCommand(armed=False))
-        assert len(seen) == 1
-
 
 class TestCollisionDetection:
     def test_hard_ground_impact_is_recorded(self):

@@ -8,24 +8,15 @@ from repro.sim.state import (
     AttitudeState,
     VehicleState,
     euclidean_distance,
-    interpolate_states,
-    pad_trace,
-    vector_add,
     vector_norm,
-    vector_scale,
     vector_sub,
     wrap_angle,
 )
 
 
 class TestVectorHelpers:
-    def test_add_and_sub_are_inverse(self):
-        a = (1.0, -2.0, 3.5)
-        b = (0.5, 4.0, -1.0)
-        assert vector_sub(vector_add(a, b), b) == pytest.approx(a)
-
-    def test_scale(self):
-        assert vector_scale((1.0, 2.0, 3.0), 2.0) == (2.0, 4.0, 6.0)
+    def test_sub_is_componentwise(self):
+        assert vector_sub((1.0, -2.0, 3.5), (0.5, 4.0, -1.0)) == (0.5, -6.0, 4.5)
 
     def test_norm_of_unit_vectors(self):
         assert vector_norm((1.0, 0.0, 0.0)) == pytest.approx(1.0)
@@ -59,11 +50,6 @@ class TestAttitudeState:
         attitude = AttitudeState(roll=0.1, pitch=-0.2, yaw=1.0)
         assert attitude.as_tuple() == (0.1, -0.2, 1.0)
 
-    def test_rotated_yaw_wraps(self):
-        attitude = AttitudeState(yaw=math.pi - 0.1)
-        rotated = attitude.rotated_yaw(0.3)
-        assert rotated.yaw == pytest.approx(-math.pi + 0.2)
-
 
 class TestVehicleState:
     def test_altitude_and_speeds(self):
@@ -78,50 +64,6 @@ class TestVehicleState:
         state = VehicleState(attitude=AttitudeState(yaw=0.7))
         assert state.heading == pytest.approx(0.7)
 
-    def test_distances(self):
+    def test_horizontal_distance(self):
         state = VehicleState(position=(3.0, 4.0, 12.0))
         assert state.horizontal_distance_to((0.0, 0.0, 0.0)) == pytest.approx(5.0)
-        assert state.distance_to((3.0, 4.0, 0.0)) == pytest.approx(12.0)
-
-    def test_with_time_and_armed_copies(self):
-        state = VehicleState()
-        assert state.with_time(4.0).time == 4.0
-        assert state.with_armed(True).armed is True
-        assert state.time == 0.0 and state.armed is False
-
-
-class TestInterpolation:
-    def test_midpoint(self):
-        a = VehicleState(time=0.0, position=(0.0, 0.0, 0.0))
-        b = VehicleState(time=1.0, position=(2.0, 4.0, 6.0))
-        mid = interpolate_states(a, b, 0.5)
-        assert mid.position == pytest.approx((1.0, 2.0, 3.0))
-        assert mid.time == pytest.approx(0.5)
-
-    def test_rejects_fraction_outside_range(self):
-        a, b = VehicleState(), VehicleState()
-        with pytest.raises(ValueError):
-            interpolate_states(a, b, 1.5)
-
-    def test_yaw_interpolation_takes_short_way_round(self):
-        a = VehicleState(attitude=AttitudeState(yaw=math.pi - 0.1))
-        b = VehicleState(attitude=AttitudeState(yaw=-math.pi + 0.1))
-        mid = interpolate_states(a, b, 0.5)
-        assert abs(abs(mid.attitude.yaw) - math.pi) < 0.11
-
-
-class TestPadTrace:
-    def test_pads_with_last_state(self):
-        trace = [VehicleState(time=0.0), VehicleState(time=1.0)]
-        padded = pad_trace(trace, 5)
-        assert len(padded) == 5
-        assert padded[-1] == trace[-1]
-
-    def test_rejects_shrinking(self):
-        trace = [VehicleState(time=float(i)) for i in range(4)]
-        with pytest.raises(ValueError):
-            pad_trace(trace, 2)
-
-    def test_rejects_empty_trace(self):
-        with pytest.raises(ValueError):
-            pad_trace([], 3)
