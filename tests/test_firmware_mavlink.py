@@ -7,6 +7,7 @@ path the workload framework uses -- and step the lock-step loop by hand.
 import pytest
 
 from repro.firmware.ardupilot import ArduPilotFirmware
+from repro.hinj.instrumentation import HinjInterface
 from repro.mavlink.gcs import GroundControlStation
 from repro.mavlink.link import MavLink
 from repro.mavlink.messages import MavCommand
@@ -18,13 +19,13 @@ from repro.sim.simulator import Simulator
 class Bench:
     """A minimal hand-stepped firmware + simulator + GCS bench."""
 
-    def __init__(self):
+    def __init__(self, hinj=None):
         self.simulator = Simulator(dt=0.02)
         self.suite = iris_sensor_suite()
         self.link = MavLink()
         self.gcs = GroundControlStation(self.link)
         self.firmware = ArduPilotFirmware(
-            suite=self.suite, link=self.link, dt=0.02
+            suite=self.suite, link=self.link, hinj=hinj, dt=0.02
         )
 
     def step(self, count=1):
@@ -126,3 +127,29 @@ class TestMissionUploadThroughFirmware:
         bench.gcs.start_mission()
         bench.step(600)
         assert 0 in bench.gcs.telemetry.reached_items
+
+
+class TestModeTransitionsReporting:
+    def _take_off(self):
+        hinj = HinjInterface()
+        bench = Bench(hinj)
+        bench.step(10)
+        bench.gcs.arm()
+        bench.step(10)
+        bench.gcs.command_takeoff(4.0)
+        bench.step(300)
+        return bench, hinj
+
+    def test_hinj_logs_preflight_then_takeoff(self):
+        bench, hinj = self._take_off()
+        labels = [transition.label for transition in hinj.transitions]
+        assert labels[0] == "preflight"
+        assert "takeoff" in labels
+        assert labels[-1] == bench.firmware.operating_mode_label
+
+    def test_label_since_is_the_last_transition_time(self):
+        # The firmware keeps only when its current label was entered;
+        # that time is the one hinj logged for the label.
+        bench, hinj = self._take_off()
+        assert len(hinj.transitions) > 1
+        assert bench.firmware._label_since == hinj.transitions[-1].time

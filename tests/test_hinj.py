@@ -89,6 +89,33 @@ class TestFaultScheduler:
         assert [record.sensor_id for record in scheduler.injections] == [GPS]
         assert not scheduler.settled
 
+    def test_constructor_compiles_the_scenario(self):
+        # No load step: a scheduler answers for its scenario as built.
+        scenario = FaultScenario([FaultSpec(GPS, 3.0, 2.0)])
+        scheduler = FaultScheduler(scenario)
+        assert scheduler.scenario is scenario
+        assert not scheduler.should_fail(GPS, 2.9)
+        assert scheduler.should_fail(GPS, 3.0)
+        assert not scheduler.should_fail(GPS, 5.0)
+        assert scheduler.settled
+
+    def test_schedulers_share_no_state(self):
+        # Each run builds its own scheduler; one run's injections never
+        # show up in the next run's scheduler.
+        first = FaultScheduler(FaultScenario([FaultSpec(GPS, 1.0)]))
+        assert first.should_fail(GPS, 2.0)
+        second = FaultScheduler(FaultScenario([FaultSpec(BARO, 5.0)]))
+        assert second.injections == []
+        assert not second.should_fail(GPS, 2.0)
+        assert [record.sensor_id for record in first.injections] == [GPS]
+
+    def test_default_scheduler_is_golden(self):
+        scheduler = FaultScheduler()
+        assert scheduler.scenario.is_empty
+        assert not scheduler.should_fail(GPS, 100.0)
+        assert scheduler.injections == []
+        assert scheduler.settled
+
 
 class TestHinjInterface:
     def test_mode_transitions_recorded_once(self):
@@ -104,6 +131,19 @@ class TestHinjInterface:
         hinj.update_mode("preflight", 0.0)
         hinj.update_mode("takeoff", 2.0)
         assert [t.time for t in hinj.transitions] == [0.0, 2.0]
+
+    def test_first_transition_has_no_previous(self):
+        hinj = HinjInterface()
+        hinj.update_mode("preflight", 0.0)
+        (start,) = hinj.transitions
+        assert start.previous is None
+        assert start.describe() == "start in preflight @ 0.00s"
+
+    def test_transitions_is_a_copy(self):
+        hinj = HinjInterface()
+        hinj.update_mode("preflight", 0.0)
+        hinj.transitions.clear()
+        assert [t.label for t in hinj.transitions] == ["preflight"]
 
     def test_install_instruments_suite(self):
         scheduler = FaultScheduler(FaultScenario([FaultSpec(GPS, 0.0)]))

@@ -37,6 +37,24 @@ class TestMavLink:
         link.advance()
         assert len(link.vehicle_receive()) == 1
 
+    def test_rejects_negative_delay(self):
+        with pytest.raises(ValueError):
+            MavLink(delay_steps=-1)
+
+    def test_link_never_drops_messages(self):
+        link = MavLink()
+        for seq in range(5000):
+            link.gcs_send(StatusText(text=str(seq)))
+        assert [m.text for m in link.vehicle_receive()] == [
+            str(seq) for seq in range(5000)
+        ]
+
+    def test_receive_drains_the_queue(self):
+        link = MavLink()
+        link.vehicle_send(Heartbeat())
+        assert len(link.gcs_receive()) == 1
+        assert link.gcs_receive() == []
+
     def test_directions_are_independent(self):
         link = MavLink()
         link.gcs_send(Heartbeat(mode="to-vehicle"))
@@ -135,6 +153,20 @@ class TestGroundControlStation:
         assert any("baro failed" in text for text in gcs.telemetry.status_messages)
         acks = [message for message in messages if isinstance(message, CommandAck)]
         assert len(acks) == 1 and acks[0].command == MavCommand.NAV_TAKEOFF
+
+    def test_poll_returns_each_message_once(self):
+        # The GCS keeps no ack list: an ack is seen in the poll that
+        # receives it and never again.
+        link = MavLink()
+        gcs = GroundControlStation(link)
+        link.vehicle_send(CommandAck(command=MavCommand.NAV_TAKEOFF, result=MavResult.ACCEPTED))
+        link.vehicle_send(CommandAck(command=MavCommand.NAV_LAND, result=MavResult.DENIED))
+        acks = gcs.poll()
+        assert [(ack.command, ack.result) for ack in acks] == [
+            (MavCommand.NAV_TAKEOFF, MavResult.ACCEPTED),
+            (MavCommand.NAV_LAND, MavResult.DENIED),
+        ]
+        assert gcs.poll() == []
 
     def test_arm_sends_command_long(self):
         link = MavLink()

@@ -1,9 +1,12 @@
-"""Unit tests for the CI perf-regression gate (benchmarks/check_regression.py)."""
+"""Unit tests for the CI perf-regression gate (benchmarks/check_regression.py)
+and the paired physics samples it gates (benchmarks/bench_engine_scaling.py)."""
 
 import importlib.util
 import json
 import sys
 from pathlib import Path
+
+import pytest
 
 _GATE_PATH = (
     Path(__file__).resolve().parent.parent / "benchmarks" / "check_regression.py"
@@ -15,6 +18,13 @@ _spec.loader.exec_module(check_regression_module)
 
 check_regression = check_regression_module.check_regression
 main = check_regression_module.main
+
+_BENCH_PATH = _GATE_PATH.parent / "bench_engine_scaling.py"
+_bench_spec = importlib.util.spec_from_file_location(
+    "bench_engine_scaling", _BENCH_PATH
+)
+bench_module = importlib.util.module_from_spec(_bench_spec)
+_bench_spec.loader.exec_module(bench_module)
 
 
 def report(cpus=1, speedup2=1.0, physics_rate=1000.0):
@@ -73,6 +83,66 @@ class TestPairedCalibration:
         assert any(
             "physics.fleet1.reference_steps_per_calibration" in f for f in failures
         )
+
+
+class TestPhysicsPairs:
+    """The bench's physics axis, with both timers replaced by scripts."""
+
+    def _measure(self, monkeypatch, calibrations, rates):
+        calls = []
+        calibrations, rates = iter(calibrations), iter(rates)
+
+        def calibration_sample():
+            calls.append("calibration")
+            return next(calibrations)
+
+        def steps_per_second(fleet_size, stepper):
+            calls.append((fleet_size, stepper))
+            return next(rates)
+
+        monkeypatch.setattr(bench_module, "_calibration_sample", calibration_sample)
+        monkeypatch.setattr(bench_module, "_steps_per_second", steps_per_second)
+        return bench_module._measure_physics_axis(), calls
+
+    def test_each_sample_follows_its_own_calibration(self, monkeypatch):
+        cells = 3 * 2
+        pairs = bench_module.PHYSICS_PAIRS
+        _, calls = self._measure(
+            monkeypatch, [1.0] * (1 + cells * pairs), [100.0] * (cells * pairs)
+        )
+        # One warm-up loop, then (calibration, sample) pairs round-robin
+        # over the cells, ``PHYSICS_PAIRS`` rounds.
+        assert calls[0] == "calibration"
+        round_robin = [
+            (fleet_size, stepper)
+            for fleet_size in bench_module.PHYSICS_FLEET_SIZES
+            for stepper in bench_module.STEPPERS
+        ]
+        expected = []
+        for _ in range(pairs):
+            for cell in round_robin:
+                expected += ["calibration", cell]
+        assert calls[1:] == expected
+
+    def test_cells_record_the_median_paired_product(self, monkeypatch):
+        cells = 3 * 2
+        pairs = bench_module.PHYSICS_PAIRS
+        assert pairs == 5
+        # Round r slows the machine by factor[r]: calibration grows and
+        # the rate shrinks with it, except one outlier pair per cell.
+        factors = [1.0, 2.0, 1.5, 1.0, 3.0]
+        calibrations, rates = [0.1], []
+        for round_index, factor in enumerate(factors):
+            for _ in range(cells):
+                calibrations.append(0.1 * factor)
+                rates.append(1000.0 / factor * (0.5 if round_index == 4 else 1.0))
+        axis, _ = self._measure(monkeypatch, calibrations, rates)
+        assert axis["pairs"] == pairs
+        fleet1 = axis["fleet1"]
+        # Products: 100, 100, 100, 100, 50 -> the median ignores the outlier.
+        assert fleet1["reference_steps_per_calibration"] == pytest.approx(100.0)
+        # Raw rates: 1000, 500, 666.7, 1000, 166.7 -> median 666.7.
+        assert fleet1["reference_steps_per_s"] == pytest.approx(1000.0 / 1.5)
 
 
 class TestSpeedupGating:

@@ -165,6 +165,36 @@ class TestHookSkip:
             pytest.approx(2.0)
         ]
 
+    def test_golden_scheduler_hooks_nothing(self):
+        scheduler = FaultScheduler()
+        queried = []
+        scheduler.should_fail = lambda sensor_id, time: queried.append(sensor_id)
+        suite = iris_sensor_suite()
+        HinjInterface(scheduler).install(suite)
+        for step in range(50):
+            assert None not in suite.read_all(VehicleState(), step * 0.02)
+        assert queried == []
+
+    def test_a_fresh_stack_carries_no_failure_over(self):
+        # Run 1 fails GPS from t=0; run 2, built for a barometer fault at
+        # t=5, reads GPS normally and fails only the barometer.
+        first = iris_sensor_suite()
+        HinjInterface(FaultScheduler(FaultScenario([FaultSpec(GPS, 0.0)]))).install(
+            first
+        )
+        first.read_all(VehicleState(), 0.0)
+        assert first.failed_sensor_ids() == [GPS]
+        second = iris_sensor_suite()
+        HinjInterface(FaultScheduler(FaultScenario([FaultSpec(BARO, 5.0)]))).install(
+            second
+        )
+        readings = second.read_all(VehicleState(), 2.0)
+        assert None not in readings
+        assert second.failed_sensor_ids() == []
+        readings = second.read_all(VehicleState(), 5.0)
+        assert readings[second.sensor_ids.index(GPS)] is not None
+        assert second.failed_sensor_ids() == [BARO]
+
     @pytest.mark.parametrize("failed", [(), (BARO,), (GPS, COMPASS1), (GYRO0, ACCEL1)])
     def test_read_all_is_canonically_ordered(self, failed):
         """One entry per instance in ``sensor_ids`` order: each driver's

@@ -28,6 +28,13 @@ class TestSimulatorStepping:
         simulator.step(ActuatorCommand(armed=False))
         assert simulator.time == pytest.approx(0.04)
 
+    def test_step_returns_the_new_state(self):
+        # Callers read the state a step returns; there is no listener.
+        simulator = Simulator(dt=0.02)
+        state = simulator.step(ActuatorCommand(armed=False))
+        assert state is simulator.state
+        assert state.time == pytest.approx(0.02)
+
 
 class TestCollisionDetection:
     def test_hard_ground_impact_is_recorded(self):

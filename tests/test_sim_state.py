@@ -1,5 +1,6 @@
 """Unit tests for the vehicle state primitives."""
 
+import dataclasses
 import math
 
 import pytest
@@ -67,3 +68,12 @@ class TestVehicleState:
     def test_horizontal_distance(self):
         state = VehicleState(position=(3.0, 4.0, 12.0))
         assert state.horizontal_distance_to((0.0, 0.0, 0.0)) == pytest.approx(5.0)
+
+    def test_states_are_immutable(self):
+        # A copy with one field changed is ``dataclasses.replace``.
+        state = VehicleState()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            state.time = 4.0
+        moved = dataclasses.replace(state, time=4.0, armed=True)
+        assert (moved.time, moved.armed) == (4.0, True)
+        assert (state.time, state.armed) == (0.0, False)
