@@ -6,22 +6,47 @@ from the observed transitions between modes in the profiling runs."  The
 distance between two modes is the length of the shortest path between
 them; the longest such path (the graph's diameter, ``D``) normalises the
 position and acceleration distances.
+
+The graph holds a handful of labels, so distances are hop counts found by
+breadth-first search over two adjacency maps.  A pair with no directed
+path falls back to the undirected hop count (successors plus
+predecessors); a pair with neither, or an unknown mode, is ``D + 1``
+apart.  ``D`` itself is the largest undirected hop count.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from repro.hinj.instrumentation import ModeTransition
+
+#: label -> neighbours, each in first-seen order (a dict as ordered set).
+_Adjacency = Dict[str, Dict[str, None]]
+
+
+def _hops(source: str, *adjacencies: _Adjacency) -> Dict[str, int]:
+    """Breadth-first hop count from ``source`` to every label it reaches,
+    one hop being an edge of any of ``adjacencies``."""
+    depth = {source: 0}
+    frontier = [source]
+    while frontier:
+        following = []
+        for label in frontier:
+            for adjacency in adjacencies:
+                for neighbour in adjacency[label]:
+                    if neighbour not in depth:
+                        depth[neighbour] = depth[label] + 1
+                        following.append(neighbour)
+        frontier = following
+    return depth
 
 
 class ModeGraph:
     """Directed graph over operating-mode labels with shortest-path distance."""
 
     def __init__(self) -> None:
-        self._graph = nx.DiGraph()
+        self._successors: _Adjacency = {}
+        self._predecessors: _Adjacency = {}
         self._distance_cache: Dict[Tuple[str, str], int] = {}
         self._diameter: Optional[int] = None
 
@@ -30,12 +55,18 @@ class ModeGraph:
     # ------------------------------------------------------------------
     def add_transition(self, source: Optional[str], destination: str) -> None:
         """Record one observed mode-change event."""
-        self._graph.add_node(destination)
+        self._add_mode(destination)
         if source is not None and source != destination:
-            self._graph.add_node(source)
-            self._graph.add_edge(source, destination)
+            self._add_mode(source)
+            self._successors[source][destination] = None
+            self._predecessors[destination][source] = None
         self._distance_cache.clear()
         self._diameter = None
+
+    def _add_mode(self, label: str) -> None:
+        if label not in self._successors:
+            self._successors[label] = {}
+            self._predecessors[label] = {}
 
     def add_transitions(self, transitions: Iterable[ModeTransition]) -> None:
         """Record a whole profiling run's transition list."""
@@ -58,15 +89,22 @@ class ModeGraph:
     @property
     def modes(self) -> List[str]:
         """Every mode label seen in the profiling runs."""
-        return sorted(self._graph.nodes)
+        return sorted(self._successors)
 
     @property
     def edges(self) -> List[Tuple[str, str]]:
         """Every observed mode-change edge."""
-        return sorted(self._graph.edges)
+        return sorted(
+            (source, destination)
+            for source, successors in self._successors.items()
+            for destination in successors
+        )
 
     def __contains__(self, label: str) -> bool:
-        return label in self._graph
+        return label in self._successors
+
+    def _undirected_hops(self, source: str) -> Dict[str, int]:
+        return _hops(source, self._successors, self._predecessors)
 
     def distance(self, source: str, destination: str) -> int:
         """Shortest-path distance ``d_m`` between two modes.
@@ -81,19 +119,13 @@ class ModeGraph:
         if key in self._distance_cache:
             return self._distance_cache[key]
         result: Optional[int] = None
-        if source in self._graph and destination in self._graph:
-            try:
-                result = nx.shortest_path_length(self._graph, source, destination)
-            except nx.NetworkXNoPath:
+        if source in self and destination in self:
+            result = _hops(source, self._successors).get(destination)
+            if result is None:
                 # Fall back to the undirected distance: a drone cannot land
                 # before flying, but "one transition apart in either
                 # direction" is still closer than "unrelated modes".
-                try:
-                    result = nx.shortest_path_length(
-                        self._graph.to_undirected(as_view=True), source, destination
-                    )
-                except nx.NetworkXNoPath:
-                    result = None
+                result = self._undirected_hops(source).get(destination)
         if result is None:
             result = self.diameter + 1
         self._distance_cache[key] = result
@@ -105,19 +137,16 @@ class ModeGraph:
         if self._diameter is not None:
             return self._diameter
         longest = 1
-        undirected = self._graph.to_undirected(as_view=True)
-        for source, lengths in nx.all_pairs_shortest_path_length(undirected):
-            for destination, length in lengths.items():
-                if length > longest:
-                    longest = length
+        for source in self._successors:
+            longest = max(longest, *self._undirected_hops(source).values())
         self._diameter = longest
         return self._diameter
 
     def describe(self) -> str:
         """Readable adjacency listing used in reports."""
         lines = []
-        for source in sorted(self._graph.nodes):
-            successors = sorted(self._graph.successors(source))
+        for source in sorted(self._successors):
+            successors = sorted(self._successors[source])
             if successors:
                 lines.append(f"{source} -> {', '.join(successors)}")
             else:

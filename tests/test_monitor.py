@@ -44,6 +44,72 @@ def straight_up_trace(samples=40, climb_per_sample=0.5, labels=None):
     return make_trace(positions, labels)
 
 
+def reference_distances(edges, modes):
+    """Floyd-Warshall over ``edges``: (directed, undirected) all-pairs
+    hop counts, ``inf`` where no path exists."""
+    directed = {(a, b): 0 if a == b else math.inf for a in modes for b in modes}
+    for a, b in edges:
+        directed[a, b] = 1
+    undirected = {
+        (a, b): min(directed[a, b], directed[b, a]) for a in modes for b in modes
+    }
+    for table in (directed, undirected):
+        for k in modes:
+            for a in modes:
+                for b in modes:
+                    if table[a, k] + table[k, b] < table[a, b]:
+                        table[a, b] = table[a, k] + table[k, b]
+    return directed, undirected
+
+
+GRAPH_LABELS = ["a", "b", "c", "d", "e", "f"]
+transition_runs = st.lists(
+    st.lists(
+        st.tuples(
+            st.none() | st.sampled_from(GRAPH_LABELS), st.sampled_from(GRAPH_LABELS)
+        ),
+        max_size=12,
+    ),
+    max_size=3,
+)
+
+#: The mode graph calibrated from two profiling runs of the short
+#: waypoint mission, as release 13.0.0 computed it; ArduPilot and PX4
+#: observe the same nine-mode cycle.  Rows and columns follow
+#: ``WAYPOINT_MODES`` plus the never-seen ``acro``.
+WAYPOINT_MODES = [
+    "land", "landed", "preflight", "rtl", "takeoff",
+    "waypoint-1", "waypoint-2", "waypoint-3", "waypoint-4",
+]
+WAYPOINT_EDGES = [
+    ("land", "landed"), ("landed", "preflight"), ("preflight", "takeoff"),
+    ("rtl", "land"), ("takeoff", "waypoint-1"), ("waypoint-1", "waypoint-2"),
+    ("waypoint-2", "waypoint-3"), ("waypoint-3", "waypoint-4"),
+    ("waypoint-4", "rtl"),
+]
+WAYPOINT_DISTANCES = {
+    "land": [0, 1, 2, 8, 3, 4, 5, 6, 7, 5],
+    "landed": [8, 0, 1, 7, 2, 3, 4, 5, 6, 5],
+    "preflight": [7, 8, 0, 6, 1, 2, 3, 4, 5, 5],
+    "rtl": [1, 2, 3, 0, 4, 5, 6, 7, 8, 5],
+    "takeoff": [6, 7, 8, 5, 0, 1, 2, 3, 4, 5],
+    "waypoint-1": [5, 6, 7, 4, 8, 0, 1, 2, 3, 5],
+    "waypoint-2": [4, 5, 6, 3, 7, 8, 0, 1, 2, 5],
+    "waypoint-3": [3, 4, 5, 2, 6, 7, 8, 0, 1, 5],
+    "waypoint-4": [2, 3, 4, 1, 5, 6, 7, 8, 0, 5],
+    "acro": [5, 5, 5, 5, 5, 5, 5, 5, 5, 0],
+}
+
+
+@pytest.fixture(scope="module")
+def waypoint_mode_graphs(short_waypoint_config, short_px4_config):
+    """The mode graph each firmware calibrates from its profiling runs."""
+    return [
+        Avis(config, profiling_runs=2).monitor.mode_graph
+        for config in (short_waypoint_config, short_px4_config)
+    ]
+
+
 class TestModeGraph:
     def test_distances_follow_observed_transitions(self):
         graph = ModeGraph.from_profiling_runs([STANDARD_TRANSITIONS])
@@ -68,6 +134,47 @@ class TestModeGraph:
         assert "waypoint-1" in graph.modes
         assert ("takeoff", "waypoint-1") in graph.edges
         assert "takeoff" in graph.describe()
+
+    @settings(max_examples=300, deadline=None)
+    @given(transition_runs)
+    def test_matches_floyd_warshall_reference(self, runs):
+        graph = ModeGraph()
+        for run in runs:
+            for source, destination in run:
+                graph.add_transition(source, destination)
+        modes = sorted(
+            {label for run in runs for pair in run for label in pair if label}
+        )
+        edges = sorted(
+            {(a, b) for run in runs for a, b in run if a is not None and a != b}
+        )
+        assert graph.modes == modes
+        assert graph.edges == edges
+        directed, undirected = reference_distances(edges, modes)
+        diameter = max([1] + [d for d in undirected.values() if d < math.inf])
+        assert graph.diameter == diameter
+        for a in modes + ["unknown"]:
+            for b in modes + ["unknown"]:
+                if a == b:
+                    expected = 0
+                elif a == "unknown" or b == "unknown":
+                    expected = diameter + 1
+                elif directed[a, b] < math.inf:
+                    expected = directed[a, b]
+                elif undirected[a, b] < math.inf:
+                    expected = undirected[a, b]
+                else:
+                    expected = diameter + 1
+                assert graph.distance(a, b) == expected, (a, b)
+
+    def test_calibrated_waypoint_graphs_are_pinned(self, waypoint_mode_graphs):
+        labels = WAYPOINT_MODES + ["acro"]
+        for graph in waypoint_mode_graphs:
+            assert graph.modes == WAYPOINT_MODES
+            assert graph.edges == WAYPOINT_EDGES
+            assert graph.diameter == 4
+            table = {a: [graph.distance(a, b) for b in labels] for a in labels}
+            assert table == WAYPOINT_DISTANCES
 
 
 class TestLivelinessMonitor:
