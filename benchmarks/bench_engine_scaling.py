@@ -54,7 +54,7 @@ import time
 from pathlib import Path
 
 from repro.core.config import RunConfiguration
-from repro.core.runner import SimulationHarness
+from repro.core.runner import SimulationHarness, TestRunner
 from repro.engine.backends import ProcessPoolBackend, SerialBackend
 from repro.firmware.ardupilot import ArduPilotFirmware
 from repro.hinj.faults import FaultScenario, FaultSpec
@@ -179,7 +179,7 @@ def test_engine_scaling(benchmark, capsys):
             ("workers4", ProcessPoolBackend(max_workers=4)),
         ):
             started = time.perf_counter()
-            results = backend.run_scenarios(config, None, scenarios)
+            results = backend.run_scenarios(TestRunner(config), scenarios)
             timings[label] = time.perf_counter() - started
             backend.close()
             signatures[label] = _outcome_signature(results)

@@ -48,7 +48,7 @@ from repro.core.monitor import InvariantMonitor, UnsafeCondition
 from repro.core.runner import RunResult, TestRunner
 from repro.hinj.faults import FaultScenario, FaultSpec, TrafficFaultSpec
 
-__version__ = "13.1.0"
+__version__ = "14.0.0"
 
 __all__ = [
     "Avis",

@@ -152,6 +152,10 @@ class Avis:
             backend=parse_backend_spec(backend),
             cache=self._cache,
         )
+        # Every simulation -- the profiling runs and each campaign's --
+        # flies through this one runner, so all of them share its sensor
+        # noise tables, and forked pool workers inherit them.
+        self._runner = TestRunner(config)
         self._profiles: Optional[List[RunResult]] = None
         self._monitor: Optional[InvariantMonitor] = None
 
@@ -167,6 +171,12 @@ class Avis:
     def engine(self) -> CampaignEngine:
         """The campaign engine executing this orchestrator's campaigns."""
         return self._engine
+
+    @property
+    def runner(self) -> TestRunner:
+        """The test runner every simulation of this orchestrator flies
+        through (its monitor is the calibrated one during campaigns)."""
+        return self._runner
 
     @property
     def cache(self) -> ResultCache:
@@ -223,7 +233,8 @@ class Avis:
             obs.metrics.counter("avis.profile.reused").inc(len(profiles))
 
     def _fly_profiles(self) -> List[RunResult]:
-        runner = TestRunner(self._config)
+        runner = self._runner
+        runner.monitor = None  # the profiling runs calibrate the monitor
         profiles: List[RunResult] = []
         for index in range(self._profiling_run_count):
             result = runner.run(noise_seed=self._config.noise_seed + index)
@@ -265,7 +276,8 @@ class Avis:
         profiles = self.profiling_results
         monitor = self.monitor
 
-        runner = TestRunner(self._config, monitor=monitor)
+        runner = self._runner
+        runner.monitor = monitor
         budget = BudgetAccount(
             total_units=budget_units if budget_units is not None else self._budget_units,
         )

@@ -44,6 +44,7 @@ from repro.mavlink.traffic import (
 )
 from repro.obs import runtime as obs_runtime
 from repro.obs.recorder import FlightEvent, FlightLog
+from repro.sensors.base import NoiseTables
 from repro.sensors.suite import SensorSuite, iris_sensor_suite
 from repro.sim.environment import GeoLocation
 from repro.sim.planner import StepPlanner
@@ -218,12 +219,13 @@ class _VehicleUnit:
         config: RunConfiguration,
         environment,
         scenario: FaultScenario,
+        noise: Optional[NoiseTables],
         pad_offset: Tuple[float, float] = (0.0, 0.0),
     ) -> None:
         self.vehicle = vehicle
         self.spec: VehicleSpec = config.vehicle_spec(vehicle)
         noise_seed = config.noise_seed + vehicle * FLEET_NOISE_SEED_STRIDE
-        self.suite: SensorSuite = iris_sensor_suite(noise_seed=noise_seed)
+        self.suite: SensorSuite = iris_sensor_suite(noise_seed, noise)
         self.scheduler = FaultScheduler(scenario.vehicle_view(vehicle))
         self.hinj = HinjInterface(self.scheduler)
         self.link = MavLink()
@@ -367,6 +369,7 @@ class SimulationHarness:
         config: RunConfiguration,
         scenario: FaultScenario = EMPTY_SCENARIO,
         monitor=None,
+        noise: Optional[NoiseTables] = None,
     ) -> None:
         self._config = config
         self._scenario = scenario
@@ -428,6 +431,7 @@ class SimulationHarness:
                 config,
                 environment,
                 scenario,
+                noise,
                 pad_offset=self.simulator.pad_offset(vehicle),
             )
             for vehicle in range(config.fleet_size)
@@ -868,7 +872,13 @@ class SimulationHarness:
 
 
 class TestRunner:
-    """Runs workloads under fault scenarios, one fresh harness per run."""
+    """Runs workloads under fault scenarios, one fresh harness per run.
+
+    Every run reads its sensor noise from the runner's own
+    :class:`~repro.sensors.base.NoiseTables`, so a noise seed flown
+    again reads the deviates its first flight computed.  The tables
+    outlive the runs, never the runner.
+    """
 
     #: Not a pytest test class, despite the name.
     __test__ = False
@@ -876,6 +886,7 @@ class TestRunner:
     def __init__(self, config: RunConfiguration, monitor=None) -> None:
         self._config = config
         self._monitor = monitor
+        self._noise = NoiseTables()
 
     @property
     def config(self) -> RunConfiguration:
@@ -923,7 +934,9 @@ class TestRunner:
             # first sample; the scenario seeds the recovery-tolerance
             # windows (a no-op for latched-only scenarios).
             monitor.begin_run(scenario)
-        harness = SimulationHarness(config, scenario, monitor=monitor)
+        harness = SimulationHarness(
+            config, scenario, monitor=monitor, noise=self._noise
+        )
         workload = config.workload_factory()
         workload.bind(harness)
         workload_result = workload.run()

@@ -1,13 +1,15 @@
 """Execution backends: where a batch of simulations actually runs.
 
 The campaign engine hands a backend an ordered batch of fault scenarios
-plus the shared run context (configuration and calibrated invariant
-monitor); the backend returns one :class:`~repro.core.runner.RunResult`
-per scenario, **in submission order**.  Because every run provisions a
+plus the campaign's :class:`~repro.core.runner.TestRunner` (its
+configuration, calibrated invariant monitor and sensor-noise tables);
+the backend returns one :class:`~repro.core.runner.RunResult` per
+scenario, **in submission order**.  Because every run provisions a
 fresh harness and the sensor noise is seeded from the configuration
 (``iris_sensor_suite(noise_seed=config.noise_seed)``), a run's outcome
-is a pure function of ``(config, scenario)`` -- which is what makes the
-process-pool backend bit-identical to the serial one.
+is a pure function of ``(config, scenario)`` -- the noise tables only
+save recomputing deviates -- which is what makes the process-pool
+backend bit-identical to the serial one.
 
 Two backends ship with the engine:
 
@@ -18,9 +20,10 @@ Two backends ship with the engine:
   ``multiprocessing`` pool using the ``fork`` start method.  Fork (not
   spawn) matters: run configurations carry workload factories that are
   frequently lambdas, which cannot be pickled; with fork the workers
-  inherit the parent's context and only the scenarios and results cross
-  the process boundary.  On platforms without ``fork`` the backend
-  degrades to serial execution instead of failing.
+  inherit the parent's runner (noise tables included) and only the
+  scenarios and results cross the process boundary.  On platforms
+  without ``fork`` the backend degrades to serial execution instead of
+  failing.
 
 Backends are named by spec strings: :func:`parse_backend_spec` turns
 ``"serial"``, ``"pool"`` or ``"pool:8"`` into a backend.
@@ -38,13 +41,12 @@ import os
 import time
 from typing import List, Optional, Sequence, Tuple
 
-from repro.core.config import RunConfiguration
 from repro.core.runner import RunResult, TestRunner
 from repro.hinj.faults import FaultScenario
 from repro.obs import runtime as obs_runtime
 
-#: Per-batch context inherited by forked workers (config, monitor).
-_WORKER_CONTEXT: Optional[Tuple[RunConfiguration, object]] = None
+#: The runner forked workers inherit (set only while the pool forks).
+_WORKER_RUNNER: Optional[TestRunner] = None
 
 
 def _fork_available() -> bool:
@@ -53,9 +55,8 @@ def _fork_available() -> bool:
 
 def _run_one(scenario: FaultScenario) -> RunResult:
     """Execute one scenario inside a forked worker."""
-    assert _WORKER_CONTEXT is not None
-    config, monitor = _WORKER_CONTEXT
-    return TestRunner(config, monitor=monitor).run(scenario)
+    assert _WORKER_RUNNER is not None
+    return _WORKER_RUNNER.run(scenario)
 
 
 def _run_indexed(
@@ -89,12 +90,10 @@ class ExecutionBackend(abc.ABC):
 
     @abc.abstractmethod
     def run_scenarios(
-        self,
-        config: RunConfiguration,
-        monitor,
-        scenarios: Sequence[FaultScenario],
+        self, runner: TestRunner, scenarios: Sequence[FaultScenario]
     ) -> List[RunResult]:
-        """Simulate every scenario; results are in submission order."""
+        """Simulate every scenario on ``runner``; results are in
+        submission order."""
 
     def close(self) -> None:
         """Release any resources held by the backend."""
@@ -109,12 +108,8 @@ class SerialBackend(ExecutionBackend):
     name = "serial"
 
     def run_scenarios(
-        self,
-        config: RunConfiguration,
-        monitor,
-        scenarios: Sequence[FaultScenario],
+        self, runner: TestRunner, scenarios: Sequence[FaultScenario]
     ) -> List[RunResult]:
-        runner = TestRunner(config, monitor=monitor)
         obs = obs_runtime.current()
         results: List[RunResult] = []
         for scenario in scenarios:
@@ -136,8 +131,8 @@ class ProcessPoolBackend(ExecutionBackend):
     """Fan a batch out over a forked ``multiprocessing`` pool.
 
     The pool persists across batches as long as the run context (the
-    ``(config, monitor)`` pair, compared by identity) is unchanged --
-    a campaign issues many small batches and must not pay a fork per
+    runner and its monitor, compared by identity) is unchanged -- a
+    campaign issues many small batches and must not pay a fork per
     batch.  A new context forks a fresh pool, since workers inherit the
     context at fork time.  Call :meth:`close` (or let the backend be
     garbage-collected) to release the workers.
@@ -158,41 +153,38 @@ class ProcessPoolBackend(ExecutionBackend):
         self._pool = None
         # Strong refs: identity comparison stays valid for the pool's
         # lifetime (an id() could be recycled after garbage collection).
-        self._pool_context: Optional[Tuple[RunConfiguration, object]] = None
+        self._pool_context: Optional[Tuple[TestRunner, object]] = None
 
     @property
     def max_workers(self) -> int:
         """The configured pool size."""
         return self._max_workers
 
-    def _ensure_pool(self, config: RunConfiguration, monitor):
+    def _ensure_pool(self, runner: TestRunner):
         if self._pool is not None:
-            held_config, held_monitor = self._pool_context
-            if held_config is config and held_monitor is monitor:
+            held_runner, held_monitor = self._pool_context
+            if held_runner is runner and held_monitor is runner.monitor:
                 return self._pool
             self.close()
         # Fork safety: set immediately before the pool forks so workers inherit
         # the run context.
-        global _WORKER_CONTEXT
-        _WORKER_CONTEXT = (config, monitor)
+        global _WORKER_RUNNER
+        _WORKER_RUNNER = runner
         try:
-            # The pool is created while the context global is set, so
-            # every forked worker inherits (config, monitor) without
-            # pickling; only scenarios and results cross the process
-            # boundary afterwards.
+            # The pool is created while the runner global is set, so
+            # every forked worker inherits the runner without pickling;
+            # only scenarios and results cross the process boundary
+            # afterwards.
             self._pool = multiprocessing.get_context("fork").Pool(
                 processes=self._max_workers
             )
         finally:
-            _WORKER_CONTEXT = None
-        self._pool_context = (config, monitor)
+            _WORKER_RUNNER = None
+        self._pool_context = (runner, runner.monitor)
         return self._pool
 
     def run_scenarios(
-        self,
-        config: RunConfiguration,
-        monitor,
-        scenarios: Sequence[FaultScenario],
+        self, runner: TestRunner, scenarios: Sequence[FaultScenario]
     ) -> List[RunResult]:
         if (
             not scenarios
@@ -202,9 +194,9 @@ class ProcessPoolBackend(ExecutionBackend):
             # cannot spawn children; degrade to serial instead of failing.
             or multiprocessing.current_process().daemon
         ):
-            return self._serial_fallback.run_scenarios(config, monitor, scenarios)
+            return self._serial_fallback.run_scenarios(runner, scenarios)
 
-        pool = self._ensure_pool(config, monitor)
+        pool = self._ensure_pool(runner)
         obs = obs_runtime.current()
         submit_clock = time.perf_counter() if obs is not None else 0.0
         # In-flight scheduling: collect completions as the workers finish

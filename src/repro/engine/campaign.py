@@ -161,7 +161,7 @@ class CampaignEngine:
             # order; run_scenarios hands them back in submission order,
             # and recording follows proposal order slot by slot.
             executed = iter(
-                self._backend.run_scenarios(config, monitor, pending)
+                self._backend.run_scenarios(session.runner, pending)
             )
             for scenario, key, answer in slots:
                 result = answer if answer is not None else next(executed)

@@ -309,7 +309,7 @@ class ControlFirmware:
         """Run one control period and return the actuator command.
 
         ``readings`` is this period's read pass over the suite
-        (:meth:`SensorSuite.read_all`): each instance's channel values in
+        (:meth:`SensorSuite.read_all`): each instance's reading tuple in
         canonical order, ``None`` where a read failed.
         ``elapsed_steps`` is the number of simulation micro-steps since
         the previous control period (1 under the reference stepper).
@@ -421,7 +421,7 @@ class ControlFirmware:
                 break
         else:
             return
-        remaining = battery["remaining"]
+        (remaining,) = battery
         decision = self._failsafe.check_battery(remaining, self._estimator.status, time)
         if decision is not None:
             self._apply_failsafe(decision)

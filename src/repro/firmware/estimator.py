@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
 from repro.firmware.params import FirmwareParameters
 from repro.sensors.base import SensorId, SensorRole, SensorType
@@ -90,8 +90,9 @@ class SensorFailureEvent:
     type_exhausted: bool
 
 
-#: Channel values of one instance's reading (see ``SensorSuite.read_all``).
-Channels = Dict[str, float]
+#: One instance's reading, laid out as its driver's ``CHANNELS`` (see
+#: ``SensorSuite.read_all``).
+Channels = Tuple[float, ...]
 
 #: The sensor types the filters fuse, in selection order; the estimator
 #: tracks which instance of each it is actively using.
@@ -110,7 +111,8 @@ class StateEstimator:
     Readings arrive as one :meth:`SensorSuite.read_all` pass in the
     suite's canonical order; every per-type lookup is a precomputed
     tuple of positions (primary first), so the per-tick path neither
-    sorts nor hashes sensor ids.
+    sorts nor hashes sensor ids.  Each reading is a tuple read by
+    position, as its driver's ``CHANNELS`` lay it out.
     """
 
     # Correction gains per update (tuned for 50 Hz; scale with dt).
@@ -243,16 +245,16 @@ class StateEstimator:
     ) -> None:
         est = self._estimate
         if gyro is not None:
-            est.roll += gyro["roll_rate"] * dt
-            est.pitch += gyro["pitch_rate"] * dt
+            roll_rate, pitch_rate, _ = gyro
+            est.roll += roll_rate * dt
+            est.pitch += pitch_rate * dt
         # Without an accelerometer the tilt estimate slowly decays to level,
         # which is what a gyro-only estimate with leak does.
         decay = self.ATTITUDE_DECAY * dt
         if accel is not None:
             # Gravity direction gives an absolute tilt reference.
-            ax = accel["accel_x"]
-            ay = accel["accel_y"]
-            az = max(accel["accel_z"], 1.0)
+            ax, ay, az = accel
+            az = max(az, 1.0)
             pitch_meas = math.atan2(-ax, az)
             roll_meas = math.atan2(ay, az)
             est.roll += (roll_meas - est.roll) * decay
@@ -269,9 +271,9 @@ class StateEstimator:
     ) -> None:
         est = self._estimate
         if gyro is not None:
-            est.yaw = wrap_angle(est.yaw + gyro["yaw_rate"] * dt)
+            est.yaw = wrap_angle(est.yaw + gyro[2] * dt)  # yaw_rate
         if compass is not None:
-            error = wrap_angle(compass["heading"] - est.yaw)
+            error = wrap_angle(compass[0] - est.yaw)  # heading
             est.yaw = wrap_angle(est.yaw + error * self.HEADING_GAIN * dt)
 
     def _vertical_acceleration(self, accel: Optional[Channels]) -> float:
@@ -279,10 +281,11 @@ class StateEstimator:
         if accel is None:
             return 0.0
         est = self._estimate
+        accel_x, accel_y, accel_z = accel
         specific_up = (
-            accel["accel_z"] * math.cos(est.roll) * math.cos(est.pitch)
-            + accel["accel_x"] * math.sin(est.pitch)
-            - accel["accel_y"] * math.sin(est.roll)
+            accel_z * math.cos(est.roll) * math.cos(est.pitch)
+            + accel_x * math.sin(est.pitch)
+            - accel_y * math.sin(est.roll)
         )
         return specific_up - GRAVITY
 
@@ -298,9 +301,9 @@ class StateEstimator:
         est.altitude += est.climb_rate * dt
 
         if baro is not None:
-            measurement: Optional[float] = baro["altitude"]
+            measurement: Optional[float] = baro[0]  # altitude
         elif gps is not None:
-            measurement = gps["altitude"]
+            measurement = gps[2]  # altitude
         else:
             measurement = None
 
@@ -332,12 +335,13 @@ class StateEstimator:
 
         if gps is not None:
             self._gps_last_seen = time
+            north, east, _, vel_north, vel_east = gps
             pos_gain = self.POSITION_GAIN * dt
             vel_gain = self.VELOCITY_GAIN * dt
-            est.north += (gps["north"] - est.north) * pos_gain
-            est.east += (gps["east"] - est.east) * pos_gain
-            est.vel_north += (gps["vel_north"] - est.vel_north) * vel_gain
-            est.vel_east += (gps["vel_east"] - est.vel_east) * vel_gain
+            est.north += (north - est.north) * pos_gain
+            est.east += (east - est.east) * pos_gain
+            est.vel_north += (vel_north - est.vel_north) * vel_gain
+            est.vel_east += (vel_east - est.vel_east) * vel_gain
 
     def _update_status(self, samples: List[Optional[Channels]], time: float) -> None:
         """Recompute the status when the set of failed instances changed,

@@ -15,6 +15,22 @@ model the hook's answer never reverts, so the instance stays failed for
 the rest of the run; an intermittent fault's scheduler stops failing the
 instance once its recovery window closes, and the driver reports channel
 values again from the next read on.
+
+Noise is read by position from a :class:`DeviateTable`: a driver seeds
+an RNG with ``noise_seed * 7919 + instance * 104729 + 1``, draws its
+constants (biases, phases) from it, and the state left behind keys the
+table holding the ``gauss(0, 1)`` stream that state yields.  Each
+successful read consumes the driver's :attr:`SensorDriver.DRAWS`
+deviates in stream order; a failed read consumes none.  Drivers built
+against one :class:`NoiseTables` store share the table of equal states,
+so a seed flown again reads noise computed once.
+
+Known defect, kept because fixing it changes every recorded digest: the
+seed formula has no sensor-type term, so on the Iris suite only five of
+the nine post-constructor states are distinct.  ``gyroscope[i]`` and
+``accelerometer[i]`` draw the same deviate at every read, so do
+``compass[0]`` and ``barometer[0]``, and ``battery[0]`` starts on
+``gps[0]``'s stream (it reads none of it).
 """
 
 from __future__ import annotations
@@ -22,8 +38,9 @@ from __future__ import annotations
 import enum
 import math
 import random
+from array import array
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.sim.state import VehicleState
 
@@ -135,27 +152,120 @@ class SensorId:
 FailDecision = Callable[[SensorId, float], bool]
 
 
+class DeviateTable:
+    """The standard normal deviates one RNG state yields, by position.
+
+    ``deviates[i]`` is what the ``i + 1``-th consecutive call of
+    ``gauss(0, 1)`` would return on a ``random.Random`` set to
+    :attr:`state`: the table runs the same inlined Box-Muller transform
+    ``random.Random.gauss`` runs, the cached second deviate
+    (``gauss_next``) included.  Each deviate is the ``z`` that
+    ``gauss(0.0, sigma)`` scales, so a driver computing
+    ``0.0 + z * sigma`` gets that call's value bit for bit.  The table
+    grows in chunks as reads need more of the stream.
+    """
+
+    #: Deviates computed per extension beyond the one a read needs.
+    CHUNK = 1024
+
+    def __init__(self, state: tuple) -> None:
+        self.state = state
+        self.deviates = array("d")
+        self._rng = random.Random()
+        self._rng.setstate(state)
+
+    def extend(self, count: int) -> None:
+        """Compute deviates until the table holds at least ``count``.
+
+        Deviates come in Box-Muller pairs, both kept, so the generator
+        never holds a pending second deviate between extensions.
+        """
+        rng = self._rng
+        uniform = rng.random
+        deviates = self.deviates
+        append = deviates.append
+        if rng.gauss_next is not None:
+            append(rng.gauss_next)
+            rng.gauss_next = None
+        target = max(count, len(deviates) + self.CHUNK)
+        while len(deviates) < target:
+            x2pi = uniform() * _TWO_PI
+            g2rad = _sqrt(-2.0 * _log(1.0 - uniform()))
+            append(_cos(x2pi) * g2rad)
+            append(_sin(x2pi) * g2rad)
+
+
+class NoiseTables:
+    """Deviate tables shared by every driver built against this store.
+
+    A driver's noise is a pure function of its RNG state once its
+    constructor has drawn its constants, so drivers whose states are
+    equal -- the same driver flown again at the same seed, or two
+    drivers whose seeds coincide -- read one :class:`DeviateTable`.  A
+    store lives as long as its owner (one :class:`~repro.core.runner.TestRunner`,
+    hence one ``Avis`` orchestrator); a suite built without one gets a
+    private store.
+    """
+
+    def __init__(self) -> None:
+        self._tables: Dict[tuple, DeviateTable] = {}
+
+    def table(self, state: tuple) -> DeviateTable:
+        """The table of ``state`` (created on first use)."""
+        table = self._tables.get(state)
+        if table is None:
+            table = self._tables[state] = DeviateTable(state)
+        return table
+
+    def __len__(self) -> int:
+        return len(self._tables)
+
+
 class SensorDriver:
     """Base class for all sensor drivers.
 
-    Subclasses implement :meth:`_measure` to synthesise channel values
-    from the true vehicle state.  :meth:`sample` consults the
-    instrumentation hook before measuring.
+    Subclasses list their reading's layout in :attr:`CHANNELS`, the
+    deviates one read consumes in :attr:`DRAWS`, set their per-instance
+    constants in :meth:`_init_constants` and implement :meth:`_measure`.
+    :meth:`sample` consults the instrumentation hook before measuring.
     """
 
     sensor_type: SensorType = SensorType.GYROSCOPE
 
+    #: Channel names of a reading, in the order of the tuple
+    #: :meth:`sample` returns.  Only channels the firmware reads exist.
+    CHANNELS: Tuple[str, ...] = ()
+    #: Standard normal deviates one successful read consumes, in stream
+    #: order.  A draw whose channel was dropped still counts, so the
+    #: stream -- and :meth:`noise_state` -- stays where it always was.
+    DRAWS = 0
+
     def __init__(
         self,
         instance: int = 0,
-        role: SensorRole = SensorRole.PRIMARY,
+        role: Optional[SensorRole] = None,
         noise_seed: int = 0,
+        noise: Optional[NoiseTables] = None,
     ) -> None:
+        if role is None:
+            role = SensorRole.PRIMARY if instance == 0 else SensorRole.BACKUP
         self.sensor_id = SensorId(self.sensor_type, instance)
         self.role = role
-        self._rng = random.Random(noise_seed * 7919 + instance * 104729 + 1)
+        rng = random.Random(noise_seed * 7919 + instance * 104729 + 1)
+        self._init_constants(rng)
+        if noise is None:
+            noise = NoiseTables()
+        self._noise = noise.table(rng.getstate())
+        self._deviates = self._noise.deviates
+        # Deviates consumed so far: the next read starts here.
+        self._drawn = 0
         self._hook_failed = False
         self._fail_hook: Optional[FailDecision] = None
+
+    def _init_constants(self, rng: random.Random) -> None:
+        """Set the instance's constants, drawing the random ones (biases,
+        phases) from its seeded RNG; the state that leaves behind keys
+        the driver's noise table."""
 
     # ------------------------------------------------------------------
     # Instrumentation (libhinj equivalent)
@@ -179,52 +289,46 @@ class SensorDriver:
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
-    def sample(self, state: VehicleState, time: float) -> Optional[Dict[str, float]]:
-        """One read's channel values, or ``None`` when the read fails.
+    def sample(self, state: VehicleState, time: float) -> Optional[Tuple[float, ...]]:
+        """One read's channel values (laid out as :attr:`CHANNELS`), or
+        ``None`` when the read fails.
 
         The instrumentation hook, when installed, is consulted on every
         read, mirroring the per-read ``libhinj`` query of the paper.  A
         latched fault's scheduler keeps answering yes once it has fired,
         so the failure persists for the rest of the run; when an
         intermittent fault's recovery window closes the scheduler's
-        answer reverts and the driver reports channel values again.
+        answer reverts and the driver reports channel values again.  A
+        failed read consumes no noise.
         """
         if self._fail_hook is not None:
             self._hook_failed = self._fail_hook(self.sensor_id, time)
         if self._hook_failed:
             return None
-        return self._measure(state)
+        at = self._drawn
+        self._drawn = end = at + self.DRAWS
+        if end > len(self._deviates):
+            self._noise.extend(end)
+        return self._measure(state, at)
 
-    def _measure(self, state: VehicleState) -> Dict[str, float]:
-        """Synthesise the channel values for one reading."""
+    def _measure(self, state: VehicleState, at: int) -> Tuple[float, ...]:
+        """Synthesise one reading from the true state; its noise is
+        ``self._deviates[at:at + DRAWS]``, in stream order."""
         raise NotImplementedError
 
-    def _normals(self, count: int) -> List[float]:
-        """``count`` standard normal deviates in one pass.
+    def noise_state(self) -> tuple:
+        """The state a ``random.Random`` drawing this driver's noise with
+        ``gauss(0, 1)`` calls would be in after the reads so far.
 
-        State-exact batching of ``count`` calls to ``rng.gauss(0, 1)``:
-        the same inlined Box-Muller transform ``random.Random.gauss``
-        runs, consuming and leaving the RNG state -- the cached second
-        deviate ``gauss_next`` included -- exactly as those calls would.
-        Each deviate is the ``z`` that ``gauss(0.0, sigma)`` scales, so a
-        caller computing ``0.0 + z * sigma`` gets ``gauss(0.0, sigma)``
-        bit for bit.
+        Rebuilt by replaying those calls from the table's state; the
+        read path never computes it.
         """
-        rng = self._rng
-        uniform = rng.random
-        pending = rng.gauss_next
-        values = []
-        for _ in range(count):
-            if pending is not None:
-                values.append(pending)
-                pending = None
-            else:
-                x2pi = uniform() * _TWO_PI
-                g2rad = _sqrt(-2.0 * _log(1.0 - uniform()))
-                values.append(_cos(x2pi) * g2rad)
-                pending = _sin(x2pi) * g2rad
-        rng.gauss_next = pending
-        return values
+        rng = random.Random()
+        rng.setstate(self._noise.state)
+        gauss = rng.gauss
+        for _ in range(self._drawn):
+            gauss(0.0, 1.0)
+        return rng.getstate()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         status = "failed" if self._hook_failed else "healthy"

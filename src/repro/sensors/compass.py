@@ -6,7 +6,7 @@ an external primary and an internal backup with more interference noise.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Tuple
 
 from repro.sensors.base import SensorDriver, SensorRole, SensorType
 from repro.sim.state import VehicleState, wrap_angle
@@ -16,23 +16,23 @@ class Compass(SensorDriver):
     """Measures magnetic heading in radians (clockwise from north)."""
 
     sensor_type = SensorType.COMPASS
+    CHANNELS = ("heading",)
+    DRAWS = 1
 
     #: Heading noise for the external (primary) compass, radians.
     PRIMARY_SIGMA = 0.01
     #: Heading noise for internal (backup) compasses, radians.
     BACKUP_SIGMA = 0.03
 
-    def __init__(self, instance: int = 0, role=None, noise_seed: int = 0) -> None:
-        if role is None:
-            role = SensorRole.PRIMARY if instance == 0 else SensorRole.BACKUP
-        super().__init__(instance=instance, role=role, noise_seed=noise_seed)
-        self._sigma = self.PRIMARY_SIGMA if role == SensorRole.PRIMARY else self.BACKUP_SIGMA
-        # Small constant declination-style offset per instance.
-        self._offset = self._rng.uniform(-0.01, 0.01)
-
-    def _measure(self, state: VehicleState) -> Dict[str, float]:
-        (z_heading,) = self._normals(1)
-        heading = wrap_angle(
-            state.heading + self._offset + (0.0 + z_heading * self._sigma)
+    def _init_constants(self, rng) -> None:
+        self._sigma = (
+            self.PRIMARY_SIGMA if self.role == SensorRole.PRIMARY else self.BACKUP_SIGMA
         )
-        return {"heading": heading}
+        # Small constant declination-style offset per instance.
+        self._offset = rng.uniform(-0.01, 0.01)
+
+    def _measure(self, state: VehicleState, at: int) -> Tuple[float]:
+        heading = wrap_angle(
+            state.heading + self._offset + (0.0 + self._deviates[at] * self._sigma)
+        )
+        return (heading,)

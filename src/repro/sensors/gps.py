@@ -10,16 +10,21 @@ a noticeably larger noise and quantisation step to the altitude channel.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Tuple
 
-from repro.sensors.base import SensorDriver, SensorRole, SensorType
+from repro.sensors.base import SensorDriver, SensorType
 from repro.sim.state import VehicleState
 
 
 class GpsReceiver(SensorDriver):
-    """Provides horizontal position, GPS altitude, and velocity."""
+    """Provides horizontal position, GPS altitude, and horizontal velocity."""
 
     sensor_type = SensorType.GPS
+    CHANNELS = ("north", "east", "altitude", "vel_north", "vel_east")
+    #: Altitude first, then north, east, north and east velocity; the
+    #: sixth is the vertical-velocity draw of a channel the firmware
+    #: never read.
+    DRAWS = 6
 
     #: Horizontal position noise (metres, 1 sigma).
     HORIZONTAL_SIGMA = 0.4
@@ -31,28 +36,20 @@ class GpsReceiver(SensorDriver):
     #: Velocity noise (m/s, 1 sigma).
     VELOCITY_SIGMA = 0.1
 
-    def __init__(self, instance: int = 0, role=None, noise_seed: int = 0) -> None:
-        if role is None:
-            role = SensorRole.PRIMARY if instance == 0 else SensorRole.BACKUP
-        super().__init__(instance=instance, role=role, noise_seed=noise_seed)
-
-    def _measure(self, state: VehicleState) -> Dict[str, float]:
+    def _measure(
+        self, state: VehicleState, at: int
+    ) -> Tuple[float, float, float, float, float]:
         north, east, up = state.position
-        vel_north, vel_east, vel_up = state.velocity
-        # One draw per noisy channel; the RNG stream fixes the order,
-        # altitude first.
-        z_alt, z_north, z_east, z_vn, z_ve, z_vu = self._normals(6)
-        noisy_alt = up + (0.0 + z_alt * self.VERTICAL_SIGMA)
-        quantised_alt = round(noisy_alt / self.VERTICAL_RESOLUTION) * self.VERTICAL_RESOLUTION
+        vel_north, vel_east, _ = state.velocity
+        z = self._deviates
+        noisy_alt = up + (0.0 + z[at] * self.VERTICAL_SIGMA)
+        resolution = self.VERTICAL_RESOLUTION
         horizontal = self.HORIZONTAL_SIGMA
         velocity = self.VELOCITY_SIGMA
-        return {
-            "north": north + (0.0 + z_north * horizontal),
-            "east": east + (0.0 + z_east * horizontal),
-            "altitude": quantised_alt,
-            "vel_north": vel_north + (0.0 + z_vn * velocity),
-            "vel_east": vel_east + (0.0 + z_ve * velocity),
-            "vel_up": vel_up + (0.0 + z_vu * velocity),
-            "satellites": 14.0,
-            "hdop": 0.8,
-        }
+        return (
+            north + (0.0 + z[at + 1] * horizontal),
+            east + (0.0 + z[at + 2] * horizontal),
+            round(noisy_alt / resolution) * resolution,
+            vel_north + (0.0 + z[at + 3] * velocity),
+            vel_east + (0.0 + z[at + 4] * velocity),
+        )

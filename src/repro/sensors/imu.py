@@ -10,7 +10,7 @@ be meaningfully exercised.
 from __future__ import annotations
 
 import math
-from typing import Dict
+from typing import Tuple
 
 from repro.sensors.base import SensorDriver, SensorType
 from repro.sim.physics import GRAVITY
@@ -21,29 +21,26 @@ class Gyroscope(SensorDriver):
     """Measures body angular rates in rad/s."""
 
     sensor_type = SensorType.GYROSCOPE
+    CHANNELS = ("roll_rate", "pitch_rate", "yaw_rate")
+    DRAWS = 3
 
     #: Standard deviation of the rate noise (rad/s).
     NOISE_SIGMA = 0.002
 
-    def __init__(self, instance: int = 0, role=None, noise_seed: int = 0) -> None:
-        if role is None:
-            from repro.sensors.base import SensorRole
-
-            role = SensorRole.PRIMARY if instance == 0 else SensorRole.BACKUP
-        super().__init__(instance=instance, role=role, noise_seed=noise_seed)
+    def _init_constants(self, rng) -> None:
         # Constant per-instance bias, a fraction of a degree per second.
-        self._bias = tuple(self._rng.uniform(-0.003, 0.003) for _ in range(3))
+        self._bias = tuple(rng.uniform(-0.003, 0.003) for _ in range(3))
 
-    def _measure(self, state: VehicleState) -> Dict[str, float]:
+    def _measure(self, state: VehicleState, at: int) -> Tuple[float, float, float]:
         roll_rate, pitch_rate, yaw_rate = state.angular_rate
-        bias = self._bias
+        bias_roll, bias_pitch, bias_yaw = self._bias
+        z = self._deviates
         sigma = self.NOISE_SIGMA
-        z_roll, z_pitch, z_yaw = self._normals(3)
-        return {
-            "roll_rate": roll_rate + bias[0] + (0.0 + z_roll * sigma),
-            "pitch_rate": pitch_rate + bias[1] + (0.0 + z_pitch * sigma),
-            "yaw_rate": yaw_rate + bias[2] + (0.0 + z_yaw * sigma),
-        }
+        return (
+            roll_rate + bias_roll + (0.0 + z[at] * sigma),
+            pitch_rate + bias_pitch + (0.0 + z[at + 1] * sigma),
+            yaw_rate + bias_yaw + (0.0 + z[at + 2] * sigma),
+        )
 
 
 class Accelerometer(SensorDriver):
@@ -55,19 +52,16 @@ class Accelerometer(SensorDriver):
     """
 
     sensor_type = SensorType.ACCELEROMETER
+    CHANNELS = ("accel_x", "accel_y", "accel_z")
+    DRAWS = 3
 
     #: Standard deviation of the acceleration noise (m/s^2).
     NOISE_SIGMA = 0.05
 
-    def __init__(self, instance: int = 0, role=None, noise_seed: int = 0) -> None:
-        if role is None:
-            from repro.sensors.base import SensorRole
+    def _init_constants(self, rng) -> None:
+        self._bias = tuple(rng.uniform(-0.05, 0.05) for _ in range(3))
 
-            role = SensorRole.PRIMARY if instance == 0 else SensorRole.BACKUP
-        super().__init__(instance=instance, role=role, noise_seed=noise_seed)
-        self._bias = tuple(self._rng.uniform(-0.05, 0.05) for _ in range(3))
-
-    def _measure(self, state: VehicleState) -> Dict[str, float]:
+    def _measure(self, state: VehicleState, at: int) -> Tuple[float, float, float]:
         accel_north, accel_east, accel_up = state.acceleration
         roll, pitch, yaw = state.attitude.as_tuple()
 
@@ -76,20 +70,23 @@ class Accelerometer(SensorDriver):
         # about yaw then pitch/roll.  For the purposes of the estimator the
         # dominant terms are what matter.
         specific_up = accel_up + GRAVITY
-        forward = accel_north * math.cos(yaw) + accel_east * math.sin(yaw)
-        right = -accel_north * math.sin(yaw) + accel_east * math.cos(yaw)
-        body_x = forward * math.cos(pitch) - specific_up * math.sin(pitch)
-        body_y = right * math.cos(roll) + specific_up * math.sin(roll)
+        cos_yaw, sin_yaw = math.cos(yaw), math.sin(yaw)
+        cos_pitch, sin_pitch = math.cos(pitch), math.sin(pitch)
+        cos_roll, sin_roll = math.cos(roll), math.sin(roll)
+        forward = accel_north * cos_yaw + accel_east * sin_yaw
+        right = -accel_north * sin_yaw + accel_east * cos_yaw
+        body_x = forward * cos_pitch - specific_up * sin_pitch
+        body_y = right * cos_roll + specific_up * sin_roll
         body_z = (
-            specific_up * math.cos(pitch) * math.cos(roll)
-            + forward * math.sin(pitch)
-            - right * math.sin(roll)
+            specific_up * cos_pitch * cos_roll
+            + forward * sin_pitch
+            - right * sin_roll
         )
-        bias = self._bias
+        bias_x, bias_y, bias_z = self._bias
+        z = self._deviates
         sigma = self.NOISE_SIGMA
-        z_x, z_y, z_z = self._normals(3)
-        return {
-            "accel_x": body_x + bias[0] + (0.0 + z_x * sigma),
-            "accel_y": body_y + bias[1] + (0.0 + z_y * sigma),
-            "accel_z": body_z + bias[2] + (0.0 + z_z * sigma),
-        }
+        return (
+            body_x + bias_x + (0.0 + z[at] * sigma),
+            body_y + bias_y + (0.0 + z[at + 1] * sigma),
+            body_z + bias_z + (0.0 + z[at + 2] * sigma),
+        )

@@ -11,10 +11,11 @@ primary role, and exposes the operations the rest of the stack needs:
   suite is built for one run and is never re-hooked or unhooked.
 
 Each control period the firmware gets one read pass: a list of
-per-instance channel values in the suite's canonical order (that of
-:attr:`SensorSuite.sensor_ids`), ``None`` where a read failed.  The
-estimator indexes it by position and chooses the instance it trusts for
-each type.
+per-instance readings in the suite's canonical order (that of
+:attr:`SensorSuite.sensor_ids`), ``None`` where a read failed.  A
+reading is a tuple laid out as its driver's ``CHANNELS``.  The estimator
+indexes the list by position, chooses the instance it trusts for each
+type, and reads that instance's tuple by position too.
 
 The default :func:`iris_sensor_suite` mirrors a stock 3DR Iris running
 ArduPilot/PX4 SITL: dual IMUs (gyroscope + accelerometer each), dual
@@ -28,6 +29,7 @@ from typing import Collection, Dict, Iterable, List, Optional, Tuple
 from repro.sensors.barometer import Barometer
 from repro.sensors.base import (
     FailDecision,
+    NoiseTables,
     SensorDriver,
     SensorId,
     SensorRole,
@@ -144,29 +146,36 @@ class SensorSuite:
 
     def read_all(
         self, state: VehicleState, time: float
-    ) -> List[Optional[Dict[str, float]]]:
-        """Read every instance once: its channel values, or ``None`` when
-        its read failed, in canonical order (:attr:`sensor_ids`)."""
+    ) -> List[Optional[Tuple[float, ...]]]:
+        """Read every instance once: its reading, or ``None`` when its
+        read failed, in canonical order (:attr:`sensor_ids`)."""
         return [driver.sample(state, time) for driver in self._sorted_drivers]
 
 
-def iris_sensor_suite(noise_seed: int = 0) -> SensorSuite:
+def iris_sensor_suite(
+    noise_seed: int = 0, noise: Optional[NoiseTables] = None
+) -> SensorSuite:
     """The sensor fit of the 3DR Iris used throughout the paper.
 
     Two IMUs (each contributing a gyroscope and an accelerometer), two
     compasses, one GPS, one barometer and one battery monitor -- seven
-    distinct sensor groups, nine physical instances.
+    distinct sensor groups, nine physical instances.  The drivers read
+    their noise from ``noise`` (a store private to the suite when
+    omitted).
     """
+    if noise is None:
+        noise = NoiseTables()
     return SensorSuite(
-        [
-            Gyroscope(instance=0, role=SensorRole.PRIMARY, noise_seed=noise_seed),
-            Gyroscope(instance=1, role=SensorRole.BACKUP, noise_seed=noise_seed),
-            Accelerometer(instance=0, role=SensorRole.PRIMARY, noise_seed=noise_seed),
-            Accelerometer(instance=1, role=SensorRole.BACKUP, noise_seed=noise_seed),
-            Compass(instance=0, role=SensorRole.PRIMARY, noise_seed=noise_seed),
-            Compass(instance=1, role=SensorRole.BACKUP, noise_seed=noise_seed),
-            GpsReceiver(instance=0, role=SensorRole.PRIMARY, noise_seed=noise_seed),
-            Barometer(instance=0, role=SensorRole.PRIMARY, noise_seed=noise_seed),
-            BatteryMonitor(instance=0, role=SensorRole.PRIMARY, noise_seed=noise_seed),
-        ]
+        driver_class(instance=instance, noise_seed=noise_seed, noise=noise)
+        for driver_class, instance in (
+            (Gyroscope, 0),
+            (Gyroscope, 1),
+            (Accelerometer, 0),
+            (Accelerometer, 1),
+            (Compass, 0),
+            (Compass, 1),
+            (GpsReceiver, 0),
+            (Barometer, 0),
+            (BatteryMonitor, 0),
+        )
     )

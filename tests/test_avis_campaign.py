@@ -58,6 +58,40 @@ class TestProfiling:
             Avis(waypoint_avis.config, profiling_runs=3).calibrate(profiles)
 
 
+def table_sizes(store):
+    return {state: len(table.deviates) for state, table in store._tables.items()}
+
+
+class TestNoiseStore:
+    """One orchestrator, one store of sensor-noise tables: its profiles
+    and its campaign flights share it; other orchestrators never do."""
+
+    def test_profiles_and_campaign_fly_on_one_store(self, short_auto_config):
+        avis = Avis(short_auto_config, profiling_runs=2, budget_units=3.0)
+        store = avis.runner._noise
+        assert len(store) == 0
+        golden = avis.profile()[0]
+        # Two profiling seeds, five distinct driver states each.
+        assert len(store) == 10
+        sizes = table_sizes(store)
+        # Profile 0's seed flown again computes no deviates.
+        assert avis.runner.run().trace == golden.trace
+        assert table_sizes(store) == sizes
+        avis.check(strategy=RandomInjection(rng_seed=3))
+        assert avis.engine.last_stats["executed"] > 0
+        assert len(store) == 10
+        assert avis.runner._noise is store
+
+    def test_two_orchestrators_never_share_a_store(self, short_auto_config):
+        first = Avis(short_auto_config, profiling_runs=1)
+        second = Avis(short_auto_config, profiling_runs=1)
+        assert first.runner._noise is not second.runner._noise
+        first.profile()
+        assert (len(first.runner._noise), len(second.runner._noise)) == (5, 0)
+        second.profile()
+        assert first.profiling_results[0].trace == second.profiling_results[0].trace
+
+
 class TestCampaign:
     def test_sabre_campaign_finds_unsafe_scenarios(self, waypoint_avis):
         campaign = waypoint_avis.check(budget_units=25)

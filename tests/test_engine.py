@@ -15,6 +15,8 @@ import pytest
 from conftest import make_run_result
 
 from repro.core.avis import Avis
+from repro.core.monitor import InvariantMonitor
+from repro.core.runner import TestRunner
 from repro.core.strategies import (
     DepthFirstSearch,
     RandomInjection,
@@ -136,7 +138,6 @@ class TestBatchProtocol:
         assert not hasattr(avis_module, "DEFAULT_LABELLING_COST")
 
     def test_depth_first_batches_follow_enumeration_order(self, waypoint_avis):
-        from repro.core.runner import TestRunner
         from repro.core.session import BudgetAccount, ExplorationSession
 
         session = ExplorationSession(
@@ -163,7 +164,6 @@ class TestSequentialEquivalence:
     sequential explore() loops -- scenarios, budget trajectory, and all."""
 
     def _sequential_reference(self, avis, strategy, budget_units):
-        from repro.core.runner import TestRunner
         from repro.core.session import BudgetAccount, ExplorationSession
         from repro.sensors.suite import iris_sensor_suite
 
@@ -676,13 +676,13 @@ class TestBackendDeterminism:
             for start in (2.0, 3.5)
         ]
         expected = SerialBackend().run_scenarios(
-            short_auto_config, None, scenarios
+            TestRunner(short_auto_config), scenarios
         )
         # Grid shards are daemonic pool workers, which cannot fork.
         monkeypatch.setattr(multiprocessing, "current_process", FakeDaemon)
         monkeypatch.setattr(multiprocessing, "get_context", no_fork)
         results = parse_backend_spec("pool:2").run_scenarios(
-            short_auto_config, None, scenarios
+            TestRunner(short_auto_config), scenarios
         )
         assert [r.scenario for r in results] == [
             r.scenario for r in expected
@@ -717,11 +717,11 @@ class TestProcessPoolBackend:
     def test_results_arrive_in_submission_order(self, short_auto_config):
         scenarios = _gps_scenarios((2.0, 3.0, 4.0, 5.0))
         expected = SerialBackend().run_scenarios(
-            short_auto_config, None, scenarios
+            TestRunner(short_auto_config), scenarios
         )
         backend = ProcessPoolBackend(max_workers=2)
         try:
-            results = backend.run_scenarios(short_auto_config, None, scenarios)
+            results = backend.run_scenarios(TestRunner(short_auto_config), scenarios)
         finally:
             backend.close()
         assert [r.scenario for r in results] == scenarios
@@ -733,19 +733,22 @@ class TestProcessPoolBackend:
         self, short_auto_config
     ):
         scenarios = _gps_scenarios((2.0, 3.0))
-        other_config = dataclasses.replace(
-            short_auto_config, noise_seed=short_auto_config.noise_seed + 1
-        )
+        runner = TestRunner(short_auto_config)
         backend = ProcessPoolBackend(max_workers=2)
         try:
-            backend.run_scenarios(short_auto_config, None, scenarios)
+            backend.run_scenarios(runner, scenarios)
             first = backend._pool
-            backend.run_scenarios(short_auto_config, None, scenarios)
+            backend.run_scenarios(runner, scenarios)
             assert backend._pool is first
-            # Workers inherit the context at fork: a new one needs a new pool.
-            backend.run_scenarios(other_config, None, scenarios)
+            # Workers inherit the runner at fork: a new runner, or a new
+            # monitor on the same runner, needs a new pool.
+            backend.run_scenarios(TestRunner(short_auto_config), scenarios)
+            second = backend._pool
+            assert second is not None and second is not first
+            runner.monitor = InvariantMonitor([runner.run()])
+            backend.run_scenarios(runner, scenarios)
             assert backend._pool is not None
-            assert backend._pool is not first
+            assert backend._pool is not second
         finally:
             backend.close()
         assert backend._pool is None
@@ -761,7 +764,7 @@ class TestProcessPoolBackend:
 
         scenarios = _gps_scenarios((2.0, 3.5))
         expected = SerialBackend().run_scenarios(
-            short_auto_config, None, scenarios
+            TestRunner(short_auto_config), scenarios
         )
         if reason == "no-fork":
             monkeypatch.setattr(backends, "_fork_available", lambda: False)
@@ -769,14 +772,14 @@ class TestProcessPoolBackend:
         else:
             backend = parse_backend_spec("pool:1")
         monkeypatch.setattr(multiprocessing, "get_context", no_fork)
-        results = backend.run_scenarios(short_auto_config, None, scenarios)
+        results = backend.run_scenarios(TestRunner(short_auto_config), scenarios)
         assert [r.summary() for r in results] == [
             r.summary() for r in expected
         ]
 
     def test_empty_batch_returns_no_results(self, short_auto_config):
         backend = ProcessPoolBackend(max_workers=2)
-        assert backend.run_scenarios(short_auto_config, None, []) == []
+        assert backend.run_scenarios(TestRunner(short_auto_config), []) == []
         assert backend._pool is None
 
 
@@ -1070,7 +1073,6 @@ class TestGridProfileShare:
 
     @pytest.fixture
     def golden_flights(self, monkeypatch):
-        from repro.core.runner import TestRunner
 
         flights = []
         original = TestRunner.run

@@ -15,6 +15,10 @@ base run and the perturbed run and asserts
   :class:`repro.engine.campaign.CampaignEngine` computes it (with no
   monitor, so without a separation-threshold term).
 
+The separation-threshold term, which ``campaign_fingerprint`` adds for
+a calibrated fleet monitor, is no dataclass field; its own test below
+flies one context under two calibrations.
+
 Fingerprint terms rendered only in some contexts (fleet terms, the
 traffic timing, the stepper, recovery windows, the delay of a DELAY
 fault) get one row per context in which the field can change a flight.
@@ -33,6 +37,7 @@ import pytest
 from conftest import flight_lines, line_digest
 
 from repro.core.config import RunConfiguration, VehicleSpec
+from repro.core.monitor import InvariantMonitor
 from repro.core.runner import TestRunner
 from repro.engine.cache import campaign_fingerprint, scenario_key
 from repro.firmware.ardupilot import ArduPilotFirmware
@@ -215,3 +220,28 @@ def test_every_field_has_a_row():
     }
     assert fields - covered == set(), "fields without a key-coverage row"
     assert covered - fields == set(), "rows naming no field"
+
+
+def test_the_separation_threshold_changes_the_flight_and_the_key():
+    """Pads 4 m apart.  Calibrated from the golden run (half its tightest
+    approach, ~1.95 m) the simulator logs no conflict; calibrated from a
+    profile whose tightest approach was 10 m (threshold capped at 5 m)
+    it logs the neighbouring pads and the run aborts."""
+    config = RunConfiguration(
+        workload_factory=MultiPadTakeoffLandWorkload,
+        fleet_size=3,
+        fleet_pad_spacing_m=4.0,
+        max_sim_time_s=12.0,
+    )
+    golden = TestRunner(config).run()
+    thresholds, flights, keys = [], set(), set()
+    for profile in (golden, replace(golden, min_separation_m=10.0)):
+        monitor = InvariantMonitor([profile])
+        result = TestRunner(config, monitor=monitor).run()
+        thresholds.append(monitor.separation_threshold_m)
+        flights.add(line_digest(flight_lines(result)))
+        fingerprint = campaign_fingerprint(config, monitor)
+        keys.add(scenario_key(config, fingerprint, EMPTY_SCENARIO))
+    assert thresholds[0] < golden.min_separation_m < thresholds[1]
+    assert len(flights) == 2, "the threshold does not change the flight"
+    assert len(keys) == 2, "the threshold changes the flight but not the cache key"

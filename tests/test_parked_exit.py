@@ -272,7 +272,7 @@ class TestObservability:
         backend = parse_backend_spec("pool:2")
         try:
             with observed(Observability()) as obs:
-                backend.run_scenarios(runner.config, runner.monitor, scenarios)
+                backend.run_scenarios(runner, scenarios)
         finally:
             backend.close()
         assert obs.metrics.snapshot()["counters"].get("run.parked") == 2.0

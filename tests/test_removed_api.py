@@ -1,11 +1,13 @@
-"""The 13.0 removals stay removed.
+"""The 13.0 and 14.0 removals stay removed.
 
 A run builds its sensor suite, fault scheduler, hinj interface,
 firmware, simulator and MAVLink link once, for one scenario, and throws
 them away.  The API to re-load, unhook or observe a live stack was
 deleted with that decision (README, "Removed in 13.0"); these checks
 fail if any of it comes back, on instances as well as on modules so an
-attribute set in ``__init__`` counts too.
+attribute set in ``__init__`` counts too.  In 14.0 the sensor channels
+no firmware read went, with the constants only they used (README,
+"Changed in 14.0").
 """
 
 import inspect
@@ -13,13 +15,16 @@ import inspect
 import pytest
 
 import repro.mavlink.link as link_module
+import repro.sensors.barometer as barometer_module
 import repro.sensors.suite as suite_module
 import repro.sim.environment as environment_module
 import repro.sim.state as state_module
+from repro.engine.backends import ExecutionBackend
 from repro.firmware.ardupilot import ArduPilotFirmware
 from repro.hinj import FaultScheduler, HinjInterface
 from repro.mavlink.gcs import GroundControlStation
 from repro.mavlink.link import MavLink
+from repro.sensors import Barometer, BatteryMonitor, GpsReceiver
 from repro.sensors.suite import iris_sensor_suite
 from repro.sim.simulator import Simulator
 from repro.sim.state import AttitudeState, VehicleState
@@ -58,6 +63,8 @@ def _sensors():
         (suite, ["remove_instrumentation"]),
         (suite.driver(suite.sensor_ids[0]), ["remove_instrumentation"]),
         (suite_module, ["minimal_sensor_suite"]),
+        (barometer_module, ["SEA_LEVEL_PRESSURE_HPA", "PRESSURE_LAPSE_HPA_PER_M"]),
+        (BatteryMonitor(), ["FULL_VOLTAGE", "EMPTY_VOLTAGE"]),
     ]
 
 
@@ -108,3 +115,25 @@ def test_mavlink_has_no_capacity_option():
     assert list(inspect.signature(MavLink).parameters) == ["delay_steps"]
     with pytest.raises(TypeError):
         MavLink(capacity=1)
+
+
+def test_backends_take_the_runner():
+    assert list(inspect.signature(ExecutionBackend.run_scenarios).parameters) == [
+        "self",
+        "runner",
+        "scenarios",
+    ]
+
+
+@pytest.mark.parametrize(
+    "driver, channels",
+    [
+        (Barometer(), ("altitude",)),
+        (BatteryMonitor(), ("remaining",)),
+        (GpsReceiver(), ("north", "east", "altitude", "vel_north", "vel_east")),
+    ],
+    ids=["barometer", "battery", "gps"],
+)
+def test_unread_channels_stay_removed(driver, channels):
+    assert driver.CHANNELS == channels
+    assert len(driver.sample(VehicleState(), 0.0)) == len(channels)

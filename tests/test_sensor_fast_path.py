@@ -260,7 +260,7 @@ def _fly(config, scenario):
     workload.bind(harness)
     result = harness.build_result(workload, workload.run())
     rng_states = [
-        driver._rng.getstate() for unit in harness._units for driver in unit.suite.drivers
+        driver.noise_state() for unit in harness._units for driver in unit.suite.drivers
     ]
     return result, workload.display_name, rng_states
 

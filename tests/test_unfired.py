@@ -52,7 +52,7 @@ class CannedBackend(ExecutionBackend):
         self.result = result
         self.ran = []
 
-    def run_scenarios(self, config, monitor, scenarios):
+    def run_scenarios(self, runner, scenarios):
         self.ran.extend(scenarios)
         return [dataclasses.replace(self.result, scenario=s) for s in scenarios]
 
