@@ -1,7 +1,12 @@
 """Figures 5 and 6: search orders and sensor-instance-symmetry pruning."""
 
+import inspect
+import re
+
 from repro.analysis import figure5_search_orders, figure6_pruning_counts
+from repro.analysis.figures import FIGURE5_TRANSITIONS
 from repro.core.report import format_table
+from repro.core.sabre import SabreSearch
 
 
 def test_figure5_search_orders(benchmark, capsys):
@@ -13,11 +18,26 @@ def test_figure5_search_orders(benchmark, capsys):
             for scenario in order:
                 print(f"    {scenario}")
     # DFS varies the end of the run first; BFS fails sensors for the whole
-    # run first; SABRE goes straight to the mode transitions (t1, t2, t4).
+    # run first; SABRE, asked on a stub session, goes straight to the mode
+    # transitions (t1, t2, t4) and one time quantum after each.
     assert "t5" in orders["depth-first"][1]
     assert "t1" in orders["breadth-first"][1]
     assert orders["sabre"][0].endswith("t1")
     assert any("t4" in scenario for scenario in orders["sabre"])
+    # The first pass injects at each transition and one quantum later, in
+    # order, up to the end of the 5 s mission.
+    quantum = inspect.signature(SabreSearch).parameters["time_quantum_s"].default
+    seeded = []
+    for transition in FIGURE5_TRANSITIONS:
+        for time in (transition, transition + quantum):
+            if time <= 5.0 and time not in seeded:
+                seeded.append(time)
+    injected = []
+    for scenario in orders["sabre"]:
+        for time in re.findall(r"@t(\d+)", scenario):
+            if float(time) not in injected:
+                injected.append(float(time))
+    assert injected == seeded
 
 
 def test_figure6_symmetry_pruning(benchmark, capsys):

@@ -3,20 +3,24 @@
 * Figures 1, 9 and 10 are altitude-over-time traces of specific case
   studies (the golden run against the fault-injected run).
 * Figure 5 illustrates the fault-space search orders of DFS, BFS and
-  SABRE on a two-sensor, five-time-step toy space.
-* Figure 6 is the sensor-instance-symmetry arithmetic (21 -> 5 checks for
-  three compasses).
+  SABRE on a two-sensor, five-time-step toy space; SABRE's order is
+  what the search itself proposes.
+* Figure 6 counts the sensor-instance-symmetry classes by enumerating
+  the failed subsets of one sensor type (21 -> 5 checks for three
+  compasses).
 * Table I is the qualitative feature matrix of the approaches.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+import itertools
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.config import RunConfiguration
-from repro.core.pruning import symmetric_fault_count, unpruned_fault_count
 from repro.core.runner import RunResult, TestRunner
+from repro.core.sabre import SabreSearch
+from repro.core.session import BudgetAccount, ExplorationSession
 from repro.core.strategies import (
     AvisStrategy,
     BayesianFaultInjection,
@@ -27,8 +31,11 @@ from repro.core.strategies import (
     StratifiedBFI,
 )
 from repro.firmware.ardupilot import ArduPilotFirmware
-from repro.hinj.faults import FaultScenario, FaultSpec
+from repro.hinj.faults import EMPTY_SCENARIO, FaultScenario, FaultSpec
+from repro.hinj.instrumentation import ModeTransition
+from repro.sensors import Barometer, GpsReceiver
 from repro.sensors.base import SensorId, SensorType
+from repro.sensors.suite import SensorSuite
 from repro.workloads.builtin import AutoWorkload, WaypointFenceWorkload
 
 
@@ -175,14 +182,63 @@ def case_study_apm16967(altitude: float = 20.0) -> CaseStudyTraces:
 # ----------------------------------------------------------------------
 # Figure 5: search orders on the toy fault space
 # ----------------------------------------------------------------------
+#: The toy mission's mode transitions (t1, t2 and t4, as in Figure 5).
+FIGURE5_TRANSITIONS: Tuple[float, ...] = (1.0, 2.0, 4.0)
+
+
+def _sabre_order(mission_s: float, count: int) -> List[FaultScenario]:
+    """The first ``count`` scenarios :class:`SabreSearch` proposes on the
+    toy, where every flight is safe and shows the toy's transitions."""
+    labels = ("takeoff", "waypoint", "land")
+    safe_flight = RunResult(
+        scenario=EMPTY_SCENARIO,
+        firmware_name="toy",
+        workload_name="figure5",
+        workload_result=None,
+        trace=[],
+        mode_transitions=[
+            ModeTransition(time, label, previous)
+            for time, label, previous in zip(
+                FIGURE5_TRANSITIONS, labels, ("preflight",) + labels
+            )
+        ],
+        collisions=[],
+        fence_breaches=[],
+        injections=[],
+        failsafe_events=[],
+        triggered_bugs=[],
+        firmware_process_alive=True,
+        duration_s=mission_s,
+        steps=0,
+    )
+    session = ExplorationSession(
+        # Nothing is flown: every proposal is answered with safe_flight.
+        runner=None,
+        budget=BudgetAccount(total_units=float(count)),
+        profiling_run=safe_flight,
+        suite=SensorSuite([GpsReceiver(), Barometer()]),
+    )
+    search = SabreSearch(session)
+    order: List[FaultScenario] = []
+    while True:
+        batch = search.propose_batch(count)
+        if not batch:
+            return order
+        for scenario in batch:
+            session.ingest_result(scenario, safe_flight)
+        order.extend(batch)
+
+
 def figure5_search_orders(
-    time_steps: int = 5, scenarios_per_strategy: int = 8
+    time_steps: int = 5, scenarios_per_strategy: int = 15
 ) -> Dict[str, List[str]]:
     """The first few scenarios explored by DFS, BFS and SABRE.
 
     The toy space matches Figure 5: two sensors (GPS and barometer) and
-    ``time_steps`` injection times; SABRE's order assumes transitions at
-    t1, t2 and t4 as in the figure.
+    ``time_steps`` injection times.  SABRE's row is what
+    :class:`SabreSearch`, at its default time quantum and per-dequeue
+    bound, proposes for a ``time_steps``-second mission with transitions
+    at :data:`FIGURE5_TRANSITIONS` in which every flight is safe.
     """
     gps = SensorId(SensorType.GPS, 0)
     baro = SensorId(SensorType.BAROMETER, 0)
@@ -196,41 +252,48 @@ def figure5_search_orders(
             for fault in scenario
         )
 
-    orders: Dict[str, List[str]] = {}
-    dfs = list(DepthFirstSearch.enumerate_scenarios([gps, baro], times))
-    bfs = list(BreadthFirstSearch.enumerate_scenarios([gps, baro], times))
-    orders["depth-first"] = [render(s) for s in dfs[:scenarios_per_strategy]]
-    orders["breadth-first"] = [render(s) for s in bfs[:scenarios_per_strategy]]
-
-    # SABRE on the toy space: transitions at t1, t2 and t4 (Figure 5).
-    transition_times = [1.0, 2.0, 4.0]
-    sabre_order: List[str] = []
-    subsets = [(gps,), (baro,), (gps, baro)]
-    for time in transition_times:
-        for subset in subsets:
-            scenario = FaultScenario(FaultSpec(sensor, time) for sensor in subset)
-            sabre_order.append(render(scenario))
-            if len(sabre_order) >= scenarios_per_strategy:
-                break
-        if len(sabre_order) >= scenarios_per_strategy:
-            break
-    orders["sabre"] = sabre_order
-    return orders
+    dfs = DepthFirstSearch.enumerate_scenarios([gps, baro], times)
+    bfs = BreadthFirstSearch.enumerate_scenarios([gps, baro], times)
+    sabre = _sabre_order(float(time_steps), scenarios_per_strategy)
+    return {
+        name: [render(scenario) for scenario in order[:scenarios_per_strategy]]
+        for name, order in (
+            ("depth-first", list(dfs)),
+            ("breadth-first", list(bfs)),
+            ("sabre", sabre),
+        )
+    }
 
 
 # ----------------------------------------------------------------------
-# Figure 6: sensor-instance symmetry arithmetic
+# Figure 6: sensor-instance symmetry, counted by enumeration
 # ----------------------------------------------------------------------
 def figure6_pruning_counts(max_instances: int = 5) -> List[Tuple[int, int, int]]:
     """Rows of (instance count, unpruned checks, symmetric checks).
 
-    For three compasses the row reads (3, 21, 5), the numbers quoted in
-    the paper's Figure 6 discussion.
+    For an N-instance sensor type, every (primary instance, non-empty
+    set of failed instances) pair is one check without symmetry pruning.
+    With it, pairs that fail the same roles are one check: each pair
+    maps to its role signature (is the primary failed, how many backups
+    are), and the row counts the distinct signatures.  For three
+    compasses the row reads (3, 21, 5), the numbers quoted in the
+    paper's Figure 6 discussion.
     """
-    return [
-        (count, unpruned_fault_count(count), symmetric_fault_count(count))
-        for count in range(1, max_instances + 1)
-    ]
+    rows = []
+    for count in range(1, max_instances + 1):
+        instances = range(count)
+        pairs = [
+            (primary, failed)
+            for primary in instances
+            for size in range(1, count + 1)
+            for failed in itertools.combinations(instances, size)
+        ]
+        signatures = {
+            (primary in failed, len(failed) - (primary in failed))
+            for primary, failed in pairs
+        }
+        rows.append((count, len(pairs), len(signatures)))
+    return rows
 
 
 # ----------------------------------------------------------------------

@@ -70,10 +70,10 @@ still in flight is found-bug pruning: a strict superset of an in-flight
 scenario must be skipped if that scenario turns out unsafe.  The machine
 cuts the batch immediately before any such candidate (the cursor is not
 advanced), so the decision is re-taken next round with full knowledge.
-Everything else that feeds ``CanPrune`` -- duplicate and symmetry
-pruning -- depends only on a candidate having been *explored*, which is
-certain the moment its simulation is reserved, so that state is applied
-eagerly at proposal time.
+Everything else that feeds ``CanPrune`` -- duplicate pruning --
+depends only on a candidate having been *explored*, which is certain
+the moment its simulation is reserved, so that state is applied eagerly
+at proposal time.
 
 The result is the determinism contract for the paper's headline
 strategy: a campaign is bit-identical at every round size -- same
@@ -151,7 +151,6 @@ class SabreSearch:
         max_concurrent_failures: int = 2,
         time_quantum_s: float = 1.0,
         max_scenarios_per_dequeue: Optional[int] = None,
-        pruner: Optional[RedundancyPruner] = None,
         separation_aware: bool = False,
         burst_durations: Sequence[float] = (),
     ) -> None:
@@ -162,11 +161,7 @@ class SabreSearch:
         self._max_concurrent = max(1, max_concurrent_failures)
         self._time_quantum = time_quantum_s
         self._per_dequeue = max_scenarios_per_dequeue
-        self._pruner = (
-            pruner
-            if pruner is not None
-            else RedundancyPruner(role_of=session.sensor_role)
-        )
+        self._pruner = RedundancyPruner()
         self._burst_durations = list(validate_burst_durations(burst_durations))
         if self._burst_durations and any(
             isinstance(failure, BurstFailure) for failure in self._failures
@@ -464,7 +459,7 @@ class SabreSearch:
         triggered a bug, so a candidate is only outcome-dependent when
         its fault set strictly contains an in-flight scenario's faults.
         """
-        if not self._in_flight or not self._pruner.found_bug_pruning_enabled:
+        if not self._in_flight:
             return False
         faults = frozenset(scenario)
         return any(pending < faults for pending in self._in_flight)
@@ -564,8 +559,8 @@ class SabreSearch:
                     "sabre.proposed",
                     variant="burst" if duration is not None else "latched",
                 ).inc()
-            # Exploration is certain from this point on, so duplicate and
-            # symmetry pruning may see the candidate immediately.
+            # Exploration is certain from this point on, so duplicate
+            # pruning may see the candidate immediately.
             self._pruner.record_explored(scenario)
             self._in_flight.append(frozenset(scenario))
             self._pending_ops.append(("ran", scenario))

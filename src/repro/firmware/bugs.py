@@ -251,15 +251,6 @@ class BugRegistry:
             raise KeyError(f"unknown bug id {bug_id}")
         self._enabled[bug_id] = False
 
-    def disable_all(self) -> None:
-        """Disable every bug (a fully patched firmware)."""
-        for bug_id in self._enabled:
-            self._enabled[bug_id] = False
-
-    def is_enabled(self, bug_id: str) -> bool:
-        """True when ``bug_id`` is present and active."""
-        return self._enabled.get(bug_id, False)
-
     def descriptor(self, bug_id: str) -> BugDescriptor:
         """Return the descriptor for ``bug_id``."""
         return self._descriptors[bug_id]
@@ -312,11 +303,6 @@ class BugRegistry:
                     )
                 )
         return matches
-
-    @property
-    def trigger_events(self) -> List[BugTriggerEvent]:
-        """Every bug-trigger event recorded during the run."""
-        return list(self._events)
 
     @property
     def triggered_bug_ids(self) -> List[str]:

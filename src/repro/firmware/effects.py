@@ -78,11 +78,6 @@ class BugEffectEngine:
             )
         )
 
-    @property
-    def active_bug_ids(self) -> List[str]:
-        """Ids of bugs whose effects are currently being applied."""
-        return [effect.descriptor.bug_id for effect in self._active]
-
     # ------------------------------------------------------------------
     # Per-step application
     # ------------------------------------------------------------------

@@ -503,22 +503,12 @@ class FaultScenario:
         )
 
     @property
-    def has_traffic_faults(self) -> bool:
-        """True when at least one coordination fault is scheduled."""
-        return any(isinstance(f, TrafficFaultSpec) for f in self._faults)
-
-    @property
     def recovering_faults(self) -> List[AnyFaultSpec]:
         """The intermittent faults (finite ``duration_s``), sorted."""
         return sorted(
             (f for f in self._faults if f.duration_s is not None),
             key=_spec_sort_key,
         )
-
-    @property
-    def has_recovering_faults(self) -> bool:
-        """True when at least one fault recovers within the run."""
-        return any(f.duration_s is not None for f in self._faults)
 
     @property
     def sensor_ids(self) -> List[SensorId]:
@@ -533,13 +523,6 @@ class FaultScenario:
             if sensor_id.sensor_type not in seen:
                 seen.append(sensor_id.sensor_type)
         return seen
-
-    @property
-    def earliest_time(self) -> Optional[float]:
-        """Time of the first scheduled failure, or None when empty."""
-        if not self._faults:
-            return None
-        return min(fault.start_time for fault in self._faults)
 
     def fault_for(self, sensor_id: SensorId) -> Optional[FaultSpec]:
         """The fault scheduled for ``sensor_id``, if any (earliest wins)."""

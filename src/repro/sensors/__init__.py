@@ -24,8 +24,8 @@ test run.  Every sensor driver in this package implements that contract:
 
 Sensor types follow the paper: gyroscope, accelerometer, GPS, compass,
 barometer, and battery monitor.  The suite groups instances into primary
-and backup roles; the sensor-instance-symmetry pruning policy relies on
-those roles.
+and backup roles; SABRE probes primaries before backups, and the
+estimator fails over from a primary to its backup.
 """
 
 from repro.sensors.barometer import Barometer

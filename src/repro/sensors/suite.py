@@ -5,7 +5,7 @@ primary role, and exposes the operations the rest of the stack needs:
 
 * the firmware reads every instance each control period;
 * the fault injection engine enumerates instances (with roles) to build
-  the fault space and applies the sensor-instance-symmetry policy;
+  the fault space, probing primaries before backups;
 * hinj instruments the read path of every driver (or only of the
   instances its scenario schedules faults for) in one call, once: a
   suite is built for one run and is never re-hooked or unhooked.

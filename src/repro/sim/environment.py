@@ -44,12 +44,6 @@ class Obstacle:
             and 0.0 <= up <= self.height
         )
 
-    def horizontal_distance(self, point: Vector3) -> float:
-        """Distance from ``point`` to the obstacle footprint (0 if inside)."""
-        dn = max(abs(point[0] - self.center_north) - self.half_width_north, 0.0)
-        de = max(abs(point[1] - self.center_east) - self.half_width_east, 0.0)
-        return math.hypot(dn, de)
-
 
 @dataclass(frozen=True)
 class FenceRegion:

@@ -52,11 +52,6 @@ class CollisionEvent:
     obstacle: Optional[str] = None
     vehicle: int = 0
 
-    @property
-    def with_ground(self) -> bool:
-        """True when the collision was with the ground plane."""
-        return self.obstacle is None
-
     def describe(self) -> str:
         """Human-readable one-line description for reports."""
         target = self.obstacle if self.obstacle else "ground"

@@ -76,11 +76,6 @@ class AirframeParameters:
         """Throttle fraction (0..1) that balances gravity."""
         return self.weight_n / self.max_thrust_n
 
-    @property
-    def thrust_to_weight(self) -> float:
-        """Thrust-to-weight ratio of the airframe."""
-        return self.max_thrust_n / self.weight_n
-
 
 IRIS_QUADCOPTER = AirframeParameters(
     name="3DR Iris",

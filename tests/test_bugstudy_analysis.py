@@ -78,6 +78,26 @@ class TestAnalysisHelpers:
         assert "t1" in orders["sabre"][0]
         assert orders["depth-first"] != orders["breadth-first"]
 
+    def test_figure5_sabre_row_is_the_seeded_first_pass(self):
+        # Transitions t1, t2 and t4 with a 1 s quantum seed t1..t5; each
+        # time gets the singletons, barometer first, then the pair.
+        expected = [
+            scenario
+            for time in range(1, 6)
+            for scenario in (
+                f"barometer@t{time}",
+                f"gps@t{time}",
+                f"barometer@t{time}; gps@t{time}",
+            )
+        ]
+        assert figure5_search_orders()["sabre"] == expected
+
+    def test_figure5_sabre_row_stays_inside_the_mission(self):
+        row = figure5_search_orders(time_steps=4)["sabre"]
+        assert len(row) == 15
+        assert row[:12] == figure5_search_orders()["sabre"][:12]
+        assert "t5" not in " ".join(row)
+
     def test_figure6_counts_include_paper_example(self):
         rows = figure6_pruning_counts()
         assert (3, 21, 5) in rows

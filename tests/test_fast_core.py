@@ -284,7 +284,7 @@ class TestTouchdownRecords:
         simulator, touchdown = self._drop(5.0)
         assert touchdown.speed >= HARD_IMPACT_SPEED
         [collision] = simulator.collisions
-        assert collision.with_ground
+        assert collision.obstacle is None
         assert collision.vehicle == 0
         # The event carries the physics timestamp of the contact step,
         # the same value as that step's state snapshot.

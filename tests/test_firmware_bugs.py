@@ -113,20 +113,22 @@ class TestTriggerMatching:
         )
 
 
+def enabled_ids(registry):
+    return {descriptor.bug_id for descriptor in registry.enabled_descriptors}
+
+
 class TestRegistry:
     def test_latent_enabled_known_disabled_by_default(self):
         registry = ardupilot_bug_registry()
-        assert registry.is_enabled("APM-16020")
-        assert not registry.is_enabled("APM-4679")
+        assert "APM-16020" in enabled_ids(registry)
+        assert "APM-4679" not in enabled_ids(registry)
 
     def test_reinsert_and_disable(self):
         registry = ardupilot_bug_registry()
         registry.reinsert("APM-4679")
-        assert registry.is_enabled("APM-4679")
+        assert "APM-4679" in enabled_ids(registry)
         registry.disable("APM-16020")
-        assert not registry.is_enabled("APM-16020")
-        registry.disable_all()
-        assert not registry.enabled_descriptors
+        assert "APM-16020" not in enabled_ids(registry)
 
     def test_reinsert_unknown_bug_raises(self):
         registry = ardupilot_bug_registry()
@@ -150,13 +152,12 @@ class TestRegistry:
         )
         assert [bug.bug_id for bug in matches] == ["APM-16027"]
         assert registry.triggered_bug_ids == ["APM-16027"]
-        assert "APM-16027" in registry.trigger_events[0].describe()
 
     def test_px4_registry_contains_only_px4_bugs(self):
         registry = px4_bug_registry()
         assert all(bug.firmware == "px4" for bug in registry.descriptors)
-        assert registry.is_enabled("PX4-17046")
-        assert not registry.is_enabled("PX4-13291")
+        assert "PX4-17046" in enabled_ids(registry)
+        assert "PX4-13291" not in enabled_ids(registry)
 
     def test_disabled_bug_never_matches(self):
         registry = ardupilot_bug_registry()

@@ -334,11 +334,12 @@ class TestBugEffectEngine:
     def test_activation_is_idempotent(self):
         registry = BugRegistry(ARDUPILOT_LATENT_BUGS)
         descriptor = registry.descriptor("APM-16020")
+        assert descriptor.effect.freeze_horizontal
         engine = BugEffectEngine()
-        estimate = StateEstimate(north=4.0)
-        engine.activate(descriptor, estimate, 5.0)
-        engine.activate(descriptor, estimate, 6.0)
-        assert engine.active_bug_ids == ["APM-16020"]
+        engine.activate(descriptor, StateEstimate(north=4.0), 5.0)
+        engine.activate(descriptor, StateEstimate(north=9.0), 6.0)
+        # The second activation neither replaces nor stacks on the first.
+        assert engine.corrupt_estimate(StateEstimate(north=0.0)).north == 4.0
 
     def test_forced_mode_after_delay(self):
         registry = BugRegistry(ARDUPILOT_LATENT_BUGS)

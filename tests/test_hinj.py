@@ -37,7 +37,6 @@ class TestFaultScenario:
     def test_empty_scenario(self):
         scenario = FaultScenario()
         assert scenario.is_empty
-        assert scenario.earliest_time is None
         assert not scenario.should_fail(GPS, 100.0)
 
     def test_set_semantics_and_hashing(self):

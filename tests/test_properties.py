@@ -5,11 +5,10 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.pruning import symmetric_fault_count, unpruned_fault_count
+from repro.analysis import figure6_pruning_counts
 from repro.core.session import BudgetAccount
 from repro.hinj.faults import FaultScenario, FaultSpec
-from repro.sensors.base import SensorId, SensorRole, SensorType
-from repro.core.pruning import symmetry_signature
+from repro.sensors.base import SensorId, SensorType
 from repro.sim.state import euclidean_distance, wrap_angle
 
 sensor_types = st.sampled_from(list(SensorType))
@@ -98,22 +97,10 @@ class TestFaultScenarioProperties:
 
 
 class TestSymmetryProperties:
-    @given(st.integers(1, 12))
-    def test_symmetric_count_never_exceeds_unpruned(self, instances):
-        assert symmetric_fault_count(instances) <= unpruned_fault_count(instances)
-
-    @given(st.integers(1, 12))
-    def test_symmetric_count_formula(self, instances):
-        assert symmetric_fault_count(instances) == 2 * instances - 1
-
-    @given(st.integers(1, 3), st.floats(0.0, 60.0, allow_nan=False))
-    def test_signature_identical_for_role_equivalent_backups(self, backup_index, time):
-        def role_of(sensor_id):
-            return SensorRole.PRIMARY if sensor_id.instance == 0 else SensorRole.BACKUP
-
-        first = FaultScenario([FaultSpec(SensorId(SensorType.COMPASS, backup_index), time)])
-        second = FaultScenario([FaultSpec(SensorId(SensorType.COMPASS, backup_index + 1), time)])
-        assert symmetry_signature(first, role_of) == symmetry_signature(second, role_of)
+    @given(st.integers(1, 8))
+    def test_enumerated_figure6_row_matches_the_closed_forms(self, instances):
+        row = figure6_pruning_counts(instances)[-1]
+        assert row == (instances, instances * (2**instances - 1), 2 * instances - 1)
 
 
 class TestBudgetProperties:

@@ -1,4 +1,4 @@
-"""The 13.0 and 14.0 removals stay removed.
+"""The 13.0, 14.0 and 15.0 removals stay removed.
 
 A run builds its sensor suite, fault scheduler, hinj interface,
 firmware, simulator and MAVLink link once, for one scenario, and throws
@@ -7,27 +7,39 @@ deleted with that decision (README, "Removed in 13.0"); these checks
 fail if any of it comes back, on instances as well as on modules so an
 attribute set in ``__init__`` counts too.  In 14.0 the sensor channels
 no firmware read went, with the constants only they used (README,
-"Changed in 14.0").
+"Changed in 14.0").  In 15.0 the sensor-instance symmetry pruning that
+no run could reach went, with the pruner's options and the rest of the
+per-run stack's API that only tests called (README, "Removed in 15.0").
 """
 
 import inspect
 
 import pytest
 
+import repro.analysis.figures as figures_module
+import repro.core.pruning as pruning_module
 import repro.mavlink.link as link_module
 import repro.sensors.barometer as barometer_module
 import repro.sensors.suite as suite_module
 import repro.sim.environment as environment_module
 import repro.sim.state as state_module
+from repro.core.pruning import PruningStatistics, RedundancyPruner
+from repro.core.sabre import SabreSearch
 from repro.engine.backends import ExecutionBackend
 from repro.firmware.ardupilot import ArduPilotFirmware
+from repro.firmware.bugs import ardupilot_bug_registry
+from repro.firmware.effects import BugEffectEngine
 from repro.hinj import FaultScheduler, HinjInterface
+from repro.hinj.faults import FaultScenario, FaultSpec
 from repro.mavlink.gcs import GroundControlStation
 from repro.mavlink.link import MavLink
 from repro.sensors import Barometer, BatteryMonitor, GpsReceiver
 from repro.sensors.suite import iris_sensor_suite
-from repro.sim.simulator import Simulator
+from repro.sensors.base import SensorId, SensorType
+from repro.sim.environment import Obstacle
+from repro.sim.simulator import CollisionEvent, Simulator
 from repro.sim.state import AttitudeState, VehicleState
+from repro.sim.vehicle import IRIS_QUADCOPTER
 
 
 def _hinj():
@@ -54,6 +66,10 @@ def _hinj():
                 "transition_times",
             ],
         ),
+        (
+            FaultScenario([FaultSpec(SensorId(SensorType.GPS, 0), 1.0)]),
+            ["earliest_time", "has_recovering_faults", "has_traffic_faults"],
+        ),
     ]
 
 
@@ -69,7 +85,14 @@ def _sensors():
 
 
 def _firmware():
-    return [(ArduPilotFirmware(suite=iris_sensor_suite()), ["label_history"])]
+    return [
+        (ArduPilotFirmware(suite=iris_sensor_suite()), ["label_history"]),
+        (
+            ardupilot_bug_registry(),
+            ["disable_all", "is_enabled", "trigger_events"],
+        ),
+        (BugEffectEngine(), ["active_bug_ids"]),
+    ]
 
 
 def _sim():
@@ -82,6 +105,9 @@ def _sim():
         (VehicleState(), ["with_time", "with_armed", "distance_to"]),
         (AttitudeState(), ["rotated_yaw"]),
         (environment_module, ["check_environment_is_default"]),
+        (Obstacle("tree", 0.0, 0.0, 1.0, 1.0, 5.0), ["horizontal_distance"]),
+        (CollisionEvent(1.0, (0.0, 0.0, 0.0), 5.0), ["with_ground"]),
+        (IRIS_QUADCOPTER, ["thrust_to_weight"]),
     ]
 
 
@@ -96,10 +122,30 @@ def _mavlink():
     ]
 
 
+def _pruning():
+    return [
+        (
+            pruning_module,
+            [
+                "symmetry_signature",
+                "SymmetrySignature",
+                "symmetric_fault_count",
+                "unpruned_fault_count",
+            ],
+        ),
+        (figures_module, ["symmetric_fault_count", "unpruned_fault_count"]),
+        (
+            RedundancyPruner(),
+            ["found_bug_pruning_enabled", "_seen_signatures"],
+        ),
+        (PruningStatistics(), ["symmetry_pruned"]),
+    ]
+
+
 @pytest.mark.parametrize(
     "owners",
-    [_hinj, _sensors, _firmware, _sim, _mavlink],
-    ids=["hinj", "sensors", "firmware", "sim", "mavlink"],
+    [_hinj, _sensors, _firmware, _sim, _mavlink, _pruning],
+    ids=["hinj", "sensors", "firmware", "sim", "mavlink", "pruning"],
 )
 def test_removed_names_stay_removed(owners):
     present = [
@@ -109,6 +155,17 @@ def test_removed_names_stay_removed(owners):
         if hasattr(owner, name)
     ]
     assert present == []
+
+
+def test_the_pruner_has_no_options():
+    assert list(inspect.signature(RedundancyPruner).parameters) == []
+    for option in ("role_of", "enable_found_bug_pruning", "enable_symmetry_pruning"):
+        with pytest.raises(TypeError):
+            RedundancyPruner(**{option: None})
+
+
+def test_sabre_builds_its_own_pruner():
+    assert "pruner" not in inspect.signature(SabreSearch).parameters
 
 
 def test_mavlink_has_no_capacity_option():

@@ -88,13 +88,8 @@ class TestStubBitIdentity:
         )
         seq_stats = sequential.pruner.statistics
         bat_stats = batched.pruner.statistics
-        assert (
-            bat_stats.found_bug_pruned,
-            bat_stats.symmetry_pruned,
-            bat_stats.duplicate_pruned,
-        ) == (
+        assert (bat_stats.found_bug_pruned, bat_stats.duplicate_pruned) == (
             seq_stats.found_bug_pruned,
-            seq_stats.symmetry_pruned,
             seq_stats.duplicate_pruned,
         )
 
@@ -139,6 +134,34 @@ class TestStubBitIdentity:
                     "batch contains a strict superset of an earlier "
                     "in-flight scenario"
                 )
+
+
+    def test_batch_is_cut_right_before_the_first_in_flight_superset(self):
+        session = make_session(budget_units=50.0, runner=StubRunner())
+        search = SabreSearch(session, max_scenarios_per_dequeue=None)
+        first = search.propose_batch(1000)
+        # Every singleton at the first injection time, then the cut: the
+        # first pair strictly contains two of them.
+        assert len(first) == len(session.sensor_ids)
+        assert {len(scenario) for scenario in first} == {1}
+        assert len({scenario.faults[0].start_time for scenario in first}) == 1
+        for scenario in first:
+            session.ingest_result(scenario, session.runner.run(scenario))
+        second = search.propose_batch(1000)
+        assert len(second[0]) == 2
+
+    def test_no_scenario_extends_an_earlier_unsafe_one(self):
+        session = make_session(budget_units=64.0, runner=StubRunner())
+        search = SabreSearch(session, max_scenarios_per_dequeue=6)
+        drive_batched(search, 8)
+        unsafe = []
+        for result in session.results:
+            faults = frozenset(result.scenario)
+            assert not any(bug < faults for bug in unsafe)
+            if result.found_unsafe_condition:
+                unsafe.append(faults)
+        assert unsafe
+        assert search.pruner.statistics.found_bug_pruned > 0
 
 
 class TestBatchedBfi:

@@ -12,12 +12,7 @@ import pytest
 
 from conftest import drive_batched, drive_strategy, make_run_result, make_trace
 
-from repro.core.pruning import (
-    RedundancyPruner,
-    symmetric_fault_count,
-    symmetry_signature,
-    unpruned_fault_count,
-)
+from repro.core.pruning import RedundancyPruner
 from repro.core.runner import RunResult
 from repro.core.sabre import SabreSearch
 from repro.core.session import BudgetAccount, ExplorationSession
@@ -31,9 +26,9 @@ from repro.core.strategies import (
     StratifiedBFI,
 )
 from repro.core.strategies.bayesian import TrainingExample, default_training_data
-from repro.hinj.faults import FaultScenario, FaultSpec
+from repro.hinj.faults import EMPTY_SCENARIO, FaultScenario, FaultSpec
 from repro.hinj.instrumentation import ModeTransition
-from repro.sensors.base import SensorId, SensorRole, SensorType
+from repro.sensors.base import SensorId, SensorType
 from repro.sensors.suite import iris_sensor_suite
 from repro.sim.simulator import CollisionEvent
 
@@ -89,39 +84,14 @@ def make_session(budget_units=50.0, runner=None) -> ExplorationSession:
     )
 
 
-class TestPruningArithmetic:
-    def test_figure6_counts_for_three_compasses(self):
-        assert unpruned_fault_count(3) == 21
-        assert symmetric_fault_count(3) == 5
-
-    def test_single_instance_counts(self):
-        assert unpruned_fault_count(1) == 1
-        assert symmetric_fault_count(1) == 1
-
-    def test_rejects_zero_instances(self):
-        with pytest.raises(ValueError):
-            symmetric_fault_count(0)
-
-
 class TestRedundancyPruner:
-    def role_of(self, sensor_id: SensorId) -> SensorRole:
-        return SensorRole.PRIMARY if sensor_id.instance == 0 else SensorRole.BACKUP
-
-    def test_symmetric_backup_scenarios_pruned(self):
-        pruner = RedundancyPruner(role_of=self.role_of)
-        first_backup = FaultScenario([FaultSpec(COMPASS_B1, 5.0)])
-        second_backup = FaultScenario([FaultSpec(SensorId(SensorType.COMPASS, 2), 5.0)])
-        pruner.record_explored(first_backup)
-        assert pruner.can_prune(second_backup)
-        assert pruner.statistics.symmetry_pruned == 1
-
     def test_primary_not_pruned_by_backup(self):
-        pruner = RedundancyPruner(role_of=self.role_of)
+        pruner = RedundancyPruner()
         pruner.record_explored(FaultScenario([FaultSpec(COMPASS_B1, 5.0)]))
         assert not pruner.can_prune(FaultScenario([FaultSpec(COMPASS_P, 5.0)]))
 
     def test_found_bug_pruning_skips_supersets(self):
-        pruner = RedundancyPruner(role_of=self.role_of)
+        pruner = RedundancyPruner()
         bug = FaultScenario([FaultSpec(GPS, 5.0)])
         pruner.record_bug(bug)
         superset = FaultScenario([FaultSpec(GPS, 5.0), FaultSpec(BARO, 5.0)])
@@ -129,27 +99,41 @@ class TestRedundancyPruner:
         assert not pruner.can_prune(bug.extended([]))  # the bug itself is not a strict superset
 
     def test_duplicate_scenarios_pruned(self):
-        pruner = RedundancyPruner(role_of=self.role_of)
+        pruner = RedundancyPruner()
         scenario = FaultScenario([FaultSpec(GPS, 5.0)])
         pruner.record_explored(scenario)
         assert pruner.can_prune(scenario)
 
-    def test_policies_can_be_disabled(self):
-        pruner = RedundancyPruner(
-            role_of=self.role_of,
-            enable_found_bug_pruning=False,
-            enable_symmetry_pruning=False,
-        )
+    def test_only_strict_supersets_of_the_same_faults_are_pruned(self):
+        pruner = RedundancyPruner()
         pruner.record_bug(FaultScenario([FaultSpec(GPS, 5.0)]))
-        superset = FaultScenario([FaultSpec(GPS, 5.0), FaultSpec(BARO, 6.0)])
-        assert not pruner.can_prune(superset)
-
-    def test_symmetry_signature_ignores_instance_identity(self):
-        a = symmetry_signature(FaultScenario([FaultSpec(COMPASS_B1, 3.0)]), self.role_of)
-        b = symmetry_signature(
-            FaultScenario([FaultSpec(SensorId(SensorType.COMPASS, 2), 3.0)]), self.role_of
+        # A fault is a (sensor, time) pair: the same sensor failed at
+        # another time is not a superset of the bug.
+        assert not pruner.can_prune(FaultScenario([FaultSpec(BARO, 5.0)]))
+        assert not pruner.can_prune(
+            FaultScenario([FaultSpec(GPS, 6.0), FaultSpec(BARO, 5.0)])
         )
-        assert a == b
+        assert pruner.statistics.found_bug_pruned == 0
+
+    def test_an_empty_bug_scenario_prunes_nothing(self):
+        pruner = RedundancyPruner()
+        pruner.record_bug(EMPTY_SCENARIO)
+        assert not pruner.can_prune(FaultScenario([FaultSpec(GPS, 5.0)]))
+
+    def test_each_prune_is_counted_once_under_its_first_reason(self):
+        pruner = RedundancyPruner()
+        bug = FaultScenario([FaultSpec(GPS, 5.0)])
+        superset = bug.extended([FaultSpec(BARO, 5.0)])
+        pruner.record_bug(bug)
+        assert pruner.can_prune(superset)
+        pruner.record_explored(superset)
+        # Now both a duplicate and a superset of the bug: the duplicate
+        # check runs first.
+        assert pruner.can_prune(superset)
+        assert (
+            pruner.statistics.found_bug_pruned,
+            pruner.statistics.duplicate_pruned,
+        ) == (1, 1)
 
 
 class TestSabreSearch:

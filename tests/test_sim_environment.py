@@ -20,11 +20,6 @@ class TestObstacle:
         assert not tree.contains((10.0, 10.0, 9.0))
         assert not tree.contains((20.0, 10.0, 4.0))
 
-    def test_horizontal_distance(self):
-        tree = Obstacle("tree", 0.0, 0.0, 1.0, 1.0, 5.0)
-        assert tree.horizontal_distance((4.0, 0.0, 1.0)) == pytest.approx(3.0)
-        assert tree.horizontal_distance((0.5, 0.5, 1.0)) == 0.0
-
 
 class TestFenceRegion:
     def test_contains(self):

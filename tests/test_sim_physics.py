@@ -27,7 +27,7 @@ class TestAirframeParameters:
         assert 0.0 < IRIS_QUADCOPTER.hover_throttle < 1.0
 
     def test_thrust_to_weight_above_one(self):
-        assert IRIS_QUADCOPTER.thrust_to_weight > 1.0
+        assert IRIS_QUADCOPTER.max_thrust_n > IRIS_QUADCOPTER.weight_n
 
     def test_rejects_underpowered_airframe(self):
         with pytest.raises(ValueError):

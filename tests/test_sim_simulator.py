@@ -48,7 +48,7 @@ class TestCollisionDetection:
                 break
         assert simulator.has_crashed
         assert simulator.collisions[0].impact_speed >= 2.0
-        assert simulator.collisions[0].with_ground
+        assert simulator.collisions[0].obstacle is None
 
     def test_soft_landing_is_not_a_collision(self):
         simulator = Simulator(dt=0.02)

@@ -9,7 +9,7 @@ from conftest import make_run_result, make_trace
 
 from repro.core.config import RunConfiguration, VehicleSpec
 from repro.core.monitor import InvariantMonitor, UnsafeConditionKind
-from repro.core.pruning import RedundancyPruner, symmetry_signature
+from repro.core.pruning import RedundancyPruner
 from repro.core.session import BudgetAccount, ExplorationSession
 from repro.core.strategies import AvisStrategy
 from repro.engine.cache import (
@@ -153,7 +153,6 @@ class TestTrafficFaultSpecs:
             ]
         )
         assert len(scenario) == 2
-        assert scenario.has_traffic_faults
         assert [f.start_time for f in scenario.sensor_faults] == [2.0]
         assert [f.vehicle for f in scenario.traffic_faults] == [1]
         # Sensor faults iterate first, in the classic order.
@@ -170,7 +169,7 @@ class TestTrafficFaultSpecs:
         )
         view = scenario.vehicle_view(0)
         assert len(view) == 1
-        assert not view.has_traffic_faults
+        assert not view.traffic_faults
 
     def test_shifted_preserves_traffic_parameters(self):
         scenario = FaultScenario(
@@ -181,20 +180,10 @@ class TestTrafficFaultSpecs:
         assert fault.start_time == 4.0
         assert fault.extra_delay_s == 2.0
 
-    def test_symmetry_signature_keeps_traffic_kinds_distinct(self):
-        suite = iris_sensor_suite()
-        role_of = lambda sensor_id: suite.role_of(sensor_id.base)  # noqa: E731
+    def test_pruner_keeps_traffic_kinds_distinct(self):
         dropout = FaultScenario([TrafficFaultSpec(1, TrafficFaultKind.DROPOUT, 5.0)])
         freeze = FaultScenario([TrafficFaultSpec(1, TrafficFaultKind.FREEZE, 5.0)])
-        other_vehicle = FaultScenario(
-            [TrafficFaultSpec(0, TrafficFaultKind.DROPOUT, 5.0)]
-        )
-        signatures = {
-            symmetry_signature(scenario, role_of)
-            for scenario in (dropout, freeze, other_vehicle)
-        }
-        assert len(signatures) == 3
-        pruner = RedundancyPruner(role_of=role_of)
+        pruner = RedundancyPruner()
         pruner.record_explored(dropout)
         assert pruner.can_prune(dropout)
         assert not pruner.can_prune(freeze)
@@ -264,7 +253,6 @@ class TestTrafficReplay:
         assert anchored.anchor_label == "takeoff"
         assert "traffic:v0:dropout" in plan.describe()
         scenario = resolve_plan(plan, make_run_result())
-        assert scenario.has_traffic_faults
         replayed = scenario.traffic_faults[0]
         assert (replayed.vehicle, replayed.kind) == (0, TrafficFaultKind.DROPOUT)
         assert replayed.start_time == pytest.approx(0.7)
