@@ -658,6 +658,9 @@ class SimulationHarness:
         """
         recorder = self._recorder
         clock = self._clock
+        simulator = self.simulator
+        units = self._units
+        traffic = self.traffic
         commands: List = []
         for k in range(stride):
             if self._abort:
@@ -665,9 +668,11 @@ class SimulationHarness:
             if recorder is not None:
                 mark = clock()
                 sensor_s = 0.0
-            for unit in self._units:
+            # Nothing before ``step_fleet`` advances the clock.
+            time = simulator.time
+            for unit in units:
                 unit.link.advance()
-                unit.gcs.poll(self.time)
+                unit.gcs.poll(time)
             if k == 0:
                 if self._last_update_step is None:
                     elapsed_steps = 1
@@ -675,18 +680,14 @@ class SimulationHarness:
                     elapsed_steps = self._steps - self._last_update_step
                 self._last_update_step = self._steps
                 commands = []
-                for unit in self._units:
+                for unit in units:
                     if recorder is not None:
                         sensor_start = clock()
-                    readings = unit.suite.read_all(
-                        self.simulator.state_of(unit.vehicle), self.time
-                    )
+                    readings = unit.suite.read_all(simulator.state_of(unit.vehicle), time)
                     if recorder is not None:
                         sensor_s += clock() - sensor_start
                     commands.append(
-                        unit.firmware.update(
-                            readings, self.time, elapsed_steps=elapsed_steps
-                        )
+                        unit.firmware.update(readings, time, elapsed_steps=elapsed_steps)
                     )
             if recorder is not None:
                 now = clock()
@@ -695,19 +696,20 @@ class SimulationHarness:
                 recorder.add_phase("sensor_read", sensor_s)
                 recorder.add_phase("control", (now - mark) - sensor_s)
                 mark = now
-            self.simulator.step_fleet(commands)
+            simulator.step_fleet(commands)
             if recorder is not None:
                 now = clock()
                 recorder.add_phase("physics", now - mark)
                 mark = now
-            if self.traffic is not None:
-                self.traffic.advance()
-                if self.traffic.beacon_due():
-                    for unit in self._units:
-                        state = self.simulator.state_of(unit.vehicle)
-                        self.traffic.broadcast(
+            if traffic is not None:
+                traffic.advance()
+                if traffic.beacon_due():
+                    time = simulator.time
+                    for unit in units:
+                        state = simulator.state_of(unit.vehicle)
+                        traffic.broadcast(
                             unit.vehicle,
-                            time=self.time,
+                            time=time,
                             position=state.position,
                             velocity=state.velocity,
                         )
@@ -720,19 +722,21 @@ class SimulationHarness:
                 self._record_sample()
             if self._steps >= self._max_steps:
                 self._abort = True
-            if self.simulator.has_crashed or not self._all_firmware_alive():
+            if simulator.has_crashed or not self._all_firmware_alive():
                 self._abort = True
-            self._check_proximity()
+            if traffic is not None:
+                self._check_proximity()
             if recorder is not None:
                 recorder.add_phase("monitor", clock() - mark)
 
     def _all_firmware_alive(self) -> bool:
-        return all(unit.firmware.process_alive for unit in self._units)
+        for unit in self._units:
+            if not unit.firmware.process_alive:
+                return False
+        return True
 
     def _check_proximity(self) -> None:
         """Abort on a new inter-vehicle conflict."""
-        if len(self._units) == 1:
-            return
         count = self.simulator.proximity_event_count
         if count > self._proximity_seen:
             self._proximity_seen = count

@@ -38,7 +38,6 @@ from repro.firmware.modes import (
     ARDUPILOT_MODE_NAMES,
     FlightMode,
     OperatingModeLabel,
-    UNTESTED_MODES,
     resolve_mode_name,
 )
 from repro.firmware.navigation import NavigationSetpoint, NavigationStack
@@ -52,6 +51,9 @@ from repro.sensors.suite import SensorSuite
 from repro.sim.environment import Environment, GeoLocation, default_environment
 from repro.sim.physics import ActuatorCommand
 from repro.sim.vehicle import IRIS_QUADCOPTER, AirframeParameters
+
+#: The setpoint of a mode that commands nothing (pre-flight, landed).
+_NO_SETPOINT = NavigationSetpoint()
 
 
 class ControlFirmware:
@@ -242,11 +244,9 @@ class ControlFirmware:
             return False
         if mode == FlightMode.AUTO and not self._mission.has_plan:
             return False
-        if mode in UNTESTED_MODES:
-            # Stunt / race modes relax safety guarantees; accepted, but the
-            # workloads never request them (Section IV-A of the paper).
-            self._set_flight_mode(mode, time, f"pilot mode change to {name}")
-            return True
+        # Stunt / race modes (UNTESTED_MODES) relax safety guarantees; they
+        # are accepted like any other mode, but the workloads never request
+        # them (Section IV-A of the paper).
         self._set_flight_mode(mode, time, f"pilot mode change to {name}")
         return True
 
@@ -342,8 +342,12 @@ class ControlFirmware:
         # The buggy handlers corrupt the *control view* of the estimate
         # (what the navigation code believes), not the filter's internal
         # state -- a constant altitude-reference error stays constant.
-        estimate = self._effects.corrupt_estimate(estimate.copy())
-        overrides = self._effects.overrides(estimate, airborne, time)
+        # With no effect active the view is the filter's estimate itself;
+        # nothing below writes to it.
+        effects = self._effects
+        if effects.active:
+            estimate = effects.corrupt_estimate(estimate.copy())
+        overrides = effects.overrides(estimate, airborne, time)
         if self._pending_failsafe_mode is not None:
             self._set_flight_mode(self._pending_failsafe_mode, time, "failsafe")
             self._pending_failsafe_mode = None
@@ -353,8 +357,7 @@ class ControlFirmware:
             self._set_flight_mode(overrides.forced_mode, time, "fault-handling response")
 
         setpoint, label = self._mode_logic(estimate, overrides, time)
-        attitude = self._navigation.update(estimate, setpoint)
-        throttle = attitude.throttle
+        roll, pitch, yaw_rate, throttle = self._navigation.update(estimate, setpoint)
 
         if overrides.block_takeoff and label in (
             OperatingModeLabel.TAKEOFF,
@@ -372,9 +375,9 @@ class ControlFirmware:
 
         return ActuatorCommand(
             throttle=throttle,
-            target_roll=attitude.roll,
-            target_pitch=attitude.pitch,
-            target_yaw_rate=attitude.yaw_rate,
+            target_roll=roll,
+            target_pitch=pitch,
+            target_yaw_rate=yaw_rate,
             armed=self._arming.armed,
         )
 
@@ -395,7 +398,6 @@ class ControlFirmware:
             altitude=self.estimate.altitude,
             failed_types=failed_types,
             was_active_instance=event.was_active_instance,
-            time=time,
             seconds_into_mode=seconds_into_mode,
         )
         if matches:
@@ -457,7 +459,7 @@ class ControlFirmware:
     ) -> Tuple[NavigationSetpoint, str]:
         mode = self._flight_mode
         if mode == FlightMode.PREFLIGHT:
-            return NavigationSetpoint(), OperatingModeLabel.PREFLIGHT
+            return _NO_SETPOINT, OperatingModeLabel.PREFLIGHT
         if mode == FlightMode.TAKEOFF:
             return self._takeoff_logic(estimate, overrides, time)
         if mode == FlightMode.AUTO:
@@ -565,14 +567,12 @@ class ControlFirmware:
         self, estimate: StateEstimate, overrides: EffectOverrides, step: MissionStep
     ) -> Tuple[NavigationSetpoint, str]:
         abort_altitude = overrides.abort_takeoff_at_altitude
-        target_altitude = step.target_altitude or 0.0
         if abort_altitude is not None and estimate.altitude >= abort_altitude:
-            target_altitude = abort_altitude
             return (
                 NavigationSetpoint(
                     target_north=self._hold_point[0],
                     target_east=self._hold_point[1],
-                    target_altitude=target_altitude,
+                    target_altitude=abort_altitude,
                 ),
                 OperatingModeLabel.TAKEOFF,
             )
@@ -626,7 +626,7 @@ class ControlFirmware:
         if self._landed_counter * self.dt >= 1.0:
             self._arming.force_disarm()
             self._set_flight_mode(FlightMode.PREFLIGHT, time, "landed and disarmed")
-            return NavigationSetpoint(), OperatingModeLabel.LANDED
+            return _NO_SETPOINT, OperatingModeLabel.LANDED
         return setpoint, OperatingModeLabel.LAND
 
     def _rtl_logic(self, estimate: StateEstimate, time: float) -> Tuple[NavigationSetpoint, str]:

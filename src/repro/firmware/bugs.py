@@ -192,25 +192,6 @@ class BugDescriptor:
     found_by_stratified_bfi: bool = False
 
 
-@dataclass(frozen=True)
-class BugTriggerEvent:
-    """A record of a bug actually engaging during a simulated run."""
-
-    bug_id: str
-    time: float
-    mode_label: str
-    sensor_type: SensorType
-    altitude: float
-
-    def describe(self) -> str:
-        """One-line description for reports."""
-        return (
-            f"{self.bug_id} engaged at t={self.time:.2f}s in mode "
-            f"'{self.mode_label}' (altitude {self.altitude:.1f} m) after a "
-            f"{self.sensor_type.value} failure"
-        )
-
-
 class BugRegistry:
     """The set of bugs present in one firmware instance.
 
@@ -218,14 +199,15 @@ class BugRegistry:
     run).  Latent bugs are enabled from the start; known bugs become
     active only after :meth:`reinsert`.  During the run the firmware's
     fail-safe path calls :meth:`match` whenever a sensor failure is
-    handled; matches are recorded as :class:`BugTriggerEvent` so the
-    evaluation harness can attribute unsafe conditions to root causes.
+    handled; the ids of matched bugs are recorded so the evaluation
+    harness can attribute unsafe conditions to root causes.
     """
 
     def __init__(self, descriptors: Iterable[BugDescriptor] = ()) -> None:
         self._descriptors: Dict[str, BugDescriptor] = {}
         self._enabled: Dict[str, bool] = {}
-        self._events: List[BugTriggerEvent] = []
+        # Ids of bugs that engaged, in first-trigger order.
+        self._triggered: List[str] = []
         for descriptor in descriptors:
             self.add(descriptor)
 
@@ -275,12 +257,11 @@ class BugRegistry:
         altitude: float,
         failed_types: FrozenSet[SensorType],
         was_active_instance: bool,
-        time: float,
         seconds_into_mode: float = 0.0,
     ) -> List[BugDescriptor]:
         """Return the enabled bugs whose trigger matches this failure.
 
-        Matches are recorded as trigger events as a side effect.
+        A bug's first match is recorded as a side effect.
         """
         matches: List[BugDescriptor] = []
         for descriptor in self.enabled_descriptors:
@@ -293,25 +274,14 @@ class BugRegistry:
                 seconds_into_mode,
             ):
                 matches.append(descriptor)
-                self._events.append(
-                    BugTriggerEvent(
-                        bug_id=descriptor.bug_id,
-                        time=time,
-                        mode_label=mode_label,
-                        sensor_type=sensor_type,
-                        altitude=altitude,
-                    )
-                )
+                if descriptor.bug_id not in self._triggered:
+                    self._triggered.append(descriptor.bug_id)
         return matches
 
     @property
     def triggered_bug_ids(self) -> List[str]:
         """Ids of bugs that engaged at least once, in first-trigger order."""
-        seen: List[str] = []
-        for event in self._events:
-            if event.bug_id not in seen:
-                seen.append(event.bug_id)
-        return seen
+        return list(self._triggered)
 
 
 # ----------------------------------------------------------------------

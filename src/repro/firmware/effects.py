@@ -14,7 +14,7 @@ completely and the firmware's correct fail-safe path takes over.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from repro.firmware.bugs import BugDescriptor, EffectScript
 from repro.firmware.estimator import StateEstimate
@@ -44,8 +44,7 @@ class ActiveEffect:
         return self.descriptor.effect
 
 
-@dataclass
-class EffectOverrides:
+class EffectOverrides(NamedTuple):
     """Per-step outputs of the effect engine consumed by the firmware."""
 
     forced_mode: Optional[FlightMode] = None
@@ -54,11 +53,20 @@ class EffectOverrides:
     abort_takeoff_at_altitude: Optional[float] = None
 
 
+#: The overrides of every control period with no active effect.
+NO_OVERRIDES = EffectOverrides()
+
+
 class BugEffectEngine:
     """Applies the active bug effects each control period."""
 
     def __init__(self) -> None:
         self._active: List[ActiveEffect] = []
+
+    @property
+    def active(self) -> bool:
+        """True once any bug effect has been activated."""
+        return bool(self._active)
 
     # ------------------------------------------------------------------
     # Activation
@@ -107,7 +115,12 @@ class BugEffectEngine:
         time: float,
     ) -> EffectOverrides:
         """Compute the mode/throttle overrides for this control period."""
-        result = EffectOverrides()
+        if not self._active:
+            return NO_OVERRIDES
+        forced_mode = None
+        throttle_override = None
+        block_takeoff = False
+        abort_takeoff_at_altitude = None
         for effect in self._active:
             script = effect.script
             elapsed = time - effect.triggered_at
@@ -116,12 +129,12 @@ class BugEffectEngine:
                 and not effect.mode_forced
                 and elapsed >= script.force_mode_delay_s
             ):
-                result.forced_mode = script.force_mode
+                forced_mode = script.force_mode
                 effect.mode_forced = True
             if script.throttle_cut_once_airborne:
                 if effect.throttle_cut_latched or (airborne and estimate.altitude > 1.5):
                     effect.throttle_cut_latched = True
-                    result.throttle_override = 0.0
+                    throttle_override = 0.0
             if script.throttle_cut_below_altitude is not None:
                 # The cut models a state-estimate reset / EKF fail-safe that
                 # only fires once the (possibly wrong) fail-safe descent is
@@ -133,14 +146,16 @@ class BugEffectEngine:
                 )
                 if effect.throttle_cut_latched or should_cut:
                     effect.throttle_cut_latched = True
-                    result.throttle_override = 0.0
+                    throttle_override = 0.0
             if script.block_takeoff:
-                result.block_takeoff = True
+                block_takeoff = True
             if script.abort_takeoff_at_altitude is not None:
-                if result.abort_takeoff_at_altitude is None:
-                    result.abort_takeoff_at_altitude = script.abort_takeoff_at_altitude
+                if abort_takeoff_at_altitude is None:
+                    abort_takeoff_at_altitude = script.abort_takeoff_at_altitude
                 else:
-                    result.abort_takeoff_at_altitude = min(
-                        result.abort_takeoff_at_altitude, script.abort_takeoff_at_altitude
+                    abort_takeoff_at_altitude = min(
+                        abort_takeoff_at_altitude, script.abort_takeoff_at_altitude
                     )
-        return result
+        return EffectOverrides(
+            forced_mode, throttle_override, block_takeoff, abort_takeoff_at_altitude
+        )

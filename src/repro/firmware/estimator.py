@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import FrozenSet, List, Optional, Tuple
+from operator import itemgetter
+from typing import Callable, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.firmware.params import FirmwareParameters
 from repro.sensors.base import SensorId, SensorRole, SensorType
@@ -128,7 +129,6 @@ class StateEstimator:
         self._params = params
         self._estimate = StateEstimate()
         self._gps_last_seen = 0.0
-        self._initialised = False
 
         self._sensor_ids: List[SensorId] = suite.sensor_ids
         # Primary-first positions of each fused type.
@@ -138,10 +138,21 @@ class StateEstimator:
         self._gps_positions = suite.positions(SensorType.GPS)
         # Position of the instance in use per fused type (None once the
         # type is exhausted, and before the first update).
-        self._active: List[Optional[int]] = [None] * len(_FUSED_TYPES)
+        self._active: Sequence[Optional[int]] = (None,) * len(_FUSED_TYPES)
+        # The instances in use while every read succeeds: each primary.
+        self._primaries = tuple(
+            positions[0] if positions else None for positions in self._fused
+        )
+        # Reads the primaries' samples in one call (None when the suite
+        # lacks a fused type, which then always takes the general path).
+        self._read_primaries: Optional[Callable] = (
+            itemgetter(*self._primaries) if None not in self._primaries else None
+        )
         self._known_failed: List[bool] = [False] * len(self._sensor_ids)
-        # Which instances failed at the last status computation.
+        # Which instances failed at the last status computation, and
+        # whether any did.
         self._failed: Optional[List[bool]] = None
+        self._any_failed = True
 
     # ------------------------------------------------------------------
     # Introspection
@@ -176,29 +187,28 @@ class StateEstimator:
         the firmware's fail-safe manager (and through it the bug registry)
         consumes them.
         """
-        failure_events = self._detect_failures(samples, time) if None in samples else []
-
-        active = self._active
-        selected: List[Optional[Channels]] = []
-        for slot, positions in enumerate(self._fused):
-            chosen = None
-            for position in positions:
-                if samples[position] is not None:
-                    chosen = position
-                    break
-            active[slot] = chosen
-            selected.append(None if chosen is None else samples[chosen])
-        gyro, accel, compass, gps, baro = selected
+        missing = None in samples
+        failure_events = self._detect_failures(samples, time) if missing else ()
+        if missing or self._read_primaries is None:
+            # The first instance of each type that read, primary first.
+            self._active = tuple(
+                next((position for position in positions if samples[position] is not None), None)
+                for positions in self._fused
+            )
+            gyro, accel, compass, gps, baro = [
+                None if position is None else samples[position] for position in self._active
+            ]
+        else:
+            self._active = self._primaries
+            gyro, accel, compass, gps, baro = self._read_primaries(samples)
 
         self._update_attitude(gyro, accel, dt)
         self._update_heading(gyro, compass, dt)
         self._update_vertical(accel, baro, gps, dt)
         self._update_horizontal(accel, gps, dt, time)
-        self._update_status(samples, time)
+        if missing or self._any_failed:
+            self._update_status(samples, time)
         self._estimate.time = time
-
-        if not self._initialised:
-            self._initialised = True
         return self._estimate, failure_events
 
     # ------------------------------------------------------------------
@@ -320,14 +330,17 @@ class StateEstimator:
         time: float,
     ) -> None:
         est = self._estimate
-        # Inertial propagation: tilt produces horizontal acceleration.
-        accel_forward = GRAVITY * math.tan(est.pitch)
-        accel_right = GRAVITY * math.tan(est.roll)
-        accel_north = accel_forward * math.cos(est.yaw) - accel_right * math.sin(est.yaw)
-        accel_east = accel_forward * math.sin(est.yaw) + accel_right * math.cos(est.yaw)
-        if accel is None:
-            accel_north = 0.0
-            accel_east = 0.0
+        # Inertial propagation: tilt produces horizontal acceleration
+        # (none without an accelerometer).
+        if accel is not None:
+            accel_forward = GRAVITY * math.tan(est.pitch)
+            accel_right = GRAVITY * math.tan(est.roll)
+            cos_yaw = math.cos(est.yaw)
+            sin_yaw = math.sin(est.yaw)
+            accel_north = accel_forward * cos_yaw - accel_right * sin_yaw
+            accel_east = accel_forward * sin_yaw + accel_right * cos_yaw
+        else:
+            accel_north = accel_east = 0.0
         est.vel_north += accel_north * dt
         est.vel_east += accel_east * dt
         est.north += est.vel_north * dt
@@ -345,8 +358,13 @@ class StateEstimator:
 
     def _update_status(self, samples: List[Optional[Channels]], time: float) -> None:
         """Recompute the status when the set of failed instances changed,
-        or while GPS is out (``position_valid`` depends on the time)."""
+        or while GPS is out (``position_valid`` depends on the time).
+
+        :meth:`update` skips it while every read succeeds and none failed
+        at the last computation: then neither can have changed.
+        """
         failed = [values is None for values in samples]
+        self._any_failed = True in failed
         gps_failed = bool(self._gps_positions) and all(
             failed[position] for position in self._gps_positions
         )

@@ -14,8 +14,7 @@ mode label (``waypoint-1``, ``waypoint-2`` ...) during AUTO flight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.firmware.estimator import StateEstimate
 from repro.firmware.params import FirmwareParameters
@@ -24,8 +23,7 @@ from repro.mavlink.mission import MissionPlan
 from repro.sim.environment import GeoLocation
 
 
-@dataclass(frozen=True)
-class MissionStep:
+class MissionStep(NamedTuple):
     """What the executor wants the firmware to do this control period."""
 
     #: "takeoff", "waypoint", "rtl", "land", or "complete".
@@ -50,6 +48,9 @@ class MissionExecutor:
         self._waypoint_assignments: dict = {}
         self._reached: List[int] = []
         self._complete = False
+        # Each waypoint item's (north, east) offset from home, by
+        # sequence number; the home never moves.
+        self._offsets: Dict[int, Tuple[float, float]] = {}
 
     # ------------------------------------------------------------------
     # Plan management
@@ -62,6 +63,7 @@ class MissionExecutor:
         self._waypoint_assignments = {}
         self._reached = []
         self._complete = False
+        self._offsets = {}
 
     @property
     def has_plan(self) -> bool:
@@ -84,13 +86,16 @@ class MissionExecutor:
         return list(self._reached)
 
     def _item_offsets(self, item: MissionItem) -> Tuple[float, float]:
-        """Convert an item's lat/lon to local (north, east) offsets."""
-        target = GeoLocation(
-            latitude_deg=item.latitude,
-            longitude_deg=item.longitude,
-            altitude_msl_m=self._home.altitude_msl_m,
-        )
-        return self._home.local_offset_to(target)
+        """An item's lat/lon as local (north, east) offsets from home."""
+        offsets = self._offsets.get(item.seq)
+        if offsets is None:
+            target = GeoLocation(
+                latitude_deg=item.latitude,
+                longitude_deg=item.longitude,
+                altitude_msl_m=self._home.altitude_msl_m,
+            )
+            offsets = self._offsets[item.seq] = self._home.local_offset_to(target)
+        return offsets
 
     # ------------------------------------------------------------------
     # Stepping

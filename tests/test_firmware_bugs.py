@@ -142,16 +142,28 @@ class TestRegistry:
 
     def test_match_records_trigger_events(self):
         registry = ardupilot_bug_registry()
-        matches = registry.match(
+        assert registry.triggered_bug_ids == []
+        baro = dict(
             sensor_type=SensorType.BAROMETER,
             mode_label="takeoff",
             altitude=1.0,
             failed_types=frozenset({SensorType.BAROMETER}),
             was_active_instance=True,
-            time=4.0,
         )
+        matches = registry.match(**baro)
         assert [bug.bug_id for bug in matches] == ["APM-16027"]
         assert registry.triggered_bug_ids == ["APM-16027"]
+        gps = registry.match(
+            sensor_type=SensorType.GPS,
+            mode_label="takeoff",
+            altitude=6.0,
+            failed_types=frozenset({SensorType.BAROMETER, SensorType.GPS}),
+            was_active_instance=True,
+        )
+        assert [bug.bug_id for bug in gps] == ["APM-16020"]
+        # A bug matched again keeps its first-trigger place, once.
+        registry.match(**baro)
+        assert registry.triggered_bug_ids == ["APM-16027", "APM-16020"]
 
     def test_px4_registry_contains_only_px4_bugs(self):
         registry = px4_bug_registry()
@@ -168,6 +180,5 @@ class TestRegistry:
             altitude=1.0,
             failed_types=frozenset({SensorType.BAROMETER}),
             was_active_instance=True,
-            time=4.0,
         )
         assert matches == []

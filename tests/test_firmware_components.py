@@ -3,9 +3,11 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.firmware.arming import ArmingController
-from repro.firmware.effects import BugEffectEngine
+from repro.firmware.effects import BugEffectEngine, EffectOverrides
 from repro.firmware.estimator import EstimatorStatus, StateEstimate, StateEstimator
 from repro.firmware.failsafe import FailsafeAction, FailsafeManager
 from repro.firmware.mission_exec import MissionExecutor
@@ -26,8 +28,9 @@ from repro.mavlink.mission import MissionPlan, mission_item
 from repro.sensors.base import SensorId, SensorType
 from repro.sensors.suite import iris_sensor_suite
 from repro.sim.environment import GeoLocation
-from repro.sim.state import AttitudeState, VehicleState
-from repro.sim.vehicle import IRIS_QUADCOPTER
+from repro.sim.physics import GRAVITY
+from repro.sim.state import AttitudeState, VehicleState, wrap_angle
+from repro.sim.vehicle import IRIS_QUADCOPTER, SOLO_QUADCOPTER
 
 
 class TestModes:
@@ -216,6 +219,88 @@ class TestFailsafeManager:
         assert manager.check_fence(True, 13.0) is None
 
 
+def reference_cascade(params, airframe, estimate, setpoint):
+    """The three-controller cascade (position, altitude, yaw) the inline
+    ``NavigationStack.update`` replaced, kept verbatim as its reference.
+    Returns ``(roll, pitch, yaw_rate, throttle)``."""
+
+    def clamp(value, low, high):
+        return min(max(value, low), high)
+
+    # Position: position -> velocity -> acceleration -> lean angles.
+    speed_limit = (
+        setpoint.speed_limit
+        if setpoint.speed_limit is not None
+        else airframe.max_horizontal_speed_ms
+    )
+    if setpoint.target_north is None or setpoint.target_east is None:
+        vel_cmd_north, vel_cmd_east = 0.0, 0.0
+    else:
+        error_north = setpoint.target_north - estimate.north
+        error_east = setpoint.target_east - estimate.east
+        vel_cmd_north = params.position_p * error_north
+        vel_cmd_east = params.position_p * error_east
+        speed = math.hypot(vel_cmd_north, vel_cmd_east)
+        if speed > speed_limit and speed > 0.0:
+            scale = speed_limit / speed
+            vel_cmd_north *= scale
+            vel_cmd_east *= scale
+    accel_north = params.velocity_p * (vel_cmd_north - estimate.vel_north)
+    accel_east = params.velocity_p * (vel_cmd_east - estimate.vel_east)
+    accel_limit = params.max_horizontal_accel_ms2
+    accel_north = clamp(accel_north, -accel_limit, accel_limit)
+    accel_east = clamp(accel_east, -accel_limit, accel_limit)
+    yaw = estimate.yaw
+    accel_forward = accel_north * math.cos(yaw) + accel_east * math.sin(yaw)
+    accel_right = -accel_north * math.sin(yaw) + accel_east * math.cos(yaw)
+    max_tilt = airframe.max_tilt_rad
+    pitch = clamp(accel_forward / GRAVITY, -max_tilt, max_tilt)
+    roll = clamp(accel_right / GRAVITY, -max_tilt, max_tilt)
+
+    # Altitude: altitude -> climb rate -> throttle.
+    if setpoint.climb_rate is not None:
+        climb_cmd = clamp(
+            setpoint.climb_rate, -airframe.max_descent_rate_ms, airframe.max_climb_rate_ms
+        )
+    elif setpoint.target_altitude is None:
+        climb_cmd = 0.0
+    else:
+        error = setpoint.target_altitude - estimate.altitude
+        climb_cmd = clamp(
+            params.altitude_p * error,
+            -airframe.max_descent_rate_ms,
+            airframe.max_climb_rate_ms,
+        )
+    throttle = airframe.hover_throttle + params.climb_rate_p * (
+        climb_cmd - estimate.climb_rate
+    )
+    throttle = clamp(throttle, 0.0, 1.0)
+
+    # Yaw: heading hold / heading tracking.
+    if setpoint.target_yaw is None:
+        yaw_rate = 0.0
+    else:
+        error = wrap_angle(setpoint.target_yaw - estimate.yaw)
+        yaw_rate = clamp(
+            params.yaw_p * error, -airframe.max_yaw_rate_rads, airframe.max_yaw_rate_rads
+        )
+    return roll, pitch, yaw_rate, throttle
+
+
+def bits(values):
+    """Exact float identity, signed zeros included."""
+    return tuple(float(value).hex() for value in values)
+
+
+coordinate = st.floats(min_value=-2000.0, max_value=2000.0, allow_nan=False)
+rate = st.floats(min_value=-6.0, max_value=6.0, allow_nan=False)
+angle = st.floats(min_value=-12.0, max_value=12.0, allow_nan=False)
+
+
+def optional(strategy):
+    return st.one_of(st.none(), strategy)
+
+
 class TestNavigationStack:
     def make_stack(self):
         return NavigationStack(FirmwareParameters(), IRIS_QUADCOPTER)
@@ -223,46 +308,107 @@ class TestNavigationStack:
     def test_climb_command_when_below_target(self):
         stack = self.make_stack()
         estimate = StateEstimate(altitude=5.0)
-        command = stack.update(estimate, NavigationSetpoint(target_altitude=20.0))
-        assert command.throttle > IRIS_QUADCOPTER.hover_throttle
+        _, _, _, throttle = stack.update(estimate, NavigationSetpoint(target_altitude=20.0))
+        assert throttle > IRIS_QUADCOPTER.hover_throttle
 
     def test_descend_command_when_above_target(self):
         stack = self.make_stack()
         estimate = StateEstimate(altitude=30.0)
-        command = stack.update(estimate, NavigationSetpoint(target_altitude=20.0))
-        assert command.throttle < IRIS_QUADCOPTER.hover_throttle
+        _, _, _, throttle = stack.update(estimate, NavigationSetpoint(target_altitude=20.0))
+        assert throttle < IRIS_QUADCOPTER.hover_throttle
 
     def test_pitch_toward_north_target(self):
         stack = self.make_stack()
         estimate = StateEstimate(north=0.0, east=0.0, yaw=0.0, altitude=20.0)
-        command = stack.update(
+        roll, pitch, _, _ = stack.update(
             estimate, NavigationSetpoint(target_north=50.0, target_east=0.0, target_altitude=20.0)
         )
-        assert command.pitch > 0.05
-        assert abs(command.roll) < 0.05
+        assert pitch > 0.05
+        assert abs(roll) < 0.05
 
     def test_tilt_respects_airframe_limit(self):
         stack = self.make_stack()
         estimate = StateEstimate(north=0.0, east=0.0, altitude=20.0)
-        command = stack.update(
+        roll, pitch, _, _ = stack.update(
             estimate, NavigationSetpoint(target_north=500.0, target_east=500.0)
         )
-        assert abs(command.pitch) <= IRIS_QUADCOPTER.max_tilt_rad
-        assert abs(command.roll) <= IRIS_QUADCOPTER.max_tilt_rad
+        assert abs(pitch) <= IRIS_QUADCOPTER.max_tilt_rad
+        assert abs(roll) <= IRIS_QUADCOPTER.max_tilt_rad
 
     def test_yaw_rate_toward_target_heading(self):
         stack = self.make_stack()
         estimate = StateEstimate(yaw=0.0)
-        command = stack.update(estimate, NavigationSetpoint(target_yaw=1.0))
-        assert command.yaw_rate > 0.0
+        _, _, yaw_rate, _ = stack.update(estimate, NavigationSetpoint(target_yaw=1.0))
+        assert yaw_rate > 0.0
 
     def test_direct_climb_rate_setpoint(self):
+        """A direct climb rate beyond the airframe's descent limit is
+        clamped to it before the throttle loop sees it."""
         stack = self.make_stack()
+        params = FirmwareParameters()
         estimate = StateEstimate(altitude=10.0, climb_rate=0.0)
-        climb = stack.altitude.climb_rate_command(
-            estimate, NavigationSetpoint(climb_rate=-10.0)
+        _, _, _, throttle = stack.update(estimate, NavigationSetpoint(climb_rate=-10.0))
+        clamped = IRIS_QUADCOPTER.hover_throttle + params.climb_rate_p * (
+            -IRIS_QUADCOPTER.max_descent_rate_ms - 0.0
         )
-        assert climb == pytest.approx(-IRIS_QUADCOPTER.max_descent_rate_ms)
+        assert throttle == pytest.approx(clamped)
+        assert throttle > IRIS_QUADCOPTER.hover_throttle + params.climb_rate_p * -10.0
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        north=coordinate,
+        east=coordinate,
+        altitude=coordinate,
+        vel_north=rate,
+        vel_east=rate,
+        climb_rate=rate,
+        yaw=angle,
+        target_north=optional(coordinate),
+        target_east=optional(coordinate),
+        target_altitude=optional(coordinate),
+        setpoint_climb_rate=optional(st.floats(-12.0, 12.0)),
+        target_yaw=optional(angle),
+        speed_limit=optional(st.one_of(st.just(0.0), st.floats(0.0, 30.0))),
+    )
+    def test_cascade_matches_the_three_controller_reference(
+        self,
+        north,
+        east,
+        altitude,
+        vel_north,
+        vel_east,
+        climb_rate,
+        yaw,
+        target_north,
+        target_east,
+        target_altitude,
+        setpoint_climb_rate,
+        target_yaw,
+        speed_limit,
+    ):
+        params = FirmwareParameters()
+        estimate = StateEstimate(
+            north=north,
+            east=east,
+            altitude=altitude,
+            vel_north=vel_north,
+            vel_east=vel_east,
+            climb_rate=climb_rate,
+            yaw=yaw,
+        )
+        setpoint = NavigationSetpoint(
+            target_north=target_north,
+            target_east=target_east,
+            target_altitude=target_altitude,
+            climb_rate=setpoint_climb_rate,
+            target_yaw=target_yaw,
+            speed_limit=speed_limit,
+        )
+        for airframe in (IRIS_QUADCOPTER, SOLO_QUADCOPTER):
+            stack = NavigationStack(params, airframe)
+            assert bits(stack.update(estimate, setpoint)) == bits(
+                reference_cascade(params, airframe, estimate, setpoint)
+            )
 
 
 class TestMissionExecutor:
@@ -340,6 +486,20 @@ class TestBugEffectEngine:
         engine.activate(descriptor, StateEstimate(north=9.0), 6.0)
         # The second activation neither replaces nor stacks on the first.
         assert engine.corrupt_estimate(StateEstimate(north=0.0)).north == 4.0
+
+    def test_no_active_effect_shares_one_read_only_override_set(self):
+        engine = BugEffectEngine()
+        estimate = StateEstimate(altitude=5.0)
+        assert not engine.active
+        first = engine.overrides(estimate, airborne=True, time=1.0)
+        assert first is engine.overrides(estimate, airborne=False, time=2.0)
+        assert first == EffectOverrides()
+        with pytest.raises(AttributeError):
+            first.throttle_override = 0.0
+        engine.activate(BugRegistry(ARDUPILOT_LATENT_BUGS).descriptor("APM-16953"), estimate, 3.0)
+        assert engine.active
+        assert engine.overrides(estimate, airborne=True, time=4.0).throttle_override == 0.0
+        assert EffectOverrides().throttle_override is None
 
     def test_forced_mode_after_delay(self):
         registry = BugRegistry(ARDUPILOT_LATENT_BUGS)

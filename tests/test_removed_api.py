@@ -1,4 +1,4 @@
-"""The 13.0, 14.0 and 15.0 removals stay removed.
+"""The 13.0, 14.0, 15.0 and 16.0 removals stay removed.
 
 A run builds its sensor suite, fault scheduler, hinj interface,
 firmware, simulator and MAVLink link once, for one scenario, and throws
@@ -10,6 +10,9 @@ no firmware read went, with the constants only they used (README,
 "Changed in 14.0").  In 15.0 the sensor-instance symmetry pruning that
 no run could reach went, with the pruner's options and the rest of the
 per-run stack's API that only tests called (README, "Removed in 15.0").
+In 16.0 the navigation cascade became one inline update returning four
+floats, and the bug registry keeps only the ids it is asked for
+(README, "Changed in 16.0").
 """
 
 import inspect
@@ -17,6 +20,8 @@ import inspect
 import pytest
 
 import repro.analysis.figures as figures_module
+import repro.firmware.bugs as bugs_module
+import repro.firmware.navigation as navigation_module
 import repro.core.pruning as pruning_module
 import repro.mavlink.link as link_module
 import repro.sensors.barometer as barometer_module
@@ -29,6 +34,9 @@ from repro.engine.backends import ExecutionBackend
 from repro.firmware.ardupilot import ArduPilotFirmware
 from repro.firmware.bugs import ardupilot_bug_registry
 from repro.firmware.effects import BugEffectEngine
+from repro.firmware.estimator import StateEstimator
+from repro.firmware.navigation import NavigationStack
+from repro.firmware.params import FirmwareParameters
 from repro.hinj import FaultScheduler, HinjInterface
 from repro.hinj.faults import FaultScenario, FaultSpec
 from repro.mavlink.gcs import GroundControlStation
@@ -92,6 +100,17 @@ def _firmware():
             ["disable_all", "is_enabled", "trigger_events"],
         ),
         (BugEffectEngine(), ["active_bug_ids"]),
+        (
+            navigation_module,
+            ["PositionController", "AltitudeController", "YawController", "AttitudeCommand"],
+        ),
+        (
+            NavigationStack(FirmwareParameters(), IRIS_QUADCOPTER),
+            ["position", "altitude", "yaw"],
+        ),
+        (bugs_module, ["BugTriggerEvent"]),
+        (ardupilot_bug_registry(), ["_events"]),
+        (StateEstimator(iris_sensor_suite(), FirmwareParameters()), ["_initialised"]),
     ]
 
 
@@ -166,6 +185,10 @@ def test_the_pruner_has_no_options():
 
 def test_sabre_builds_its_own_pruner():
     assert "pruner" not in inspect.signature(SabreSearch).parameters
+
+
+def test_bug_matching_takes_no_time():
+    assert "time" not in inspect.signature(ardupilot_bug_registry().match).parameters
 
 
 def test_mavlink_has_no_capacity_option():

@@ -363,18 +363,18 @@ class TestGuidedSpeedLimit:
         set_guided_target) must clamp the velocity command to zero, not
         fall through to the airframe maximum."""
         from repro.firmware.estimator import StateEstimate
-        from repro.firmware.navigation import NavigationSetpoint, PositionController
+        from repro.firmware.navigation import NavigationSetpoint, NavigationStack
         from repro.firmware.params import FirmwareParameters
         from repro.sim.vehicle import IRIS_QUADCOPTER
 
-        controller = PositionController(FirmwareParameters(), IRIS_QUADCOPTER)
+        stack = NavigationStack(FirmwareParameters(), IRIS_QUADCOPTER)
         estimate = StateEstimate()
         far_target = dict(target_north=50.0, target_east=0.0)
-        roll_capped, pitch_capped = controller.update(
+        roll_capped, pitch_capped, _, _ = stack.update(
             estimate, NavigationSetpoint(**far_target, speed_limit=0.0)
         )
         assert (roll_capped, pitch_capped) == (0.0, 0.0)
-        _, pitch_free = controller.update(
+        _, pitch_free, _, _ = stack.update(
             estimate, NavigationSetpoint(**far_target)
         )
         assert pitch_free > 0.0
