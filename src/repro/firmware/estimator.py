@@ -143,16 +143,27 @@ class StateEstimator:
         self._primaries = tuple(
             positions[0] if positions else None for positions in self._fused
         )
-        # Reads the primaries' samples in one call (None when the suite
-        # lacks a fused type, which then always takes the general path).
-        self._read_primaries: Optional[Callable] = (
-            itemgetter(*self._primaries) if None not in self._primaries else None
+        # Reads the primaries' samples in one call (``None`` for a fused
+        # type the suite lacks).
+        primaries = self._primaries
+        self._read_primaries: Callable = (
+            itemgetter(*primaries)
+            if None not in primaries
+            else lambda samples: [
+                None if position is None else samples[position] for position in primaries
+            ]
         )
         self._known_failed: List[bool] = [False] * len(self._sensor_ids)
-        # Which instances failed at the last status computation, and
-        # whether any did.
+        # Which reads failed on the last tick with a failed read, while
+        # every tick since has had the same pattern (None otherwise): the
+        # selection in ``_active`` and the known failures are then current.
+        self._missing: Optional[List[bool]] = None
+        # Which instances failed at the last status computation, whether
+        # any did, and whether every GPS instance did.
         self._failed: Optional[List[bool]] = None
         self._any_failed = True
+        self._gps_failed = False
+        self._no_failures: List[bool] = [False] * len(self._sensor_ids)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -187,18 +198,27 @@ class StateEstimator:
         the firmware's fail-safe manager (and through it the bug registry)
         consumes them.
         """
-        missing = None in samples
-        failure_events = self._detect_failures(samples, time) if missing else ()
-        if missing or self._read_primaries is None:
-            # The first instance of each type that read, primary first.
-            self._active = tuple(
-                next((position for position in positions if samples[position] is not None), None)
-                for positions in self._fused
-            )
+        if None in samples:
+            missing = [values is None for values in samples]
+            if missing == self._missing:
+                # The pattern of a latched fault: the same selection, and
+                # no position newly failed.
+                missing = self._missing
+                failure_events = ()
+            else:
+                failure_events = self._detect_failures(samples, time)
+                # The first instance of each type that read, primary first.
+                self._active = tuple(
+                    next((position for position in positions if samples[position] is not None), None)
+                    for positions in self._fused
+                )
+                self._missing = missing
             gyro, accel, compass, gps, baro = [
                 None if position is None else samples[position] for position in self._active
             ]
         else:
+            missing = self._missing = None
+            failure_events = ()
             self._active = self._primaries
             gyro, accel, compass, gps, baro = self._read_primaries(samples)
 
@@ -206,8 +226,10 @@ class StateEstimator:
         self._update_heading(gyro, compass, dt)
         self._update_vertical(accel, baro, gps, dt)
         self._update_horizontal(accel, gps, dt, time)
-        if missing or self._any_failed:
-            self._update_status(samples, time)
+        if missing is not None:
+            self._update_status(missing, time)
+        elif self._any_failed:
+            self._update_status(self._no_failures, time)
         self._estimate.time = time
         return self._estimate, failure_events
 
@@ -356,23 +378,21 @@ class StateEstimator:
             est.vel_north += (vel_north - est.vel_north) * vel_gain
             est.vel_east += (vel_east - est.vel_east) * vel_gain
 
-    def _update_status(self, samples: List[Optional[Channels]], time: float) -> None:
+    def _update_status(self, failed: List[bool], time: float) -> None:
         """Recompute the status when the set of failed instances changed,
         or while GPS is out (``position_valid`` depends on the time).
 
-        :meth:`update` skips it while every read succeeds and none failed
-        at the last computation: then neither can have changed.
+        ``failed`` is this tick's pattern of failed reads.  :meth:`update`
+        skips the call while every read succeeds and none failed at the
+        last computation: then neither can have changed.
         """
-        failed = [values is None for values in samples]
-        self._any_failed = True in failed
-        gps_failed = bool(self._gps_positions) and all(
-            failed[position] for position in self._gps_positions
-        )
-        if failed == self._failed and not gps_failed:
-            return
         status = self._estimate.status
         if failed != self._failed:
             self._failed = failed
+            self._any_failed = True in failed
+            self._gps_failed = bool(self._gps_positions) and all(
+                failed[position] for position in self._gps_positions
+            )
             types = self._suite.sensor_types
             healthy = frozenset(
                 sensor_type
@@ -380,8 +400,11 @@ class StateEstimator:
                 if not all(failed[position] for position in self._suite.positions(sensor_type))
             )
             failed_types = frozenset(set(types) - set(healthy))
-        else:
+        elif self._gps_failed:
             healthy, failed_types = status.healthy_types, status.failed_types
+        else:
+            return
+        gps_failed = self._gps_failed
         baro_failed = SensorType.BAROMETER in failed_types
         altitude_source = "barometer"
         if baro_failed:

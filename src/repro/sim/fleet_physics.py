@@ -83,6 +83,8 @@ class FleetPhysics:
         self._mass = [frame.mass_kg for frame in self._airframes]
         self._drag = [frame.drag_coefficient for frame in self._airframes]
         self._max_thrust = [frame.max_thrust_n for frame in self._airframes]
+        self._max_tilt = [frame.max_tilt_rad for frame in self._airframes]
+        self._max_yaw_rate = [frame.max_yaw_rate_rads for frame in self._airframes]
 
         # Flat per-component state arrays (index = fleet member).
         start_height = environment.terrain_height(0.0, 0.0)
@@ -130,16 +132,14 @@ class FleetPhysics:
         """Immutable state snapshot of one fleet member."""
         v = vehicle
         return VehicleState(
-            time=self._time,
-            position=(self._pos_n[v], self._pos_e[v], self._pos_u[v]),
-            velocity=(self._vel_n[v], self._vel_e[v], self._vel_u[v]),
-            acceleration=(self._acc_n[v], self._acc_e[v], self._acc_u[v]),
-            attitude=AttitudeState(
-                self._att_roll[v], self._att_pitch[v], self._att_yaw[v]
-            ),
-            angular_rate=(self._rate_roll[v], self._rate_pitch[v], self._rate_yaw[v]),
-            on_ground=self._on_ground[v],
-            armed=self._armed[v],
+            self._time,
+            (self._pos_n[v], self._pos_e[v], self._pos_u[v]),
+            (self._vel_n[v], self._vel_e[v], self._vel_u[v]),
+            (self._acc_n[v], self._acc_e[v], self._acc_u[v]),
+            AttitudeState(self._att_roll[v], self._att_pitch[v], self._att_yaw[v]),
+            (self._rate_roll[v], self._rate_pitch[v], self._rate_yaw[v]),
+            self._on_ground[v],
+            self._armed[v],
         )
 
     def snapshots(self) -> List[VehicleState]:
@@ -154,20 +154,19 @@ class FleetPhysics:
     # Stepping
     # ------------------------------------------------------------------
     def step_all(self, commands: Sequence[ActuatorCommand]) -> List[VehicleState]:
-        """Advance every vehicle by one time-step, one command per vehicle."""
+        """Advance every vehicle by one time-step, one command per vehicle.
+
+        Returns a new list of the post-step snapshots, in index order.
+        """
         if len(commands) != self._n:
             raise ValueError(f"expected {self._n} command(s), got {len(commands)}")
-        clamped = [
-            command.clamped(self._airframes[vehicle])
-            for vehicle, command in enumerate(commands)
-        ]
         # The wind field is a pure function of time shared by the fleet:
         # one evaluation serves every vehicle (all see the pre-step time).
         wind_north, wind_east = self.environment.wind.velocity_at(self._time)
-        self._integrate(clamped, wind_north, wind_east)
-        self._ground_contact()
-        self._time += self.dt
-        return self.snapshots()
+        time_after = self._time + self.dt
+        states = self._integrate(commands, wind_north, wind_east, time_after)
+        self._time = time_after
+        return states
 
     def teleport(
         self, vehicle: int, position: Vector3, velocity: Vector3 = (0.0, 0.0, 0.0)
@@ -181,95 +180,139 @@ class FleetPhysics:
     # Integration
     # ------------------------------------------------------------------
     def _integrate(
-        self, clamped: Sequence[ActuatorCommand], wind_north: float, wind_east: float
-    ) -> None:
-        """Attitude lag, thrust, drag and Euler update, one vehicle at a time."""
+        self,
+        commands: Sequence[ActuatorCommand],
+        wind_north: float,
+        wind_east: float,
+        time_after: float,
+    ) -> List[VehicleState]:
+        """Clamp, attitude lag, thrust, drag, Euler update and ground
+        clamp, one vehicle at a time; returns the post-step snapshots.
+
+        Each vehicle's state is read into locals once and written back
+        once.  Every command channel is clamped to the airframe's limits
+        as it is read (a disarmed command's attitude and throttle are
+        never used, so they are not clamped).
+        """
         dt = self.dt
         alpha = min(dt / self.attitude_time_constant, 1.0)
+        cos = math.cos
+        sin = math.sin
+        terrain_height = self.environment.terrain_height
+        on_ground_of = self._on_ground
+        states = []
         for v in range(self._n):
-            command = clamped[v]
+            command = commands[v]
             armed = command.armed
-            self._armed[v] = armed
+            on_ground = on_ground_of[v]
 
             # First-order attitude lag (disarmed motors relax to level).
-            if not armed:
-                target_roll = 0.0
-                target_pitch = 0.0
-            else:
-                target_roll = command.target_roll
-                target_pitch = command.target_pitch
             prev_roll = self._att_roll[v]
             prev_pitch = self._att_pitch[v]
             prev_yaw = self._att_yaw[v]
-            self._att_roll[v] += (target_roll - self._att_roll[v]) * alpha
-            self._att_pitch[v] += (target_pitch - self._att_pitch[v]) * alpha
-            if armed and not self._on_ground[v]:
-                self._att_yaw[v] = wrap_angle(
-                    self._att_yaw[v] + command.target_yaw_rate * dt
-                )
-            self._rate_roll[v] = (self._att_roll[v] - prev_roll) / dt
-            self._rate_pitch[v] = (self._att_pitch[v] - prev_pitch) / dt
-            self._rate_yaw[v] = (self._att_yaw[v] - prev_yaw) / dt
+            if armed:
+                tilt = self._max_tilt[v]
+                target_roll = min(max(command.target_roll, -tilt), tilt)
+                target_pitch = min(max(command.target_pitch, -tilt), tilt)
+                thrust = min(max(command.throttle, 0.0), 1.0) * self._max_thrust[v]
+            else:
+                target_roll = 0.0
+                target_pitch = 0.0
+                thrust = 0.0
+            roll = prev_roll + (target_roll - prev_roll) * alpha
+            pitch = prev_pitch + (target_pitch - prev_pitch) * alpha
+            yaw = prev_yaw
+            if armed and not on_ground:
+                yaw_rate_limit = self._max_yaw_rate[v]
+                yaw_rate = min(max(command.target_yaw_rate, -yaw_rate_limit), yaw_rate_limit)
+                yaw = wrap_angle(prev_yaw + yaw_rate * dt)
+            rate_roll = (roll - prev_roll) / dt
+            rate_pitch = (pitch - prev_pitch) / dt
+            rate_yaw = (yaw - prev_yaw) / dt
 
             # Body-z thrust decomposed into the local frame.  Positive
             # pitch tilts the nose down producing +north acceleration;
             # positive roll produces +east acceleration (after rotating
             # through yaw).
-            thrust = command.throttle * self._max_thrust[v] if armed else 0.0
-            roll = self._att_roll[v]
-            pitch = self._att_pitch[v]
-            yaw = self._att_yaw[v]
-            vertical_thrust = thrust * math.cos(roll) * math.cos(pitch)
-            forward = thrust * math.sin(pitch)
-            right = thrust * math.sin(roll)
-            thrust_north = forward * math.cos(yaw) - right * math.sin(yaw)
-            thrust_east = forward * math.sin(yaw) + right * math.cos(yaw)
+            vertical_thrust = thrust * cos(roll) * cos(pitch)
+            forward = thrust * sin(pitch)
+            right = thrust * sin(roll)
+            thrust_north = forward * cos(yaw) - right * sin(yaw)
+            thrust_east = forward * sin(yaw) + right * cos(yaw)
 
             drag = self._drag[v]
             mass = self._mass[v]
-            accel_north = (
-                thrust_north - drag * (self._vel_n[v] - wind_north)
-            ) / mass
-            accel_east = (thrust_east - drag * (self._vel_e[v] - wind_east)) / mass
-            accel_up = (vertical_thrust - drag * self._vel_u[v]) / mass - GRAVITY
+            vel_n = self._vel_n[v]
+            vel_e = self._vel_e[v]
+            vel_u = self._vel_u[v]
+            accel_north = (thrust_north - drag * (vel_n - wind_north)) / mass
+            accel_east = (thrust_east - drag * (vel_e - wind_east)) / mass
+            accel_up = (vertical_thrust - drag * vel_u) / mass - GRAVITY
 
-            if self._on_ground[v] and accel_up <= 0.0:
+            if on_ground and accel_up <= 0.0:
                 # Resting on the ground: normal force cancels gravity.
                 accel_up = 0.0
                 accel_north = 0.0
                 accel_east = 0.0
-                self._vel_n[v] = 0.0
-                self._vel_e[v] = 0.0
-                self._vel_u[v] = 0.0
+                vel_n = 0.0
+                vel_e = 0.0
+                vel_u = 0.0
 
-            self._acc_n[v] = accel_north
-            self._acc_e[v] = accel_east
-            self._acc_u[v] = accel_up
-            self._vel_n[v] += accel_north * dt
-            self._pos_n[v] += self._vel_n[v] * dt
-            self._vel_e[v] += accel_east * dt
-            self._pos_e[v] += self._vel_e[v] * dt
-            self._vel_u[v] += accel_up * dt
-            self._pos_u[v] += self._vel_u[v] * dt
+            vel_n += accel_north * dt
+            pos_n = self._pos_n[v] + vel_n * dt
+            vel_e += accel_east * dt
+            pos_e = self._pos_e[v] + vel_e * dt
+            vel_u += accel_up * dt
+            pos_u = self._pos_u[v] + vel_u * dt
 
-    def _ground_contact(self) -> None:
-        """Clamp each vehicle to terrain; record impacts and touchdowns."""
-        time_after = self._time + self.dt
-        for v in range(self._n):
-            self._step_touchdowns[v] = None
-            terrain = self.environment.terrain_height(self._pos_n[v], self._pos_e[v])
-            if self._pos_u[v] <= terrain:
-                impact_speed = max(-self._vel_u[v], 0.0)
-                if not self._on_ground[v]:
+            # Ground contact: clamp to terrain, record impacts and
+            # touchdowns.
+            touchdown = None
+            terrain = terrain_height(pos_n, pos_e)
+            if pos_u <= terrain:
+                impact_speed = max(-vel_u, 0.0)
+                if not on_ground:
                     self._last_impact[v] = impact_speed
-                    self._step_touchdowns[v] = Touchdown(
+                    touchdown = Touchdown(
                         time=time_after,
                         vehicle=v,
                         speed=impact_speed,
-                        position=(self._pos_n[v], self._pos_e[v], terrain),
+                        position=(pos_n, pos_e, terrain),
                     )
-                self._pos_u[v] = terrain
-                self._vel_u[v] = 0.0
-                self._on_ground[v] = True
-            elif self._pos_u[v] > terrain + 0.02:
-                self._on_ground[v] = False
+                pos_u = terrain
+                vel_u = 0.0
+                on_ground = True
+            elif pos_u > terrain + 0.02:
+                on_ground = False
+            self._step_touchdowns[v] = touchdown
+
+            self._armed[v] = armed
+            self._att_roll[v] = roll
+            self._att_pitch[v] = pitch
+            self._att_yaw[v] = yaw
+            self._rate_roll[v] = rate_roll
+            self._rate_pitch[v] = rate_pitch
+            self._rate_yaw[v] = rate_yaw
+            self._acc_n[v] = accel_north
+            self._acc_e[v] = accel_east
+            self._acc_u[v] = accel_up
+            self._vel_n[v] = vel_n
+            self._vel_e[v] = vel_e
+            self._vel_u[v] = vel_u
+            self._pos_n[v] = pos_n
+            self._pos_e[v] = pos_e
+            self._pos_u[v] = pos_u
+            on_ground_of[v] = on_ground
+            states.append(
+                VehicleState(
+                    time_after,
+                    (pos_n, pos_e, pos_u),
+                    (vel_n, vel_e, vel_u),
+                    (accel_north, accel_east, accel_up),
+                    AttitudeState(roll, pitch, yaw),
+                    (rate_roll, rate_pitch, rate_yaw),
+                    on_ground,
+                    armed,
+                )
+            )
+        return states

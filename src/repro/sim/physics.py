@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.sim.vehicle import AirframeParameters
-
 GRAVITY = 9.80665
 
 #: Landings faster than this vertical speed are treated as hard impacts by
@@ -28,7 +26,8 @@ class ActuatorCommand:
     thrust), a desired attitude, and a yaw rate.  A real mixer converts
     these to individual rotor speeds; the physics model consumes them
     directly, which preserves the input/output contract of the firmware
-    without simulating individual motors.
+    without simulating individual motors.  The integrator clamps every
+    channel to the airframe's limits as it reads it.
     """
 
     throttle: float = 0.0
@@ -36,17 +35,3 @@ class ActuatorCommand:
     target_pitch: float = 0.0
     target_yaw_rate: float = 0.0
     armed: bool = False
-
-    def clamped(self, airframe: AirframeParameters) -> "ActuatorCommand":
-        """Return a copy with every channel clamped to the airframe limits."""
-        tilt = airframe.max_tilt_rad
-        return ActuatorCommand(
-            throttle=min(max(self.throttle, 0.0), 1.0),
-            target_roll=min(max(self.target_roll, -tilt), tilt),
-            target_pitch=min(max(self.target_pitch, -tilt), tilt),
-            target_yaw_rate=min(
-                max(self.target_yaw_rate, -airframe.max_yaw_rate_rads),
-                airframe.max_yaw_rate_rads,
-            ),
-            armed=self.armed,
-        )

@@ -305,16 +305,26 @@ class Simulator:
         return self.step_fleet([command])[0]
 
     def step_fleet(self, commands: Sequence[ActuatorCommand]) -> List[VehicleState]:
-        """Advance the whole fleet by one time-step, one command per vehicle."""
-        if len(commands) != self.fleet_size:
+        """Advance the whole fleet by one time-step, one command per vehicle.
+
+        Returns the new snapshots: a fresh list each step, which the
+        simulator keeps as its current states and never changes in place.
+        """
+        fleet_size = self.fleet_size
+        if len(commands) != fleet_size:
             raise ValueError(
-                f"expected {self.fleet_size} command(s), got {len(commands)}"
+                f"expected {fleet_size} command(s), got {len(commands)}"
             )
-        self._states = self._fleet.step_all(commands)
+        fleet = self._fleet
+        states = self._states = fleet.step_all(commands)
         self.clock.advance()
 
-        for vehicle in range(self.fleet_size):
-            touchdown = self._fleet.step_touchdown(vehicle)
+        # An environment without obstacles or fences has nothing to scan.
+        environment = self.environment
+        has_obstacles = bool(environment.obstacles)
+        has_fences = bool(environment.fences)
+        for vehicle in range(fleet_size):
+            touchdown = fleet.step_touchdown(vehicle)
             if touchdown is not None and touchdown.speed >= HARD_IMPACT_SPEED:
                 self._collisions.append(
                     CollisionEvent(
@@ -325,11 +335,13 @@ class Simulator:
                         vehicle=vehicle,
                     )
                 )
-            self._detect_obstacle_collision(vehicle)
-            self._detect_fence_breach(vehicle)
-        if self.fleet_size > 1:
+            if has_obstacles:
+                self._detect_obstacle_collision(vehicle)
+            if has_fences:
+                self._detect_fence_breach(vehicle)
+        if fleet_size > 1:
             self._track_separation()
-        return list(self._states)
+        return states
 
     def teleport_vehicle(
         self,
@@ -339,7 +351,10 @@ class Simulator:
     ) -> None:
         """Place one fleet member (launch pads, unit tests)."""
         self._fleet.teleport(vehicle, position, velocity)
-        self._states[vehicle] = self._fleet.snapshot(vehicle)
+        # A new list: the one the last step returned stays as it was.
+        states = list(self._states)
+        states[vehicle] = self._fleet.snapshot(vehicle)
+        self._states = states
 
     def _detect_obstacle_collision(self, vehicle: int) -> None:
         """Record a collision when a vehicle penetrates an obstacle."""

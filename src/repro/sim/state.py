@@ -15,8 +15,7 @@ in radians, matching compass headings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 Vector3 = Tuple[float, float, float]
 
@@ -40,16 +39,20 @@ def euclidean_distance(a: Vector3, b: Vector3) -> float:
     return vector_norm(vector_sub(a, b))
 
 
+_PI = math.pi
+_TWO_PI = 2.0 * math.pi
+_fmod = math.fmod
+
+
 def wrap_angle(angle: float) -> float:
     """Wrap an angle in radians to the interval ``(-pi, pi]``."""
-    wrapped = math.fmod(angle + math.pi, 2.0 * math.pi)
+    wrapped = _fmod(angle + _PI, _TWO_PI)
     if wrapped <= 0.0:
-        wrapped += 2.0 * math.pi
-    return wrapped - math.pi
+        wrapped += _TWO_PI
+    return wrapped - _PI
 
 
-@dataclass(frozen=True)
-class AttitudeState:
+class AttitudeState(NamedTuple):
     """Orientation of the vehicle expressed as Euler angles (radians)."""
 
     roll: float = 0.0
@@ -61,9 +64,12 @@ class AttitudeState:
         return (self.roll, self.pitch, self.yaw)
 
 
-@dataclass(frozen=True)
-class VehicleState:
+class VehicleState(NamedTuple):
     """Snapshot of the simulated vehicle's physical state at one time-step.
+
+    Snapshots are immutable named tuples, built once per vehicle per
+    physics step by one positional constructor call; a copy with one
+    field changed is ``state._replace(time=...)``.
 
     Attributes
     ----------
@@ -93,7 +99,7 @@ class VehicleState:
     position: Vector3 = (0.0, 0.0, 0.0)
     velocity: Vector3 = (0.0, 0.0, 0.0)
     acceleration: Vector3 = (0.0, 0.0, 0.0)
-    attitude: AttitudeState = field(default_factory=AttitudeState)
+    attitude: AttitudeState = AttitudeState()
     angular_rate: Vector3 = (0.0, 0.0, 0.0)
     on_ground: bool = True
     armed: bool = False

@@ -1,4 +1,4 @@
-"""The 13.0, 14.0, 15.0 and 16.0 removals stay removed.
+"""The 13.0, 14.0, 15.0, 16.0 and 17.0 removals stay removed.
 
 A run builds its sensor suite, fault scheduler, hinj interface,
 firmware, simulator and MAVLink link once, for one scenario, and throws
@@ -12,7 +12,9 @@ no run could reach went, with the pruner's options and the rest of the
 per-run stack's API that only tests called (README, "Removed in 15.0").
 In 16.0 the navigation cascade became one inline update returning four
 floats, and the bug registry keeps only the ids it is asked for
-(README, "Changed in 16.0").
+(README, "Changed in 16.0").  In 17.0 the integrator began clamping
+each command channel as it reads it, and the clamped command copy went
+(README, "Changed in 17.0").
 """
 
 import inspect
@@ -45,6 +47,7 @@ from repro.sensors import Barometer, BatteryMonitor, GpsReceiver
 from repro.sensors.suite import iris_sensor_suite
 from repro.sensors.base import SensorId, SensorType
 from repro.sim.environment import Obstacle
+from repro.sim.physics import ActuatorCommand
 from repro.sim.simulator import CollisionEvent, Simulator
 from repro.sim.state import AttitudeState, VehicleState
 from repro.sim.vehicle import IRIS_QUADCOPTER
@@ -123,6 +126,7 @@ def _sim():
         ),
         (VehicleState(), ["with_time", "with_armed", "distance_to"]),
         (AttitudeState(), ["rotated_yaw"]),
+        (ActuatorCommand(), ["clamped"]),
         (environment_module, ["check_environment_is_default"]),
         (Obstacle("tree", 0.0, 0.0, 1.0, 1.0, 5.0), ["horizontal_distance"]),
         (CollisionEvent(1.0, (0.0, 0.0, 0.0), 5.0), ["with_ground"]),
