@@ -88,6 +88,9 @@ class ControlFirmware:
         self._failsafe = FailsafeManager(self.params)
         self._arming = ArmingController(self.params)
         self._mission = MissionExecutor(self.params, self.environment.home)
+        # The current waypoint leg's step and its operating-mode label.
+        self._leg_step: Optional[MissionStep] = None
+        self._leg_label = ""
         self._effects = BugEffectEngine()
         self._bugs = bug_registry if bug_registry is not None else BugRegistry()
         self._hinj = hinj
@@ -309,8 +312,9 @@ class ControlFirmware:
         """Run one control period and return the actuator command.
 
         ``readings`` is this period's read pass over the suite
-        (:meth:`SensorSuite.read_all`): each instance's reading tuple in
-        canonical order, ``None`` where a read failed.
+        (:meth:`SensorSuite.read_all`), in canonical order: ``None``
+        where a read failed, the reading tuple of the first instance of
+        each type that read (primary first), ``UNREAD`` elsewhere.
         ``elapsed_steps`` is the number of simulation micro-steps since
         the previous control period (1 under the reference stepper).
         The adaptive stepper fuses quiescent windows -- one control
@@ -533,7 +537,11 @@ class ControlFirmware:
             return self._takeoff_step_in_auto(estimate, overrides, step)
         if step.kind == "waypoint":
             yaw_target = self._bearing_to(estimate, step.target_north, step.target_east)
-            label = OperatingModeLabel.waypoint(step.waypoint_index or 1)
+            # The executor hands out one step per leg: label it once.
+            if step is not self._leg_step:
+                self._leg_step = step
+                self._leg_label = OperatingModeLabel.waypoint(step.waypoint_index or 1)
+            label = self._leg_label
             return (
                 NavigationSetpoint(
                     target_north=step.target_north,

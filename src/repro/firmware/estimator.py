@@ -112,8 +112,10 @@ class StateEstimator:
     Readings arrive as one :meth:`SensorSuite.read_all` pass in the
     suite's canonical order; every per-type lookup is a precomputed
     tuple of positions (primary first), so the per-tick path neither
-    sorts nor hashes sensor ids.  Each reading is a tuple read by
-    position, as its driver's ``CHANNELS`` lay it out.
+    sorts nor hashes sensor ids.  The instance selected per type -- the
+    first whose entry is not ``None`` -- is the one the pass measured,
+    and its reading is a tuple read by position, as its driver's
+    ``CHANNELS`` lay it out.
     """
 
     # Correction gains per update (tuned for 50 Hz; scale with dt).

@@ -14,7 +14,7 @@ mode label (``waypoint-1``, ``waypoint-2`` ...) during AUTO flight.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional
 
 from repro.firmware.estimator import StateEstimate
 from repro.firmware.params import FirmwareParameters
@@ -45,12 +45,12 @@ class MissionExecutor:
         self._plan: Optional[MissionPlan] = None
         self._current_index = 0
         self._waypoint_counter = 0
-        self._waypoint_assignments: dict = {}
         self._reached: List[int] = []
         self._complete = False
-        # Each waypoint item's (north, east) offset from home, by
-        # sequence number; the home never moves.
-        self._offsets: Dict[int, Tuple[float, float]] = {}
+        # Each waypoint item's step, by sequence number, built on the
+        # leg's first tick: its target, altitude and leg index are fixed
+        # for the leg (the home never moves).
+        self._legs: Dict[int, MissionStep] = {}
 
     # ------------------------------------------------------------------
     # Plan management
@@ -60,10 +60,9 @@ class MissionExecutor:
         self._plan = plan
         self._current_index = 0
         self._waypoint_counter = 0
-        self._waypoint_assignments = {}
         self._reached = []
         self._complete = False
-        self._offsets = {}
+        self._legs = {}
 
     @property
     def has_plan(self) -> bool:
@@ -85,17 +84,31 @@ class MissionExecutor:
         """Items completed so far (for ``MISSION_ITEM_REACHED``)."""
         return list(self._reached)
 
-    def _item_offsets(self, item: MissionItem) -> Tuple[float, float]:
-        """An item's lat/lon as local (north, east) offsets from home."""
-        offsets = self._offsets.get(item.seq)
-        if offsets is None:
+    def _leg(self, item: MissionItem) -> MissionStep:
+        """The step of waypoint ``item``: its lat/lon as local (north,
+        east) offsets from home and its leg number.
+
+        Legs are numbered 1, 2, 3 ... in execution order so the operating
+        mode labels match Table II's "Waypoint 1 -> Waypoint 2" windows.
+        """
+        step = self._legs.get(item.seq)
+        if step is None:
             target = GeoLocation(
                 latitude_deg=item.latitude,
                 longitude_deg=item.longitude,
                 altitude_msl_m=self._home.altitude_msl_m,
             )
-            offsets = self._offsets[item.seq] = self._home.local_offset_to(target)
-        return offsets
+            north, east = self._home.local_offset_to(target)
+            self._waypoint_counter += 1
+            step = self._legs[item.seq] = MissionStep(
+                kind="waypoint",
+                target_north=north,
+                target_east=east,
+                target_altitude=item.altitude if item.altitude > 0.0 else None,
+                waypoint_index=self._waypoint_counter,
+                item_seq=item.seq,
+            )
+        return step
 
     # ------------------------------------------------------------------
     # Stepping
@@ -130,25 +143,15 @@ class MissionExecutor:
                 item_seq=item.seq,
             )
         if item.command == MavCommand.NAV_WAYPOINT:
-            north, east = self._item_offsets(item)
-            if self._waypoint_index_for(item.seq) is None:
-                self._waypoint_counter += 1
-                self._waypoint_assignments[item.seq] = self._waypoint_counter
-            distance = estimate.horizontal_distance_to(north, east)
+            step = self._leg(item)
+            distance = estimate.horizontal_distance_to(step.target_north, step.target_east)
             altitude_ok = (
                 item.altitude <= 0.0
                 or abs(estimate.altitude - item.altitude) <= 2.0
             )
             if distance <= self._params.waypoint_radius_m and altitude_ok:
                 return None
-            return MissionStep(
-                kind="waypoint",
-                target_north=north,
-                target_east=east,
-                target_altitude=item.altitude if item.altitude > 0.0 else None,
-                waypoint_index=self._waypoint_assignments[item.seq],
-                item_seq=item.seq,
-            )
+            return step
         if item.command == MavCommand.NAV_RETURN_TO_LAUNCH:
             # Hand over to RTL; the mode controller owns completion.
             return MissionStep(kind="rtl", item_seq=item.seq)
@@ -157,11 +160,3 @@ class MissionExecutor:
         # Unsupported items are skipped (mirrors firmware tolerance of
         # DO_* items it does not implement).
         return None
-
-    def _waypoint_index_for(self, seq: int) -> Optional[int]:
-        """Waypoint-leg number assigned to mission item ``seq``, if any.
-
-        Legs are numbered 1, 2, 3 ... in execution order so the operating
-        mode labels match Table II's "Waypoint 1 -> Waypoint 2" windows.
-        """
-        return self._waypoint_assignments.get(seq)

@@ -44,7 +44,10 @@ class FirmwareMavlinkHandler:
     ) -> None:
         self._firmware = firmware
         self._link = link
-        self._params = params
+        self._inbox = link.vehicle_inbox
+        # The parameters are frozen: read the stream intervals once.
+        self._heartbeat_interval = params.heartbeat_interval_s
+        self._telemetry_interval = params.telemetry_interval_s
         self._mission_receive = MissionReceiveState()
         self._last_heartbeat = float("-inf")
         self._last_telemetry = float("-inf")
@@ -56,6 +59,8 @@ class FirmwareMavlinkHandler:
     # ------------------------------------------------------------------
     def process_incoming(self, time: float) -> None:
         """Drain and dispatch every message addressed to the vehicle."""
+        if not self._inbox:
+            return
         for message in self._link.vehicle_receive():
             if isinstance(message, CommandLong):
                 self._handle_command(message, time)
@@ -108,7 +113,7 @@ class FirmwareMavlinkHandler:
     # ------------------------------------------------------------------
     def send_telemetry(self, time: float) -> None:
         """Emit heartbeat / position / mission progress at their rates."""
-        if time - self._last_heartbeat >= self._params.heartbeat_interval_s:
+        if time - self._last_heartbeat >= self._heartbeat_interval:
             self._last_heartbeat = time
             self._link.vehicle_send(
                 Heartbeat(
@@ -117,7 +122,7 @@ class FirmwareMavlinkHandler:
                     system_status="active" if self._firmware.armed else "standby",
                 )
             )
-        if time - self._last_telemetry >= self._params.telemetry_interval_s:
+        if time - self._last_telemetry >= self._telemetry_interval:
             self._last_telemetry = time
             self._send_position()
             self._send_mission_progress()

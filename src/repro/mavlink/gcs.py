@@ -51,6 +51,7 @@ class GroundControlStation:
 
     def __init__(self, link: MavLink) -> None:
         self._link = link
+        self._inbox = link.gcs_inbox
         self._telemetry = TelemetrySnapshot()
         self._upload: Optional[MissionUploadState] = None
 
@@ -68,6 +69,8 @@ class GroundControlStation:
         Returns the raw messages so callers with special needs (tests,
         custom workloads) can inspect them as well.
         """
+        if not self._inbox:
+            return []
         messages = self._link.gcs_receive()
         for message in messages:
             self._digest(message, time)

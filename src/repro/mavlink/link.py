@@ -17,29 +17,29 @@ from repro.mavlink.messages import Message
 
 
 class _Channel:
-    """One direction of the link (a FIFO with an optional delivery delay)."""
+    """One direction of the link (a FIFO with an optional delivery delay),
+    read against the link's step clock."""
 
     def __init__(self, delay_steps: int = 0) -> None:
         if delay_steps < 0:
             raise ValueError("delay_steps cannot be negative")
         self._delay_steps = delay_steps
-        self._queue: Deque[Tuple[int, Message]] = deque()
-        self._step = 0
+        #: Messages in flight as (due step, message), oldest first.
+        self.queue: Deque[Tuple[int, Message]] = deque()
 
-    def advance(self) -> None:
-        """Advance the channel clock by one simulation step."""
-        self._step += 1
+    def send(self, message: Message, step: int) -> None:
+        """Enqueue ``message``, sent at ``step``, for delivery
+        ``delay_steps`` steps later."""
+        self.queue.append((step + self._delay_steps, message))
 
-    def send(self, message: Message) -> None:
-        """Enqueue ``message`` for delivery ``delay_steps`` steps from now."""
-        self._queue.append((self._step + self._delay_steps, message))
-
-    def receive_all(self) -> List[Message]:
-        """Dequeue every message whose delivery time has arrived."""
+    def receive_all(self, step: int) -> List[Message]:
+        """Dequeue every message due by ``step``."""
+        queue = self.queue
+        if not queue or queue[0][0] > step:
+            return []
         delivered: List[Message] = []
-        while self._queue and self._queue[0][0] <= self._step:
-            _, message = self._queue.popleft()
-            delivered.append(message)
+        while queue and queue[0][0] <= step:
+            delivered.append(queue.popleft()[1])
         return delivered
 
 
@@ -49,33 +49,38 @@ class MavLink:
     def __init__(self, delay_steps: int = 0) -> None:
         self._to_vehicle = _Channel(delay_steps=delay_steps)
         self._to_gcs = _Channel(delay_steps=delay_steps)
+        # Simulation steps advanced so far; both directions share it.
+        self._step = 0
+        #: The messages in flight to each end, for its per-step empty
+        #: check; read them, never change them.
+        self.gcs_inbox = self._to_gcs.queue
+        self.vehicle_inbox = self._to_vehicle.queue
 
     # ------------------------------------------------------------------
     # Clock
     # ------------------------------------------------------------------
     def advance(self) -> None:
         """Advance both directions by one simulation step."""
-        self._to_vehicle.advance()
-        self._to_gcs.advance()
+        self._step += 1
 
     # ------------------------------------------------------------------
     # GCS side
     # ------------------------------------------------------------------
     def gcs_send(self, message: Message) -> None:
         """Send a message from the ground-control station to the vehicle."""
-        self._to_vehicle.send(message)
+        self._to_vehicle.send(message, self._step)
 
     def gcs_receive(self) -> List[Message]:
         """Receive every pending message addressed to the GCS."""
-        return self._to_gcs.receive_all()
+        return self._to_gcs.receive_all(self._step)
 
     # ------------------------------------------------------------------
     # Vehicle side
     # ------------------------------------------------------------------
     def vehicle_send(self, message: Message) -> None:
         """Send a message from the vehicle to the ground-control station."""
-        self._to_gcs.send(message)
+        self._to_gcs.send(message, self._step)
 
     def vehicle_receive(self) -> List[Message]:
         """Receive every pending message addressed to the vehicle."""
-        return self._to_vehicle.receive_all()
+        return self._to_vehicle.receive_all(self._step)

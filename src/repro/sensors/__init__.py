@@ -13,9 +13,14 @@ test run.  Every sensor driver in this package implements that contract:
   injection engine can fail any instance at any time-step, exactly like
   ``libhinj`` instruments the ``read()`` procedure of each driver; the
   hook is the only way a read fails.
-* :meth:`~repro.sensors.suite.SensorSuite.read_all` samples every
-  instance once per control period and hands the firmware the list of
-  results in the suite's canonical order.
+* :meth:`~repro.sensors.suite.SensorSuite.read_all` reads every
+  instance once per control period -- each read consults the hook and
+  consumes its noise draws -- and hands the firmware one entry per
+  instance in the suite's canonical order: ``None`` where the read
+  failed, :data:`~repro.sensors.suite.UNREAD` for a healthy instance
+  nobody uses, and the measured tuple for the first healthy instance
+  of each type, primary first (the one the estimator and the battery
+  check take).
 * Noise is seeded and read by position from deviate tables
   (:class:`~repro.sensors.base.NoiseTables`): drivers whose seeded RNGs
   reach the same state share one table, and a store outlives a run, so
@@ -40,7 +45,7 @@ from repro.sensors.battery import BatteryMonitor
 from repro.sensors.compass import Compass
 from repro.sensors.gps import GpsReceiver
 from repro.sensors.imu import Accelerometer, Gyroscope
-from repro.sensors.suite import SensorSuite, iris_sensor_suite
+from repro.sensors.suite import UNREAD, SensorSuite, iris_sensor_suite
 
 __all__ = [
     "Accelerometer",
@@ -55,5 +60,6 @@ __all__ = [
     "SensorRole",
     "SensorSuite",
     "SensorType",
+    "UNREAD",
     "iris_sensor_suite",
 ]

@@ -289,9 +289,9 @@ class SensorDriver:
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
-    def sample(self, state: VehicleState, time: float) -> Optional[Tuple[float, ...]]:
-        """One read's channel values (laid out as :attr:`CHANNELS`), or
-        ``None`` when the read fails.
+    def draw(self, time: float) -> Optional[int]:
+        """Take one read without measuring it: where its noise starts in
+        the deviate table, or ``None`` when the read fails.
 
         The instrumentation hook, when installed, is consulted on every
         read, mirroring the per-read ``libhinj`` query of the paper.  A
@@ -299,17 +299,25 @@ class SensorDriver:
         so the failure persists for the rest of the run; when an
         intermittent fault's recovery window closes the scheduler's
         answer reverts and the driver reports channel values again.  A
-        failed read consumes no noise.
+        successful read consumes :attr:`DRAWS` deviates whether or not
+        anyone measures it; a failed read consumes none.
         """
         if self._fail_hook is not None:
-            self._hook_failed = self._fail_hook(self.sensor_id, time)
-        if self._hook_failed:
-            return None
+            # Only the hook sets the flag, so an unhooked read skips it.
+            self._hook_failed = failed = self._fail_hook(self.sensor_id, time)
+            if failed:
+                return None
         at = self._drawn
         self._drawn = end = at + self.DRAWS
         if end > len(self._deviates):
             self._noise.extend(end)
-        return self._measure(state, at)
+        return at
+
+    def sample(self, state: VehicleState, time: float) -> Optional[Tuple[float, ...]]:
+        """One read's channel values (laid out as :attr:`CHANNELS`), or
+        ``None`` when the read fails (:meth:`draw`)."""
+        at = self.draw(time)
+        return None if at is None else self._measure(state, at)
 
     def _measure(self, state: VehicleState, at: int) -> Tuple[float, ...]:
         """Synthesise one reading from the true state; its noise is

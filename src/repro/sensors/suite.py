@@ -3,7 +3,8 @@
 The suite groups drivers by type, tracks which instance plays the
 primary role, and exposes the operations the rest of the stack needs:
 
-* the firmware reads every instance each control period;
+* the firmware reads every instance each control period, measuring
+  only the instance of each type it uses;
 * the fault injection engine enumerates instances (with roles) to build
   the fault space, probing primaries before backups;
 * hinj instruments the read path of every driver (or only of the
@@ -11,11 +12,19 @@ primary role, and exposes the operations the rest of the stack needs:
   suite is built for one run and is never re-hooked or unhooked.
 
 Each control period the firmware gets one read pass: a list of
-per-instance readings in the suite's canonical order (that of
-:attr:`SensorSuite.sensor_ids`), ``None`` where a read failed.  A
-reading is a tuple laid out as its driver's ``CHANNELS``.  The estimator
-indexes the list by position, chooses the instance it trusts for each
-type, and reads that instance's tuple by position too.
+per-instance entries in the suite's canonical order (that of
+:attr:`SensorSuite.sensor_ids`).  An entry is one of three things:
+
+* ``None`` -- the read failed (the hinj hook failed it);
+* :data:`UNREAD` -- the read succeeded but nobody uses it: a healthy
+  instance ranked behind another healthy instance of its type;
+* a tuple laid out as the driver's ``CHANNELS`` -- the measured reading
+  of the first healthy instance of its type, primary first.
+
+Only the estimator and the battery check read a pass, and each takes,
+per type, the first instance that did not fail, primary first -- the
+one instance the pass measures.  The estimator indexes the list by
+position and reads that instance's tuple by position too.
 
 The default :func:`iris_sensor_suite` mirrors a stock 3DR Iris running
 ArduPilot/PX4 SITL: dual IMUs (gyroscope + accelerometer each), dual
@@ -40,6 +49,12 @@ from repro.sensors.compass import Compass
 from repro.sensors.gps import GpsReceiver
 from repro.sensors.imu import Accelerometer, Gyroscope
 from repro.sim.state import VehicleState
+
+
+#: The entry of a healthy read that no consumer takes.  Not ``None``, so
+#: failure detection sees a read that succeeded; empty, so unpacking it
+#: as a reading raises at once.
+UNREAD: Tuple[float, ...] = ()
 
 
 class SensorSuite:
@@ -78,6 +93,15 @@ class SensorSuite:
             sensor_type: tuple(position[d.sensor_id] for d in instances)
             for sensor_type, instances in self._by_type.items()
         }
+        # The read pass's per-tick tables: every driver's draw in
+        # canonical order, and per type the (position, measure) of each
+        # instance, primary first.
+        drivers = self._sorted_drivers
+        self._draws = tuple(driver.draw for driver in drivers)
+        self._measures = tuple(
+            tuple((position, drivers[position]._measure) for position in positions)
+            for positions in self._positions.values()
+        )
 
     # ------------------------------------------------------------------
     # Enumeration
@@ -147,9 +171,27 @@ class SensorSuite:
     def read_all(
         self, state: VehicleState, time: float
     ) -> List[Optional[Tuple[float, ...]]]:
-        """Read every instance once: its reading, or ``None`` when its
-        read failed, in canonical order (:attr:`sensor_ids`)."""
-        return [driver.sample(state, time) for driver in self._sorted_drivers]
+        """Read every instance once, in canonical order (:attr:`sensor_ids`).
+
+        Every read consults its driver's hook and, when it succeeds,
+        consumes the driver's noise draws (:meth:`SensorDriver.draw`).
+        Per type, only the first instance that read, primary first, is
+        measured; the entry of any other healthy instance is
+        :data:`UNREAD`, and that of a failed one ``None``.
+        """
+        readings: list = [draw(time) for draw in self._draws]
+        for instances in self._measures:
+            measured = False
+            for position, measure in instances:
+                at = readings[position]
+                if at is None:
+                    continue
+                if measured:
+                    readings[position] = UNREAD
+                else:
+                    readings[position] = measure(state, at)
+                    measured = True
+        return readings
 
 
 def iris_sensor_suite(

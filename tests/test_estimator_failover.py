@@ -5,9 +5,10 @@ while it repeats, reuses the fail-over selection and skips failure
 detection.  The reference below is the estimator as it was before: it
 re-runs failure detection, re-selects the active instance of every fused
 type and rebuilds the failed-instance list on every tick with a failed
-read.  Both are driven with the same readings, with ``None`` patterns
-drawn at random, and must agree tick by tick on the failure events, the
-active instance of every fused type, the status and every estimate field.
+read.  Both are fed the same read passes, whose hook fails instances in
+patterns drawn at random, and must agree tick by tick on the failure
+events, the active instance of every fused type, the status and every
+estimate field.
 """
 
 from operator import itemgetter
@@ -180,17 +181,23 @@ def estimate_bits(estimate):
 
 
 def fly_patterns(suite_name, segments):
-    """Feed both estimators the same readings, failing the positions of
-    each ``(ticks, failed_positions)`` segment in turn, and compare them
-    after every tick.  Returns the estimator and the number of failure
-    events seen."""
+    """Feed both estimators the same read passes, the hook failing the
+    positions of each ``(ticks, failed_positions)`` segment in turn, and
+    compare them after every tick.  Returns the estimator and the number
+    of failure events seen."""
     suite = SUITES[suite_name]()
+    # The read pass measures only the instance each type's consumer
+    # takes, so failures come from the hook, as in a run.
+    position_of = {sensor_id: index for index, sensor_id in enumerate(suite.sensor_ids)}
+    failing = [frozenset()]
+    suite.instrument(lambda sensor_id, time: position_of[sensor_id] in failing[0])
     params = FirmwareParameters()
     estimator = StateEstimator(suite, params)
     reference = ReferenceEstimator(suite, params)
     events_seen = 0
     tick = 0
     for ticks, failed in segments:
+        failing[0] = failed
         for _ in range(ticks):
             time = tick * DT
             state = VehicleState(
@@ -199,10 +206,9 @@ def fly_patterns(suite_name, segments):
                 velocity=(0.3, -0.2, 0.1),
                 attitude=AttitudeState(0.05, -0.04, 0.3),
             )
-            healthy = suite.read_all(state, time)
-            samples = [
-                None if position in failed else values
-                for position, values in enumerate(healthy)
+            samples = suite.read_all(state, time)
+            assert [values is None for values in samples] == [
+                position in failed for position in range(len(samples))
             ]
             estimate, events = estimator.update(list(samples), DT, time)
             expected, expected_events = reference.update(list(samples), DT, time)

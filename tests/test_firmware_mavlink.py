@@ -2,18 +2,27 @@
 
 These drive a firmware instance directly through the link -- the same
 path the workload framework uses -- and step the lock-step loop by hand.
+The telemetry-stream pin at the end flies a whole waypoint workload
+through the harness and records what crosses the link.
 """
 
 import pytest
+from conftest import line_digest
 
+from repro.core.config import RunConfiguration
+from repro.core.runner import SimulationHarness
 from repro.firmware.ardupilot import ArduPilotFirmware
+from repro.firmware.telemetry import FirmwareMavlinkHandler
+from repro.hinj.faults import EMPTY_SCENARIO, FaultScenario, FaultSpec
 from repro.hinj.instrumentation import HinjInterface
 from repro.mavlink.gcs import GroundControlStation
 from repro.mavlink.link import MavLink
 from repro.mavlink.messages import MavCommand
-from repro.mavlink.mission import MissionPlan, mission_item
+from repro.mavlink.mission import MissionPlan, MissionReceiveState, mission_item
+from repro.sensors.base import SensorId, SensorType
 from repro.sensors.suite import iris_sensor_suite
 from repro.sim.simulator import Simulator
+from repro.workloads.builtin import WaypointFenceWorkload
 
 
 class Bench:
@@ -153,3 +162,100 @@ class TestModeTransitionsReporting:
         bench, hinj = self._take_off()
         assert len(hinj.transitions) > 1
         assert bench.firmware._label_since == hinj.transitions[-1].time
+
+
+# ----------------------------------------------------------------------
+# Telemetry-stream pin
+# ----------------------------------------------------------------------
+def _stream(fault_time):
+    """Fly the short ArduPilot waypoint mission (``gps[0]`` failing from
+    ``fault_time`` on, when given) and return what crossed the link: one
+    ``("gcs", time, message type)`` per message the ground station
+    digested and one ``("fw", time, what)`` per command or mission
+    message the firmware dispatched, times as ``float.hex``."""
+    config = RunConfiguration(
+        firmware_class=ArduPilotFirmware,
+        workload_factory=lambda: WaypointFenceWorkload(
+            altitude=10.0, box_side=10.0, init_wait_ms=1000.0
+        ),
+        max_sim_time_s=120.0,
+    )
+    scenario = (
+        FaultScenario([FaultSpec(SensorId(SensorType.GPS, 0), fault_time)])
+        if fault_time is not None
+        else EMPTY_SCENARIO
+    )
+    records = []
+    clock = []
+
+    def now():
+        return clock[0].simulator.time.hex()
+
+    digest = GroundControlStation._digest
+    handle_command = FirmwareMavlinkHandler._handle_command
+    handle_set_mode = FirmwareMavlinkHandler._handle_set_mode
+    handle_count = MissionReceiveState.handle_count
+    handle_item = MissionReceiveState.handle_item
+
+    def digested(self, message, time):
+        records.append(("gcs", time.hex(), type(message).__name__))
+        return digest(self, message, time)
+
+    def commanded(self, message, time):
+        records.append(("fw", time.hex(), message.command.name))
+        return handle_command(self, message, time)
+
+    def mode_set(self, message, time):
+        records.append(("fw", time.hex(), f"SetMode:{message.mode}"))
+        return handle_set_mode(self, message, time)
+
+    def counted(self, message):
+        records.append(("fw", now(), "MissionCount"))
+        return handle_count(self, message)
+
+    def itemised(self, message):
+        records.append(("fw", now(), f"MissionItem:{message.seq}"))
+        return handle_item(self, message)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(GroundControlStation, "_digest", digested)
+        patch.setattr(FirmwareMavlinkHandler, "_handle_command", commanded)
+        patch.setattr(FirmwareMavlinkHandler, "_handle_set_mode", mode_set)
+        patch.setattr(MissionReceiveState, "handle_count", counted)
+        patch.setattr(MissionReceiveState, "handle_item", itemised)
+        harness = SimulationHarness(config, scenario)
+        clock.append(harness)
+        workload = config.workload_factory()
+        workload.bind(harness)
+        result = harness.build_result(workload, workload.run())
+    return records, result
+
+
+class TestTelemetryStreamPin:
+    """Which messages cross the link, and on which step, are pinned to
+    digests recorded before the quiet-tick fast paths existed: skipping
+    an empty queue, or reading the telemetry intervals once, must not
+    move a message by one step."""
+
+    #: fault time -> (stream digest, records, GCS digests, firmware
+    #: dispatches).  ``gps[0]`` fails on the first waypoint leg, the
+    #: APM-16020 handler fires and the vehicle flies away until the
+    #: 120 s budget ends the run.
+    EXPECTED = {
+        None: ("3633a6bbcfc0a940a69e", 571, 560, 11),
+        8.0: ("244b533d107c0b051537", 1676, 1665, 11),
+    }
+
+    @pytest.mark.parametrize("fault_time", [None, 8.0], ids=["fault-free", "gps0-at-8s"])
+    def test_stream_is_pinned(self, fault_time):
+        records, result = _stream(fault_time)
+        gcs = sum(1 for side, _, _ in records if side == "gcs")
+        assert [record.injected_time for record in result.injections] == (
+            [] if fault_time is None else [fault_time]
+        )
+        assert self.EXPECTED[fault_time] == (
+            line_digest(records),
+            len(records),
+            gcs,
+            len(records) - gcs,
+        )

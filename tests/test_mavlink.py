@@ -55,6 +55,41 @@ class TestMavLink:
         assert len(link.gcs_receive()) == 1
         assert link.gcs_receive() == []
 
+    @pytest.mark.parametrize("delay", [0, 1, 3])
+    def test_delivery_lands_on_the_send_step_plus_delay(self, delay):
+        # Sends at steps 0, 2 and 5 (two on step 2), both directions;
+        # each message arrives on the first receive at or after
+        # send step + delay, and never earlier.
+        link = MavLink(delay_steps=delay)
+        gcs = GroundControlStation(link)
+        sends = {0: ["a"], 2: ["b", "c"], 5: ["d"]}
+        to_vehicle, to_gcs = [], []
+        for step in range(12):
+            for text in sends.get(step, []):
+                link.gcs_send(StatusText(text=text))
+                link.vehicle_send(StatusText(text=text))
+            to_vehicle += [(step, m.text) for m in link.vehicle_receive()]
+            to_gcs += [(step, m.text) for m in gcs.poll(float(step))]
+            link.advance()
+        expected = [
+            (step + delay, text) for step, texts in sorted(sends.items()) for text in texts
+        ]
+        assert to_vehicle == expected
+        assert to_gcs == expected
+
+    def test_polling_an_empty_link_returns_an_empty_list(self):
+        link = MavLink(delay_steps=2)
+        gcs = GroundControlStation(link)
+        assert gcs.poll() == [] and link.vehicle_receive() == []
+        # Queued but not yet due: still empty, and the message waits.
+        link.vehicle_send(Heartbeat(mode="late"))
+        assert gcs.poll() == []
+        assert len(link.gcs_inbox) == 1
+        link.advance()
+        link.advance()
+        assert [m.mode for m in gcs.poll()] == ["late"]
+        assert gcs.poll() == [] and not link.gcs_inbox
+
     def test_directions_are_independent(self):
         link = MavLink()
         link.gcs_send(Heartbeat(mode="to-vehicle"))

@@ -25,7 +25,7 @@ from repro.hinj.faults import EMPTY_SCENARIO, FaultScenario, FaultSpec
 from repro.hinj.instrumentation import HinjInterface
 from repro.hinj.scheduler import FaultScheduler, InjectionRecord
 from repro.sensors.base import SensorId, SensorType
-from repro.sensors.suite import iris_sensor_suite
+from repro.sensors.suite import UNREAD, iris_sensor_suite
 from repro.sim.state import VehicleState
 from repro.workloads.builtin import AutoWorkload
 from repro.workloads.fleet import MultiPadTakeoffLandWorkload
@@ -197,18 +197,27 @@ class TestHookSkip:
 
     @pytest.mark.parametrize("failed", [(), (BARO,), (GPS, COMPASS1), (GYRO0, ACCEL1)])
     def test_read_all_is_canonically_ordered(self, failed):
-        """One entry per instance in ``sensor_ids`` order: each driver's
-        own sample at that position, ``None`` exactly where the hook
-        failed the read."""
+        """One entry per instance in ``sensor_ids`` order: ``None``
+        exactly where the hook failed the read, the driver's own sample
+        for the first instance of each type that read (primary first),
+        and ``UNREAD`` for every other healthy instance."""
         suite = iris_sensor_suite(noise_seed=3)
         twin = iris_sensor_suite(noise_seed=3)
         suite.instrument(lambda sensor_id, time: sensor_id in failed)
         state = VehicleState(position=(1.0, 2.0, 5.0))
-        expected = [
-            None if sensor_id in failed else twin.driver(sensor_id).sample(state, 1.0)
-            for sensor_id in suite.sensor_ids
-        ]
-        assert suite.read_all(state, 1.0) == expected
+        used = {
+            next((d.sensor_id for d in suite.instances_of(t) if d.sensor_id not in failed), None)
+            for t in suite.sensor_types
+        }
+
+        def entry(sensor_id):
+            if sensor_id in failed:
+                return None
+            if sensor_id in used:
+                return twin.driver(sensor_id).sample(state, 1.0)
+            return UNREAD
+
+        assert suite.read_all(state, 1.0) == [entry(sensor_id) for sensor_id in suite.sensor_ids]
         assert suite.failed_sensor_ids() == sorted(failed)
 
 
